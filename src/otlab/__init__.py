@@ -57,6 +57,7 @@ from .envelope import (
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
+    EnvelopeLawViolation,
     InfeasibleArguments,
     InfeasibleFiniteCost,
     InfeasibleInput,

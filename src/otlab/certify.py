@@ -237,10 +237,11 @@ def certify_instance(
     tol: Optional[Number] = None,
     budget: Optional[int] = None,
 ) -> DualityCertificate:
-    """Solve both problems and certify the resulting pair."""
+    """Solve the primal problem once, read the dual off its basis, and
+    certify the resulting pair."""
     instance = validate_instance(instance)
     result = solve_primal(instance)
-    pot = solve_dual(instance)
+    pot = solve_dual(instance, result)
     return build_certificate(
         instance, result.plan, pot, k_max=k_max, tol=tol, budget=budget
     )

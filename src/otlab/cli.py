@@ -113,7 +113,7 @@ def cmd_solve(args) -> int:
     instance = _load(args)
     result = solve_primal(instance)
     if args.dual:
-        pot = solve_dual(instance)
+        pot = solve_dual(instance, result)
         payload = result_to_dict(
             result, instance.mode, pot=pot,
             dual_val=dual_value(pot, instance.mu, instance.nu),

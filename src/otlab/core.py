@@ -117,6 +117,67 @@ def tolerance(mode: str) -> Number:
 
 
 # ---------------------------------------------------------------------------
+# Integer scaling
+# ---------------------------------------------------------------------------
+
+
+def _common_denominator(values) -> int:
+    """Least common multiple of the denominators of finite rational values;
+    infinite markers are skipped."""
+    return math.lcm(*{v.denominator for v in values if not is_inf(v)})
+
+
+def _scale_to_ints(values, scale: int) -> list:
+    """Rational values times ``scale`` (a multiple of every denominator) as
+    Python ints; infinite markers stay symbolic."""
+    return [v if is_inf(v) else v.numerator * (scale // v.denominator) for v in values]
+
+
+def _comparable_rows(arr: np.ndarray) -> list:
+    """Rows of a matrix as plain Python numbers that compare like the
+    entries: rational entries scaled to ints by one common factor, float
+    entries as floats. Positive scaling preserves every order relation and
+    every sum comparison."""
+    rows = arr.tolist()
+    if mode_of(arr) != RATIONAL:
+        return rows
+    scale = _common_denominator(v for row in rows for v in row)
+    return [_scale_to_ints(row, scale) for row in rows]
+
+
+def metric_violation(d: np.ndarray):
+    """The first failed pseudometric law of a square matrix, or None.
+
+    Returns ``(kind, cell)``: ``("diagonal", (i,))``, ``("negative", (i, j))``,
+    ``("asymmetry", (i, j))`` or ``("triangle", (i, l, j))`` when
+    d[i][j] > d[i][l] + d[l][j]. Rows are scanned in ``i, j`` order with the
+    diagonal, sign and symmetry checks first, then triples in ``i, j, l``
+    order, so the first reported cell is deterministic. Callers format the
+    message from the original entries."""
+    rows = _comparable_rows(d)
+    k = len(rows)
+    for i in range(k):
+        row = rows[i]
+        if row[i] != 0:
+            return "diagonal", (i,)
+        for j in range(k):
+            if row[j] < 0:
+                return "negative", (i, j)
+            if row[j] != rows[j][i]:
+                return "asymmetry", (i, j)
+    for i in range(k):
+        row_i = rows[i]
+        for j in range(k):
+            d_ij = row_i[j]
+            # symmetric by now, so rows[j][l] == d[l][j]
+            if any(d_ij > a + b for a, b in zip(row_i, rows[j])):
+                for l in range(k):
+                    if d_ij > row_i[l] + rows[l][j]:
+                        return "triangle", (i, l, j)
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
 
@@ -146,26 +207,22 @@ class FiniteSpace:
                 raise DimensionMismatch(
                     f"metric shape {d.shape} does not match {k} labels"
                 )
-            for i in range(k):
-                if d[i, i] != 0:
-                    raise MetricViolation(f"nonzero diagonal at {self.labels[i]}")
-                for j in range(k):
-                    if d[i, j] < 0:
-                        raise MetricViolation(
-                            f"negative distance ({self.labels[i]}, {self.labels[j]})"
-                        )
-                    if d[i, j] != d[j, i]:
-                        raise MetricViolation(
-                            f"asymmetry at ({self.labels[i]}, {self.labels[j]})"
-                        )
-            for i in range(k):
-                for j in range(k):
-                    for l in range(k):
-                        if d[i, j] > d[i, l] + d[l, j]:
-                            raise MetricViolation(
-                                f"triangle inequality fails on ({i}, {l}, {j}): "
-                                f"d({i},{j})={d[i, j]} > {d[i, l]} + {d[l, j]}"
-                            )
+            bad = metric_violation(d)
+            if bad is None:
+                return
+            kind, cell = bad
+            names = tuple(self.labels[a] for a in cell)
+            if kind == "diagonal":
+                raise MetricViolation(f"nonzero diagonal at {names[0]}")
+            if kind == "negative":
+                raise MetricViolation(f"negative distance ({names[0]}, {names[1]})")
+            if kind == "asymmetry":
+                raise MetricViolation(f"asymmetry at ({names[0]}, {names[1]})")
+            i, l, j = cell
+            raise MetricViolation(
+                f"triangle inequality fails on ({i}, {l}, {j}): "
+                f"d({i},{j})={d[i, j]} > {d[i, l]} + {d[l, j]}"
+            )
 
     @property
     def size(self) -> int:
@@ -448,6 +505,28 @@ def convert_instance(instance: Instance, mode: str) -> Instance:
         mode=mode,
     )
     return validate_instance(inst)
+
+
+def scaled_data(instance: Instance):
+    """Clear denominators once: return ``(mu, nu, cost, L, M)`` as nested
+    Python lists, where rational-mode marginals are ints scaled by the LCM
+    ``L`` of their denominators and finite costs are ints scaled by the LCM
+    ``M`` of theirs. ``+inf`` cost cells stay the ``INF`` marker. Float mode
+    passes the values through as floats with ``L = M = 1``."""
+    mu = instance.mu.weights.tolist()
+    nu = instance.nu.weights.tolist()
+    cost = instance.cost.entries.tolist()
+    if instance.mode != RATIONAL:
+        return mu, nu, cost, 1, 1
+    L = _common_denominator(mu + nu)
+    M = _common_denominator(c for row in cost for c in row)
+    return (
+        _scale_to_ints(mu, L),
+        _scale_to_ints(nu, L),
+        [_scale_to_ints(row, M) for row in cost],
+        L,
+        M,
+    )
 
 
 # ---------------------------------------------------------------------------

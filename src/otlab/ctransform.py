@@ -31,6 +31,7 @@ from .core import (
     DualPotentials,
     Number,
     is_inf,
+    metric_violation,
     zero,
 )
 from .errors import DimensionMismatch, MetricViolation, UnboundedTransform
@@ -54,19 +55,15 @@ class PseudometricMatrix:
         k = d.shape[0]
         if d.shape != (k, k):
             raise DimensionMismatch("pseudometric must be square")
-        for i in range(k):
-            if d[i, i] != 0:
-                raise MetricViolation(f"nonzero diagonal at {i}")
-            for j in range(k):
-                if d[i, j] < 0 or d[i, j] != d[j, i]:
-                    raise MetricViolation(f"not a pseudometric at ({i}, {j})")
-        for i in range(k):
-            for j in range(k):
-                for l in range(k):
-                    if d[i, j] > d[i, l] + d[l, j]:
-                        raise MetricViolation(
-                            f"triangle inequality fails on ({i}, {l}, {j})"
-                        )
+        bad = metric_violation(d)
+        if bad is None:
+            return
+        kind, cell = bad
+        if kind == "diagonal":
+            raise MetricViolation(f"nonzero diagonal at {cell[0]}")
+        if kind == "triangle":
+            raise MetricViolation(f"triangle inequality fails on {cell}")
+        raise MetricViolation(f"not a pseudometric at {cell}")
 
 
 def _check_vector(v: np.ndarray, length: int, name: str):

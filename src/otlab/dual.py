@@ -17,6 +17,8 @@ tight on the reported basis exists.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from .core import (
@@ -29,15 +31,27 @@ from .core import (
     zero,
 )
 from .ctransform import normalize_pair
-from .errors import InfeasibleInput, NoFeasibleTreeDual
+from .errors import DimensionMismatch, InfeasibleInput, NoFeasibleTreeDual
 from .primal import OptimalPlanResult, solve_primal
 
 
-def solve_dual(instance: Instance) -> DualPotentials:
-    """Feasible potentials attaining the primal optimum, in canonical form."""
+def solve_dual(
+    instance: Instance, result: Optional[OptimalPlanResult] = None
+) -> DualPotentials:
+    """Feasible potentials attaining the primal optimum, in canonical form.
+
+    ``result`` is an optimal primal result for this same instance, as
+    returned by :func:`solve_primal`; passing the one a caller already has
+    reuses its basis instead of solving the primal problem again. When it
+    is omitted, the primal problem is solved here."""
     if not instance.validated:
         instance = validate_instance(instance)
-    result = solve_primal(instance)
+    if result is None:
+        result = solve_primal(instance)
+    elif result.plan.shape != instance.shape:
+        raise DimensionMismatch(
+            f"primal result {result.plan.shape} vs instance {instance.shape}"
+        )
     raw = extract_dual_from_basis(result, instance.cost)
     return improve_dual(raw, instance.cost)
 

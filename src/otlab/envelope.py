@@ -27,10 +27,16 @@ from .core import (
     Number,
     is_inf,
     to_number,
+    tolerance,
     validate_instance,
     zero,
 )
-from .errors import InfeasibleFiniteCost, InfeasibleInput, MissingMetric
+from .errors import (
+    EnvelopeLawViolation,
+    InfeasibleFiniteCost,
+    InfeasibleInput,
+    MissingMetric,
+)
 from .primal import solve_primal
 
 
@@ -100,8 +106,11 @@ def lipschitz_envelope(cost: CostMatrix, d_x, d_y, n: Number) -> CostMatrix:
 def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeSchedule:
     """Solve the regularized problem along increasing levels.
 
-    Asserts the monotone chain v_n <= v_{n+1} <= v and reports the smallest
-    listed level whose value equals the unregularized limit, if any.
+    Checks the monotone chain v_n <= v_{n+1} <= v, raising
+    EnvelopeLawViolation when it breaks, and reports the smallest listed
+    level whose value equals the unregularized limit, if any. Comparisons
+    use ``tolerance(instance.mode)``: exact in rational mode, absolute
+    round-off slack in float mode.
     """
     instance = validate_instance(instance)
     _require_metrics(instance)
@@ -118,6 +127,7 @@ def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeS
         limit_value = INF
     dx = instance.space_x.metric
     dy = instance.space_y.metric
+    tol = tolerance(instance.mode)
     levels = []
     previous_cost = None
     previous_value = None
@@ -133,26 +143,38 @@ def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeS
         )
         value_n = solve_primal(validate_instance(regularized)).value
         if previous_cost is not None:
-            _assert_entrywise_le(previous_cost, cost_n)
-        if previous_value is not None and value_n < previous_value:
-            raise AssertionError("value chain must be nondecreasing in n")
-        if value_n > limit_value:
-            raise AssertionError("regularized value exceeded the limit value")
+            _assert_entrywise_le(previous_cost, cost_n, tol)
+        if previous_value is not None and value_n < previous_value - tol:
+            raise EnvelopeLawViolation(
+                f"value chain must be nondecreasing in n: level {n} gives "
+                f"{value_n} < {previous_value}"
+            )
+        if value_n > limit_value + tol:
+            raise EnvelopeLawViolation(
+                f"regularized value {value_n} at level {n} exceeds the limit "
+                f"value {limit_value}"
+            )
         levels.append(EnvelopeLevel(n=n, cost=cost_n, value=value_n))
         previous_cost, previous_value = cost_n, value_n
 
-    saturation = next((lv.n for lv in levels if lv.value == limit_value), None)
+    saturation = next(
+        (lv.n for lv in levels if abs(lv.value - limit_value) <= tol), None
+    )
     return EnvelopeSchedule(
         levels=tuple(levels), limit_value=limit_value, saturation_level=saturation
     )
 
 
-def _assert_entrywise_le(a: CostMatrix, b: CostMatrix):
+def _assert_entrywise_le(a: CostMatrix, b: CostMatrix, tol: Number):
     m, n = a.shape
     for i in range(m):
         for j in range(n):
-            if a.entries[i, j] > b.entries[i, j]:
-                raise AssertionError("envelope must be nondecreasing in n")
+            x, y = a.entries[i, j], b.entries[i, j]
+            # tol >= 0, so the plain comparison settles almost every cell
+            if x > y and x > y + tol:
+                raise EnvelopeLawViolation(
+                    f"envelope must be nondecreasing in n at cell ({i}, {j})"
+                )
 
 
 def saturation_index(cost: CostMatrix, d_x, d_y) -> Number:

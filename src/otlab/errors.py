@@ -63,6 +63,12 @@ class NoFeasibleTreeDual(OTLabError):
     """No optimal tree yields feasible potentials (signals a solver bug)."""
 
 
+class EnvelopeLawViolation(OTLabError):
+    """A Lipschitz-envelope schedule broke the monotone chain
+    c_n <= c_{n+1}, v_n <= v_{n+1} <= v (signals a solver bug, or float
+    round-off beyond tolerance)."""
+
+
 class MissingMetric(OTLabError, ValueError):
     """The operation needs metrics on both spaces but one is absent."""
 

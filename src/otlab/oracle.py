@@ -18,13 +18,13 @@ and, once an incumbent exists, the moment the partial cost can no longer
 improve on it. Neither cut affects the exact minimum nor the deterministic
 first-found tie-break.
 
-Rational data is scaled to integers (denominators cleared) so the hot loop
-runs on machine integers.
+Rational data is scaled to integers (denominators cleared, by the same
+``core.scaled_data`` the simplex uses) so the hot loop runs on Python ints.
+That scaling is shared with the simplex; its solving logic is not.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from fractions import Fraction
 from typing import Optional
@@ -36,6 +36,7 @@ from .core import (
     DualPotentials,
     Instance,
     TransportPlan,
+    scaled_data,
     validate_instance,
 )
 from .errors import BudgetExceeded, InfiniteCostInBoundedMode, NoFeasibleTreeDual
@@ -56,32 +57,6 @@ def _cell_budget(budget: Optional[int]) -> int:
         return budget
     env = os.environ.get(_BUDGET_ENV)
     return int(env) if env else DEFAULT_CELL_BUDGET
-
-
-def _scaled_data(instance: Instance):
-    """Clear denominators: return (mu, nu, cost, L, M) where rational-mode
-    marginals are integers scaled by L and costs are integers scaled by M.
-    Float mode passes values through with L = M = 1."""
-    m, n = instance.shape
-    if instance.mode == RATIONAL:
-        mu_f = [Fraction(w) for w in instance.mu.weights]
-        nu_f = [Fraction(w) for w in instance.nu.weights]
-        c_f = [[Fraction(instance.cost.entries[i, j]) for j in range(n)] for i in range(m)]
-        L = 1
-        for f in mu_f + nu_f:
-            L = L * f.denominator // math.gcd(L, f.denominator)
-        M = 1
-        for row in c_f:
-            for f in row:
-                M = M * f.denominator // math.gcd(M, f.denominator)
-        mu = [int(f * L) for f in mu_f]
-        nu = [int(f * L) for f in nu_f]
-        cost = [[int(f * M) for f in row] for row in c_f]
-        return mu, nu, cost, L, M
-    mu = [float(w) for w in instance.mu.weights]
-    nu = [float(w) for w in instance.nu.weights]
-    cost = [[float(instance.cost.entries[i, j]) for j in range(n)] for i in range(m)]
-    return mu, nu, cost, 1, 1
 
 
 def _enumerate_trees(
@@ -205,7 +180,7 @@ def oracle_primal(instance: Instance, budget: Optional[int] = None) -> OptimalPl
         raise BudgetExceeded(
             f"{m}x{n} instance exceeds the oracle budget of {_cell_budget(budget)} cells"
         )
-    mu, nu, cost, L, M = _scaled_data(instance)
+    mu, nu, cost, L, M = scaled_data(instance)
     neg_tol = 0 if instance.mode == RATIONAL else 1e-12
 
     # A greedy feasible value seeds the cost bound without consulting the
@@ -271,7 +246,7 @@ def oracle_dual(instance: Instance, budget: Optional[int] = None) -> DualPotenti
     instance = validate_instance(instance)
     opt = oracle_primal(instance, budget=budget)
     m, n = instance.shape
-    mu, nu, cost, L, M = _scaled_data(instance)
+    mu, nu, cost, L, M = scaled_data(instance)
     neg_tol = 0 if instance.mode == RATIONAL else 1e-12
     rational = instance.mode == RATIONAL
     target = opt.value

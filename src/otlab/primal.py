@@ -3,8 +3,16 @@
 The basis is a spanning tree of the bipartite supply-demand graph; pivots
 follow Bland's anti-cycling rule (first cell in row-major order with a
 negative reduced cost enters; the smallest-index tie leaves), so the solver
-terminates and is fully deterministic. Arithmetic is whatever the instance
-carries — Fractions give a bit-exact optimum, floats an approximate one.
+terminates and is fully deterministic.
+
+Rational data are scaled to integers once (``core.scaled_data``: masses
+times the LCM L of the marginal denominators, costs times the LCM M of the
+cost denominators) and the simplex runs on Python ints. Positive scaling
+keeps the sign of every reduced cost and every mass comparison, so the
+Bland pivot sequence, the basis and the plan are exactly those of the same
+simplex on Fractions; masses are mapped back to ``Fraction(x, L)`` at the
+end and the value is the exact ``plan_cost`` of that Fraction plan. Float
+instances run the same loop on floats with a scale-aware tolerance.
 
 Infinite costs ride along as lexicographic two-part values (inf-mass part,
 finite part); minimizing them first pushes all mass off infinite cells
@@ -16,6 +24,8 @@ sentinel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+
 import numpy as np
 
 from .core import (
@@ -26,6 +36,7 @@ from .core import (
     TransportPlan,
     is_inf,
     plan_cost,
+    scaled_data,
     validate_instance,
     zero,
 )
@@ -52,36 +63,36 @@ class OptimalPlanResult:
 
 def northwest_corner(mu: Marginal, nu: Marginal) -> TransportPlan:
     """Deterministic greedy feasible plan with at most |X|+|Y|-1 cells."""
-    entries, _ = _northwest_with_basis(mu, nu)
+    m, n = mu.size, nu.size
+    dtype = object if mu.mode == RATIONAL else np.float64
+    entries = np.empty((m, n), dtype=dtype)
+    entries[:] = zero(mu.mode)
+    for cell, x in _northwest_basis(mu.weights, nu.weights).items():
+        entries[cell] = x
+    entries.setflags(write=False)
     return TransportPlan(entries)
 
 
-def _northwest_with_basis(mu: Marginal, nu: Marginal):
-    m, n = mu.size, nu.size
-    mode = mu.mode
-    rem_mu = list(mu.weights)
-    rem_nu = list(nu.weights)
-    dtype = object if mode == RATIONAL else np.float64
-    entries = np.empty((m, n), dtype=dtype)
-    entries[:] = zero(mode)
-    basis = []
+def _northwest_basis(mu, nu) -> dict:
+    """Northwest-corner basis as {cell: mass}, in the order cells are placed."""
+    m, n = len(mu), len(nu)
+    rem_mu = list(mu)
+    rem_nu = list(nu)
+    mass = {}
     i = j = 0
     while True:
         x = min(rem_mu[i], rem_nu[j])
-        entries[i, j] = x
-        basis.append((i, j))
+        mass[(i, j)] = x
         rem_mu[i] -= x
         rem_nu[j] -= x
         if i == m - 1 and j == n - 1:
-            break
+            return mass
         # Advance exactly one axis per step so the basis stays a tree with
         # m+n-1 cells; ties park a zero-mass basic cell on the next step.
         if rem_mu[i] == 0 and i < m - 1:
             i += 1
         else:
             j += 1
-    entries.setflags(write=False)
-    return entries, basis
 
 
 def solve_primal(instance: Instance) -> OptimalPlanResult:
@@ -89,18 +100,18 @@ def solve_primal(instance: Instance) -> OptimalPlanResult:
     if not instance.validated:
         instance = validate_instance(instance)
     m, n = instance.shape
-    mode = instance.mode
-    z = zero(mode)
+    rational = instance.mode == RATIONAL
+    # ints in rational mode: masses times L, costs times M (module docstring)
+    mu, nu, cost, L, _ = scaled_data(instance)
+    z = 0 if rational else 0.0
 
     # Lexicographic (inf part, finite part) cost pairs.
-    cost_p = [[(1, z) if is_inf(instance.cost.entries[i, j]) else (0, instance.cost.entries[i, j])
-               for j in range(n)] for i in range(m)]
+    cost_p = [[(1, z) if is_inf(c) else (0, c) for c in row] for row in cost]
 
-    entries, basis_list = _northwest_with_basis(instance.mu, instance.nu)
-    mass = {cell: entries[cell] for cell in basis_list}
-    basis = set(basis_list)
+    mass = _northwest_basis(mu, nu)
+    basis = set(mass)
 
-    eps = 0 if mode == RATIONAL else 1e-12 * (1 + _finite_scale(instance.cost))
+    eps = 0 if rational else 1e-12 * (1 + _finite_scale(instance.cost))
 
     for _ in range(_MAX_PIVOTS):
         phi, psi = _tree_potentials_pairs(m, n, basis, cost_p, z)
@@ -137,11 +148,11 @@ def solve_primal(instance: Instance) -> OptimalPlanResult:
     else:
         raise RuntimeError("network simplex exceeded the pivot safety bound")
 
-    dtype = object if mode == RATIONAL else np.float64
-    out = np.empty((m, n), dtype=dtype)
-    out[:] = z
-    for (i, j), x in mass.items():
-        out[i, j] = x if x > 0 else z
+    out = np.empty((m, n), dtype=object if rational else np.float64)
+    out[:] = zero(instance.mode)
+    for cell, x in mass.items():
+        if x > 0:
+            out[cell] = Fraction(x, L) if rational else x
     out.setflags(write=False)
     plan = TransportPlan(out)
     value = plan_cost(plan, instance.cost)
@@ -150,7 +161,7 @@ def solve_primal(instance: Instance) -> OptimalPlanResult:
             "every feasible plan places mass on an infinite-cost cell"
         )
     reported = tuple(sorted(
-        cell for cell in basis if not is_inf(instance.cost.entries[cell])
+        (i, j) for (i, j) in basis if not is_inf(cost[i][j])
     ))
     return OptimalPlanResult(plan=plan, value=value, basis=reported)
 

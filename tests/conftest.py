@@ -47,3 +47,25 @@ def random_potential(rng, size, max_num=10, max_den=4):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture
+def primal_calls(monkeypatch):
+    """Record every solve_primal call made through any otlab module alias
+    (``otlab.solve_primal``, ``otlab.cli.solve_primal``, ...)."""
+    import sys
+
+    from otlab import primal
+
+    original = primal.solve_primal
+    calls = []
+
+    def counting(instance):
+        calls.append(instance)
+        return original(instance)
+
+    for name, module in list(sys.modules.items()):
+        if name == "otlab" or name.startswith("otlab."):
+            if getattr(module, "solve_primal", None) is original:
+                monkeypatch.setattr(module, "solve_primal", counting)
+    return calls

@@ -197,10 +197,12 @@ def test_optimal_supports_are_cyclically_monotone(rng):
 # --- the full certificate ---------------------------------------------------------
 
 
-def test_certificate_passes_on_solved_instances(rng):
+def test_certificate_passes_on_solved_instances(rng, primal_calls):
     for _ in range(15):
         inst = random_rational_instance(rng)
+        del primal_calls[:]
         cert = certify_instance(inst)
+        assert len(primal_calls) == 1  # the dual reuses the primal basis
         assert cert.gap == 0
         assert cert.verdict
 

@@ -95,6 +95,12 @@ def test_solve_dual_flag(fixture_file, capsys):
     assert len(payload["phi"]) == 3 and len(payload["psi"]) == 3
 
 
+def test_solve_dual_solves_the_primal_once(fixture_file, capsys, primal_calls):
+    code, _, _ = run_cli(["solve", "--dual", str(fixture_file)], capsys)
+    assert code == 0
+    assert len(primal_calls) == 1
+
+
 def test_solve_missing_file(capsys):
     code, _, err = run_cli(["solve", "missing.json"], capsys)
     assert code == 1
@@ -173,6 +179,31 @@ def test_envelope_without_metric(tmp_path, capsys):
     code, _, err = run_cli(["envelope", "--levels", "1,2", str(path)], capsys)
     assert code == 1
     assert "metric" in err
+
+
+def test_float_envelope_saturates_despite_round_off(tmp_path, capsys):
+    # the float level-8 value exceeds the float limit by ~4e-16
+    path = tmp_path / "inst.json"
+    run_cli(["gen", "random-uniform", "--size", "8", "--seed", "1", "-o", str(path)], capsys)
+    code, out, err = run_cli(["envelope", "--levels", "1,2,4,8", "--float", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["saturation_level"] == 8.0
+
+
+def test_envelope_law_violation_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    from otlab import envelope
+    from otlab.primal import OptimalPlanResult
+
+    path = tmp_path / "spike.json"
+    run_cli(["gen", "discrete-metric-spike", "--size", "2", "-o", str(path)], capsys)
+    values = iter([5, 3, 2])  # limit, then a chain that falls
+    monkeypatch.setattr(
+        envelope, "solve_primal",
+        lambda instance: OptimalPlanResult(plan=None, value=next(values), basis=()),
+    )
+    code, out, err = run_cli(["envelope", "--levels", "1,2", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("otlab: error:") and err.count("\n") == 1
 
 
 # --- usage errors and subprocess smoke ---------------------------------------------

@@ -21,7 +21,7 @@ from otlab import (
     product_plan,
     validate_instance,
 )
-from otlab.core import INF, as_matrix
+from otlab.core import INF, as_matrix, metric_violation
 
 HALF = [F(1, 2), F(1, 2)]
 
@@ -52,6 +52,45 @@ def test_metric_violation_names_the_triple():
             [[0, 1, 2]] * 3, [F(1, 3)] * 3, [F(1, 3)] * 3, metric_x=bad
         )
     assert "(0, 1, 2)" in str(err.value) or "(2, 1, 0)" in str(err.value)
+
+
+def reference_metric_violation(d):
+    """The validator's loops as written on the raw entries, for comparison."""
+    k = d.shape[0]
+    for i in range(k):
+        if d[i, i] != 0:
+            return "diagonal", (i,)
+        for j in range(k):
+            if d[i, j] < 0:
+                return "negative", (i, j)
+            if d[i, j] != d[j, i]:
+                return "asymmetry", (i, j)
+    for i in range(k):
+        for j in range(k):
+            for l in range(k):
+                if d[i, j] > d[i, l] + d[l, j]:
+                    return "triangle", (i, l, j)
+    return None
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_metric_violation_matches_entrywise_reference(data):
+    k = data.draw(st.integers(1, 5))
+    entry = st.one_of(
+        st.fractions(min_value=-1, max_value=12, max_denominator=10**12),
+        st.just("inf"),
+    )
+    rows = [[F(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            rows[i][j] = rows[j][i] = data.draw(entry)
+    if data.draw(st.booleans()):  # break symmetry or the diagonal
+        i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+        rows[i][j] = data.draw(entry)
+    for mode in ("rational", "float"):
+        d = as_matrix(rows, mode)
+        assert metric_violation(d) == reference_metric_violation(d)
 
 
 def test_dimension_mismatch():

@@ -290,6 +290,25 @@ def test_strong_duality_exact_against_oracle(rng):
         assert dual_value(out, inst.mu, inst.nu) == oracle_primal(inst).value
 
 
+def test_solve_dual_reuses_a_given_primal_result(rng, primal_calls):
+    for _ in range(5):
+        inst = random_rational_instance(rng)
+        given = solve_dual(inst, solve_primal(inst))
+        del primal_calls[:]
+        fresh = solve_dual(inst)
+        assert len(primal_calls) == 1
+        assert given.phi.tolist() == fresh.phi.tolist()
+        assert given.psi.tolist() == fresh.psi.tolist()
+
+
+def test_solve_dual_solves_only_when_no_result_is_given(primal_calls):
+    inst = make_instance([[0, 2], [2, 1]], HALF, HALF)
+    result = solve_primal(inst)
+    del primal_calls[:]
+    solve_dual(inst, result)
+    assert primal_calls == []
+
+
 def test_solve_dual_canonical_form(rng):
     for _ in range(25):
         inst = random_rational_instance(rng)

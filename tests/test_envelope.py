@@ -6,11 +6,14 @@ from fractions import Fraction as F
 import pytest
 
 from otlab import (
+    EnvelopeLawViolation,
     InfeasibleInput,
     MissingMetric,
     envelope_schedule,
     lipschitz_envelope,
     make_instance,
+    convert_instance,
+    generate_fixture,
     saturation_index,
     solve_primal,
 )
@@ -169,6 +172,31 @@ def test_schedule_with_unreachable_limit():
     assert [lv.value for lv in sched.levels] == [1, 4]
     assert is_inf(sched.limit_value)
     assert sched.saturation_level is None
+
+
+def test_float_schedule_saturates_within_tolerance():
+    # exact saturation at level 8; the float level-8 value lands ~4e-16
+    # above the float limit value
+    inst = generate_fixture("random-uniform", size=8, seed=1)
+    exact = envelope_schedule(inst, [1, 2, 4, 8])
+    approx = envelope_schedule(convert_instance(inst, "float"), [1, 2, 4, 8])
+    assert exact.saturation_level == 8
+    assert approx.saturation_level == 8.0
+    for a, b in zip(approx.levels, exact.levels):
+        assert abs(a.value - float(b.value)) <= 1e-12
+
+
+def test_schedule_law_violation_raises_library_error(monkeypatch):
+    from otlab import envelope
+    from otlab.primal import OptimalPlanResult
+
+    values = iter([F(5), F(3), F(2)])  # limit, then a chain that falls
+    monkeypatch.setattr(
+        envelope, "solve_primal",
+        lambda instance: OptimalPlanResult(plan=None, value=next(values), basis=()),
+    )
+    with pytest.raises(EnvelopeLawViolation, match="nondecreasing"):
+        envelope_schedule(spike_instance(), [1, 2])
 
 
 # --- saturation_index -----------------------------------------------------------

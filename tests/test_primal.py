@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otlab import (
     InfeasibleFiniteCost,
@@ -11,9 +13,12 @@ from otlab import (
     make_instance,
     northwest_corner,
     oracle_primal,
+    product_plan,
     plan_cost,
     solve_primal,
 )
+
+from otlab.core import is_inf
 
 from conftest import random_marginal, random_rational_instance
 
@@ -128,8 +133,6 @@ def test_dual_shift_covariance(rng):
 
 
 def test_value_attains_lower_envelope_of_plans(rng):
-    from otlab import product_plan
-
     for _ in range(15):
         inst = random_rational_instance(rng)
         value = solve_primal(inst).value
@@ -226,3 +229,83 @@ def test_float_mode_matches_rational(rng):
         exact = solve_primal(inst).value
         approx = solve_primal(convert_instance(inst, "float")).value
         assert abs(approx - float(exact)) <= 1e-9 * (1 + abs(float(exact)))
+
+
+# --- integer kernel properties -------------------------------------------------
+
+# Distinct primes: an instance mixing them has a denominator LCM above 2**64.
+DENOMINATORS = [1, 2, 3, 7, 2**31 - 1, 2**61 - 1, 10**9 + 7]
+
+
+@st.composite
+def rational_instances(draw):
+    """Rational instances with mixed and huge denominators, zero masses,
+    optionally all-equal costs, and optionally +inf walls that keep the
+    northwest-corner plan finite (so a finite optimum exists)."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    den = st.sampled_from(DENOMINATORS)
+
+    def marginal(size):
+        raw = [F(draw(st.integers(0, 9)), draw(den)) for _ in range(size)]
+        if not any(raw):
+            raw[draw(st.integers(0, size - 1))] = F(1)
+        total = sum(raw)
+        return [w / total for w in raw]
+
+    mu, nu = marginal(m), marginal(n)
+    if draw(st.booleans()):
+        tie = F(draw(st.integers(-20, 50)), draw(den))
+        cost = [[tie] * n for _ in range(m)]
+    else:
+        cost = [[F(draw(st.integers(-20, 50)), draw(den)) for _ in range(n)]
+                for _ in range(m)]
+    if draw(st.booleans()):
+        keep = set(northwest_corner(marginal_of(mu), marginal_of(nu)).support())
+        for i in range(m):
+            for j in range(n):
+                if (i, j) not in keep and draw(st.integers(0, 2)) == 0:
+                    cost[i][j] = "inf"
+    return make_instance(cost, mu, nu)
+
+
+def marginal_of(weights):
+    return Marginal(as_vector(weights, "rational"))
+
+
+def linprog_value(inst):
+    """scipy's HiGHS optimum, with +inf cells pinned to zero mass."""
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    m, n = inst.shape
+    cells = [(i, j) for i in range(m) for j in range(n)]
+    finite = [not is_inf(inst.cost.entries[cell]) for cell in cells]
+    c = [float(inst.cost.entries[cell]) if ok else 0.0 for cell, ok in zip(cells, finite)]
+    a_eq = [[1.0 if i == r else 0.0 for (i, _) in cells] for r in range(m)]
+    a_eq += [[1.0 if j == s else 0.0 for (_, j) in cells] for s in range(n)]
+    b_eq = [float(w) for w in inst.mu.weights] + [float(w) for w in inst.nu.weights]
+    bounds = [(0, None) if ok else (0, 0) for ok in finite]
+    lp = scipy_opt.linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    assert lp.status == 0
+    return lp.fun
+
+
+@settings(max_examples=80, deadline=None)
+@given(inst=rational_instances())
+def test_integer_kernel_is_exact(inst):
+    m, n = inst.shape
+    res = solve_primal(inst)
+    assert all(type(x) is F for x in res.plan.entries.flat)
+    res.plan.check_feasible(inst.mu, inst.nu)  # exact marginals
+    assert type(res.value) is F
+    assert res.value == plan_cost(res.plan, inst.cost)
+    # basis invariants: acyclic, finite-cost, covers the support, and a
+    # spanning tree when the cost is bounded
+    assert _is_acyclic(res.basis, m)
+    assert set(res.plan.support()) <= set(res.basis)
+    assert not any(is_inf(inst.cost.entries[cell]) for cell in res.basis)
+    if inst.cost.is_bounded:
+        assert len(res.basis) == m + n - 1
+    if inst.cost.is_bounded and m * n <= 16:
+        assert res.value == oracle_primal(inst).value
+    else:
+        assert abs(float(res.value) - linprog_value(inst)) <= 1e-6 * (1 + abs(float(res.value)))

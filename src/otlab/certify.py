@@ -9,7 +9,23 @@ A certificate bundles four verdicts about a (plan, potentials) pair:
 * c-cyclic monotonicity of the support — no finite tuple of support cells
   lowers total cost under a permutation of targets (cyclic permutations
   suffice: every permutation splits into cycles and the inequality is
-  additive across them, which cuts the enumeration from k! to (k-1)!).
+  additive across them).
+
+Cyclic monotonicity is decided for every tuple size at once as a
+negative-cycle question. On the digraph whose nodes are the support cells,
+with weight c(x_a, y_b) - c(x_a, y_a) on arc a -> b, the cyclic reordering
+of a tuple of distinct cells lowers the cost by exactly minus the weight of
+the corresponding simple cycle; any negative closed walk contains a negative
+simple cycle. So with a tolerance >= 0 and finite costs on the support, a
+digraph without negative cycles has no violating tuple of any size (the
+finite form of Rockafellar's theorem). The weights are exact integers
+(rational costs scaled by their common denominator, floats converted
+exactly through ``Fraction``), so the no-cycle answer carries no round-off;
+in float mode it also clears reorderings of equal exact cost whose summed
+floats differ by more than tol, as they can at cost scales near 1e7 and up.
+Only when that test cannot clear the support (a negative cycle, an infinite
+support cost or a negative tolerance) are the (k-1)! cyclic reorderings of
+each k-subset enumerated, to name the first witness per k.
 
 All tolerances are explicit in the report; rational mode certifies with
 exact zeros.
@@ -17,7 +33,6 @@ exact zeros.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Optional
@@ -29,9 +44,12 @@ from .core import (
     Marginal,
     Number,
     TransportPlan,
+    _comparable_rows,
+    budget_from_env,
     dual_value,
     is_inf,
     plan_cost,
+    shortest_distances,
     tolerance,
     validate_instance,
 )
@@ -45,17 +63,9 @@ from .errors import (
 )
 from .primal import solve_primal
 
-#: Upper bound on individual tuple/permutation inequality checks.
+#: Upper bound on individual tuple/permutation inequality checks in the
+#: witness search on a support that is not cyclically monotone.
 DEFAULT_CHECK_BUDGET = 10_000_000
-
-_BUDGET_ENV = "OT_LAB_BUDGET"
-
-
-def _check_budget(budget: Optional[int]) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(_BUDGET_ENV)
-    return int(env) if env else DEFAULT_CHECK_BUDGET
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,17 +175,22 @@ def check_cyclic_monotonicity(
 ) -> dict:
     """First c-cyclic-monotonicity violation on the support per tuple size.
 
-    For each k <= k_max, walks all k-subsets of support cells and all cyclic
-    reorderings of the targets (lexicographic order, deterministic), and
-    records the first tuple whose reordering undercuts the original cost by
-    more than tol. Returns {k: None | CyclicViolation}.
+    Returns {k: None | CyclicViolation} for 2 <= k <= k_max. When the
+    support digraph has no negative cycle (module docstring) every k passes
+    and the budget is not consulted. Otherwise, for each k, walks all
+    k-subsets of support cells and all cyclic reorderings of the targets
+    (lexicographic order, deterministic), and records the first tuple whose
+    reordering undercuts the original cost by more than tol; that search
+    raises SupportTooLarge past ``budget`` reorderings.
     """
     if k_max < 2:
         raise InfeasibleArguments("k_max must be at least 2")
     if tol is None:
         tol = tolerance(plan.mode)
-    budget = _check_budget(budget)
     support = plan.support()
+    if tol >= 0 and _no_negative_cycle(support, cost):
+        return {k: None for k in range(2, k_max + 1)}
+    budget = budget_from_env(budget, DEFAULT_CHECK_BUDGET)
     checks = 0
     report: dict = {}
     for k in range(2, k_max + 1):
@@ -205,6 +220,23 @@ def check_cyclic_monotonicity(
                 break
         report[k] = found
     return report
+
+
+def _no_negative_cycle(support, cost: CostMatrix) -> bool:
+    """True when every support cell has a finite cost and the support
+    digraph (arc a -> b weighted c(x_a, y_b) - c(x_a, y_a), left out where
+    c(x_a, y_b) is +inf) has no negative cycle; decided on exact ints."""
+    c = _comparable_rows(cost.entries, exact=True)
+    arcs = []
+    for a, (i, j) in enumerate(support):
+        row = c[i]
+        own = row[j]
+        if is_inf(own):
+            return False
+        for b, (_, j_b) in enumerate(support):
+            if b != a and not is_inf(row[j_b]):
+                arcs.append((a, b, row[j_b] - own))
+    return shortest_distances(len(support), arcs) is not None
 
 
 def build_certificate(

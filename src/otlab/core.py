@@ -23,6 +23,7 @@ immutable after validation and safe to share across threads.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -107,6 +108,15 @@ def as_matrix(rows: Sequence[Sequence], mode: str) -> np.ndarray:
     return _freeze(arr)
 
 
+def budget_from_env(budget: Optional[int], default: int) -> int:
+    """An explicit budget, else the ``OT_LAB_BUDGET`` environment variable,
+    else ``default``."""
+    if budget is not None:
+        return budget
+    env = os.environ.get("OT_LAB_BUDGET")
+    return int(env) if env else default
+
+
 def mode_of(arr: np.ndarray) -> str:
     return RATIONAL if arr.dtype == object else FLOAT
 
@@ -133,14 +143,39 @@ def _scale_to_ints(values, scale: int) -> list:
     return [v if is_inf(v) else v.numerator * (scale // v.denominator) for v in values]
 
 
-def _comparable_rows(arr: np.ndarray) -> list:
+def shortest_distances(n: int, arcs, z=0):
+    """Bellman-Ford from a virtual source joined to all ``n`` nodes by arcs of
+    weight ``z``.
+
+    ``arcs`` holds ``(u, v, w)`` triples, relaxed in the given order as
+    ``dist[v] = min(dist[v], dist[u] + w)``; rounds stop at the first one that
+    changes nothing. Returns the distance list, or None when some directed
+    cycle has negative total weight (no round settles). Without a negative
+    cycle the distances are unique, whatever the arc order."""
+    dist = [z] * n
+    for _ in range(n + 1):
+        changed = False
+        for u, v, w in arcs:
+            d = dist[u] + w
+            if d < dist[v]:
+                dist[v] = d
+                changed = True
+        if not changed:
+            return dist
+    return None
+
+
+def _comparable_rows(arr: np.ndarray, exact: bool = False) -> list:
     """Rows of a matrix as plain Python numbers that compare like the
     entries: rational entries scaled to ints by one common factor, float
-    entries as floats. Positive scaling preserves every order relation and
-    every sum comparison."""
+    entries as floats, or with ``exact`` also scaled to ints through their
+    exact ``Fraction`` values. Positive scaling preserves every order
+    relation and every sum comparison; ``+inf`` markers stay symbolic."""
     rows = arr.tolist()
     if mode_of(arr) != RATIONAL:
-        return rows
+        if not exact:
+            return rows
+        rows = [[v if is_inf(v) else Fraction(v) for v in row] for row in rows]
     scale = _common_denominator(v for row in rows for v in row)
     return [_scale_to_ints(row, scale) for row in rows]
 

@@ -27,6 +27,7 @@ from .core import (
     DualPotentials,
     Instance,
     is_inf,
+    shortest_distances,
     validate_instance,
     zero,
 )
@@ -161,19 +162,12 @@ def _component_offsets(comp, phi, psi, cost: CostMatrix, ncomp):
         return [z] * ncomp
     t_star = _min_mean_cycle(arcs, ncomp)
     t = max(t_star, z) if t_star is not None else z
-    # Difference constraints a_k - a_l <= s - t: shortest paths from a
-    # virtual source with zero arcs to every component (Bellman-Ford).
-    dist = [z] * ncomp
-    for _ in range(ncomp):
-        changed = False
-        for (k, l), s in arcs.items():
-            w = s - t
-            if dist[l] + w < dist[k]:
-                dist[k] = dist[l] + w
-                changed = True
-        if not changed:
-            break
-    else:
+    # Difference constraints a_k - a_l <= s - t: shortest paths along arcs
+    # l -> k from a virtual source with zero arcs to every component.
+    dist = shortest_distances(
+        ncomp, [(l, k, s - t) for (k, l), s in arcs.items()], z
+    )
+    if dist is None:
         raise NoFeasibleTreeDual("offset system inconsistent at optimal t")
     return dist
 

@@ -25,7 +25,6 @@ That scaling is shared with the simplex; its solving logic is not.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import Optional
 
@@ -36,6 +35,7 @@ from .core import (
     DualPotentials,
     Instance,
     TransportPlan,
+    budget_from_env,
     scaled_data,
     validate_instance,
 )
@@ -45,18 +45,9 @@ from .primal import OptimalPlanResult
 #: Largest |X| * |Y| the oracle accepts by default.
 DEFAULT_CELL_BUDGET = 16
 
-_BUDGET_ENV = "OT_LAB_BUDGET"
-
 
 class _StopEnumeration(Exception):
     """Raised by an on_tree callback to abort the walk early."""
-
-
-def _cell_budget(budget: Optional[int]) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(_BUDGET_ENV)
-    return int(env) if env else DEFAULT_CELL_BUDGET
 
 
 def _enumerate_trees(
@@ -176,9 +167,10 @@ def oracle_primal(instance: Instance, budget: Optional[int] = None) -> OptimalPl
     if not instance.cost.is_bounded:
         raise InfiniteCostInBoundedMode("the oracle requires a finite cost matrix")
     m, n = instance.shape
-    if m * n > _cell_budget(budget):
+    budget = budget_from_env(budget, DEFAULT_CELL_BUDGET)
+    if m * n > budget:
         raise BudgetExceeded(
-            f"{m}x{n} instance exceeds the oracle budget of {_cell_budget(budget)} cells"
+            f"{m}x{n} instance exceeds the oracle budget of {budget} cells"
         )
     mu, nu, cost, L, M = scaled_data(instance)
     neg_tol = 0 if instance.mode == RATIONAL else 1e-12
@@ -229,7 +221,8 @@ def _northwest_value(mu, nu, cost):
         rem_nu[j] -= x
         if i == m - 1 and j == n - 1:
             return total
-        if rem_mu[i] == 0 and i < m - 1:
+        # the last column and row absorb float round-off left over
+        if i < m - 1 and (rem_mu[i] == 0 or j == n - 1):
             i += 1
         else:
             j += 1

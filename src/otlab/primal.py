@@ -89,7 +89,9 @@ def _northwest_basis(mu, nu) -> dict:
             return mass
         # Advance exactly one axis per step so the basis stays a tree with
         # m+n-1 cells; ties park a zero-mass basic cell on the next step.
-        if rem_mu[i] == 0 and i < m - 1:
+        # The last column and the last row absorb what float round-off
+        # leaves over, so the walk never leaves the matrix.
+        if i < m - 1 and (rem_mu[i] == 0 or j == n - 1):
             i += 1
         else:
             j += 1

@@ -1,12 +1,16 @@
 """Certificates: gap, marginal law, slackness, c-cyclic monotonicity."""
 
 from fractions import Fraction as F
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otlab import (
     DualPotentials,
     InfeasibleArguments,
+    InfeasibleFiniteCost,
     InfeasiblePotentials,
     SupportTooLarge,
     TransportPlan,
@@ -25,7 +29,7 @@ from otlab import (
     solve_dual,
     solve_primal,
 )
-from otlab.core import Marginal
+from otlab.core import Marginal, is_inf, tolerance
 
 from conftest import random_rational_instance
 
@@ -168,15 +172,30 @@ def test_cyclic_single_cell_trivially_passes():
 
 
 def test_cyclic_budget_guard():
-    # separable cost: no tuple can ever violate, so enumeration runs dry
+    # separable cost: no tuple can ever violate, and the negative-cycle test
+    # proves it without enumerating, so a tiny budget is never consulted
     inst = make_instance(
         [[F(i, 2) + F(j, 3) for j in range(4)] for i in range(4)],
         [F(1, 4)] * 4,
         [F(1, 4)] * 4,
     )
     spread = product_plan(inst.mu, inst.nu)  # 16 support cells
+    report = check_cyclic_monotonicity(spread, inst.cost, k_max=4, budget=100)
+    assert report == {2: None, 3: None, 4: None}
+
+
+def test_cyclic_budget_bounds_witness_search():
+    # a non-monotone support: naming the first witness per k takes 14
+    # reorderings here, so a smaller budget stops the search
+    third = [F(1, 3)] * 3
+    inst = make_instance([[0, 1, 2], [1, 0, 1], [2, 1, 0]], third, third)
+    spread = product_plan(inst.mu, inst.nu)
     with pytest.raises(SupportTooLarge):
-        check_cyclic_monotonicity(spread, inst.cost, k_max=4, budget=100)
+        check_cyclic_monotonicity(spread, inst.cost, k_max=3, budget=13)
+    report = check_cyclic_monotonicity(spread, inst.cost, k_max=3, budget=14)
+    assert report[2].cells == ((0, 1), (1, 0))
+    assert (report[2].baseline, report[2].permuted) == (2, 0)
+    assert report[3].cells == ((0, 0), (1, 0), (0, 1))
 
 
 def test_cyclic_env_budget(monkeypatch):
@@ -184,6 +203,109 @@ def test_cyclic_env_budget(monkeypatch):
     monkeypatch.setenv("OT_LAB_BUDGET", "1")
     with pytest.raises(SupportTooLarge):
         check_cyclic_monotonicity(product_plan(inst.mu, inst.nu), inst.cost, k_max=2)
+
+
+def test_cyclic_negative_tol_flags_ties():
+    # one row split over two columns: swapping targets costs the same, a
+    # violation only under a negative tolerance
+    inst = make_instance([[0, 1]], [1], HALF)
+    split = solve_primal(inst).plan
+    assert check_cyclic_monotonicity(split, inst.cost, k_max=2) == {2: None}
+    violation = check_cyclic_monotonicity(split, inst.cost, k_max=2, tol=F(-1, 2))[2]
+    assert violation.cells == ((0, 0), (0, 1))
+    assert violation.baseline == violation.permuted == 1
+
+
+def _enumerated_cyclic_report(plan, cost, k_max, tol):
+    """Reference: the first violating cyclic reordering per k, by walking
+    every k-subset of the support and every cyclic order of its targets."""
+    support = plan.support()
+    report = {}
+    for k in range(2, k_max + 1):
+        found = None
+        for cells in combinations(support, k):
+            baseline = sum(cost.entries[i, j] for (i, j) in cells)
+            for order in permutations(cells[1:]):
+                ring = (cells[0],) + order
+                permuted = sum(
+                    cost.entries[ring[idx][0], ring[(idx + 1) % k][1]]
+                    for idx in range(k)
+                )
+                if not is_inf(permuted) and baseline - permuted > tol:
+                    found = (ring, baseline, permuted)
+                    break
+            if found:
+                break
+        report[k] = found
+    return report
+
+
+@st.composite
+def cyclic_cases(draw):
+    """A (plan, cost, k_max, tol) case: small costs with ties and +inf cells,
+    marginals with zero masses, either the optimal plan or an arbitrary
+    nonnegative one (which may put mass on +inf cells), and the mode's
+    tolerance, possibly shifted either way."""
+    mode = draw(st.sampled_from(["rational", "float"]))
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(
+        st.just("inf"),
+        st.builds(F, st.integers(0, 6), st.integers(1, 3)),
+    )
+    cost = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    k_max = draw(st.integers(2, 4))
+    masses = st.lists(st.integers(0, 3), min_size=m * n, max_size=m * n)
+    raw = draw(masses.filter(lambda xs: sum(xs) > 0))
+    rows = [[F(raw[i * n + j], sum(raw)) for j in range(n)] for i in range(m)]
+    inst = make_instance(
+        cost,
+        [sum(row) for row in rows],
+        [sum(rows[i][j] for i in range(m)) for j in range(n)],
+        mode=mode,
+    )
+    plan_rows = rows
+    if draw(st.booleans()):
+        try:
+            plan_rows = solve_primal(inst).plan.entries.tolist()
+        except InfeasibleFiniteCost:
+            pass
+    tol = tolerance(mode) + draw(st.sampled_from([0, 0, F(1, 2), F(-1, 2)]))
+    tol = tol if mode == "rational" else float(tol)
+    return TransportPlan(as_matrix(plan_rows, mode)), inst.cost, k_max, tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cyclic_cases())
+def test_cyclic_report_matches_enumeration(case):
+    plan, cost, k_max, tol = case
+    expected = _enumerated_cyclic_report(plan, cost, k_max, tol)
+    report = check_cyclic_monotonicity(plan, cost, k_max=k_max, tol=tol)
+    assert list(report) == list(expected)
+    for k, violation in report.items():
+        if expected[k] is None:
+            assert violation is None
+        else:
+            ring, baseline, permuted = expected[k]
+            assert (violation.k, violation.cells) == (k, ring)
+            assert type(violation.baseline) is type(baseline)
+            assert type(violation.permuted) is type(permuted)
+            assert (violation.baseline, violation.permuted) == (baseline, permuted)
+
+
+def test_cyclic_float_check_is_exact_at_large_cost_scale():
+    # a zero-weight reordering whose float sums differ in the last place
+    # (~6e-8, above tol): exact weights see no negative cycle
+    cost = [
+        [989522565.1741276, 201324864.98602143],
+        [66071373.94278217, 339957737.92990714],
+        [100135687.99263151, 369352913.55556977],
+    ]
+    inst = make_instance(cost, [1 / 3] * 3, [1 / 2] * 2, mode="float")
+    optimal = solve_primal(inst).plan
+    summed = _enumerated_cyclic_report(optimal, inst.cost, 4, tolerance("float"))
+    assert summed[3] is not None and summed[3][1] - summed[3][2] > 1e-9
+    assert check_cyclic_monotonicity(optimal, inst.cost) == {2: None, 3: None, 4: None}
 
 
 def test_optimal_supports_are_cyclically_monotone(rng):

@@ -143,6 +143,34 @@ def test_certify_exit_code_two_on_failure():
     assert (0 if failing.verdict else 2) == 2
 
 
+def test_certify_large_support_passes_every_k(tmp_path, capsys):
+    # 59 support cells: the cyclic check decides k = 2..4 without enumerating
+    path = tmp_path / "inst.json"
+    run_cli(["gen", "random-uniform", "--size", "30", "--seed", "1", "-o", str(path)], capsys)
+    code, out, err = run_cli(["certify", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["cyclic"] == {"k2": "pass", "k3": "pass", "k4": "pass"}
+
+
+@pytest.mark.parametrize(
+    "command, key, value", [("solve", "mode", "float"), ("certify", "verdict", "pass")]
+)
+def test_float_northwest_round_off_is_not_a_crash(tmp_path, capsys, command, key, value):
+    # float marginals whose rounded row sums outlast the last column
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "X": {"labels": [f"x{i}" for i in range(7)]},
+        "Y": {"labels": ["y0", "y1", "y2"]},
+        "cost": [[str((i * j) % 5) for j in range(3)] for i in range(7)],
+        "mu": ["7/25", "4/25", "1/25", "7/25", "5/25", "1/25", "0"],
+        "nu": ["7/14", "4/14", "3/14"],
+        "mode": "rational",
+    }))
+    code, out, err = run_cli([command, "--float", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)[key] == value
+
+
 # --- transform / envelope -------------------------------------------------------------
 
 

@@ -55,6 +55,23 @@ def test_northwest_always_feasible(rng):
         assert len(plan.support()) <= m + n - 1
 
 
+def test_northwest_float_round_off_stays_in_the_matrix():
+    # float row sums outlast the columns by round-off: the last column
+    # absorbs the residue and the walk stays inside the 7 x 3 matrix
+    mu = Marginal(as_vector([F(k, 25) for k in (7, 4, 1, 7, 5, 1, 0)], "float"))
+    nu = Marginal(as_vector([F(k, 14) for k in (7, 4, 3)], "float"))
+    plan = northwest_corner(mu, nu)
+    plan.check_feasible(mu, nu)
+    assert len(plan.support()) <= 7 + 3 - 1
+    inst = make_instance(
+        [[(i * j) % 5 for j in range(3)] for i in range(7)],
+        [F(k, 25) for k in (7, 4, 1, 7, 5, 1, 0)],
+        [F(k, 14) for k in (7, 4, 3)],
+        mode="float",
+    )
+    solve_primal(inst).plan.check_feasible(inst.mu, inst.nu)
+
+
 # --- solve_primal -------------------------------------------------------------
 
 

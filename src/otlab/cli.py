@@ -25,9 +25,10 @@ from .core import (
     FLOAT,
     RATIONAL,
     Instance,
-    as_vector,
     convert_instance,
     dual_value,
+    frozen_array,
+    to_number,
 )
 from .ctransform import c_transform, cbar_transform, normalize_pair
 from .dual import solve_dual
@@ -131,9 +132,21 @@ def cmd_certify(args) -> int:
     return 0 if cert.verdict else 2
 
 
+def _numbers(tokens, mode: str, option: str) -> list:
+    """Command-line number tokens in ``mode``; a bad token is a usage error."""
+    out = []
+    for tok in tokens:
+        try:
+            out.append(to_number(tok, mode))
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise _UsageError(f"{option}: bad number {tok!r} ({exc})") from None
+    return out
+
+
 def cmd_transform(args) -> int:
     instance = _load(args)
-    phi = as_vector([tok.strip() for tok in args.phi.split(",")], instance.mode)
+    tokens = [tok.strip() for tok in args.phi.split(",")]
+    phi = frozen_array(_numbers(tokens, instance.mode, "--phi"), instance.mode)
     psi = c_transform(phi, instance.cost)
     phi_cc = cbar_transform(psi, instance.cost)
     normalized = normalize_pair(phi, instance.cost)
@@ -153,7 +166,8 @@ def cmd_transform(args) -> int:
 
 def cmd_envelope(args) -> int:
     instance = _load(args)
-    levels = [tok.strip() for tok in args.levels.split(",") if tok.strip()]
+    tokens = [tok.strip() for tok in args.levels.split(",") if tok.strip()]
+    levels = _numbers(tokens, instance.mode, "--levels")
     schedule = envelope_schedule(instance, levels)
     _emit(dump_json(schedule_to_dict(schedule, instance.mode)))
     return 0

@@ -16,8 +16,11 @@ Infinite costs are represented by the genuine ``math.inf`` marker, never a
 large sentinel value. Wherever a plan mass of zero meets an infinite cost
 the product contributes zero (the lower-integral convention 0 * inf = 0).
 
-All containers are frozen dataclasses over read-only numpy arrays: they are
-immutable after validation and safe to share across threads.
+All containers are frozen dataclasses over read-only numpy arrays
+(:func:`frozen_array`): they are immutable after validation and safe to
+share across threads. One tree walk, :func:`tree_potentials`, gives the
+tight potentials of a basis to the simplex pivot, the dual extraction and
+the oracle dual.
 """
 
 from __future__ import annotations
@@ -84,28 +87,23 @@ def zero(mode: str) -> Number:
     return Fraction(0) if mode == RATIONAL else 0.0
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def frozen_array(values, mode: str) -> np.ndarray:
+    """A read-only array of ``values`` in the mode's dtype: object in
+    rational mode, float64 in float mode."""
+    arr = np.array(values, dtype=object if mode == RATIONAL else np.float64)
     arr.setflags(write=False)
     return arr
 
 
 def as_vector(values: Sequence, mode: str) -> np.ndarray:
-    vals = [to_number(v, mode) for v in values]
-    dtype = object if mode == RATIONAL else np.float64
-    return _freeze(np.array(vals, dtype=dtype))
+    return frozen_array([to_number(v, mode) for v in values], mode)
 
 
 def as_matrix(rows: Sequence[Sequence], mode: str) -> np.ndarray:
     converted = [[to_number(v, mode) for v in row] for row in rows]
-    widths = {len(r) for r in converted}
-    if len(widths) > 1:
+    if len({len(r) for r in converted}) > 1:
         raise DimensionMismatch("matrix rows have unequal lengths")
-    dtype = object if mode == RATIONAL else np.float64
-    arr = np.empty((len(converted), widths.pop() if widths else 0), dtype=dtype)
-    for i, row in enumerate(converted):
-        for j, v in enumerate(row):
-            arr[i, j] = v
-    return _freeze(arr)
+    return frozen_array(converted or np.empty((0, 0)), mode)
 
 
 def budget_from_env(budget: Optional[int], default: int) -> int:
@@ -163,6 +161,50 @@ def shortest_distances(n: int, arcs, z=0):
         if not changed:
             return dist
     return None
+
+
+def tree_potentials(m: int, n: int, cells, rows, z):
+    """One walk of the forest an acyclic cell set spans, giving its tight
+    potentials: ``pot[i] + pot[m + j] = rows[i][j]`` on every cell, where
+    the nodes are the rows ``0..m-1`` and then the columns ``m..m+n-1``.
+
+    Each component is anchored at potential ``z`` at its first row (at its
+    column when it has no row); a potential is the alternating cost sum on
+    the unique path to the anchor, whatever the walk order. Returns
+    ``(comp, pot, parent, wall)`` by node: component numbers in anchor
+    order, potentials with ``+inf`` cells counted as ``z``, the parent link
+    toward the anchor (-1 at anchors), and, only when some cell is ``+inf``,
+    the potentials of the 0/1 ``+inf`` indicator (else None), so that
+    ``(wall, pot)`` are the lexicographic potentials of the cost."""
+    size = m + n
+    adj = [[] for _ in range(size)]
+    for i, j in cells:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    wall = [0] * size if any(rows[i][j] == INF for i, j in cells) else None
+    comp = [-1] * size
+    parent = [-1] * size
+    pot = [z] * size
+    ncomp = 0
+    for anchor in range(size):
+        if comp[anchor] >= 0:
+            continue
+        comp[anchor] = ncomp
+        stack = [anchor]
+        while stack:
+            u = stack.pop()
+            for v in adj[u]:
+                if comp[v] >= 0:
+                    continue
+                comp[v] = ncomp
+                parent[v] = u
+                c = rows[u][v - m] if u < m else rows[v][u - m]
+                if wall is not None:
+                    wall[v] = (c == INF) - wall[u]
+                pot[v] = (z if c == INF else c) - pot[u]
+                stack.append(v)
+        ncomp += 1
+    return comp, pot, parent, wall
 
 
 def _comparable_rows(arr: np.ndarray, exact: bool = False) -> list:
@@ -603,7 +645,15 @@ def dual_value(pot: DualPotentials, mu: Marginal, nu: Marginal) -> Number:
 def product_plan(mu: Marginal, nu: Marginal) -> TransportPlan:
     """The product coupling of mu and nu, the standard witness that the
     feasible set is nonempty."""
-    out = np.multiply.outer(mu.weights, nu.weights)
-    if mode_of(mu.weights) == RATIONAL:
-        out = out.astype(object)
-    return TransportPlan(_freeze(out))
+    return TransportPlan(
+        frozen_array(np.multiply.outer(mu.weights, nu.weights), mu.mode)
+    )
+
+
+def plan_from_cells(shape, masses: dict, mode: str) -> TransportPlan:
+    """The plan with the ``{(i, j): mass}`` entries and zero elsewhere."""
+    m, n = shape
+    z = zero(mode)
+    return TransportPlan(frozen_array(
+        [[masses.get((i, j), z) for j in range(n)] for i in range(m)], mode
+    ))

@@ -30,6 +30,7 @@ from .core import (
     CostMatrix,
     DualPotentials,
     Number,
+    frozen_array,
     is_inf,
     metric_violation,
     zero,
@@ -74,55 +75,44 @@ def _check_vector(v: np.ndarray, length: int, name: str):
             raise UnboundedTransform(f"{name} must have finite entries")
 
 
+def _min_plus(pot, cost: CostMatrix, axis: int, name: str):
+    """``out[b] = min_a c(a, b) - pot[a]`` with the smallest minimizing ``a``
+    as witness, where ``a`` indexes rows (``axis`` 0, the c-transform) or
+    columns (``axis`` 1, the cbar-transform); ``+inf`` cells are skipped."""
+    pot = np.asarray(pot)
+    c = cost.entries if axis == 0 else cost.entries.T
+    k, l = c.shape
+    _check_vector(pot, k, name)
+    out, witness = [], []
+    for b in range(l):
+        best = None
+        arg = -1
+        for a in range(k):
+            v = c[a, b]
+            if is_inf(v):
+                continue
+            v = v - pot[a]
+            if best is None or v < best:
+                best, arg = v, a
+        if best is None:
+            line = "column" if axis == 0 else "row"
+            raise UnboundedTransform(f"{line} {b} of the cost is entirely +inf")
+        out.append(best)
+        witness.append(arg)
+    return frozen_array(out, cost.mode), np.array(witness, dtype=np.int64)
+
+
 def c_transform(phi, cost: CostMatrix, with_witness: bool = False):
     """phi^c over Y. Columns that are entirely +inf admit no finite value
     and raise UnboundedTransform. With ``with_witness`` the smallest-index
     minimizing x is returned alongside (deterministic tie-break)."""
-    phi = np.asarray(phi)
-    m, n = cost.shape
-    _check_vector(phi, m, "phi")
-    out = np.empty(n, dtype=cost.entries.dtype)
-    witness = np.empty(n, dtype=np.int64)
-    for j in range(n):
-        best = None
-        arg = -1
-        for i in range(m):
-            c = cost.entries[i, j]
-            if is_inf(c):
-                continue
-            v = c - phi[i]
-            if best is None or v < best:
-                best, arg = v, i
-        if best is None:
-            raise UnboundedTransform(f"column {j} of the cost is entirely +inf")
-        out[j] = best
-        witness[j] = arg
-    out.setflags(write=False)
+    out, witness = _min_plus(phi, cost, 0, "phi")
     return (out, witness) if with_witness else out
 
 
 def cbar_transform(psi, cost: CostMatrix, with_witness: bool = False):
     """psi^cbar over X; the mirror of :func:`c_transform`."""
-    psi = np.asarray(psi)
-    m, n = cost.shape
-    _check_vector(psi, n, "psi")
-    out = np.empty(m, dtype=cost.entries.dtype)
-    witness = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        best = None
-        arg = -1
-        for j in range(n):
-            c = cost.entries[i, j]
-            if is_inf(c):
-                continue
-            v = c - psi[j]
-            if best is None or v < best:
-                best, arg = v, j
-        if best is None:
-            raise UnboundedTransform(f"row {i} of the cost is entirely +inf")
-        out[i] = best
-        witness[i] = arg
-    out.setflags(write=False)
+    out, witness = _min_plus(psi, cost, 1, "psi")
     return (out, witness) if with_witness else out
 
 
@@ -137,11 +127,10 @@ def normalize_pair(phi, cost: CostMatrix) -> DualPotentials:
     psi = c_transform(phi, cost)
     phi_cc = cbar_transform(psi, cost)
     shift = min(psi)
-    phi_out = np.array([v + shift for v in phi_cc], dtype=cost.entries.dtype)
-    psi_out = np.array([v - shift for v in psi], dtype=cost.entries.dtype)
-    phi_out.setflags(write=False)
-    psi_out.setflags(write=False)
-    return DualPotentials(phi=phi_out, psi=psi_out)
+    return DualPotentials(
+        phi=frozen_array([v + shift for v in phi_cc], cost.mode),
+        psi=frozen_array([v - shift for v in psi], cost.mode),
+    )
 
 
 def induced_pseudometric(cost: CostMatrix, axis: str) -> PseudometricMatrix:
@@ -152,28 +141,16 @@ def induced_pseudometric(cost: CostMatrix, axis: str) -> PseudometricMatrix:
     """
     if not cost.is_bounded:
         raise UnboundedTransform("induced pseudometrics require a bounded cost")
-    c = cost.entries
-    m, n = cost.shape
-    if axis == OVER_X:
-        d = np.empty((m, m), dtype=c.dtype)
-        for i in range(m):
-            d[i, i] = zero(cost.mode)
-            for k in range(i + 1, m):
-                v = max(abs(c[i, j] - c[k, j]) for j in range(n))
-                d[i, k] = v
-                d[k, i] = v
-    elif axis == OVER_Y:
-        d = np.empty((n, n), dtype=c.dtype)
-        for j in range(n):
-            d[j, j] = zero(cost.mode)
-            for l in range(j + 1, n):
-                v = max(abs(c[i, j] - c[i, l]) for i in range(m))
-                d[j, l] = v
-                d[l, j] = v
-    else:
+    if axis not in (OVER_X, OVER_Y):
         raise ValueError(f"axis must be {OVER_X!r} or {OVER_Y!r}")
-    d.setflags(write=False)
-    return PseudometricMatrix(entries=d, axis=axis)
+    # rows of c are the points of the measured axis
+    c = cost.entries if axis == OVER_X else cost.entries.T
+    k = c.shape[0]
+    d = [[zero(cost.mode)] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a + 1, k):
+            d[a][b] = d[b][a] = max(abs(x - y) for x, y in zip(c[a], c[b]))
+    return PseudometricMatrix(entries=frozen_array(d, cost.mode), axis=axis)
 
 
 def default_concavity_tol(cost: CostMatrix) -> Number:

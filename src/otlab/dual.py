@@ -2,7 +2,8 @@
 
 The pipeline is: read tight potentials off the optimal spanning-tree basis
 (phi[i] + psi[j] = c[i][j] on every basic cell, phi anchored at the first
-X-point of each tree component), then push the pair through the transform
+X-point of each tree component, by the one tree walk
+``core.tree_potentials``), then push the pair through the transform
 normalization. The result is feasible, attains the primal value exactly,
 and has the canonical form: phi* is c-concave and psi* is a shift of
 (phi*)^c.
@@ -19,15 +20,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from .core import (
-    RATIONAL,
     CostMatrix,
     DualPotentials,
     Instance,
+    frozen_array,
     is_inf,
     shortest_distances,
+    tree_potentials,
     validate_instance,
     zero,
 )
@@ -71,9 +71,10 @@ def extract_dual_from_basis(result: OptimalPlanResult, cost: CostMatrix) -> Dual
     """Potentials tight on every basic cell and feasible everywhere, with
     dual value equal to the plan value."""
     m, n = cost.shape
-    mode = cost.mode
-    z = zero(mode)
-    comp, phi, psi = _propagate_components(result.basis, cost)
+    comp, pot, _, _ = tree_potentials(
+        m, n, result.basis, cost.entries.tolist(), zero(cost.mode)
+    )
+    phi, psi = pot[:m], pot[m:]
 
     ncomp = max(comp) + 1
     if ncomp > 1:
@@ -81,57 +82,14 @@ def extract_dual_from_basis(result: OptimalPlanResult, cost: CostMatrix) -> Dual
         phi = [phi[i] + offsets[comp[i]] for i in range(m)]
         psi = [psi[j] - offsets[comp[m + j]] for j in range(n)]
 
-    dtype = object if mode == RATIONAL else np.float64
-    phi_arr = np.array(phi, dtype=dtype)
-    psi_arr = np.array(psi, dtype=dtype)
-    phi_arr.setflags(write=False)
-    psi_arr.setflags(write=False)
-    pot = DualPotentials(phi=phi_arr, psi=psi_arr)
+    pot = DualPotentials(
+        phi=frozen_array(phi, cost.mode), psi=frozen_array(psi, cost.mode)
+    )
     if not pot.is_feasible_for(cost):
         raise NoFeasibleTreeDual(
             "basis potentials are infeasible; the basis cannot be optimal"
         )
     return pot
-
-
-def _propagate_components(basis, cost: CostMatrix):
-    """Tight propagation over the basis forest. Returns node -> component
-    index (rows 0..m-1 then columns), phi list, psi list. Anchors: phi = 0
-    at the first X-point of each component (psi = 0 for X-less components)."""
-    m, n = cost.shape
-    z = zero(cost.mode)
-    adj = {k: [] for k in range(m + n)}
-    for (i, j) in basis:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-    comp = [-1] * (m + n)
-    phi = [None] * m
-    psi = [None] * n
-    ncomp = 0
-    for start in list(range(m)) + list(range(m, m + n)):
-        if comp[start] != -1:
-            continue
-        if start < m:
-            phi[start] = z
-        else:
-            psi[start - m] = z
-        comp[start] = ncomp
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nxt in adj[node]:
-                if comp[nxt] != -1:
-                    continue
-                comp[nxt] = ncomp
-                if nxt >= m:
-                    i, j = node, nxt - m
-                    psi[j] = cost.entries[i, j] - phi[i]
-                else:
-                    i, j = nxt, node - m
-                    phi[i] = cost.entries[i, j] - psi[j]
-                stack.append(nxt)
-        ncomp += 1
-    return comp, phi, psi
 
 
 def _component_offsets(comp, phi, psi, cost: CostMatrix, ncomp):

@@ -25,6 +25,7 @@ from .core import (
     CostMatrix,
     Instance,
     Number,
+    frozen_array,
     is_inf,
     to_number,
     tolerance,
@@ -88,7 +89,7 @@ def lipschitz_envelope(cost: CostMatrix, d_x, d_y, n: Number) -> CostMatrix:
     c = cost.entries
     trunc = [[n if is_inf(c[k, l]) or c[k, l] > n else c[k, l] for l in range(p)]
              for k in range(m)]
-    out = np.empty((m, p), dtype=c.dtype)
+    out = [[None] * p for _ in range(m)]
     for i in range(m):
         for j in range(p):
             best = None
@@ -98,9 +99,8 @@ def lipschitz_envelope(cost: CostMatrix, d_x, d_y, n: Number) -> CostMatrix:
                     v = trunc[k][l] + move_x + n * dy[j, l]
                     if best is None or v < best:
                         best = v
-            out[i, j] = best
-    out.setflags(write=False)
-    return CostMatrix(out)
+            out[i][j] = best
+    return CostMatrix(frozen_array(out, cost.mode))
 
 
 def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeSchedule:

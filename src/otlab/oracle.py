@@ -28,16 +28,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .core import (
     RATIONAL,
     DualPotentials,
     Instance,
-    TransportPlan,
     budget_from_env,
+    frozen_array,
+    plan_from_cells,
     scaled_data,
+    tree_potentials,
     validate_instance,
+    zero,
 )
 from .errors import BudgetExceeded, InfiniteCostInBoundedMode, NoFeasibleTreeDual
 from .primal import OptimalPlanResult
@@ -194,15 +195,13 @@ def oracle_primal(instance: Instance, budget: Optional[int] = None) -> OptimalPl
         raise NoFeasibleTreeDual("no feasible tree found; enumeration bug")
 
     rational = instance.mode == RATIONAL
-    dtype = object if rational else np.float64
-    entries = np.empty((m, n), dtype=dtype)
-    entries[:] = Fraction(0) if rational else 0.0
-    for (i, j), x in zip(best["edges"], best["masses"]):
-        entries[i, j] = Fraction(x, L) if rational else max(x, 0.0)
-    entries.setflags(write=False)
+    masses = {
+        cell: Fraction(x, L) if rational else max(x, 0.0)
+        for cell, x in zip(best["edges"], best["masses"])
+    }
     value = Fraction(best["total"], L * M) if rational else best["total"]
     return OptimalPlanResult(
-        plan=TransportPlan(entries),
+        plan=plan_from_cells((m, n), masses, instance.mode),
         value=value,
         basis=tuple(sorted(best["edges"])),
     )
@@ -232,8 +231,9 @@ def oracle_dual(instance: Instance, budget: Optional[int] = None) -> DualPotenti
     """Feasible potentials matching the oracle optimum exactly.
 
     Re-enumerates the optimal trees; on each, tightness is propagated from
-    phi[0] = 0 (trees are connected, so propagation is total) and the first
-    tree whose potentials are feasible everywhere wins. Strong duality
+    phi[0] = 0 by ``core.tree_potentials`` (trees are connected, so
+    propagation is total) and the first tree whose potentials are feasible
+    everywhere wins. Strong duality
     guarantees such a tree exists; running out of candidates signals a bug.
     """
     instance = validate_instance(instance)
@@ -243,6 +243,8 @@ def oracle_dual(instance: Instance, budget: Optional[int] = None) -> DualPotenti
     neg_tol = 0 if instance.mode == RATIONAL else 1e-12
     rational = instance.mode == RATIONAL
     target = opt.value
+    rows = instance.cost.entries.tolist()
+    z = zero(instance.mode)
     found = {"pot": None}
 
     def on_tree(edges, masses, total):
@@ -252,8 +254,12 @@ def oracle_dual(instance: Instance, budget: Optional[int] = None) -> DualPotenti
                 return None
         elif abs(value - target) > 1e-9 * (1 + abs(target)):
             return None
-        pot = _tree_potentials(instance, edges)
-        if pot is not None and pot.is_feasible_for(instance.cost):
+        _, tight, _, _ = tree_potentials(m, n, edges, rows, z)
+        pot = DualPotentials(
+            phi=frozen_array(tight[:m], instance.mode),
+            psi=frozen_array(tight[m:], instance.mode),
+        )
+        if pot.is_feasible_for(instance.cost):
             found["pot"] = pot
             raise _StopEnumeration
         return None
@@ -274,37 +280,3 @@ def oracle_dual(instance: Instance, budget: Optional[int] = None) -> DualPotenti
     if found["pot"] is None:
         raise NoFeasibleTreeDual("all optimal trees produced infeasible potentials")
     return found["pot"]
-
-
-def _tree_potentials(instance: Instance, edges) -> Optional[DualPotentials]:
-    """Propagate phi + psi = c along tree edges from phi[0] = 0."""
-    m, n = instance.shape
-    c = instance.cost.entries
-    adj = {k: [] for k in range(m + n)}
-    for (i, j) in edges:
-        adj[i].append((m + j, (i, j)))
-        adj[m + j].append((i, (i, j)))
-    phi = [None] * m
-    psi = [None] * n
-    phi[0] = Fraction(0) if instance.mode == RATIONAL else 0.0
-    stack = [0]
-    seen = {0}
-    while stack:
-        node = stack.pop()
-        for nxt, (i, j) in adj[node]:
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            if nxt >= m:
-                psi[nxt - m] = c[i, j] - phi[i]
-            else:
-                phi[nxt] = c[i, j] - psi[j]
-            stack.append(nxt)
-    if any(v is None for v in phi) or any(v is None for v in psi):
-        return None
-    dtype = object if instance.mode == RATIONAL else np.float64
-    phi_arr = np.array(phi, dtype=dtype)
-    psi_arr = np.array(psi, dtype=dtype)
-    phi_arr.setflags(write=False)
-    psi_arr.setflags(write=False)
-    return DualPotentials(phi=phi_arr, psi=psi_arr)

@@ -14,6 +14,10 @@ simplex on Fractions; masses are mapped back to ``Fraction(x, L)`` at the
 end and the value is the exact ``plan_cost`` of that Fraction plan. Float
 instances run the same loop on floats with a scale-aware tolerance.
 
+Each pivot walks the basis tree once (``core.tree_potentials``): the walk
+gives the potentials for pricing and the parent links along which the
+entering cell's cycle is traced.
+
 Infinite costs ride along as lexicographic two-part values (inf-mass part,
 finite part); minimizing them first pushes all mass off infinite cells
 whenever a finite-cost plan exists, and raises InfeasibleFiniteCost when it
@@ -26,9 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .core import (
+    INF,
     RATIONAL,
     CostMatrix,
     Instance,
@@ -36,9 +39,10 @@ from .core import (
     TransportPlan,
     is_inf,
     plan_cost,
+    plan_from_cells,
     scaled_data,
+    tree_potentials,
     validate_instance,
-    zero,
 )
 from .errors import InfeasibleFiniteCost
 
@@ -63,14 +67,9 @@ class OptimalPlanResult:
 
 def northwest_corner(mu: Marginal, nu: Marginal) -> TransportPlan:
     """Deterministic greedy feasible plan with at most |X|+|Y|-1 cells."""
-    m, n = mu.size, nu.size
-    dtype = object if mu.mode == RATIONAL else np.float64
-    entries = np.empty((m, n), dtype=dtype)
-    entries[:] = zero(mu.mode)
-    for cell, x in _northwest_basis(mu.weights, nu.weights).items():
-        entries[cell] = x
-    entries.setflags(write=False)
-    return TransportPlan(entries)
+    return plan_from_cells(
+        (mu.size, nu.size), _northwest_basis(mu.weights, nu.weights), mu.mode
+    )
 
 
 def _northwest_basis(mu, nu) -> dict:
@@ -107,35 +106,34 @@ def solve_primal(instance: Instance) -> OptimalPlanResult:
     mu, nu, cost, L, _ = scaled_data(instance)
     z = 0 if rational else 0.0
 
-    # Lexicographic (inf part, finite part) cost pairs.
-    cost_p = [[(1, z) if is_inf(c) else (0, c) for c in row] for row in cost]
-
     mass = _northwest_basis(mu, nu)
     basis = set(mass)
 
     eps = 0 if rational else 1e-12 * (1 + _finite_scale(instance.cost))
 
     for _ in range(_MAX_PIVOTS):
-        phi, psi = _tree_potentials_pairs(m, n, basis, cost_p, z)
+        # Reduced costs are lexicographic (wall, finite) pairs: the wall
+        # part counts +inf cells, and the finite part counts them as z.
+        _, pot, parent, wall = tree_potentials(m, n, basis, cost, z)
+        psi = pot[m:]
         entering = None
         for i in range(m):
-            phi_i = phi[i]
+            phi_i = pot[i]
+            row = cost[i]
             for j in range(n):
                 if (i, j) in basis:
                     continue
-                c = cost_p[i][j]
-                r0 = c[0] - phi_i[0] - psi[j][0]
-                if r0 < 0:
-                    entering = (i, j)
-                    break
-                if r0 == 0 and c[1] - phi_i[1] - psi[j][1] < -eps:
+                c = row[j]
+                inf = c == INF
+                r0 = inf - wall[i] - wall[m + j] if wall is not None else inf
+                if r0 < 0 or (not r0 and (z if inf else c) - phi_i - psi[j] < -eps):
                     entering = (i, j)
                     break
             if entering is not None:
                 break
         if entering is None:
             break
-        cycle = _basis_cycle(m, n, basis, entering)
+        cycle = _basis_cycle(m, parent, entering)
         # Alternate signs around the cycle, + on the entering cell.
         minus = cycle[1::2]
         theta = min(mass[cell] for cell in minus)
@@ -150,13 +148,11 @@ def solve_primal(instance: Instance) -> OptimalPlanResult:
     else:
         raise RuntimeError("network simplex exceeded the pivot safety bound")
 
-    out = np.empty((m, n), dtype=object if rational else np.float64)
-    out[:] = zero(instance.mode)
-    for cell, x in mass.items():
-        if x > 0:
-            out[cell] = Fraction(x, L) if rational else x
-    out.setflags(write=False)
-    plan = TransportPlan(out)
+    plan = plan_from_cells(
+        (m, n),
+        {cell: Fraction(x, L) if rational else x for cell, x in mass.items() if x > 0},
+        instance.mode,
+    )
     value = plan_cost(plan, instance.cost)
     if is_inf(value):
         raise InfeasibleFiniteCost(
@@ -173,58 +169,19 @@ def _finite_scale(cost: CostMatrix) -> float:
     return float(max(vals)) if vals else 0.0
 
 
-def _tree_potentials_pairs(m, n, basis, cost_p, z):
-    """Solve phi[i] + psi[j] = c[i][j] on basis cells, phi[0] anchored."""
-    adj = {k: [] for k in range(m + n)}
-    for (i, j) in basis:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-    phi = [None] * m
-    psi = [None] * n
-    phi[0] = (0, z)
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for nxt in adj[node]:
-            if nxt >= m:
-                if psi[nxt - m] is None:
-                    i, j = node, nxt - m
-                    c = cost_p[i][j]
-                    psi[j] = (c[0] - phi[i][0], c[1] - phi[i][1])
-                    stack.append(nxt)
-            else:
-                if phi[nxt] is None:
-                    i, j = nxt, node - m
-                    c = cost_p[i][j]
-                    phi[i] = (c[0] - psi[j][0], c[1] - psi[j][1])
-                    stack.append(nxt)
-    return phi, psi
-
-
-def _basis_cycle(m, n, basis, entering):
-    """The unique cycle the entering cell closes, as a cell list starting
-    with the entering cell and alternating row/column moves."""
+def _basis_cycle(m, parent, entering):
+    """The cycle the entering cell closes in the basis tree with these
+    parent links: the entering cell, then the tree path from its row to its
+    column, found where the two walks toward the anchor meet."""
     i0, j0 = entering
-    adj = {k: [] for k in range(m + n)}
-    for (i, j) in basis:
-        adj[i].append((m + j, (i, j)))
-        adj[m + j].append((i, (i, j)))
-    # path in the tree from column j0 back to row i0
-    start, goal = m + j0, i0
-    parent = {start: None}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        for nxt, cell in adj[node]:
-            if nxt not in parent:
-                parent[nxt] = (node, cell)
-                stack.append(nxt)
-    cells = []
-    node = goal
-    while parent[node] is not None:
-        prev, cell = parent[node]
-        cells.append(cell)
-        node = prev
-    return [entering] + cells
+    up = [i0]
+    while parent[up[-1]] >= 0:
+        up.append(parent[up[-1]])
+    index = {node: k for k, node in enumerate(up)}
+    down = [m + j0]
+    while down[-1] not in index:
+        down.append(parent[down[-1]])
+    path = up[: index[down[-1]] + 1] + down[-2::-1]
+    return [entering] + [
+        (a, b - m) if a < m else (b, a - m) for a, b in zip(path, path[1:])
+    ]

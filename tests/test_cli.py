@@ -242,6 +242,17 @@ def test_usage_error_exits_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["transform", "--phi", "0,abc,1"],
+    ["envelope", "--levels", "1,x"],
+    ["transform", "--float", "--phi", "0,1e400,1"],
+])
+def test_bad_number_token_is_a_usage_error(fixture_file, capsys, args):
+    code, out, err = run_cli(args + [str(fixture_file)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("otlab: error:") and err.count("\n") == 1
+
+
 def test_subprocess_entry_point(tmp_path):
     path = tmp_path / "inst.json"
     gen = subprocess.run(

@@ -21,7 +21,7 @@ from otlab import (
     product_plan,
     validate_instance,
 )
-from otlab.core import INF, as_matrix, metric_violation
+from otlab.core import INF, as_matrix, metric_violation, tree_potentials
 
 HALF = [F(1, 2), F(1, 2)]
 
@@ -269,3 +269,38 @@ def test_plan_cost_linear_in_plan():
     assert plan_cost(mixed, inst.cost) == lam * plan_cost(p1, inst.cost) + (
         1 - lam
     ) * plan_cost(p2, inst.cost)
+
+
+# --- tree potentials ---------------------------------------------------------
+
+
+def test_tree_potentials_on_a_forest_with_a_column_only_component():
+    # rows 0..2 are nodes 0..2, columns 0..3 are nodes 3..6
+    m, n = 3, 4
+    rows = [
+        [F(1), F(5), F(2), F(7)],
+        [F(3), F(1, 2), F(4), F(9)],
+        [F(6), F(2), F(8), F(1)],
+    ]
+    cells = [(2, 1), (0, 1), (2, 3), (1, 0)]  # column 2 touches no cell
+    comp, pot, parent, wall = tree_potentials(m, n, cells, rows, F(0))
+    assert comp == [0, 1, 0, 1, 0, 2, 0]
+    anchors = [v for v in range(m + n) if parent[v] == -1]
+    assert anchors == [0, 1, m + 2]  # first row of each component, else its column
+    assert all(pot[v] == 0 for v in anchors)
+    for i, j in cells:
+        assert pot[i] + pot[m + j] == rows[i][j]
+        assert parent[i] == m + j or parent[m + j] == i
+    assert wall is None
+
+
+def test_tree_potentials_wall_part_counts_infinite_cells():
+    m, n = 2, 2
+    rows = [[3, INF], [4, 1]]
+    cells = [(0, 0), (0, 1), (1, 1)]
+    comp, pot, parent, wall = tree_potentials(m, n, cells, rows, 0)
+    assert comp == [0] * 4 and parent[0] == -1
+    for i, j in cells:
+        inf = rows[i][j] == INF
+        assert wall[i] + wall[m + j] == (1 if inf else 0)
+        assert pot[i] + pot[m + j] == (0 if inf else rows[i][j])

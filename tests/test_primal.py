@@ -18,7 +18,8 @@ from otlab import (
     solve_primal,
 )
 
-from otlab.core import is_inf
+from otlab.core import is_inf, tree_potentials
+from otlab.primal import _basis_cycle
 
 from conftest import random_marginal, random_rational_instance
 
@@ -171,6 +172,66 @@ def test_basis_invariants(rng):
         for cell in res.plan.support():
             assert cell in cells
         assert _is_acyclic(res.basis, m)
+
+
+def _dfs_basis_cycle(m, n, basis, entering):
+    """Reference: the entering cell, then the tree path from its row to its
+    column found by a depth-first search from the column."""
+    i0, j0 = entering
+    adj = {k: [] for k in range(m + n)}
+    for (i, j) in basis:
+        adj[i].append((m + j, (i, j)))
+        adj[m + j].append((i, (i, j)))
+    parent = {m + j0: None}
+    stack = [m + j0]
+    while stack:
+        node = stack.pop()
+        if node == i0:
+            break
+        for nxt, cell in adj[node]:
+            if nxt not in parent:
+                parent[nxt] = (node, cell)
+                stack.append(nxt)
+    cells = []
+    node = i0
+    while parent[node] is not None:
+        node, cell = parent[node]
+        cells.append(cell)
+    return [entering] + cells
+
+
+@st.composite
+def trees_with_an_entering_cell(draw):
+    m = draw(st.integers(2, 6))
+    n = draw(st.integers(2, 6))
+    nodes = draw(st.permutations(range(m + n)))
+    rows = [v for v in nodes if v < m]
+    cols = [v - m for v in nodes if v >= m]
+    tree = {(rows[0], cols[0])}
+    seen_rows, seen_cols = [rows[0]], [cols[0]]
+    for v in nodes:
+        if v < m and v != rows[0]:
+            tree.add((v, draw(st.sampled_from(seen_cols))))
+            seen_rows.append(v)
+        elif v >= m and v - m != cols[0]:
+            tree.add((draw(st.sampled_from(seen_rows)), v - m))
+            seen_cols.append(v - m)
+    outside = sorted({(i, j) for i in range(m) for j in range(n)} - tree)
+    return m, n, tree, draw(st.sampled_from(outside))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=trees_with_an_entering_cell())
+def test_parent_link_cycle_matches_tree_search(case):
+    m, n, tree, entering = case
+    zeros = [[0] * n for _ in range(m)]
+    _, _, parent, _ = tree_potentials(m, n, tree, zeros, 0)
+    cycle = _basis_cycle(m, parent, entering)
+    reference = _dfs_basis_cycle(m, n, tree, entering)
+    assert (set(cycle[0::2]), set(cycle[1::2])) == (
+        set(reference[0::2]), set(reference[1::2])
+    )
+    assert cycle == reference
 
 
 def _is_acyclic(cells, m):

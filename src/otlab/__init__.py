@@ -55,6 +55,7 @@ from .envelope import (
     saturation_index,
 )
 from .errors import (
+    BadNumber,
     BudgetExceeded,
     DimensionMismatch,
     EnvelopeLawViolation,

@@ -22,13 +22,13 @@ finite form of Rockafellar's theorem). The weights are exact integers
 (rational costs scaled by their common denominator, floats converted
 exactly through ``Fraction``), so the no-cycle answer carries no round-off;
 in float mode it also clears reorderings of equal exact cost whose summed
-floats differ by more than tol, as they can at cost scales near 1e7 and up.
+floats differ in the last places.
 Only when that test cannot clear the support (a negative cycle, an infinite
 support cost or a negative tolerance) are the (k-1)! cyclic reorderings of
 each k-subset enumerated, to name the first witness per k.
 
-All tolerances are explicit in the report; rational mode certifies with
-exact zeros.
+All tolerances are explicit in the report: exact zeros in rational mode; in
+float mode ``core.tolerance`` for masses, ``core.cost_tolerance`` otherwise.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .core import (
     TransportPlan,
     _comparable_rows,
     budget_from_env,
+    cost_tolerance,
     dual_value,
     is_inf,
     plan_cost,
@@ -116,12 +117,11 @@ class DualityCertificate:
 
 def duality_gap(plan: TransportPlan, pot: DualPotentials, instance: Instance) -> Number:
     """plan_cost - dual_value for a feasible pair; always >= 0."""
-    tol = tolerance(instance.mode)
     try:
-        plan.check_feasible(instance.mu, instance.nu, tol=tol)
+        plan.check_feasible(instance.mu, instance.nu)
     except InfeasibleInput as exc:
         raise InfeasibleArguments(f"plan violates the marginal law: {exc}") from exc
-    if not pot.is_feasible_for(instance.cost, tol=tol):
+    if not pot.is_feasible_for(instance.cost):
         raise InfeasibleArguments("potentials violate phi + psi <= c")
     return plan_cost(plan, instance.cost) - dual_value(pot, instance.mu, instance.nu)
 
@@ -152,7 +152,7 @@ def check_slackness(
     An empty tuple certifies complementary slackness; exact optimal pairs
     always produce one."""
     if tol is None:
-        tol = tolerance(plan.mode)
+        tol = cost_tolerance(cost)
     if not pot.is_feasible_for(cost, tol=tol):
         raise InfeasiblePotentials("potentials violate phi + psi <= c")
     violations = []
@@ -186,7 +186,7 @@ def check_cyclic_monotonicity(
     if k_max < 2:
         raise InfeasibleArguments("k_max must be at least 2")
     if tol is None:
-        tol = tolerance(plan.mode)
+        tol = cost_tolerance(cost)
     support = plan.support()
     if tol >= 0 and _no_negative_cycle(support, cost):
         return {k: None for k in range(2, k_max + 1)}
@@ -247,19 +247,18 @@ def build_certificate(
     tol: Optional[Number] = None,
     budget: Optional[int] = None,
 ) -> DualityCertificate:
-    """Assemble the full certificate for a given pair."""
+    """Assemble the full certificate; an explicit ``tol`` replaces both defaults."""
     instance = validate_instance(instance)
-    if tol is None:
-        tol = tolerance(instance.mode)
+    cost_tol = cost_tolerance(instance.cost) if tol is None else tol
     gap = duality_gap(plan, pot, instance)
     return DualityCertificate(
         gap=gap,
         marginals=check_marginals(plan, instance.mu, instance.nu, tol=tol),
-        slackness=check_slackness(plan, pot, instance.cost, tol=tol),
+        slackness=check_slackness(plan, pot, instance.cost, tol=cost_tol),
         cyclic=check_cyclic_monotonicity(
-            plan, instance.cost, k_max=k_max, tol=tol, budget=budget
+            plan, instance.cost, k_max=k_max, tol=cost_tol, budget=budget
         ),
-        tol=tol,
+        tol=cost_tol,
     )
 
 

@@ -25,10 +25,10 @@ from .core import (
     FLOAT,
     RATIONAL,
     Instance,
+    as_numbers,
+    as_vector,
     convert_instance,
     dual_value,
-    frozen_array,
-    to_number,
 )
 from .ctransform import c_transform, cbar_transform, normalize_pair
 from .dual import solve_dual
@@ -132,21 +132,10 @@ def cmd_certify(args) -> int:
     return 0 if cert.verdict else 2
 
 
-def _numbers(tokens, mode: str, option: str) -> list:
-    """Command-line number tokens in ``mode``; a bad token is a usage error."""
-    out = []
-    for tok in tokens:
-        try:
-            out.append(to_number(tok, mode))
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise _UsageError(f"{option}: bad number {tok!r} ({exc})") from None
-    return out
-
-
 def cmd_transform(args) -> int:
     instance = _load(args)
     tokens = [tok.strip() for tok in args.phi.split(",")]
-    phi = frozen_array(_numbers(tokens, instance.mode, "--phi"), instance.mode)
+    phi = as_vector(tokens, instance.mode, "--phi")
     psi = c_transform(phi, instance.cost)
     phi_cc = cbar_transform(psi, instance.cost)
     normalized = normalize_pair(phi, instance.cost)
@@ -167,7 +156,7 @@ def cmd_transform(args) -> int:
 def cmd_envelope(args) -> int:
     instance = _load(args)
     tokens = [tok.strip() for tok in args.levels.split(",") if tok.strip()]
-    levels = _numbers(tokens, instance.mode, "--levels")
+    levels = as_numbers(tokens, instance.mode, "--levels")
     schedule = envelope_schedule(instance, levels)
     _emit(dump_json(schedule_to_dict(schedule, instance.mode)))
     return 0

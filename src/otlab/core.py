@@ -9,8 +9,8 @@ Two arithmetic modes coexist and are carried by array dtype:
 
 * ``"rational"`` — entries are ``fractions.Fraction`` (or ints) held in
   ``dtype=object`` arrays; every identity is checked with exact equality.
-* ``"float"`` — entries are ``float64``; checks use an explicit tolerance
-  (:data:`FLOAT_TOL`).
+* ``"float"`` — entries are ``float64``; checks use tolerances relative to
+  the size of what is compared (:func:`tolerance`, :func:`cost_tolerance`).
 
 Infinite costs are represented by the genuine ``math.inf`` marker, never a
 large sentinel value. Wherever a plan mass of zero meets an infinite cost
@@ -34,6 +34,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import (
+    BadNumber,
     DimensionMismatch,
     InfeasibleInput,
     InfeasiblePotentials,
@@ -46,11 +47,8 @@ from .errors import (
 RATIONAL = "rational"
 FLOAT = "float"
 
-#: Absolute tolerance used by float-mode feasibility and identity checks.
-FLOAT_TOL = 1e-9
-
-#: Tolerance for float-mode marginal normalization.
-MASS_TOL = 1e-12
+#: Relative tolerance of every float-mode comparison (see :func:`tolerance`).
+FLOAT_REL = 1e-9
 
 INF = math.inf
 
@@ -62,24 +60,35 @@ def is_inf(x) -> bool:
     return isinstance(x, float) and math.isinf(x)
 
 
+_BAD_NUMBER_REASONS = {
+    ZeroDivisionError: "zero denominator",
+    OverflowError: "beyond the float range",
+}
+
+
 def to_number(x, mode: str) -> Number:
     """Coerce a scalar (int, Fraction, float, "p/q" or "inf" string) to the
     arithmetic mode. Rational mode refuses non-integral floats rather than
-    silently converting binary fractions."""
-    if isinstance(x, str):
-        x = INF if x.strip() in ("inf", "+inf", "Infinity") else Fraction(x)
-    if is_inf(x):
-        return INF
-    if mode == RATIONAL:
-        if isinstance(x, float):
-            if not x.is_integer():
+    silently converting binary fractions. A token that gives no number of
+    the mode (bad syntax, a zero denominator, a value beyond the float
+    range) raises ValueError naming the token."""
+    try:
+        value = x
+        if isinstance(x, str):
+            value = INF if x.strip() in ("inf", "+inf", "Infinity") else Fraction(x)
+        if is_inf(value):
+            return INF
+        if mode == RATIONAL:
+            if isinstance(value, float) and not value.is_integer():
                 raise ValueError(
-                    f"non-integral float {x!r} in rational mode; pass a Fraction or 'p/q' string"
+                    "non-integral float in rational mode; pass a Fraction or 'p/q' string"
                 )
-            return Fraction(int(x))
-        return Fraction(x)
-    if mode == FLOAT:
-        return float(x)
+            return Fraction(value)
+        if mode == FLOAT:
+            return float(value)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        reason = _BAD_NUMBER_REASONS.get(type(exc), exc)
+        raise ValueError(f"bad number {str(x)!r} ({reason})") from None
     raise ValueError(f"unknown arithmetic mode {mode!r}")
 
 
@@ -95,12 +104,26 @@ def frozen_array(values, mode: str) -> np.ndarray:
     return arr
 
 
-def as_vector(values: Sequence, mode: str) -> np.ndarray:
-    return frozen_array([to_number(v, mode) for v in values], mode)
+def as_numbers(values, mode: str, name: str) -> list:
+    """``to_number`` over a sequence; a bad entry raises BadNumber naming
+    ``name[k]``."""
+    out = []
+    for k, v in enumerate(values):
+        try:
+            out.append(to_number(v, mode))
+        except ValueError as exc:
+            raise BadNumber(f"{name}[{k}]: {exc}") from None
+    return out
 
 
-def as_matrix(rows: Sequence[Sequence], mode: str) -> np.ndarray:
-    converted = [[to_number(v, mode) for v in row] for row in rows]
+def as_vector(values: Sequence, mode: str, name: str = "values") -> np.ndarray:
+    """A frozen vector in ``mode``; ``name`` labels a bad entry's error."""
+    return frozen_array(as_numbers(values, mode, name), mode)
+
+
+def as_matrix(rows: Sequence[Sequence], mode: str, name: str = "values") -> np.ndarray:
+    """A frozen matrix in ``mode``; ``name`` labels a bad cell's error."""
+    converted = [as_numbers(row, mode, f"{name}[{i}]") for i, row in enumerate(rows)]
     if len({len(r) for r in converted}) > 1:
         raise DimensionMismatch("matrix rows have unequal lengths")
     return frozen_array(converted or np.empty((0, 0)), mode)
@@ -119,9 +142,22 @@ def mode_of(arr: np.ndarray) -> str:
     return RATIONAL if arr.dtype == object else FLOAT
 
 
-def tolerance(mode: str) -> Number:
-    """Default comparison tolerance for a mode (0 exact in rational mode)."""
-    return Fraction(0) if mode == RATIONAL else FLOAT_TOL
+def tolerance(mode: str, scale: Number = 1) -> Number:
+    """Tolerance for quantities of size ``scale`` (1 for masses): a plain
+    int 0 in rational mode, so integer loops stay on ints; else FLOAT_REL * scale."""
+    return 0 if mode == RATIONAL else FLOAT_REL * scale
+
+
+def cost_scale(cost: "CostMatrix") -> float:
+    """The largest finite |c[i][j]| as a float (0.0 when none is finite)."""
+    vals = [abs(v) for v in cost.entries.flat if not is_inf(v)]
+    return float(max(vals)) if vals else 0.0
+
+
+def cost_tolerance(cost: "CostMatrix") -> Number:
+    """The tolerance of cost-valued quantities (values, potentials, slacks):
+    ``tolerance(mode, cost_scale(cost))``, without scanning a rational cost."""
+    return 0 if cost.mode == RATIONAL else tolerance(FLOAT, cost_scale(cost))
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +404,8 @@ class Marginal:
         if mode_of(w) == RATIONAL:
             if total != 1:
                 raise MassNotOne(f"mass sums to {total}, expected 1")
-        elif abs(total - 1.0) > MASS_TOL:
-            raise MassNotOne(f"mass sums to {total!r}, expected 1 +/- {MASS_TOL}")
+        elif abs(total - 1.0) > tolerance(FLOAT):
+            raise MassNotOne(f"mass sums to {total!r}, expected 1 +/- {FLOAT_REL}")
 
     @property
     def size(self) -> int:
@@ -410,9 +446,9 @@ class TransportPlan:
         return [sum(self.entries[:, j]) for j in range(self.shape[1])]
 
     def support(self, tol: Optional[Number] = None):
-        """Cells carrying mass above tol (0 rational / 1e-12 float)."""
+        """Cells carrying mass above tol (default ``tolerance(mode)``)."""
         if tol is None:
-            tol = Fraction(0) if self.mode == RATIONAL else 1e-12
+            tol = tolerance(self.mode)
         m, n = self.shape
         return tuple(
             (i, j) for i in range(m) for j in range(n) if self.entries[i, j] > tol
@@ -468,8 +504,9 @@ class DualPotentials:
         return worst if worst is not None else zero(mode_of(self.phi))
 
     def is_feasible_for(self, cost: CostMatrix, tol: Optional[Number] = None) -> bool:
+        """phi + psi <= c + tol (default ``cost_tolerance``) on finite cells."""
         if tol is None:
-            tol = tolerance(mode_of(self.phi))
+            tol = cost_tolerance(cost)
         return self.max_violation(cost) <= tol
 
 
@@ -538,20 +575,20 @@ def make_instance(
     labels_y=None,
 ) -> Instance:
     """Build and validate an Instance from plain nested sequences."""
-    cost_m = as_matrix(cost, mode)
+    cost_m = as_matrix(cost, mode, "cost")
     m, n = cost_m.shape
     if labels_x is None:
         labels_x = tuple(f"x{i}" for i in range(m))
     if labels_y is None:
         labels_y = tuple(f"y{j}" for j in range(n))
-    sx = FiniteSpace(labels=tuple(labels_x), metric=None if metric_x is None else as_matrix(metric_x, mode))
-    sy = FiniteSpace(labels=tuple(labels_y), metric=None if metric_y is None else as_matrix(metric_y, mode))
+    sx = FiniteSpace(labels=tuple(labels_x), metric=None if metric_x is None else as_matrix(metric_x, mode, "X.metric"))
+    sy = FiniteSpace(labels=tuple(labels_y), metric=None if metric_y is None else as_matrix(metric_y, mode, "Y.metric"))
     inst = Instance(
         space_x=sx,
         space_y=sy,
         cost=CostMatrix(cost_m),
-        mu=Marginal(as_vector(mu, mode)),
-        nu=Marginal(as_vector(nu, mode)),
+        mu=Marginal(as_vector(mu, mode, "mu")),
+        nu=Marginal(as_vector(nu, mode, "nu")),
         mode=mode,
     )
     return validate_instance(inst)
@@ -562,23 +599,16 @@ def convert_instance(instance: Instance, mode: str) -> Instance:
     if mode == instance.mode:
         return instance
 
-    def conv_mat(arr):
-        return as_matrix([[v for v in row] for row in arr], mode)
+    def conv_space(space: FiniteSpace, name: str) -> FiniteSpace:
+        metric = None if space.metric is None else as_matrix(space.metric, mode, name)
+        return FiniteSpace(labels=space.labels, metric=metric)
 
-    sx = FiniteSpace(
-        labels=instance.space_x.labels,
-        metric=None if instance.space_x.metric is None else conv_mat(instance.space_x.metric),
-    )
-    sy = FiniteSpace(
-        labels=instance.space_y.labels,
-        metric=None if instance.space_y.metric is None else conv_mat(instance.space_y.metric),
-    )
     inst = Instance(
-        space_x=sx,
-        space_y=sy,
-        cost=CostMatrix(conv_mat(instance.cost.entries)),
-        mu=Marginal(as_vector(list(instance.mu.weights), mode)),
-        nu=Marginal(as_vector(list(instance.nu.weights), mode)),
+        space_x=conv_space(instance.space_x, "X.metric"),
+        space_y=conv_space(instance.space_y, "Y.metric"),
+        cost=CostMatrix(as_matrix(instance.cost.entries, mode, "cost")),
+        mu=Marginal(as_vector(instance.mu.weights, mode, "mu")),
+        nu=Marginal(as_vector(instance.nu.weights, mode, "nu")),
         mode=mode,
     )
     return validate_instance(inst)

@@ -13,23 +13,23 @@ coordinate), and the normalized pair
 
     ( phi^{c cbar} + min phi^c ,  phi^c - min phi^c )
 
-lands in the boxes [-3 ||c||, ||c||] x [0, 2 ||c||] — which is what makes
-dual solutions of this canonical shape possible.
+lands, for a bounded cost, in the boxes [-3 ||c||, ||c||] x [0, 2 ||c||] —
+which is what makes dual solutions of this canonical shape possible.
+``+inf`` cost cells are skipped by both transforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .core import (
-    RATIONAL,
     CostMatrix,
     DualPotentials,
     Number,
+    cost_tolerance,
     frozen_array,
     is_inf,
     metric_violation,
@@ -120,10 +120,9 @@ def normalize_pair(phi, cost: CostMatrix) -> DualPotentials:
     """The canonical feasible pair (phi^{c cbar} + m, phi^c - m) with
     m = min_j phi^c[j].
 
-    Dominates (phi, phi^c) in the oplus order and lands inside the
-    [-3||c||, ||c||] x [0, 2||c||] boxes. Requires a bounded cost."""
-    if not cost.is_bounded:
-        raise UnboundedTransform("normalize_pair requires a bounded cost")
+    Dominates (phi, phi^c) in the oplus order; with a bounded cost it lands
+    inside the [-3||c||, ||c||] x [0, 2||c||] boxes. An all-+inf row or
+    column of the cost raises UnboundedTransform naming it."""
     psi = c_transform(phi, cost)
     phi_cc = cbar_transform(psi, cost)
     shift = min(psi)
@@ -153,20 +152,12 @@ def induced_pseudometric(cost: CostMatrix, axis: str) -> PseudometricMatrix:
     return PseudometricMatrix(entries=frozen_array(d, cost.mode), axis=axis)
 
 
-def default_concavity_tol(cost: CostMatrix) -> Number:
-    """0 in rational mode; scale-aware 1e-9 * (1 + ||c||) in float mode,
-    since transforms are differences of cost entries."""
-    if cost.mode == RATIONAL:
-        return Fraction(0)
-    return 1e-9 * (1 + float(cost.sup_norm()))
-
-
 def is_c_concave(phi, cost: CostMatrix, tol: Optional[Number] = None) -> bool:
     """Whether phi is fixed by the double transform: ||phi^{c cbar} - phi||
     within tol. The double transform never falls below phi, so this is a
-    one-sided check in exact arithmetic."""
+    one-sided check in exact arithmetic; tol defaults to ``cost_tolerance``."""
     if tol is None:
-        tol = default_concavity_tol(cost)
+        tol = cost_tolerance(cost)
     phi = np.asarray(phi)
     phi_cc = cbar_transform(c_transform(phi, cost), cost)
     return max(abs(phi_cc[i] - phi[i]) for i in range(len(phi))) <= tol

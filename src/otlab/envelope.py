@@ -25,10 +25,10 @@ from .core import (
     CostMatrix,
     Instance,
     Number,
+    cost_tolerance,
     frozen_array,
     is_inf,
     to_number,
-    tolerance,
     validate_instance,
     zero,
 )
@@ -109,8 +109,8 @@ def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeS
     Checks the monotone chain v_n <= v_{n+1} <= v, raising
     EnvelopeLawViolation when it breaks, and reports the smallest listed
     level whose value equals the unregularized limit, if any. Comparisons
-    use ``tolerance(instance.mode)``: exact in rational mode, absolute
-    round-off slack in float mode.
+    are exact in rational mode; in float mode a level allows the larger cost
+    tolerance of c and of its envelope matrix (above c only where c is +inf).
     """
     instance = validate_instance(instance)
     _require_metrics(instance)
@@ -127,8 +127,9 @@ def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeS
         limit_value = INF
     dx = instance.space_x.metric
     dy = instance.space_y.metric
-    tol = tolerance(instance.mode)
+    limit_tol = cost_tolerance(instance.cost)
     levels = []
+    saturation = None
     previous_cost = None
     previous_value = None
     for n in levels_in:
@@ -142,6 +143,7 @@ def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeS
             mode=instance.mode,
         )
         value_n = solve_primal(validate_instance(regularized)).value
+        tol = max(limit_tol, cost_tolerance(cost_n))
         if previous_cost is not None:
             _assert_entrywise_le(previous_cost, cost_n, tol)
         if previous_value is not None and value_n < previous_value - tol:
@@ -154,12 +156,11 @@ def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeS
                 f"regularized value {value_n} at level {n} exceeds the limit "
                 f"value {limit_value}"
             )
+        if saturation is None and abs(value_n - limit_value) <= tol:
+            saturation = n
         levels.append(EnvelopeLevel(n=n, cost=cost_n, value=value_n))
         previous_cost, previous_value = cost_n, value_n
 
-    saturation = next(
-        (lv.n for lv in levels if abs(lv.value - limit_value) <= tol), None
-    )
     return EnvelopeSchedule(
         levels=tuple(levels), limit_value=limit_value, saturation_level=saturation
     )

@@ -14,6 +14,12 @@ class DimensionMismatch(OTLabError, ValueError):
     """Shapes of cost / marginals / plans / potentials do not agree."""
 
 
+class BadNumber(OTLabError, ValueError):
+    """An input entry is not a number of the arithmetic mode (bad syntax,
+    a zero denominator, a value beyond the float range); the message names
+    the field and the cell."""
+
+
 class NegativeMass(OTLabError, ValueError):
     """A marginal or plan entry is negative (or not a finite mass)."""
 

@@ -33,9 +33,11 @@ from .core import (
     DualPotentials,
     Instance,
     budget_from_env,
+    cost_tolerance,
     frozen_array,
     plan_from_cells,
     scaled_data,
+    tolerance,
     tree_potentials,
     validate_instance,
     zero,
@@ -62,6 +64,7 @@ def _enumerate_trees(
     cost_bound=None,
     on_tree=None,
     neg_tol=0,
+    cost_tol=0,
 ):
     """Walk every canonical pluck sequence depth-first.
 
@@ -79,7 +82,7 @@ def _enumerate_trees(
     debt = [False] * size
     edges = []
     masses = []
-    bound = [cost_bound]
+    bound = [None if cost_bound is None else cost_bound + cost_tol]
 
     # Shift costs nonnegative so partial sums are monotone; total mass is
     # fixed, so every plan's cost shifts by the same constant.
@@ -103,7 +106,7 @@ def _enumerate_trees(
             if on_tree is not None:
                 new_bound = on_tree(tuple(edges), tuple(masses), total)
                 if new_bound is not None:
-                    bound[0] = new_bound - shift
+                    bound[0] = new_bound - shift + cost_tol
             return  # root's remaining balance is zero by mass conservation
         for v in range(size - 1):
             if not active[v] or debt[v]:
@@ -174,7 +177,6 @@ def oracle_primal(instance: Instance, budget: Optional[int] = None) -> OptimalPl
             f"{m}x{n} instance exceeds the oracle budget of {budget} cells"
         )
     mu, nu, cost, L, M = scaled_data(instance)
-    neg_tol = 0 if instance.mode == RATIONAL else 1e-12
 
     # A greedy feasible value seeds the cost bound without consulting the
     # simplex solver, keeping the oracle independent.
@@ -189,7 +191,8 @@ def oracle_primal(instance: Instance, budget: Optional[int] = None) -> OptimalPl
         return None
 
     _enumerate_trees(
-        m, n, mu, nu, cost, cost_bound=nw_value, on_tree=on_tree, neg_tol=neg_tol
+        m, n, mu, nu, cost, cost_bound=nw_value, on_tree=on_tree,
+        neg_tol=tolerance(instance.mode), cost_tol=cost_tolerance(instance.cost),
     )
     if best["total"] is None:
         raise NoFeasibleTreeDual("no feasible tree found; enumeration bug")
@@ -240,19 +243,16 @@ def oracle_dual(instance: Instance, budget: Optional[int] = None) -> DualPotenti
     opt = oracle_primal(instance, budget=budget)
     m, n = instance.shape
     mu, nu, cost, L, M = scaled_data(instance)
-    neg_tol = 0 if instance.mode == RATIONAL else 1e-12
     rational = instance.mode == RATIONAL
     target = opt.value
+    value_tol = cost_tolerance(instance.cost)
     rows = instance.cost.entries.tolist()
     z = zero(instance.mode)
     found = {"pot": None}
 
     def on_tree(edges, masses, total):
         value = Fraction(total, L * M) if rational else total
-        if rational:
-            if value != target:
-                return None
-        elif abs(value - target) > 1e-9 * (1 + abs(target)):
+        if abs(value - target) > value_tol:
             return None
         _, tight, _, _ = tree_potentials(m, n, edges, rows, z)
         pot = DualPotentials(
@@ -275,7 +275,7 @@ def oracle_dual(instance: Instance, budget: Optional[int] = None) -> DualPotenti
         cost,
         cost_bound=scaled_target,
         on_tree=on_tree,
-        neg_tol=neg_tol,
+        neg_tol=tolerance(instance.mode),
     )
     if found["pot"] is None:
         raise NoFeasibleTreeDual("all optimal trees produced infeasible potentials")

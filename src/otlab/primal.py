@@ -33,10 +33,10 @@ from fractions import Fraction
 from .core import (
     INF,
     RATIONAL,
-    CostMatrix,
     Instance,
     Marginal,
     TransportPlan,
+    cost_tolerance,
     is_inf,
     plan_cost,
     plan_from_cells,
@@ -109,7 +109,8 @@ def solve_primal(instance: Instance) -> OptimalPlanResult:
     mass = _northwest_basis(mu, nu)
     basis = set(mass)
 
-    eps = 0 if rational else 1e-12 * (1 + _finite_scale(instance.cost))
+    # a thousandth of the dual check's tolerance, so near-ties still pivot
+    eps = 0 if rational else cost_tolerance(instance.cost) / 1000
 
     for _ in range(_MAX_PIVOTS):
         # Reduced costs are lexicographic (wall, finite) pairs: the wall
@@ -162,11 +163,6 @@ def solve_primal(instance: Instance) -> OptimalPlanResult:
         (i, j) for (i, j) in basis if not is_inf(cost[i][j])
     ))
     return OptimalPlanResult(plan=plan, value=value, basis=reported)
-
-
-def _finite_scale(cost: CostMatrix) -> float:
-    vals = [abs(v) for v in cost.entries.flat if not is_inf(v)]
-    return float(max(vals)) if vals else 0.0
 
 
 def _basis_cycle(m, parent, entering):

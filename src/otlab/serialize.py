@@ -89,18 +89,18 @@ def instance_from_dict(data: dict) -> Instance:
         y = data["Y"]
         space_x = FiniteSpace(
             labels=tuple(x["labels"]),
-            metric=as_matrix(x["metric"], mode) if x.get("metric") is not None else None,
+            metric=as_matrix(x["metric"], mode, "X.metric") if x.get("metric") is not None else None,
         )
         space_y = FiniteSpace(
             labels=tuple(y["labels"]),
-            metric=as_matrix(y["metric"], mode) if y.get("metric") is not None else None,
+            metric=as_matrix(y["metric"], mode, "Y.metric") if y.get("metric") is not None else None,
         )
         instance = Instance(
             space_x=space_x,
             space_y=space_y,
-            cost=CostMatrix(as_matrix(data["cost"], mode)),
-            mu=Marginal(as_vector(data["mu"], mode)),
-            nu=Marginal(as_vector(data["nu"], mode)),
+            cost=CostMatrix(as_matrix(data["cost"], mode, "cost")),
+            mu=Marginal(as_vector(data["mu"], mode, "mu")),
+            nu=Marginal(as_vector(data["nu"], mode, "nu")),
             mode=mode,
         )
     except KeyError as exc:

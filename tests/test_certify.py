@@ -21,15 +21,19 @@ from otlab import (
     check_cyclic_monotonicity,
     check_marginals,
     check_slackness,
+    convert_instance,
+    dual_value,
     duality_gap,
     make_instance,
     northwest_corner,
+    oracle_dual,
+    oracle_primal,
     plan_cost,
     product_plan,
     solve_dual,
     solve_primal,
 )
-from otlab.core import Marginal, is_inf, tolerance
+from otlab.core import Marginal, cost_scale, is_inf, tolerance
 
 from conftest import random_rational_instance
 
@@ -306,6 +310,59 @@ def test_cyclic_float_check_is_exact_at_large_cost_scale():
     summed = _enumerated_cyclic_report(optimal, inst.cost, 4, tolerance("float"))
     assert summed[3] is not None and summed[3][1] - summed[3][2] > 1e-9
     assert check_cyclic_monotonicity(optimal, inst.cost) == {2: None, 3: None, 4: None}
+    assert certify_instance(inst).verdict
+
+
+@st.composite
+def scaled_float_instances(draw):
+    """A float instance with costs k * 10^(e-6), k in 0..10^6, at a cost
+    scale e from -9 to 12, with the rational instance of the same exact
+    values (marginals with zero masses, rounded in the float one)."""
+    m = draw(st.integers(2, 8))
+    n = draw(st.integers(2, 8))
+    e = draw(st.integers(-9, 12))
+    unit = st.integers(0, 10**6)
+    cost = [[F(draw(unit) * 10.0 ** (e - 6)) for _ in range(n)] for _ in range(m)]
+    weights = [
+        draw(st.lists(st.integers(0, 5), min_size=k, max_size=k).filter(any))
+        for k in (m, n)
+    ]
+    mu, nu = ([F(w, sum(ws)) for w in ws] for ws in weights)
+    exact = make_instance(cost, mu, nu)
+    return convert_instance(exact, "float"), exact
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=scaled_float_instances())
+def test_float_certificate_holds_at_every_cost_scale(pair):
+    inst, exact = pair
+    assert certify_instance(inst).verdict
+    result = solve_primal(inst)
+    dual = dual_value(solve_dual(inst, result), inst.mu, inst.nu)
+    optimum = solve_primal(exact).value
+    tol = tolerance("float", cost_scale(inst.cost))
+    assert abs(F(result.value) - optimum) <= tol
+    assert abs(F(dual) - optimum) <= tol
+
+
+def test_float_marginal_below_the_mass_tolerance():
+    # mu[1] = 4e-10 lies below tolerance("float"), so support() leaves its
+    # cell out; the plans still carry it, and the simplex, the oracle and
+    # the certificate stay within the cost tolerance of the exact optimum
+    exact = make_instance(
+        [[1, 5], [8, 6], [8, 3]],
+        ["2499999999/3125000000", "1/2500000000", "2499999999/12500000000"],
+        ["6249999997/7500000000", "1250000003/7500000000"],
+    )
+    inst = convert_instance(exact, "float")
+    optimum = solve_primal(exact).value
+    tol = tolerance("float", cost_scale(inst.cost))
+    for result in (solve_primal(inst), oracle_primal(inst)):
+        assert abs(F(result.value) - optimum) <= tol
+        assert abs(sum(result.plan.entries[1]) - 4e-10) <= 1e-15
+        assert all(i != 1 for i, _ in result.plan.support())
+    assert abs(F(dual_value(oracle_dual(inst), inst.mu, inst.nu)) - optimum) <= tol
+    assert certify_instance(inst).verdict
 
 
 def test_optimal_supports_are_cyclically_monotone(rng):
@@ -346,7 +403,7 @@ def test_certificate_float_mode_passes_at_tolerance(rng):
     for _ in range(8):
         inst = convert_instance(random_rational_instance(rng), "float")
         cert = certify_instance(inst)
-        assert cert.tol == pytest.approx(1e-9)
+        assert cert.tol == tolerance("float", cost_scale(inst.cost))
         assert cert.verdict
 
 

@@ -253,6 +253,46 @@ def test_bad_number_token_is_a_usage_error(fixture_file, capsys, args):
     assert err.startswith("otlab: error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("mode, field, cell, token, flags, where", [
+    ("rational", "mu", 0, "1/0", [], "mu[0]"),
+    ("rational", "cost", 1, "1e400", ["--float"], "cost[0][1]"),
+    ("float", "cost", 1, "1e400", [], "cost[0][1]"),
+])
+def test_bad_number_in_instance_is_a_one_line_error(
+    fixture_file, capsys, mode, field, cell, token, flags, where
+):
+    data = json.loads(fixture_file.read_text())
+    data["mode"] = mode
+    if field == "mu":
+        data["mu"][cell] = token
+    else:
+        data["cost"][0][cell] = token
+    fixture_file.write_text(json.dumps(data))
+    code, out, err = run_cli(["solve"] + flags + [str(fixture_file)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"otlab: error: {where}: bad number") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [[], ["--float"]])
+def test_infinite_cost_solves_and_certifies(tmp_path, capsys, flags):
+    path = tmp_path / "wall.json"
+    path.write_text(json.dumps({
+        "X": {"labels": ["x0", "x1"]},
+        "Y": {"labels": ["y0", "y1"]},
+        "cost": [["0", "inf"], ["3", "0"]],
+        "mu": ["1/2", "1/2"],
+        "nu": ["1/2", "1/2"],
+        "mode": "rational",
+    }))
+    code, out, err = run_cli(["solve", "--dual"] + flags + [str(path)], capsys)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["dual_value"] == payload["value"]
+    code, out, err = run_cli(["certify"] + flags + [str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "pass"
+
+
 def test_subprocess_entry_point(tmp_path):
     path = tmp_path / "inst.json"
     gen = subprocess.run(

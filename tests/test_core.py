@@ -1,6 +1,8 @@
 """Domain types, validation, and the elementary value functionals."""
 
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,15 @@ from otlab import (
     product_plan,
     validate_instance,
 )
-from otlab.core import INF, as_matrix, metric_violation, tree_potentials
+import otlab
+from otlab.core import (
+    INF,
+    as_matrix,
+    convert_instance,
+    metric_violation,
+    to_number,
+    tree_potentials,
+)
 
 HALF = [F(1, 2), F(1, 2)]
 
@@ -108,6 +118,29 @@ def test_float_mode_tolerates_rounding():
     assert inst.mode == "float"
     with pytest.raises(MassNotOne):
         make_instance([[0.0, 1.0]], [1.0], [0.3, 0.6], mode="float")
+
+
+@pytest.mark.parametrize("token, mode", [
+    ("1/0", "rational"),
+    ("1/0", "float"),
+    ("1e400", "float"),
+    (F(10**400), "float"),
+    ("abc", "rational"),
+    (None, "float"),
+])
+def test_to_number_rejects_a_bad_token_by_name(token, mode):
+    with pytest.raises(ValueError, match=r"^bad number '"):
+        to_number(token, mode)
+
+
+def test_bad_entry_error_names_the_field_and_cell():
+    from otlab import BadNumber
+
+    with pytest.raises(BadNumber, match=r"^mu\[1\]: bad number '1/0'"):
+        make_instance([[0, 1], [1, 0]], [1, "1/0"], HALF)
+    inst = make_instance([[0, "1e400"], [1, 0]], HALF, HALF)
+    with pytest.raises(BadNumber, match=r"^cost\[0\]\[1\]: bad number '1000"):
+        convert_instance(inst, "float")
 
 
 def test_rational_mode_rejects_nonintegral_floats():
@@ -304,3 +337,15 @@ def test_tree_potentials_wall_part_counts_infinite_cells():
         inf = rows[i][j] == INF
         assert wall[i] + wall[m + j] == (1 if inf else 0)
         assert pot[i] + pot[m + j] == (0 if inf else rows[i][j])
+
+
+def test_float_tolerance_has_one_literal():
+    # every float tolerance derives from core.FLOAT_REL; a second literal
+    # would split the policy again
+    hits = [
+        (path.name, line.strip())
+        for path in sorted(Path(otlab.__file__).parent.glob("*.py"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if re.search(r"[0-9]e-[0-9]", line)
+    ]
+    assert hits == [("core.py", "FLOAT_REL = 1e-9")]

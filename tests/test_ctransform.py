@@ -116,10 +116,15 @@ def test_normalize_pair_bound_boxes(rng):
         assert all(-3 <= v <= 1 for v in pot.phi)
 
 
-def test_unbounded_cost_rejected():
+def test_unbounded_cost_normalizes():
+    # +inf cells are skipped by both transforms: the pair is feasible,
+    # canonical and c-concave, with no bound-box claim
     cost = make_instance([[0, "inf"], [1, 2]], HALF, HALF).cost
-    with pytest.raises(UnboundedTransform):
-        normalize_pair(vec([0, 0]), cost)
+    pair = normalize_pair(vec([0, 0]), cost)
+    assert (list(pair.phi), list(pair.psi)) == ([0, 0], [0, 2])
+    assert pair.is_feasible_for(cost, tol=0)
+    assert is_c_concave(pair.phi, cost, tol=0)
+    assert list(c_transform(pair.phi, cost)) == list(pair.psi)
 
 
 def test_all_inf_column_rejected():

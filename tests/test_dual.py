@@ -7,6 +7,7 @@ import pytest
 from otlab import (
     DualPotentials,
     InfeasibleInput,
+    UnboundedTransform,
     as_vector,
     c_transform,
     dual_value,
@@ -141,7 +142,20 @@ def test_extract_under_random_infinite_walls(rng):
         assert dual_value(out, walled.mu, walled.nu) == res.value
         for (i, j) in res.basis:
             assert out.phi[i] + out.psi[j] == walled.cost.entries[i, j]
+        canonical = solve_dual(walled, res)
+        assert canonical.is_feasible_for(walled.cost)
+        assert dual_value(canonical, walled.mu, walled.nu) == res.value
+        assert is_c_concave(canonical.phi, walled.cost)
     assert solved >= 20  # enough solvable samples to mean something
+
+
+def test_all_infinite_zero_mass_line_has_no_canonical_dual():
+    # the primal problem ignores the massless row and column, but column 1
+    # has no finite c-transform value
+    inst = make_instance([[0, "inf"], ["inf", "inf"]], [1, 0], [1, 0])
+    assert solve_primal(inst).value == 0
+    with pytest.raises(UnboundedTransform, match="column 1"):
+        solve_dual(inst)
 
 
 def oracle_walled_value(inst):

@@ -186,6 +186,25 @@ def test_float_schedule_saturates_within_tolerance():
         assert abs(a.value - float(b.value)) <= 1e-12
 
 
+@pytest.mark.parametrize("cost_unit, metric_unit, levels, saturation", [
+    (1, 1, [1, 10**12], 10**12),
+    (F(1, 10**9), F(1, 10**10), [1, 2, 4, 8, 64], 64),
+])
+def test_float_saturation_matches_rational_far_from_the_cost_scale(
+    cost_unit, metric_unit, levels, saturation
+):
+    # the float slack follows ||c||, not the levels: a top level far above
+    # ||c|| must not make level 1 (value ||c|| / 10 or less) pass as the limit
+    d = [[0, metric_unit], [metric_unit, 0]]
+    inst = make_instance(
+        [[0, 5 * cost_unit], [5 * cost_unit, 0]], HALF, [1, 0], metric_x=d, metric_y=d
+    )
+    exact = envelope_schedule(inst, levels)
+    approx = envelope_schedule(convert_instance(inst, "float"), levels)
+    assert exact.saturation_level == saturation
+    assert approx.saturation_level == saturation
+
+
 def test_schedule_law_violation_raises_library_error(monkeypatch):
     from otlab import envelope
     from otlab.primal import OptimalPlanResult

@@ -10,6 +10,7 @@ from otlab import (
     InfeasibleFiniteCost,
     Marginal,
     as_vector,
+    convert_instance,
     make_instance,
     northwest_corner,
     oracle_primal,
@@ -307,6 +308,16 @@ def test_float_mode_matches_rational(rng):
         exact = solve_primal(inst).value
         approx = solve_primal(convert_instance(inst, "float")).value
         assert abs(approx - float(exact)) <= 1e-9 * (1 + abs(float(exact)))
+
+
+def test_float_pricing_pivots_on_a_near_tie():
+    # the northwest basis prices the off-diagonal cell at -1e-10 * ||c||,
+    # far below the dual feasibility tolerance; float pricing still takes it
+    inst = make_instance([[1, 1], [1, 1 + F(1, 10**10)]], HALF, HALF)
+    approx = solve_primal(convert_instance(inst, "float"))
+    assert solve_primal(inst).plan.entries.tolist() == [[0, F(1, 2)], [F(1, 2), 0]]
+    assert approx.plan.entries.tolist() == [[0.0, 0.5], [0.5, 0.0]]
+    assert approx.value == 1.0
 
 
 # --- integer kernel properties -------------------------------------------------

@@ -34,7 +34,6 @@ from .core import (
     make_instance,
     plan_cost,
     product_plan,
-    validate_instance,
 )
 from .ctransform import (
     OVER_X,

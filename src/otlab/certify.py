@@ -52,7 +52,6 @@ from .core import (
     plan_cost,
     shortest_distances,
     tolerance,
-    validate_instance,
 )
 from .dual import solve_dual
 from .errors import (
@@ -248,7 +247,6 @@ def build_certificate(
     budget: Optional[int] = None,
 ) -> DualityCertificate:
     """Assemble the full certificate; an explicit ``tol`` replaces both defaults."""
-    instance = validate_instance(instance)
     cost_tol = cost_tolerance(instance.cost) if tol is None else tol
     gap = duality_gap(plan, pot, instance)
     return DualityCertificate(
@@ -270,7 +268,6 @@ def certify_instance(
 ) -> DualityCertificate:
     """Solve the primal problem once, read the dual off its basis, and
     certify the resulting pair."""
-    instance = validate_instance(instance)
     result = solve_primal(instance)
     pot = solve_dual(instance, result)
     return build_certificate(

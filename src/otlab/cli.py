@@ -195,13 +195,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except _UsageError as exc:
-        sys.stderr.write(f"otlab: error: {exc}\n")
-        return 1
-    except OTLabError as exc:
-        sys.stderr.write(f"otlab: error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (_UsageError, OTLabError, OSError) as exc:
         sys.stderr.write(f"otlab: error: {exc}\n")
         return 1
 

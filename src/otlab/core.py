@@ -17,17 +17,20 @@ large sentinel value. Wherever a plan mass of zero meets an infinite cost
 the product contributes zero (the lower-integral convention 0 * inf = 0).
 
 All containers are frozen dataclasses over read-only numpy arrays
-(:func:`frozen_array`): they are immutable after validation and safe to
-share across threads. One tree walk, :func:`tree_potentials`, gives the
-tight potentials of a basis to the simplex pivot, the dual extraction and
-the oracle dual.
+(:func:`frozen_array`) that check their invariants at construction, so a
+built object is valid, immutable and safe to share across threads. An
+:class:`Instance` checks that its parts agree in shape and mode, and
+takes its mode from the cost; :func:`make_instance` builds one from raw
+values. One tree walk, :func:`tree_potentials`, gives the tight
+potentials of a basis to the simplex pivot, the dual extraction and the
+oracle dual.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -71,12 +74,14 @@ def to_number(x, mode: str) -> Number:
     arithmetic mode. Rational mode refuses non-integral floats rather than
     silently converting binary fractions. A token that gives no number of
     the mode (bad syntax, a zero denominator, a value beyond the float
-    range) raises ValueError naming the token."""
+    range, NaN, -inf) raises ValueError naming the token."""
     try:
         value = x
         if isinstance(x, str):
             value = INF if x.strip() in ("inf", "+inf", "Infinity") else Fraction(x)
         if is_inf(value):
+            if value < 0:
+                raise ValueError("negative infinity")
             return INF
         if mode == RATIONAL:
             if isinstance(value, float) and not value.is_integer():
@@ -85,7 +90,10 @@ def to_number(x, mode: str) -> Number:
                 )
             return Fraction(value)
         if mode == FLOAT:
-            return float(value)
+            value = float(value)
+            if math.isnan(value):
+                raise ValueError("not a number")
+            return value
     except (ArithmeticError, TypeError, ValueError) as exc:
         reason = _BAD_NUMBER_REASONS.get(type(exc), exc)
         raise ValueError(f"bad number {str(x)!r} ({reason})") from None
@@ -358,14 +366,6 @@ class CostMatrix:
                 if isinstance(v, float) and math.isnan(v):
                     raise InfiniteCostInBoundedMode("NaN cost entry")
 
-    @classmethod
-    def bounded(cls, entries: np.ndarray) -> "CostMatrix":
-        """Construct with the boundedness flag set: +inf entries rejected."""
-        c = cls(entries)
-        if not c.is_bounded:
-            raise InfiniteCostInBoundedMode("infinite entry in bounded cost")
-        return c
-
     @property
     def shape(self):
         return self.entries.shape
@@ -398,7 +398,7 @@ class Marginal:
         for v in w:
             if is_inf(v):
                 raise NegativeMass("marginal entries must be finite")
-            if v < 0:
+            if not v >= 0:  # NaN fails every comparison
                 raise NegativeMass(f"negative mass {v}")
         total = sum(w)
         if mode_of(w) == RATIONAL:
@@ -428,7 +428,7 @@ class TransportPlan:
         for v in self.entries.flat:
             if is_inf(v):
                 raise NegativeMass("plan entries must be finite")
-            if v < 0:
+            if not v >= 0:  # NaN fails every comparison
                 raise NegativeMass(f"negative plan mass {v}")
 
     @property
@@ -512,56 +512,42 @@ class DualPotentials:
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """A full transport instance; see :func:`validate_instance`."""
+    """A full transport instance: two spaces, a cost over their product and
+    two marginals, all in one arithmetic mode.
+
+    Construction checks what the parts cannot check alone: the cost is
+    |X| x |Y|, mu has |X| entries and nu |Y|, and the marginals and metrics
+    share the cost's dtype. The mode is read from the cost."""
 
     space_x: FiniteSpace
     space_y: FiniteSpace
     cost: CostMatrix
     mu: Marginal
     nu: Marginal
-    mode: str = RATIONAL
-    validated: bool = field(default=False, compare=False)
+
+    def __post_init__(self):
+        m, n = self.shape
+        if self.cost.shape != (m, n):
+            raise DimensionMismatch(f"cost shape {self.cost.shape} vs spaces ({m}, {n})")
+        if self.mu.size != m:
+            raise DimensionMismatch(f"mu has {self.mu.size} entries, X has {m}")
+        if self.nu.size != n:
+            raise DimensionMismatch(f"nu has {self.nu.size} entries, Y has {n}")
+        arrays = [self.mu.weights, self.nu.weights]
+        arrays += [s.metric for s in (self.space_x, self.space_y) if s.metric is not None]
+        for arr in arrays:
+            if mode_of(arr) != self.mode:
+                raise ValueError(
+                    f"array dtype {arr.dtype} does not match mode {self.mode!r}"
+                )
 
     @property
     def shape(self):
         return (self.space_x.size, self.space_y.size)
 
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-
-def validate_instance(instance: Instance, require_bounded: bool = False) -> Instance:
-    """Run every cross-field invariant and return the validated instance.
-
-    Individual types validate their own invariants at construction; this
-    checks mutual consistency: dimensions, dtype/mode agreement, and (when
-    ``require_bounded``) the absence of infinite costs.
-    """
-    m, n = instance.space_x.size, instance.space_y.size
-    if instance.cost.shape != (m, n):
-        raise DimensionMismatch(
-            f"cost shape {instance.cost.shape} vs spaces ({m}, {n})"
-        )
-    if instance.mu.size != m:
-        raise DimensionMismatch(f"mu has {instance.mu.size} entries, X has {m}")
-    if instance.nu.size != n:
-        raise DimensionMismatch(f"nu has {instance.nu.size} entries, Y has {n}")
-    if instance.mode not in (RATIONAL, FLOAT):
-        raise ValueError(f"unknown mode {instance.mode!r}")
-    arrays = [instance.cost.entries, instance.mu.weights, instance.nu.weights]
-    for space in (instance.space_x, instance.space_y):
-        if space.metric is not None:
-            arrays.append(space.metric)
-    for arr in arrays:
-        if mode_of(arr) != instance.mode:
-            raise ValueError(
-                f"array dtype {arr.dtype} does not match mode {instance.mode!r}"
-            )
-    if require_bounded and not instance.cost.is_bounded:
-        raise InfiniteCostInBoundedMode("instance declared bounded has +inf cost")
-    return replace(instance, validated=True)
+    @property
+    def mode(self) -> str:
+        return self.cost.mode
 
 
 def make_instance(
@@ -574,44 +560,45 @@ def make_instance(
     labels_x=None,
     labels_y=None,
 ) -> Instance:
-    """Build and validate an Instance from plain nested sequences."""
-    cost_m = as_matrix(cost, mode, "cost")
-    m, n = cost_m.shape
+    """Build an Instance from raw values: nested sequences or arrays of
+    anything :func:`to_number` reads. Labels default to ``x0, x1, ...`` and
+    ``y0, y1, ...`` over the cost's rows and columns. The fields are built
+    in a fixed order (X, Y, cost, mu, nu), so the first bad one is the one
+    reported."""
     if labels_x is None:
-        labels_x = tuple(f"x{i}" for i in range(m))
+        labels_x = [f"x{i}" for i in range(len(cost))]
     if labels_y is None:
-        labels_y = tuple(f"y{j}" for j in range(n))
-    sx = FiniteSpace(labels=tuple(labels_x), metric=None if metric_x is None else as_matrix(metric_x, mode, "X.metric"))
-    sy = FiniteSpace(labels=tuple(labels_y), metric=None if metric_y is None else as_matrix(metric_y, mode, "Y.metric"))
-    inst = Instance(
-        space_x=sx,
-        space_y=sy,
-        cost=CostMatrix(cost_m),
-        mu=Marginal(as_vector(mu, mode, "mu")),
-        nu=Marginal(as_vector(nu, mode, "nu")),
-        mode=mode,
+        labels_y = [f"y{j}" for j in range(len(cost[0]) if len(cost) else 0)]
+    space_x = FiniteSpace(
+        tuple(labels_x), None if metric_x is None else as_matrix(metric_x, mode, "X.metric")
     )
-    return validate_instance(inst)
+    space_y = FiniteSpace(
+        tuple(labels_y), None if metric_y is None else as_matrix(metric_y, mode, "Y.metric")
+    )
+    return Instance(
+        space_x,
+        space_y,
+        CostMatrix(as_matrix(cost, mode, "cost")),
+        Marginal(as_vector(mu, mode, "mu")),
+        Marginal(as_vector(nu, mode, "nu")),
+    )
 
 
 def convert_instance(instance: Instance, mode: str) -> Instance:
     """Re-express an instance in the other arithmetic mode."""
     if mode == instance.mode:
         return instance
-
-    def conv_space(space: FiniteSpace, name: str) -> FiniteSpace:
-        metric = None if space.metric is None else as_matrix(space.metric, mode, name)
-        return FiniteSpace(labels=space.labels, metric=metric)
-
-    inst = Instance(
-        space_x=conv_space(instance.space_x, "X.metric"),
-        space_y=conv_space(instance.space_y, "Y.metric"),
-        cost=CostMatrix(as_matrix(instance.cost.entries, mode, "cost")),
-        mu=Marginal(as_vector(instance.mu.weights, mode, "mu")),
-        nu=Marginal(as_vector(instance.nu.weights, mode, "nu")),
-        mode=mode,
+    x, y = instance.space_x, instance.space_y
+    return make_instance(
+        instance.cost.entries,
+        instance.mu.weights,
+        instance.nu.weights,
+        mode,
+        metric_x=x.metric,
+        metric_y=y.metric,
+        labels_x=x.labels,
+        labels_y=y.labels,
     )
-    return validate_instance(inst)
 
 
 def scaled_data(instance: Instance):

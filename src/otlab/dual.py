@@ -28,7 +28,6 @@ from .core import (
     is_inf,
     shortest_distances,
     tree_potentials,
-    validate_instance,
     zero,
 )
 from .ctransform import normalize_pair
@@ -45,8 +44,6 @@ def solve_dual(
     returned by :func:`solve_primal`; passing the one a caller already has
     reuses its basis instead of solving the primal problem again. When it
     is omitted, the primal problem is solved here."""
-    if not instance.validated:
-        instance = validate_instance(instance)
     if result is None:
         result = solve_primal(instance)
     elif result.plan.shape != instance.shape:

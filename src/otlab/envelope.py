@@ -15,7 +15,7 @@ The direct O(|X|^2 |Y|^2) evaluation is the reference implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,7 +29,6 @@ from .core import (
     frozen_array,
     is_inf,
     to_number,
-    validate_instance,
     zero,
 )
 from .errors import (
@@ -112,7 +111,6 @@ def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeS
     are exact in rational mode; in float mode a level allows the larger cost
     tolerance of c and of its envelope matrix (above c only where c is +inf).
     """
-    instance = validate_instance(instance)
     _require_metrics(instance)
     _require_nonnegative(instance.cost)
     levels_in = [to_number(n, instance.mode) for n in n_list]
@@ -134,15 +132,7 @@ def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeS
     previous_value = None
     for n in levels_in:
         cost_n = lipschitz_envelope(instance.cost, dx, dy, n)
-        regularized = Instance(
-            space_x=instance.space_x,
-            space_y=instance.space_y,
-            cost=cost_n,
-            mu=instance.mu,
-            nu=instance.nu,
-            mode=instance.mode,
-        )
-        value_n = solve_primal(validate_instance(regularized)).value
+        value_n = solve_primal(replace(instance, cost=cost_n)).value
         tol = max(limit_tol, cost_tolerance(cost_n))
         if previous_cost is not None:
             _assert_entrywise_le(previous_cost, cost_n, tol)

@@ -39,7 +39,6 @@ from .core import (
     scaled_data,
     tolerance,
     tree_potentials,
-    validate_instance,
     zero,
 )
 from .errors import BudgetExceeded, InfiniteCostInBoundedMode, NoFeasibleTreeDual
@@ -167,7 +166,6 @@ def oracle_primal(instance: Instance, budget: Optional[int] = None) -> OptimalPl
     Accepts instances with |X| * |Y| within the cell budget (default 16,
     overridable via the ``budget`` argument or the OT_LAB_BUDGET variable).
     """
-    instance = validate_instance(instance)
     if not instance.cost.is_bounded:
         raise InfiniteCostInBoundedMode("the oracle requires a finite cost matrix")
     m, n = instance.shape
@@ -239,7 +237,6 @@ def oracle_dual(instance: Instance, budget: Optional[int] = None) -> DualPotenti
     everywhere wins. Strong duality
     guarantees such a tree exists; running out of candidates signals a bug.
     """
-    instance = validate_instance(instance)
     opt = oracle_primal(instance, budget=budget)
     m, n = instance.shape
     mu, nu, cost, L, M = scaled_data(instance)

@@ -42,7 +42,6 @@ from .core import (
     plan_from_cells,
     scaled_data,
     tree_potentials,
-    validate_instance,
 )
 from .errors import InfeasibleFiniteCost
 
@@ -97,9 +96,7 @@ def _northwest_basis(mu, nu) -> dict:
 
 
 def solve_primal(instance: Instance) -> OptimalPlanResult:
-    """Exact minimum-cost transport plan for a validated instance."""
-    if not instance.validated:
-        instance = validate_instance(instance)
+    """Exact minimum-cost transport plan of an instance."""
     m, n = instance.shape
     rational = instance.mode == RATIONAL
     # ints in rational mode: masses times L, costs times M (module docstring)

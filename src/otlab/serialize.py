@@ -12,7 +12,9 @@ Instance schema::
     }
 
 Rational scalars travel as "p/q" strings (integers as "p/1"); float-mode
-scalars as JSON numbers. Certificates serialize with the layout
+scalars as JSON numbers. A JSON number beyond the float range is read like
+the same token written as a string: exact in rational mode, a bad number in
+float mode. Certificates serialize with the layout
 ``{"gap", "marginals", "slackness", "cyclic", "tolerances", "verdict"}``.
 Key order is fixed so identical inputs produce byte-identical output.
 """
@@ -20,6 +22,7 @@ Key order is fixed so identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -27,15 +30,11 @@ from .certify import DualityCertificate
 from .core import (
     FLOAT,
     RATIONAL,
-    CostMatrix,
     DualPotentials,
     FiniteSpace,
     Instance,
-    Marginal,
-    as_matrix,
-    as_vector,
     is_inf,
-    validate_instance,
+    make_instance,
 )
 from .envelope import EnvelopeSchedule
 from .errors import OTLabError
@@ -85,22 +84,16 @@ def instance_from_dict(data: dict) -> Instance:
         mode = data.get("mode", RATIONAL)
         if mode not in (RATIONAL, FLOAT):
             raise OTLabError(f"unknown mode {mode!r}")
-        x = data["X"]
-        y = data["Y"]
-        space_x = FiniteSpace(
-            labels=tuple(x["labels"]),
-            metric=as_matrix(x["metric"], mode, "X.metric") if x.get("metric") is not None else None,
-        )
-        space_y = FiniteSpace(
-            labels=tuple(y["labels"]),
-            metric=as_matrix(y["metric"], mode, "Y.metric") if y.get("metric") is not None else None,
-        )
-        instance = Instance(
-            space_x=space_x,
-            space_y=space_y,
-            cost=CostMatrix(as_matrix(data["cost"], mode, "cost")),
-            mu=Marginal(as_vector(data["mu"], mode, "mu")),
-            nu=Marginal(as_vector(data["nu"], mode, "nu")),
+        x, y = data["X"], data["Y"]
+        # keys are read in check order: X, Y, cost, mu, nu (labels before metric)
+        return make_instance(
+            labels_x=tuple(x["labels"]),
+            metric_x=x.get("metric"),
+            labels_y=tuple(y["labels"]),
+            metric_y=y.get("metric"),
+            cost=data["cost"],
+            mu=data["mu"],
+            nu=data["nu"],
             mode=mode,
         )
     except KeyError as exc:
@@ -109,13 +102,20 @@ def instance_from_dict(data: dict) -> Instance:
         if isinstance(exc, OTLabError):
             raise
         raise OTLabError(f"malformed instance JSON: {exc}") from exc
-    return validate_instance(instance)
+
+
+def _json_float(token: str):
+    """A JSON number as a float, or its token when it lies beyond the float
+    range, so that it reads like the same token written as a string: exact
+    in rational mode, a bad number in float mode, never an ``inf`` wall."""
+    value = float(token)
+    return token if math.isinf(value) else value
 
 
 def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=_json_float)
         except json.JSONDecodeError as exc:
             raise OTLabError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

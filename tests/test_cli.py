@@ -56,14 +56,14 @@ def test_gen_deterministic_bytes(tmp_path, capsys):
 
 
 def test_gen_round_trips_through_validation(tmp_path, capsys):
-    from otlab import load_instance
+    from otlab import generate_fixture, instance_to_dict, load_instance
 
     for name in ("indicator", "random-uniform", "separable", "discrete-metric-spike"):
         path = tmp_path / f"{name}.json"
         code, _, _ = run_cli(["gen", name, "--size", "3", "--seed", "5", "-o", str(path)], capsys)
         assert code == 0
         inst = load_instance(str(path))
-        assert inst.validated
+        assert instance_to_dict(inst) == instance_to_dict(generate_fixture(name, 3, 5))
 
 
 def test_gen_unknown_fixture(capsys):
@@ -253,10 +253,19 @@ def test_bad_number_token_is_a_usage_error(fixture_file, capsys, args):
     assert err.startswith("otlab: error:") and err.count("\n") == 1
 
 
+class JSONNumber(str):
+    """A token written into the instance file as a bare JSON number."""
+
+
 @pytest.mark.parametrize("mode, field, cell, token, flags, where", [
     ("rational", "mu", 0, "1/0", [], "mu[0]"),
     ("rational", "cost", 1, "1e400", ["--float"], "cost[0][1]"),
     ("float", "cost", 1, "1e400", [], "cost[0][1]"),
+    ("float", "mu", 0, float("nan"), [], "mu[0]"),
+    ("float", "cost", 1, float("nan"), [], "cost[0][1]"),
+    ("rational", "cost", 1, float("-inf"), [], "cost[0][1]"),
+    ("rational", "cost", 1, JSONNumber("1e400"), ["--float"], "cost[0][1]"),
+    ("float", "cost", 1, JSONNumber("1e400"), [], "cost[0][1]"),
 ])
 def test_bad_number_in_instance_is_a_one_line_error(
     fixture_file, capsys, mode, field, cell, token, flags, where
@@ -267,7 +276,10 @@ def test_bad_number_in_instance_is_a_one_line_error(
         data["mu"][cell] = token
     else:
         data["cost"][0][cell] = token
-    fixture_file.write_text(json.dumps(data))
+    text = json.dumps(data)  # writes NaN and -inf as the literals NaN, -Infinity
+    if isinstance(token, JSONNumber):
+        text = text.replace(json.dumps(token), token)
+    fixture_file.write_text(text)
     code, out, err = run_cli(["solve"] + flags + [str(fixture_file)], capsys)
     assert (code, out) == (1, "")
     assert err.startswith(f"otlab: error: {where}: bad number") and err.count("\n") == 1

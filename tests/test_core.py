@@ -1,9 +1,11 @@
 """Domain types, validation, and the elementary value functionals."""
 
+import dataclasses
 import re
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,11 +23,12 @@ from otlab import (
     make_instance,
     plan_cost,
     product_plan,
-    validate_instance,
 )
 import otlab
 from otlab.core import (
     INF,
+    CostMatrix,
+    Instance,
     as_matrix,
     convert_instance,
     metric_violation,
@@ -41,8 +44,35 @@ HALF = [F(1, 2), F(1, 2)]
 
 def test_accepts_clean_instance():
     inst = make_instance([[0, 1], [1, 0]], HALF, HALF)
-    assert inst.validated
+    assert inst.mode == "rational"
     assert inst.shape == (2, 2)
+
+
+def test_instance_checks_its_parts_at_construction():
+    inst = make_instance([[0, 1, 2], [1, 0, 2]], HALF, [F(1, 3)] * 3)
+    assert [f.name for f in dataclasses.fields(Instance)] == [
+        "space_x", "space_y", "cost", "mu", "nu"
+    ]
+    parts = dict(space_x=inst.space_x, space_y=inst.space_y, cost=inst.cost,
+                 mu=inst.mu, nu=inst.nu)
+    with pytest.raises(DimensionMismatch, match=r"^cost shape \(2, 2\) vs spaces \(2, 3\)"):
+        Instance(**dict(parts, cost=CostMatrix(as_matrix([[0, 1], [1, 0]], "rational"))))
+    with pytest.raises(DimensionMismatch, match=r"^mu has 3 entries, X has 2"):
+        Instance(**dict(parts, mu=inst.nu))
+    with pytest.raises(DimensionMismatch, match=r"^nu has 2 entries, Y has 3"):
+        Instance(**dict(parts, nu=inst.mu))
+    float_cost = CostMatrix(as_matrix(inst.cost.entries, "float"))
+    with pytest.raises(ValueError, match=r"does not match mode 'float'"):
+        Instance(**dict(parts, cost=float_cost))
+    assert convert_instance(inst, "float").mode == "float"
+
+
+def test_directly_built_masses_reject_nan():
+    nan = float("nan")
+    with pytest.raises(NegativeMass):
+        Marginal(np.array([nan, 1.0]))
+    with pytest.raises(NegativeMass):
+        TransportPlan(np.array([[nan, 0.0], [0.0, 1.0]]))
 
 
 def test_mass_not_one():
@@ -127,6 +157,8 @@ def test_float_mode_tolerates_rounding():
     (F(10**400), "float"),
     ("abc", "rational"),
     (None, "float"),
+    (float("nan"), "float"),
+    (float("-inf"), "rational"),
 ])
 def test_to_number_rejects_a_bad_token_by_name(token, mode):
     with pytest.raises(ValueError, match=r"^bad number '"):
@@ -149,13 +181,8 @@ def test_rational_mode_rejects_nonintegral_floats():
 
 
 def test_bounded_mode_rejects_infinite_cost():
-    from otlab import InfiniteCostInBoundedMode
-
-    inst = make_instance([[0, "inf"], [1, 0]], HALF, HALF)
-    with pytest.raises(InfiniteCostInBoundedMode):
-        validate_instance(inst, require_bounded=True)
-    bounded = make_instance([[0, 1], [1, 0]], HALF, HALF)
-    validate_instance(bounded, require_bounded=True)
+    assert not make_instance([[0, "inf"], [1, 0]], HALF, HALF).cost.is_bounded
+    assert make_instance([[0, 1], [1, 0]], HALF, HALF).cost.is_bounded
 
 
 # --- plan_cost ---------------------------------------------------------------

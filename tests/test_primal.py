@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from otlab import (
     InfeasibleFiniteCost,
     Marginal,
+    OTLabError,
     as_vector,
+    certify_instance,
     convert_instance,
     make_instance,
     northwest_corner,
@@ -19,7 +21,7 @@ from otlab import (
     solve_primal,
 )
 
-from otlab.core import is_inf, tree_potentials
+from otlab.core import cost_tolerance, is_inf, tree_potentials
 from otlab.primal import _basis_cycle
 
 from conftest import random_marginal, random_rational_instance
@@ -398,3 +400,17 @@ def test_integer_kernel_is_exact(inst):
         assert res.value == oracle_primal(inst).value
     else:
         assert abs(float(res.value) - linprog_value(inst)) <= 1e-6 * (1 + abs(float(res.value)))
+    # the same instance drives float mode over its ties, zero masses and walls
+    exact = certify_outcome(inst, res.value)
+    assert certify_outcome(convert_instance(inst, "float"), res.value) == exact
+
+
+def certify_outcome(inst, optimum):
+    """True when ``inst`` solves to ``optimum`` within its cost tolerance and
+    certifies, else the class of the error it raises (a zero-mass all-+inf
+    row raises UnboundedTransform in both modes)."""
+    try:
+        value = solve_primal(inst).value
+        return abs(value - optimum) <= cost_tolerance(inst.cost) and certify_instance(inst).verdict
+    except OTLabError as exc:
+        return type(exc)

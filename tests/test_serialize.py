@@ -69,6 +69,14 @@ def test_instance_bad_mode():
         instance_from_dict(data)
 
 
+def test_json_number_beyond_the_float_range_is_read_exactly(tmp_path):
+    inst = make_instance([[0, 1], [1, 0]], [F(1, 2)] * 2, [F(1, 2)] * 2)
+    text = dump_json(instance_to_dict(inst)).replace('"1/1"', "1e400", 1)
+    path = tmp_path / "big.json"
+    path.write_text(text, encoding="utf-8")
+    assert load_instance(str(path)).cost.entries[0, 1] == 10**400
+
+
 def test_load_rejects_malformed_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

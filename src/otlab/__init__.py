@@ -73,7 +73,7 @@ from .errors import (
     UnboundedTransform,
     UnknownFixture,
 )
-from .fixtures import Fixture, generate_fixture
+from .fixtures import generate_fixture
 from .oracle import oracle_dual, oracle_primal
 from .primal import OptimalPlanResult, northwest_corner, solve_primal
 from .serialize import instance_from_dict, instance_to_dict, load_instance

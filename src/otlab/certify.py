@@ -45,7 +45,6 @@ from .core import (
     Number,
     TransportPlan,
     _comparable_rows,
-    budget_from_env,
     cost_tolerance,
     dual_value,
     is_inf,
@@ -180,7 +179,8 @@ def check_cyclic_monotonicity(
     k-subsets of support cells and all cyclic reorderings of the targets
     (lexicographic order, deterministic), and records the first tuple whose
     reordering undercuts the original cost by more than tol; that search
-    raises SupportTooLarge past ``budget`` reorderings.
+    raises SupportTooLarge past ``budget`` reorderings (default
+    DEFAULT_CHECK_BUDGET).
     """
     if k_max < 2:
         raise InfeasibleArguments("k_max must be at least 2")
@@ -189,7 +189,8 @@ def check_cyclic_monotonicity(
     support = plan.support()
     if tol >= 0 and _no_negative_cycle(support, cost):
         return {k: None for k in range(2, k_max + 1)}
-    budget = budget_from_env(budget, DEFAULT_CHECK_BUDGET)
+    if budget is None:
+        budget = DEFAULT_CHECK_BUDGET
     checks = 0
     report: dict = {}
     for k in range(2, k_max + 1):

@@ -4,7 +4,7 @@ Subcommands::
 
     solve [--dual] [--float] <instance.json>
     certify [--float] <instance.json>
-    transform --phi <v1,v2,...> [--float] <instance.json>
+    transform --phi=<v1,v2,...> [--float] <instance.json>
     envelope --levels <n1,n2,...> [--float] <instance.json>
     oracle [--float] <instance.json>
     gen <fixture> [--size N] [--seed S] [--float] [-o FILE]
@@ -79,7 +79,8 @@ def _build_parser() -> _Parser:
 
     p_tr = add("transform", "c-transform calculus for a given potential")
     p_tr.add_argument("--phi", required=True,
-                      help="comma-separated potential over X, e.g. 0,1/2,-3")
+                      help="comma-separated potential over X, written "
+                           "--phi=0,1/2,-3 (the = lets a value start with -)")
 
     p_env = add("envelope", "Lipschitz regularization value schedule")
     p_env.add_argument("--levels", required=True,

@@ -23,15 +23,16 @@ built object is valid, immutable and safe to share across threads. An
 takes its mode from the cost; :func:`make_instance` builds one from raw
 values. One tree walk, :func:`tree_potentials`, gives the tight
 potentials of a basis to the simplex pivot, the dual extraction and the
-oracle dual.
+oracle dual. One min-plus product, :func:`min_plus`, gives the
+c-transforms, the dual feasibility test and the Lipschitz envelope.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -83,6 +84,8 @@ def to_number(x, mode: str) -> Number:
             if value < 0:
                 raise ValueError("negative infinity")
             return INF
+        if isinstance(value, float) and math.isnan(value):
+            raise ValueError("not a number")
         if mode == RATIONAL:
             if isinstance(value, float) and not value.is_integer():
                 raise ValueError(
@@ -90,10 +93,7 @@ def to_number(x, mode: str) -> Number:
                 )
             return Fraction(value)
         if mode == FLOAT:
-            value = float(value)
-            if math.isnan(value):
-                raise ValueError("not a number")
-            return value
+            return float(value)
     except (ArithmeticError, TypeError, ValueError) as exc:
         reason = _BAD_NUMBER_REASONS.get(type(exc), exc)
         raise ValueError(f"bad number {str(x)!r} ({reason})") from None
@@ -135,15 +135,6 @@ def as_matrix(rows: Sequence[Sequence], mode: str, name: str = "values") -> np.n
     if len({len(r) for r in converted}) > 1:
         raise DimensionMismatch("matrix rows have unequal lengths")
     return frozen_array(converted or np.empty((0, 0)), mode)
-
-
-def budget_from_env(budget: Optional[int], default: int) -> int:
-    """An explicit budget, else the ``OT_LAB_BUDGET`` environment variable,
-    else ``default``."""
-    if budget is not None:
-        return budget
-    env = os.environ.get("OT_LAB_BUDGET")
-    return int(env) if env else default
 
 
 def mode_of(arr: np.ndarray) -> str:
@@ -205,6 +196,21 @@ def shortest_distances(n: int, arcs, z=0):
         if not changed:
             return dist
     return None
+
+
+def min_plus(a, b):
+    """The min-plus product of two nested lists: ``(out, arg)`` with
+    ``out[i][j] = min_k a[i][k] + b[k][j]`` and ``arg[i][j]`` the smallest
+    minimizing ``k``. A ``+inf`` entry never beats a finite sum, so a line
+    of only ``+inf`` sums gives ``+inf`` (with witness 0)."""
+    cols = list(zip(*b))
+    out, arg = [], []
+    for row in a:
+        sums = [list(map(add, row, col)) for col in cols]
+        best = [min(s) for s in sums]
+        out.append(best)
+        arg.append([s.index(v) for s, v in zip(sums, best)])
+    return out, arg
 
 
 def tree_potentials(m: int, n: int, cells, rows, z):
@@ -405,7 +411,7 @@ class Marginal:
             if total != 1:
                 raise MassNotOne(f"mass sums to {total}, expected 1")
         elif abs(total - 1.0) > tolerance(FLOAT):
-            raise MassNotOne(f"mass sums to {total!r}, expected 1 +/- {FLOAT_REL}")
+            raise MassNotOne(f"mass sums to {float(total)}, expected 1 +/- {FLOAT_REL}")
 
     @property
     def size(self) -> int:
@@ -488,26 +494,16 @@ class DualPotentials:
     def shape(self):
         return (self.phi.shape[0], self.psi.shape[0])
 
-    def max_violation(self, cost: CostMatrix) -> Number:
-        """max over cells of phi[i] + psi[j] - c[i][j] (negative slack)."""
+    def is_feasible_for(self, cost: CostMatrix, tol: Optional[Number] = None) -> bool:
+        """phi + psi <= c + tol (default ``cost_tolerance``) on finite cells,
+        read as psi <= phi^c + tol with phi^c[j] = min_i c[i][j] - phi[i]."""
         if cost.shape != self.shape:
             raise DimensionMismatch(f"potentials {self.shape} vs cost {cost.shape}")
-        worst = None
-        for i in range(self.shape[0]):
-            for j in range(self.shape[1]):
-                c = cost.entries[i, j]
-                if is_inf(c):
-                    continue
-                v = self.phi[i] + self.psi[j] - c
-                if worst is None or v > worst:
-                    worst = v
-        return worst if worst is not None else zero(mode_of(self.phi))
-
-    def is_feasible_for(self, cost: CostMatrix, tol: Optional[Number] = None) -> bool:
-        """phi + psi <= c + tol (default ``cost_tolerance``) on finite cells."""
         if tol is None:
             tol = cost_tolerance(cost)
-        return self.max_violation(cost) <= tol
+        neg_phi = [-v for v in self.phi.tolist()]
+        (phi_c,), _ = min_plus([neg_phi], cost.entries.tolist())
+        return all(p <= c + tol for p, c in zip(self.psi.tolist(), phi_c))
 
 
 @dataclass(frozen=True, eq=False)

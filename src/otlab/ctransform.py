@@ -15,7 +15,8 @@ coordinate), and the normalized pair
 
 lands, for a bounded cost, in the boxes [-3 ||c||, ||c||] x [0, 2 ||c||] —
 which is what makes dual solutions of this canonical shape possible.
-``+inf`` cost cells are skipped by both transforms.
+``+inf`` cost cells are skipped by both transforms, which are one row of the
+min-plus product ``core.min_plus``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .core import (
     frozen_array,
     is_inf,
     metric_violation,
+    min_plus,
     zero,
 )
 from .errors import DimensionMismatch, MetricViolation, UnboundedTransform
@@ -75,44 +77,30 @@ def _check_vector(v: np.ndarray, length: int, name: str):
             raise UnboundedTransform(f"{name} must have finite entries")
 
 
-def _min_plus(pot, cost: CostMatrix, axis: int, name: str):
-    """``out[b] = min_a c(a, b) - pot[a]`` with the smallest minimizing ``a``
-    as witness, where ``a`` indexes rows (``axis`` 0, the c-transform) or
-    columns (``axis`` 1, the cbar-transform); ``+inf`` cells are skipped."""
+def _transform(pot, rows, mode: str, name: str, line: str):
+    """``out[b] = min_a rows[a][b] - pot[a]`` with the smallest minimizing
+    ``a`` as witness: one row of ``core.min_plus``. ``rows`` is the cost for
+    the c-transform and its transpose for the cbar-transform."""
     pot = np.asarray(pot)
-    c = cost.entries if axis == 0 else cost.entries.T
-    k, l = c.shape
-    _check_vector(pot, k, name)
-    out, witness = [], []
-    for b in range(l):
-        best = None
-        arg = -1
-        for a in range(k):
-            v = c[a, b]
-            if is_inf(v):
-                continue
-            v = v - pot[a]
-            if best is None or v < best:
-                best, arg = v, a
-        if best is None:
-            line = "column" if axis == 0 else "row"
+    _check_vector(pot, len(rows), name)
+    (out,), (witness,) = min_plus([[-v for v in pot.tolist()]], rows)
+    for b, v in enumerate(out):
+        if is_inf(v):
             raise UnboundedTransform(f"{line} {b} of the cost is entirely +inf")
-        out.append(best)
-        witness.append(arg)
-    return frozen_array(out, cost.mode), np.array(witness, dtype=np.int64)
+    return frozen_array(out, mode), np.array(witness, dtype=np.int64)
 
 
 def c_transform(phi, cost: CostMatrix, with_witness: bool = False):
     """phi^c over Y. Columns that are entirely +inf admit no finite value
     and raise UnboundedTransform. With ``with_witness`` the smallest-index
     minimizing x is returned alongside (deterministic tie-break)."""
-    out, witness = _min_plus(phi, cost, 0, "phi")
+    out, witness = _transform(phi, cost.entries.tolist(), cost.mode, "phi", "column")
     return (out, witness) if with_witness else out
 
 
 def cbar_transform(psi, cost: CostMatrix, with_witness: bool = False):
     """psi^cbar over X; the mirror of :func:`c_transform`."""
-    out, witness = _min_plus(psi, cost, 1, "psi")
+    out, witness = _transform(psi, cost.entries.T.tolist(), cost.mode, "psi", "row")
     return (out, witness) if with_witness else out
 
 

@@ -10,7 +10,10 @@ for nonnegative c, nondecreasing in n, and on finite spaces recovers c
 exactly from a computable finite level onward. Optimal values inherit the
 monotone chain v_n <= v_{n+1} <= v and meet v at that saturation level.
 
-The direct O(|X|^2 |Y|^2) evaluation is the reference implementation.
+The sum metric separates, so the matrix is two min-plus products
+(``core.min_plus``) in O(|X| |Y| (|X| + |Y|)):
+
+    inner = min(c, n) (x) n d_Y,    c_n = n d_X (x) inner.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .core import (
     cost_tolerance,
     frozen_array,
     is_inf,
+    min_plus,
     to_number,
     zero,
 )
@@ -85,20 +89,11 @@ def lipschitz_envelope(cost: CostMatrix, d_x, d_y, n: Number) -> CostMatrix:
         raise MissingMetric(
             f"metric shapes {dx.shape}, {dy.shape} do not match cost {cost.shape}"
         )
-    c = cost.entries
-    trunc = [[n if is_inf(c[k, l]) or c[k, l] > n else c[k, l] for l in range(p)]
-             for k in range(m)]
-    out = [[None] * p for _ in range(m)]
-    for i in range(m):
-        for j in range(p):
-            best = None
-            for k in range(m):
-                move_x = n * dx[i, k]
-                for l in range(p):
-                    v = trunc[k][l] + move_x + n * dy[j, l]
-                    if best is None or v < best:
-                        best = v
-            out[i][j] = best
+    trunc = [[n if is_inf(v) or v > n else v for v in row]
+             for row in cost.entries.tolist()]
+    # inner[k][j] = min_l trunc[k][l] + n * d_Y[j][l]
+    inner, _ = min_plus(trunc, [[n * v for v in row] for row in dy.T.tolist()])
+    out, _ = min_plus([[n * v for v in row] for row in dx.tolist()], inner)
     return CostMatrix(frozen_array(out, cost.mode))
 
 

@@ -18,23 +18,12 @@ through one seeded generator so files regenerate byte-identically.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import FLOAT, RATIONAL, Instance, convert_instance, make_instance
 from .errors import UnknownFixture
 
 SPIKE = 10  # off-diagonal cost of the discrete-metric-spike family
-
-
-@dataclass(frozen=True)
-class Fixture:
-    name: str
-    size: int = 2
-    seed: int = 0
-
-    def build(self, mode: str = RATIONAL) -> Instance:
-        return generate_fixture(self.name, self.size, self.seed, mode=mode)
 
 
 def _symmetric_points(size: int):

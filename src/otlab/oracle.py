@@ -25,6 +25,7 @@ That scaling is shared with the simplex; its solving logic is not.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from typing import Optional
 
@@ -32,7 +33,6 @@ from .core import (
     RATIONAL,
     DualPotentials,
     Instance,
-    budget_from_env,
     cost_tolerance,
     frozen_array,
     plan_from_cells,
@@ -46,6 +46,15 @@ from .primal import OptimalPlanResult
 
 #: Largest |X| * |Y| the oracle accepts by default.
 DEFAULT_CELL_BUDGET = 16
+
+
+def budget_from_env(budget: Optional[int]) -> int:
+    """The oracle's cell budget: an explicit ``budget``, else the
+    ``OT_LAB_BUDGET`` environment variable, else DEFAULT_CELL_BUDGET."""
+    if budget is not None:
+        return budget
+    env = os.environ.get("OT_LAB_BUDGET")
+    return int(env) if env else DEFAULT_CELL_BUDGET
 
 
 class _StopEnumeration(Exception):
@@ -169,7 +178,7 @@ def oracle_primal(instance: Instance, budget: Optional[int] = None) -> OptimalPl
     if not instance.cost.is_bounded:
         raise InfiniteCostInBoundedMode("the oracle requires a finite cost matrix")
     m, n = instance.shape
-    budget = budget_from_env(budget, DEFAULT_CELL_BUDGET)
+    budget = budget_from_env(budget)
     if m * n > budget:
         raise BudgetExceeded(
             f"{m}x{n} instance exceeds the oracle budget of {budget} cells"

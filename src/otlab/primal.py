@@ -41,6 +41,7 @@ from .core import (
     plan_cost,
     plan_from_cells,
     scaled_data,
+    tolerance,
     tree_potentials,
 )
 from .errors import InfeasibleFiniteCost
@@ -146,9 +147,13 @@ def solve_primal(instance: Instance) -> OptimalPlanResult:
     else:
         raise RuntimeError("network simplex exceeded the pivot safety bound")
 
+    # Float marginals agree only to the mass tolerance, so round-off can
+    # strand a crumb that small on a +inf cell; it is dropped, not charged.
+    crumb = tolerance(instance.mode)
     plan = plan_from_cells(
         (m, n),
-        {cell: Fraction(x, L) if rational else x for cell, x in mass.items() if x > 0},
+        {(i, j): Fraction(x, L) if rational else x for (i, j), x in mass.items()
+         if x > (crumb if cost[i][j] == INF else 0)},
         instance.mode,
     )
     value = plan_cost(plan, instance.cost)

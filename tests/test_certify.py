@@ -202,11 +202,21 @@ def test_cyclic_budget_bounds_witness_search():
     assert report[3].cells == ((0, 0), (1, 0), (0, 1))
 
 
-def test_cyclic_env_budget(monkeypatch):
+def test_oracle_env_budget_leaves_the_cyclic_budget_alone(monkeypatch):
+    # OT_LAB_BUDGET is the oracle's cell budget only: the witness search
+    # below takes 14 reorderings and still completes under a budget of 1
     inst = make_instance([[0, 2], [2, 0]], HALF, HALF)
     monkeypatch.setenv("OT_LAB_BUDGET", "1")
-    with pytest.raises(SupportTooLarge):
-        check_cyclic_monotonicity(product_plan(inst.mu, inst.nu), inst.cost, k_max=2)
+    report = check_cyclic_monotonicity(
+        product_plan(inst.mu, inst.nu), inst.cost, k_max=2
+    )
+    assert report[2].cells == ((0, 1), (1, 0))
+    third = [F(1, 3)] * 3
+    inst = make_instance([[0, 1, 2], [1, 0, 1], [2, 1, 0]], third, third)
+    report = check_cyclic_monotonicity(
+        product_plan(inst.mu, inst.nu), inst.cost, k_max=3
+    )
+    assert report[3].cells == ((0, 0), (1, 0), (0, 1))
 
 
 def test_cyclic_negative_tol_flags_ties():

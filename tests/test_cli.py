@@ -266,6 +266,7 @@ class JSONNumber(str):
     ("rational", "cost", 1, float("-inf"), [], "cost[0][1]"),
     ("rational", "cost", 1, JSONNumber("1e400"), ["--float"], "cost[0][1]"),
     ("float", "cost", 1, JSONNumber("1e400"), [], "cost[0][1]"),
+    ("rational", "mu", 0, float("nan"), [], "mu[0]"),
 ])
 def test_bad_number_in_instance_is_a_one_line_error(
     fixture_file, capsys, mode, field, cell, token, flags, where
@@ -283,6 +284,18 @@ def test_bad_number_in_instance_is_a_one_line_error(
     code, out, err = run_cli(["solve"] + flags + [str(fixture_file)], capsys)
     assert (code, out) == (1, "")
     assert err.startswith(f"otlab: error: {where}: bad number") and err.count("\n") == 1
+    if token != token:  # NaN gets one reason in both modes
+        assert err.endswith(" (not a number)\n")
+
+
+def test_float_mass_not_one_prints_a_plain_float(fixture_file, capsys):
+    data = json.loads(fixture_file.read_text())
+    data["mode"] = "float"
+    data["mu"] = [0.5, 0.6, 0.0]
+    fixture_file.write_text(json.dumps(data))
+    code, out, err = run_cli(["solve", str(fixture_file)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "otlab: error: mass sums to 1.1, expected 1 +/- 1e-09\n"
 
 
 @pytest.mark.parametrize("flags", [[], ["--float"]])

@@ -31,7 +31,9 @@ from otlab.core import (
     Instance,
     as_matrix,
     convert_instance,
+    is_inf,
     metric_violation,
+    min_plus,
     to_number,
     tree_potentials,
 )
@@ -159,10 +161,13 @@ def test_float_mode_tolerates_rounding():
     (None, "float"),
     (float("nan"), "float"),
     (float("-inf"), "rational"),
+    (float("nan"), "rational"),
 ])
 def test_to_number_rejects_a_bad_token_by_name(token, mode):
-    with pytest.raises(ValueError, match=r"^bad number '"):
+    with pytest.raises(ValueError, match=r"^bad number '") as exc:
         to_number(token, mode)
+    if token != token:  # NaN gets one reason in both modes
+        assert str(exc.value) == "bad number 'nan' (not a number)"
 
 
 def test_bad_entry_error_names_the_field_and_cell():
@@ -329,6 +334,67 @@ def test_plan_cost_linear_in_plan():
     assert plan_cost(mixed, inst.cost) == lam * plan_cost(p1, inst.cost) + (
         1 - lam
     ) * plan_cost(p2, inst.cost)
+
+
+# --- min-plus product and dual feasibility ----------------------------------
+
+
+def test_min_plus_takes_the_smallest_witness_and_keeps_inf_lines():
+    a = [[F(1), F(0), F(2)], [INF, INF, F(5)]]
+    b = [[F(0), INF], [F(1), INF], [F(-1), INF]]
+    out, arg = min_plus(a, b)
+    # row 0, column 0: sums 1, 1, 1 tie, so the first k wins
+    assert out == [[1, INF], [4, INF]]
+    assert arg == [[0, 0], [2, 0]]
+    assert type(out[0][0]) is F
+
+
+def _feasible_cellwise(phi, psi, cost, tol):
+    m, n = cost.shape
+    return all(
+        is_inf(cost.entries[i, j]) or phi[i] + psi[j] <= cost.entries[i, j] + tol
+        for i in range(m) for j in range(n)
+    )
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_is_feasible_for_matches_the_cellwise_definition(data):
+    m = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 3))
+    # dyadic values are exact in float mode too, so both modes must agree
+    frac = st.builds(F, st.integers(-16, 32), st.sampled_from([1, 2, 4]))
+    cell = st.one_of(frac, st.just("inf"))
+    cost_rows = data.draw(
+        st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m)
+    )
+    wall = data.draw(st.integers(0, n))  # n: no all-+inf column
+    if wall < n:
+        for row in cost_rows:
+            row[wall] = "inf"
+    cost = CostMatrix(as_matrix(cost_rows, "rational"))
+    phi = data.draw(st.lists(frac, min_size=m, max_size=m))
+    psi = data.draw(st.lists(frac, min_size=n, max_size=n))
+    pot = DualPotentials(as_vector(phi, "rational"), as_vector(psi, "rational"))
+    for tol in (0, F(1, 2)):
+        expected = _feasible_cellwise(phi, psi, cost, tol)
+        assert pot.is_feasible_for(cost, tol=tol) == expected
+        as_float = CostMatrix(as_matrix(cost_rows, "float"))
+        pot_float = DualPotentials(as_vector(phi, "float"), as_vector(psi, "float"))
+        assert pot_float.is_feasible_for(as_float, tol=float(tol)) == expected
+
+
+def test_is_feasible_for_reads_an_explicit_tol():
+    cost = CostMatrix(as_matrix([[1, "inf"], [3, "inf"]], "rational"))
+    pot = DualPotentials(
+        as_vector([1, 0], "rational"), as_vector([F(1, 2), 100], "rational")
+    )
+    # cell (0, 0) is violated by 1/2; the all-+inf column bounds nothing
+    assert not pot.is_feasible_for(cost)
+    assert not pot.is_feasible_for(cost, tol=F(1, 4))
+    assert pot.is_feasible_for(cost, tol=F(1, 2))
+    with pytest.raises(DimensionMismatch):
+        pot.is_feasible_for(CostMatrix(as_matrix([[1, 1]], "rational")))
 
 
 # --- tree potentials ---------------------------------------------------------

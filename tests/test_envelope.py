@@ -4,6 +4,8 @@ chain, and exact saturation."""
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otlab import (
     EnvelopeLawViolation,
@@ -17,7 +19,7 @@ from otlab import (
     saturation_index,
     solve_primal,
 )
-from otlab.core import is_inf
+from otlab.core import cost_tolerance, is_inf
 
 from conftest import random_rational_instance
 
@@ -77,6 +79,65 @@ def test_envelope_rejects_negative_cost():
     dx, dy = metrics(inst)
     with pytest.raises(InfeasibleInput):
         lipschitz_envelope(inst.cost, dx, dy, 2)
+
+
+def direct_envelope(cost, dx, dy, n):
+    """The defining formula cell by cell, in O(|X|^2 |Y|^2): the reference
+    for the two min-plus products of lipschitz_envelope."""
+    c = cost.entries
+    m, p = cost.shape
+    trunc = [[n if is_inf(c[k, l]) or c[k, l] > n else c[k, l] for l in range(p)]
+             for k in range(m)]
+    out = [[None] * p for _ in range(m)]
+    for i in range(m):
+        for j in range(p):
+            best = None
+            for k in range(m):
+                move_x = n * dx[i, k]
+                for l in range(p):
+                    v = trunc[k][l] + move_x + n * dy[j, l]
+                    if best is None or v < best:
+                        best = v
+            out[i][j] = best
+    return out
+
+
+@st.composite
+def walled_metric_instances(draw):
+    """Rational instances with line (pseudo)metrics, zero distances and
+    +inf cells included."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    frac = st.builds(F, st.integers(0, 30), st.sampled_from([1, 2, 3, 7]))
+    cell = st.one_of(frac, frac, st.just("inf"))
+    cost = [[draw(cell) for _ in range(n)] for _ in range(m)]
+
+    def line_metric(size):
+        points = [F(0)]
+        for _ in range(size - 1):
+            points.append(points[-1] + draw(st.sampled_from([0, F(1, 2), 1, 3])))
+        return [[abs(a - b) for b in points] for a in points]
+
+    return make_instance(
+        cost, [F(1, m)] * m, [F(1, n)] * n,
+        metric_x=line_metric(m), metric_y=line_metric(n),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    inst=walled_metric_instances(),
+    level=st.builds(F, st.integers(0, 40), st.sampled_from([1, 2, 3, 5])),
+)
+def test_envelope_equals_the_direct_formula(inst, level):
+    dx, dy = metrics(inst)
+    expected = direct_envelope(inst.cost, dx, dy, level)
+    assert lipschitz_envelope(inst.cost, dx, dy, level).entries.tolist() == expected
+    approx = convert_instance(inst, "float")
+    out = lipschitz_envelope(approx.cost, *metrics(approx), float(level))
+    tol = cost_tolerance(out)
+    for row, exact_row in zip(out.entries.tolist(), expected):
+        assert all(abs(v - float(e)) <= tol for v, e in zip(row, exact_row))
 
 
 def _check_laws(inst, levels):

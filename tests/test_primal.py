@@ -322,6 +322,22 @@ def test_float_pricing_pivots_on_a_near_tie():
     assert approx.value == 1.0
 
 
+def test_float_round_off_crumb_on_a_wall_is_not_charged():
+    # as floats, mu sums to 1 with x1's 4e-19 rounded away, so the northwest
+    # corner leaves a 1e-19 crumb on the +inf cell (0, 4); it is round-off
+    # of the marginals, not mass on a wall
+    big = 2**61 - 1
+    inst = make_instance(
+        [[0, 0, 0, 0, "inf"], ["inf", "inf", "inf", 0, 0]],
+        [F(big, big + 1), F(1, big + 1)],
+        [F(2 * big, 7 * big + 2)] * 3 + [F(big, 7 * big + 2), F(2, 7 * big + 2)],
+    )
+    approx = convert_instance(inst, "float")
+    assert solve_primal(inst).value == 0
+    assert solve_primal(approx).value == 0.0
+    assert certify_instance(approx).verdict
+
+
 # --- integer kernel properties -------------------------------------------------
 
 # Distinct primes: an instance mixing them has a denominator LCM above 2**64.

@@ -16,19 +16,22 @@ negative-cycle question. On the digraph whose nodes are the support cells,
 with weight c(x_a, y_b) - c(x_a, y_a) on arc a -> b, the cyclic reordering
 of a tuple of distinct cells lowers the cost by exactly minus the weight of
 the corresponding simple cycle; any negative closed walk contains a negative
-simple cycle. So with a tolerance >= 0 and finite costs on the support, a
-digraph without negative cycles has no violating tuple of any size (the
+simple cycle. So with finite costs on the support, a digraph without
+negative cycles has no tuple of any size whose reordering lowers the cost
+at all, let alone by more than the tolerance, which is never negative (the
 finite form of Rockafellar's theorem). The weights are exact integers
 (rational costs scaled by their common denominator, floats converted
 exactly through ``Fraction``), so the no-cycle answer carries no round-off;
 in float mode it also clears reorderings of equal exact cost whose summed
 floats differ in the last places.
-Only when that test cannot clear the support (a negative cycle, an infinite
-support cost or a negative tolerance) are the (k-1)! cyclic reorderings of
-each k-subset enumerated, to name the first witness per k.
+Only when that test cannot clear the support (a negative cycle or an
+infinite support cost) are the (k-1)! cyclic reorderings of each k-subset
+enumerated, to name the first witness per k.
 
-All tolerances are explicit in the report: exact zeros in rational mode; in
-float mode ``core.tolerance`` for masses, ``core.cost_tolerance`` otherwise.
+Tolerances come from the one policy in core and are never passed in: exact
+zeros in rational mode; in float mode ``core.tolerance`` for masses and
+``core.cost_tolerance`` for cost-valued quantities. The report prints them.
+A certificate tests dual feasibility once, inside the duality gap.
 """
 
 from __future__ import annotations
@@ -124,40 +127,38 @@ def duality_gap(plan: TransportPlan, pot: DualPotentials, instance: Instance) ->
     return plan_cost(plan, instance.cost) - dual_value(pot, instance.mu, instance.nu)
 
 
-def check_marginals(
-    plan: TransportPlan, mu: Marginal, nu: Marginal, tol: Optional[Number] = None
-) -> MarginalReport:
-    """Largest row/column-sum deviation from the prescribed marginals."""
+def check_marginals(plan: TransportPlan, mu: Marginal, nu: Marginal) -> MarginalReport:
+    """Largest row/column-sum deviation from the prescribed marginals,
+    reported against ``tolerance(mode)``."""
     if plan.shape != (mu.size, nu.size):
         raise DimensionMismatch(
             f"plan {plan.shape} vs marginals ({mu.size}, {nu.size})"
         )
-    if tol is None:
-        tol = tolerance(plan.mode)
+    tol = tolerance(plan.mode)
     row_dev = max(abs(s - mu.weights[i]) for i, s in enumerate(plan.row_sums()))
     col_dev = max(abs(s - nu.weights[j]) for j, s in enumerate(plan.col_sums()))
     return MarginalReport(max_row_deviation=row_dev, max_col_deviation=col_dev, tol=tol)
 
 
-def check_slackness(
-    plan: TransportPlan,
-    pot: DualPotentials,
-    cost: CostMatrix,
-    tol: Optional[Number] = None,
-) -> tuple:
-    """Support cells whose slack c - (phi + psi) exceeds tol.
+def check_slackness(plan: TransportPlan, pot: DualPotentials, cost: CostMatrix) -> tuple:
+    """Support cells whose slack c - (phi + psi) exceeds ``cost_tolerance``,
+    for potentials that must be feasible.
 
     An empty tuple certifies complementary slackness; exact optimal pairs
     always produce one."""
-    if tol is None:
-        tol = cost_tolerance(cost)
-    if not pot.is_feasible_for(cost, tol=tol):
+    if not pot.is_feasible_for(cost):
         raise InfeasiblePotentials("potentials violate phi + psi <= c")
+    return _slack_violations(plan, pot, cost)
+
+
+def _slack_violations(plan: TransportPlan, pot: DualPotentials, cost: CostMatrix) -> tuple:
+    """The slackness report of potentials already known to be feasible."""
+    tol = cost_tolerance(cost)
     violations = []
     for (i, j) in plan.support():
         c = cost.entries[i, j]
         slack = c - pot.phi[i] - pot.psi[j] if not is_inf(c) else c
-        if is_inf(slack) or slack > tol:
+        if slack > tol:  # an infinite slack always exceeds it
             violations.append(
                 SlacknessViolation(cell=(i, j), mass=plan.entries[i, j], slack=slack)
             )
@@ -168,7 +169,6 @@ def check_cyclic_monotonicity(
     plan: TransportPlan,
     cost: CostMatrix,
     k_max: int = 4,
-    tol: Optional[Number] = None,
     budget: Optional[int] = None,
 ) -> dict:
     """First c-cyclic-monotonicity violation on the support per tuple size.
@@ -178,19 +178,18 @@ def check_cyclic_monotonicity(
     and the budget is not consulted. Otherwise, for each k, walks all
     k-subsets of support cells and all cyclic reorderings of the targets
     (lexicographic order, deterministic), and records the first tuple whose
-    reordering undercuts the original cost by more than tol; that search
-    raises SupportTooLarge past ``budget`` reorderings (default
+    reordering undercuts the original cost by more than ``cost_tolerance``;
+    that search raises SupportTooLarge past ``budget`` reorderings (default
     DEFAULT_CHECK_BUDGET).
     """
     if k_max < 2:
         raise InfeasibleArguments("k_max must be at least 2")
-    if tol is None:
-        tol = cost_tolerance(cost)
     support = plan.support()
-    if tol >= 0 and _no_negative_cycle(support, cost):
+    if _no_negative_cycle(support, cost):
         return {k: None for k in range(2, k_max + 1)}
     if budget is None:
         budget = DEFAULT_CHECK_BUDGET
+    tol = cost_tolerance(cost)
     checks = 0
     report: dict = {}
     for k in range(2, k_max + 1):
@@ -244,33 +243,26 @@ def build_certificate(
     plan: TransportPlan,
     pot: DualPotentials,
     k_max: int = 4,
-    tol: Optional[Number] = None,
     budget: Optional[int] = None,
 ) -> DualityCertificate:
-    """Assemble the full certificate; an explicit ``tol`` replaces both defaults."""
-    cost_tol = cost_tolerance(instance.cost) if tol is None else tol
+    """Assemble the full certificate at the tolerance policy of the module
+    docstring. :func:`duality_gap` tests dual feasibility, once, so the
+    slackness report reuses that verdict instead of testing again."""
     gap = duality_gap(plan, pot, instance)
     return DualityCertificate(
         gap=gap,
-        marginals=check_marginals(plan, instance.mu, instance.nu, tol=tol),
-        slackness=check_slackness(plan, pot, instance.cost, tol=cost_tol),
-        cyclic=check_cyclic_monotonicity(
-            plan, instance.cost, k_max=k_max, tol=cost_tol, budget=budget
-        ),
-        tol=cost_tol,
+        marginals=check_marginals(plan, instance.mu, instance.nu),
+        slackness=_slack_violations(plan, pot, instance.cost),
+        cyclic=check_cyclic_monotonicity(plan, instance.cost, k_max=k_max, budget=budget),
+        tol=cost_tolerance(instance.cost),
     )
 
 
 def certify_instance(
-    instance: Instance,
-    k_max: int = 4,
-    tol: Optional[Number] = None,
-    budget: Optional[int] = None,
+    instance: Instance, k_max: int = 4, budget: Optional[int] = None
 ) -> DualityCertificate:
     """Solve the primal problem once, read the dual off its basis, and
     certify the resulting pair."""
     result = solve_primal(instance)
     pot = solve_dual(instance, result)
-    return build_certificate(
-        instance, result.plan, pot, k_max=k_max, tol=tol, budget=budget
-    )
+    return build_certificate(instance, result.plan, pot, k_max=k_max, budget=budget)

@@ -64,6 +64,10 @@ def is_inf(x) -> bool:
     return isinstance(x, float) and math.isinf(x)
 
 
+#: String tokens read as the float they spell (the JSON literals Infinity,
+#: -Infinity and NaN among them); every other string is read by Fraction.
+_FLOAT_WORDS = {"inf", "+inf", "Infinity", "-inf", "-Infinity", "nan", "NaN"}
+
 _BAD_NUMBER_REASONS = {
     ZeroDivisionError: "zero denominator",
     OverflowError: "beyond the float range",
@@ -75,11 +79,12 @@ def to_number(x, mode: str) -> Number:
     arithmetic mode. Rational mode refuses non-integral floats rather than
     silently converting binary fractions. A token that gives no number of
     the mode (bad syntax, a zero denominator, a value beyond the float
-    range, NaN, -inf) raises ValueError naming the token."""
+    range, NaN, -inf) raises ValueError naming the token; a NaN or -inf
+    string gives the same reason as the float it spells."""
     try:
         value = x
         if isinstance(x, str):
-            value = INF if x.strip() in ("inf", "+inf", "Infinity") else Fraction(x)
+            value = float(x) if x.strip() in _FLOAT_WORDS else Fraction(x)
         if is_inf(value):
             if value < 0:
                 raise ValueError("negative infinity")
@@ -451,23 +456,22 @@ class TransportPlan:
     def col_sums(self):
         return [sum(self.entries[:, j]) for j in range(self.shape[1])]
 
-    def support(self, tol: Optional[Number] = None):
-        """Cells carrying mass above tol (default ``tolerance(mode)``)."""
-        if tol is None:
-            tol = tolerance(self.mode)
+    def support(self):
+        """Cells carrying mass above ``tolerance(mode)``."""
+        tol = tolerance(self.mode)
         m, n = self.shape
         return tuple(
             (i, j) for i in range(m) for j in range(n) if self.entries[i, j] > tol
         )
 
-    def check_feasible(self, mu: Marginal, nu: Marginal, tol: Optional[Number] = None):
-        """Raise unless row sums match mu and column sums match nu."""
+    def check_feasible(self, mu: Marginal, nu: Marginal):
+        """Raise unless row sums match mu and column sums match nu within
+        ``tolerance(mode)``."""
         if self.shape != (mu.size, nu.size):
             raise DimensionMismatch(
                 f"plan shape {self.shape} vs marginals ({mu.size}, {nu.size})"
             )
-        if tol is None:
-            tol = tolerance(self.mode)
+        tol = tolerance(self.mode)
         for i, s in enumerate(self.row_sums()):
             if abs(s - mu.weights[i]) > tol:
                 raise InfeasibleInput(f"row {i} sums to {s}, expected {mu.weights[i]}")
@@ -494,13 +498,12 @@ class DualPotentials:
     def shape(self):
         return (self.phi.shape[0], self.psi.shape[0])
 
-    def is_feasible_for(self, cost: CostMatrix, tol: Optional[Number] = None) -> bool:
-        """phi + psi <= c + tol (default ``cost_tolerance``) on finite cells,
-        read as psi <= phi^c + tol with phi^c[j] = min_i c[i][j] - phi[i]."""
+    def is_feasible_for(self, cost: CostMatrix) -> bool:
+        """phi + psi <= c + ``cost_tolerance(cost)`` on finite cells, read as
+        psi <= phi^c + tol with phi^c[j] = min_i c[i][j] - phi[i]."""
         if cost.shape != self.shape:
             raise DimensionMismatch(f"potentials {self.shape} vs cost {cost.shape}")
-        if tol is None:
-            tol = cost_tolerance(cost)
+        tol = cost_tolerance(cost)
         neg_phi = [-v for v in self.phi.tolist()]
         (phi_c,), _ = min_plus([neg_phi], cost.entries.tolist())
         return all(p <= c + tol for p, c in zip(self.psi.tolist(), phi_c))

@@ -22,14 +22,12 @@ min-plus product ``core.min_plus``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .core import (
     CostMatrix,
     DualPotentials,
-    Number,
     cost_tolerance,
     frozen_array,
     is_inf,
@@ -140,12 +138,11 @@ def induced_pseudometric(cost: CostMatrix, axis: str) -> PseudometricMatrix:
     return PseudometricMatrix(entries=frozen_array(d, cost.mode), axis=axis)
 
 
-def is_c_concave(phi, cost: CostMatrix, tol: Optional[Number] = None) -> bool:
+def is_c_concave(phi, cost: CostMatrix) -> bool:
     """Whether phi is fixed by the double transform: ||phi^{c cbar} - phi||
-    within tol. The double transform never falls below phi, so this is a
-    one-sided check in exact arithmetic; tol defaults to ``cost_tolerance``."""
-    if tol is None:
-        tol = cost_tolerance(cost)
+    within ``cost_tolerance(cost)``, which is 0 in rational mode. The double
+    transform never falls below phi, so this is a one-sided check in exact
+    arithmetic."""
     phi = np.asarray(phi)
     phi_cc = cbar_transform(c_transform(phi, cost), cost)
-    return max(abs(phi_cc[i] - phi[i]) for i in range(len(phi))) <= tol
+    return max(abs(phi_cc[i] - phi[i]) for i in range(len(phi))) <= cost_tolerance(cost)

@@ -50,12 +50,15 @@ def solve_dual(
         raise DimensionMismatch(
             f"primal result {result.plan.shape} vs instance {instance.shape}"
         )
+    # the extraction has just tested this pair for feasibility, and the
+    # normalization's output is feasible by construction
     raw = extract_dual_from_basis(result, instance.cost)
-    return improve_dual(raw, instance.cost)
+    return normalize_pair(raw.phi, instance.cost)
 
 
 def improve_dual(pot: DualPotentials, cost: CostMatrix) -> DualPotentials:
-    """Replace a feasible pair by its transform normalization.
+    """Replace a feasible pair by its transform normalization, after
+    testing that it is feasible (the pair comes from the caller).
 
     Never decreases the dual value (phi^{c cbar} >= phi and psi <= phi^c for
     a feasible pair) and is idempotent on already-canonical pairs."""

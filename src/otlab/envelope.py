@@ -80,8 +80,8 @@ def lipschitz_envelope(cost: CostMatrix, d_x, d_y, n: Number) -> CostMatrix:
     """The level-n envelope matrix (see module docstring)."""
     _require_nonnegative(cost)
     n = to_number(n, cost.mode)
-    if n < 0:
-        raise InfeasibleInput("the level n must be nonnegative")
+    if is_inf(n) or n < 0:
+        raise InfeasibleInput(f"the level n must be finite and nonnegative, got {n}")
     m, p = cost.shape
     dx = np.asarray(d_x)
     dy = np.asarray(d_y)

@@ -169,12 +169,17 @@ def _enumerate_trees(
         pass
 
 
-def oracle_primal(instance: Instance, budget: Optional[int] = None) -> OptimalPlanResult:
-    """Exact optimum by spanning-tree enumeration; the master ground truth.
+def _best_tree(instance: Instance, budget: Optional[int], on_candidate=None):
+    """The one guarded walk behind both oracle entry points.
 
-    Accepts instances with |X| * |Y| within the cell budget (default 16,
-    overridable via the ``budget`` argument or the OT_LAB_BUDGET variable).
-    """
+    Refuses a ``+inf`` cost and an instance over the cell budget (default
+    16, overridable via the ``budget`` argument or the OT_LAB_BUDGET
+    variable), then enumerates the trees with the incumbent as cost bound,
+    so every tree that completes ties or beats the incumbent within
+    ``cost_tolerance``. ``on_candidate(edges)`` sees each such tree in walk
+    order; returning True ends the walk. Returns the best tree found as
+    ``(edges, masses, total)`` (None when the walk found none) and the
+    scales ``(L, M)`` of ``core.scaled_data``."""
     if not instance.cost.is_bounded:
         raise InfiniteCostInBoundedMode("the oracle requires a finite cost matrix")
     m, n = instance.shape
@@ -184,36 +189,45 @@ def oracle_primal(instance: Instance, budget: Optional[int] = None) -> OptimalPl
             f"{m}x{n} instance exceeds the oracle budget of {budget} cells"
         )
     mu, nu, cost, L, M = scaled_data(instance)
-
-    # A greedy feasible value seeds the cost bound without consulting the
-    # simplex solver, keeping the oracle independent.
-    nw_value = _northwest_value(mu, nu, cost)
-
-    best = {"total": None, "edges": None, "masses": None}
+    best = [None]
 
     def on_tree(edges, masses, total):
-        if best["total"] is None or total < best["total"]:
-            best.update(total=total, edges=edges, masses=masses)
+        if on_candidate is not None and on_candidate(edges):
+            raise _StopEnumeration
+        if best[0] is None or total < best[0][2]:
+            best[0] = (edges, masses, total)
             return total
         return None
 
+    # A greedy feasible value seeds the cost bound without consulting the
+    # simplex solver, keeping the oracle independent.
     _enumerate_trees(
-        m, n, mu, nu, cost, cost_bound=nw_value, on_tree=on_tree,
+        m, n, mu, nu, cost, cost_bound=_northwest_value(mu, nu, cost), on_tree=on_tree,
         neg_tol=tolerance(instance.mode), cost_tol=cost_tolerance(instance.cost),
     )
-    if best["total"] is None:
-        raise NoFeasibleTreeDual("no feasible tree found; enumeration bug")
+    return best[0], (L, M)
 
+
+def oracle_primal(instance: Instance, budget: Optional[int] = None) -> OptimalPlanResult:
+    """Exact optimum by spanning-tree enumeration; the master ground truth.
+
+    Accepts bounded instances with |X| * |Y| within the cell budget (see
+    :func:`_best_tree`)."""
+    best, (L, M) = _best_tree(instance, budget)
+    if best is None:
+        raise NoFeasibleTreeDual("no feasible tree found; enumeration bug")
+    edges, tree_masses, total = best
+    m, n = instance.shape
     rational = instance.mode == RATIONAL
     masses = {
         cell: Fraction(x, L) if rational else max(x, 0.0)
-        for cell, x in zip(best["edges"], best["masses"])
+        for cell, x in zip(edges, tree_masses)
     }
-    value = Fraction(best["total"], L * M) if rational else best["total"]
+    value = Fraction(total, L * M) if rational else total
     return OptimalPlanResult(
         plan=plan_from_cells((m, n), masses, instance.mode),
         value=value,
-        basis=tuple(sorted(best["edges"])),
+        basis=tuple(sorted(edges)),
     )
 
 
@@ -238,51 +252,35 @@ def _northwest_value(mu, nu, cost):
 
 
 def oracle_dual(instance: Instance, budget: Optional[int] = None) -> DualPotentials:
-    """Feasible potentials matching the oracle optimum exactly.
+    """Feasible potentials matching the oracle optimum exactly, from one walk.
 
-    Re-enumerates the optimal trees; on each, tightness is propagated from
+    On each tree the walk completes, tightness is propagated from
     phi[0] = 0 by ``core.tree_potentials`` (trees are connected, so
-    propagation is total) and the first tree whose potentials are feasible
-    everywhere wins. Strong duality
-    guarantees such a tree exists; running out of candidates signals a bug.
+    propagation is total), and the first tree whose potentials are feasible
+    everywhere wins. By complementary slackness such a tree is optimal: its
+    masses are nonnegative, and its plan and potentials are tight on the
+    same cells, so its cost equals their dual value. Cost pruning cuts only
+    trees strictly worse than the incumbent, which are never optimal, so
+    this is the first optimal tree with feasible potentials in walk order.
+    Strong duality guarantees one exists; running out of candidates
+    signals a bug. The guards are those of :func:`oracle_primal`.
     """
-    opt = oracle_primal(instance, budget=budget)
     m, n = instance.shape
-    mu, nu, cost, L, M = scaled_data(instance)
-    rational = instance.mode == RATIONAL
-    target = opt.value
-    value_tol = cost_tolerance(instance.cost)
     rows = instance.cost.entries.tolist()
     z = zero(instance.mode)
-    found = {"pot": None}
+    found = []
 
-    def on_tree(edges, masses, total):
-        value = Fraction(total, L * M) if rational else total
-        if abs(value - target) > value_tol:
-            return None
+    def feasible(edges):
         _, tight, _, _ = tree_potentials(m, n, edges, rows, z)
         pot = DualPotentials(
             phi=frozen_array(tight[:m], instance.mode),
             psi=frozen_array(tight[m:], instance.mode),
         )
         if pot.is_feasible_for(instance.cost):
-            found["pot"] = pot
-            raise _StopEnumeration
-        return None
+            found.append(pot)
+        return bool(found)
 
-    # Prune only strictly-worse branches; optimal ties must complete so the
-    # feasibility retry can walk all optimal trees.
-    scaled_target = target * L * M if rational else None
-    _enumerate_trees(
-        m,
-        n,
-        mu,
-        nu,
-        cost,
-        cost_bound=scaled_target,
-        on_tree=on_tree,
-        neg_tol=tolerance(instance.mode),
-    )
-    if found["pot"] is None:
+    _best_tree(instance, budget, on_candidate=feasible)
+    if not found:
         raise NoFeasibleTreeDual("all optimal trees produced infeasible potentials")
-    return found["pot"]
+    return found[0]

@@ -69,3 +69,19 @@ def primal_calls(monkeypatch):
             if getattr(module, "solve_primal", None) is original:
                 monkeypatch.setattr(module, "solve_primal", counting)
     return calls
+
+
+@pytest.fixture
+def feasibility_calls(monkeypatch):
+    """Record every DualPotentials.is_feasible_for call (its cost)."""
+    from otlab import DualPotentials
+
+    original = DualPotentials.is_feasible_for
+    calls = []
+
+    def counting(self, cost):
+        calls.append(cost)
+        return original(self, cost)
+
+    monkeypatch.setattr(DualPotentials, "is_feasible_for", counting)
+    return calls

@@ -120,7 +120,7 @@ def test_criterion_3_transform_calculus_500_pairs():
 
 def test_criterion_4_canonical_dual_form():
     for inst, _, pot in solved_corpus():
-        assert is_c_concave(pot.phi, inst.cost, tol=0)
+        assert is_c_concave(pot.phi, inst.cost)
         transformed = c_transform(pot.phi, inst.cost)
         diffs = {transformed[j] - pot.psi[j] for j in range(inst.shape[1])}
         assert len(diffs) == 1

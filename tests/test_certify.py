@@ -33,7 +33,7 @@ from otlab import (
     solve_dual,
     solve_primal,
 )
-from otlab.core import Marginal, cost_scale, is_inf, tolerance
+from otlab.core import Marginal, cost_scale, cost_tolerance, is_inf, tolerance
 
 from conftest import random_rational_instance
 
@@ -219,15 +219,12 @@ def test_oracle_env_budget_leaves_the_cyclic_budget_alone(monkeypatch):
     assert report[3].cells == ((0, 0), (1, 0), (0, 1))
 
 
-def test_cyclic_negative_tol_flags_ties():
-    # one row split over two columns: swapping targets costs the same, a
-    # violation only under a negative tolerance
+def test_cyclic_ties_pass():
+    # one row split over two columns: swapping targets costs the same, which
+    # is no violation
     inst = make_instance([[0, 1]], [1], HALF)
     split = solve_primal(inst).plan
     assert check_cyclic_monotonicity(split, inst.cost, k_max=2) == {2: None}
-    violation = check_cyclic_monotonicity(split, inst.cost, k_max=2, tol=F(-1, 2))[2]
-    assert violation.cells == ((0, 0), (0, 1))
-    assert violation.baseline == violation.permuted == 1
 
 
 def _enumerated_cyclic_report(plan, cost, k_max, tol):
@@ -256,10 +253,10 @@ def _enumerated_cyclic_report(plan, cost, k_max, tol):
 
 @st.composite
 def cyclic_cases(draw):
-    """A (plan, cost, k_max, tol) case: small costs with ties and +inf cells,
-    marginals with zero masses, either the optimal plan or an arbitrary
-    nonnegative one (which may put mass on +inf cells), and the mode's
-    tolerance, possibly shifted either way."""
+    """A (plan, cost, k_max) case: small costs with ties and +inf cells,
+    marginals with zero masses, and either the optimal plan or an arbitrary
+    nonnegative one (which may put mass on +inf cells, or be cyclically
+    non-monotone, so the witness search runs)."""
     mode = draw(st.sampled_from(["rational", "float"]))
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 4))
@@ -284,17 +281,15 @@ def cyclic_cases(draw):
             plan_rows = solve_primal(inst).plan.entries.tolist()
         except InfeasibleFiniteCost:
             pass
-    tol = tolerance(mode) + draw(st.sampled_from([0, 0, F(1, 2), F(-1, 2)]))
-    tol = tol if mode == "rational" else float(tol)
-    return TransportPlan(as_matrix(plan_rows, mode)), inst.cost, k_max, tol
+    return TransportPlan(as_matrix(plan_rows, mode)), inst.cost, k_max
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=cyclic_cases())
 def test_cyclic_report_matches_enumeration(case):
-    plan, cost, k_max, tol = case
-    expected = _enumerated_cyclic_report(plan, cost, k_max, tol)
-    report = check_cyclic_monotonicity(plan, cost, k_max=k_max, tol=tol)
+    plan, cost, k_max = case
+    expected = _enumerated_cyclic_report(plan, cost, k_max, cost_tolerance(cost))
+    report = check_cyclic_monotonicity(plan, cost, k_max=k_max)
     assert list(report) == list(expected)
     for k, violation in report.items():
         if expected[k] is None:
@@ -394,6 +389,17 @@ def test_certificate_passes_on_solved_instances(rng, primal_calls):
         assert len(primal_calls) == 1  # the dual reuses the primal basis
         assert cert.gap == 0
         assert cert.verdict
+
+
+def test_certify_instance_tests_dual_feasibility_twice(feasibility_calls):
+    # once in the dual extraction, once in the certificate's gap
+    for mode in ("rational", "float"):
+        inst = make_instance(
+            [[0, 2, 1], [2, 1, "inf"]], HALF, [F(1, 4), F(1, 4), F(1, 2)], mode=mode
+        )
+        del feasibility_calls[:]
+        assert certify_instance(inst).verdict
+        assert len(feasibility_calls) == 2
 
 
 def test_certificate_verdict_iff_all_reports_clean():

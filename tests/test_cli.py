@@ -101,6 +101,16 @@ def test_solve_dual_solves_the_primal_once(fixture_file, capsys, primal_calls):
     assert len(primal_calls) == 1
 
 
+@pytest.mark.parametrize("flags", [[], ["--float"]])
+def test_oracle_on_an_infinite_cost_is_a_one_line_error(fixture_file, capsys, flags):
+    data = json.loads(fixture_file.read_text())
+    data["cost"][0][1] = "inf"
+    fixture_file.write_text(json.dumps(data))
+    code, out, err = run_cli(["oracle", *flags, str(fixture_file)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "otlab: error: the oracle requires a finite cost matrix\n"
+
+
 def test_solve_missing_file(capsys):
     code, _, err = run_cli(["solve", "missing.json"], capsys)
     assert code == 1
@@ -218,6 +228,15 @@ def test_float_envelope_saturates_despite_round_off(tmp_path, capsys):
     assert json.loads(out)["saturation_level"] == 8.0
 
 
+@pytest.mark.parametrize("flags", [[], ["--float"]])
+def test_infinite_envelope_level_is_named(tmp_path, capsys, flags):
+    path = tmp_path / "inst.json"
+    run_cli(["gen", "random-uniform", "--size", "3", "--seed", "0", "-o", str(path)], capsys)
+    code, out, err = run_cli(["envelope", "--levels", "1,inf", *flags, str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "otlab: error: the level n must be finite and nonnegative, got inf\n"
+
+
 def test_envelope_law_violation_is_a_one_line_error(tmp_path, capsys, monkeypatch):
     from otlab import envelope
     from otlab.primal import OptimalPlanResult
@@ -246,6 +265,7 @@ def test_usage_error_exits_one(capsys):
     ["transform", "--phi", "0,abc,1"],
     ["envelope", "--levels", "1,x"],
     ["transform", "--float", "--phi", "0,1e400,1"],
+    ["transform", "--phi=-inf,0,1"],
 ])
 def test_bad_number_token_is_a_usage_error(fixture_file, capsys, args):
     code, out, err = run_cli(args + [str(fixture_file)], capsys)

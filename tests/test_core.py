@@ -1,6 +1,7 @@
 """Domain types, validation, and the elementary value functionals."""
 
 import dataclasses
+import inspect
 import re
 from fractions import Fraction as F
 from pathlib import Path
@@ -162,12 +163,19 @@ def test_float_mode_tolerates_rounding():
     (float("nan"), "float"),
     (float("-inf"), "rational"),
     (float("nan"), "rational"),
+    pytest.param("nan", "rational", id="str-nan-rational"),
+    pytest.param("NaN", "float", id="str-NaN-float"),
+    pytest.param("-inf", "rational", id="str-inf-rational"),
+    pytest.param("-Infinity", "float", id="str-Infinity-float"),
 ])
 def test_to_number_rejects_a_bad_token_by_name(token, mode):
     with pytest.raises(ValueError, match=r"^bad number '") as exc:
         to_number(token, mode)
-    if token != token:  # NaN gets one reason in both modes
-        assert str(exc.value) == "bad number 'nan' (not a number)"
+    # a string NaN or -inf gets the reason of the float it spells, in both modes
+    reason = {"nan": "not a number", "NaN": "not a number",
+              "-inf": "negative infinity", "-Infinity": "negative infinity"}.get(str(token))
+    if reason:
+        assert str(exc.value) == f"bad number {str(token)!r} ({reason})"
 
 
 def test_bad_entry_error_names_the_field_and_cell():
@@ -349,10 +357,10 @@ def test_min_plus_takes_the_smallest_witness_and_keeps_inf_lines():
     assert type(out[0][0]) is F
 
 
-def _feasible_cellwise(phi, psi, cost, tol):
+def _feasible_cellwise(phi, psi, cost):
     m, n = cost.shape
     return all(
-        is_inf(cost.entries[i, j]) or phi[i] + psi[j] <= cost.entries[i, j] + tol
+        is_inf(cost.entries[i, j]) or phi[i] + psi[j] <= cost.entries[i, j]
         for i in range(m) for j in range(n)
     )
 
@@ -376,23 +384,26 @@ def test_is_feasible_for_matches_the_cellwise_definition(data):
     phi = data.draw(st.lists(frac, min_size=m, max_size=m))
     psi = data.draw(st.lists(frac, min_size=n, max_size=n))
     pot = DualPotentials(as_vector(phi, "rational"), as_vector(psi, "rational"))
-    for tol in (0, F(1, 2)):
-        expected = _feasible_cellwise(phi, psi, cost, tol)
-        assert pot.is_feasible_for(cost, tol=tol) == expected
-        as_float = CostMatrix(as_matrix(cost_rows, "float"))
-        pot_float = DualPotentials(as_vector(phi, "float"), as_vector(psi, "float"))
-        assert pot_float.is_feasible_for(as_float, tol=float(tol)) == expected
+    # violations are at least 1/4, far above the float cost tolerance
+    expected = _feasible_cellwise(phi, psi, cost)
+    assert pot.is_feasible_for(cost) == expected
+    as_float = CostMatrix(as_matrix(cost_rows, "float"))
+    pot_float = DualPotentials(as_vector(phi, "float"), as_vector(psi, "float"))
+    assert pot_float.is_feasible_for(as_float) == expected
 
 
-def test_is_feasible_for_reads_an_explicit_tol():
+def test_is_feasible_for_skips_infinite_cells_and_checks_shape():
     cost = CostMatrix(as_matrix([[1, "inf"], [3, "inf"]], "rational"))
+    # the all-+inf column bounds nothing, however large psi is there
+    pot = DualPotentials(
+        as_vector([1, 0], "rational"), as_vector([0, 100], "rational")
+    )
+    assert pot.is_feasible_for(cost)
+    # cell (0, 0) is violated by 1/2
     pot = DualPotentials(
         as_vector([1, 0], "rational"), as_vector([F(1, 2), 100], "rational")
     )
-    # cell (0, 0) is violated by 1/2; the all-+inf column bounds nothing
     assert not pot.is_feasible_for(cost)
-    assert not pot.is_feasible_for(cost, tol=F(1, 4))
-    assert pot.is_feasible_for(cost, tol=F(1, 2))
     with pytest.raises(DimensionMismatch):
         pot.is_feasible_for(CostMatrix(as_matrix([[1, 1]], "rational")))
 
@@ -430,6 +441,22 @@ def test_tree_potentials_wall_part_counts_infinite_cells():
         inf = rows[i][j] == INF
         assert wall[i] + wall[m + j] == (1 if inf else 0)
         assert pot[i] + pot[m + j] == (0 if inf else rows[i][j])
+
+
+def test_no_public_signature_takes_a_tol():
+    # tolerances are a function of the data (core.tolerance for masses,
+    # core.cost_tolerance for costs), never an argument
+    offenders = []
+    for name in otlab.__all__:
+        obj = getattr(otlab, name)
+        if inspect.isclass(obj):
+            members = [(f"{name}.{attr}", fn) for attr, fn in vars(obj).items()
+                       if not attr.startswith("_") and callable(fn)]
+        else:
+            members = [(name, obj)] if callable(obj) else []
+        offenders += [label for label, fn in members
+                      if "tol" in inspect.signature(fn).parameters]
+    assert offenders == []
 
 
 def test_float_tolerance_has_one_literal():

@@ -122,8 +122,8 @@ def test_unbounded_cost_normalizes():
     cost = make_instance([[0, "inf"], [1, 2]], HALF, HALF).cost
     pair = normalize_pair(vec([0, 0]), cost)
     assert (list(pair.phi), list(pair.psi)) == ([0, 0], [0, 2])
-    assert pair.is_feasible_for(cost, tol=0)
-    assert is_c_concave(pair.phi, cost, tol=0)
+    assert pair.is_feasible_for(cost)
+    assert is_c_concave(pair.phi, cost)
     assert list(c_transform(pair.phi, cost)) == list(pair.psi)
 
 

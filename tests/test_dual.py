@@ -323,6 +323,17 @@ def test_solve_dual_solves_only_when_no_result_is_given(primal_calls):
     assert primal_calls == []
 
 
+def test_solve_dual_tests_feasibility_once(rng, feasibility_calls):
+    # the extraction tests the pair; the normalization's output is feasible
+    # by construction and is not tested again
+    for _ in range(10):
+        inst = random_rational_instance(rng)
+        result = solve_primal(inst)
+        del feasibility_calls[:]
+        solve_dual(inst, result)
+        assert len(feasibility_calls) == 1
+
+
 def test_solve_dual_canonical_form(rng):
     for _ in range(25):
         inst = random_rational_instance(rng)

@@ -10,6 +10,7 @@ import pytest
 
 from otlab import (
     BudgetExceeded,
+    InfiniteCostInBoundedMode,
     dual_value,
     make_instance,
     oracle_dual,
@@ -17,6 +18,7 @@ from otlab import (
     plan_cost,
     product_plan,
 )
+from otlab import oracle
 from otlab.oracle import _enumerate_trees
 
 from conftest import random_marginal, random_rational_instance
@@ -115,6 +117,31 @@ def test_oracle_dual_fixture():
     assert pot.phi[0] + pot.psi[0] == 0
     assert pot.phi[1] + pot.psi[1] == 1
     assert dual_value(pot, inst.mu, inst.nu) == F(1, 2)
+
+
+def test_oracle_dual_walks_the_trees_once(rng, monkeypatch):
+    walks = []
+
+    def counting(*args, **kwargs):
+        walks.append(args[:2])
+        return _enumerate_trees(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_enumerate_trees", counting)
+    for _ in range(10):
+        inst = random_rational_instance(rng)
+        del walks[:]
+        pot = oracle_dual(inst)
+        assert len(walks) == 1
+        assert pot.is_feasible_for(inst.cost)
+
+
+def test_oracle_dual_keeps_the_guards():
+    with pytest.raises(InfiniteCostInBoundedMode, match="finite cost matrix"):
+        oracle_dual(make_instance([[0, "inf"], [1, 0]], HALF, HALF))
+    big = make_instance([[0] * 5 for _ in range(4)], [F(1, 4)] * 4, [F(1, 5)] * 5)
+    with pytest.raises(BudgetExceeded):
+        oracle_dual(big)
+    assert dual_value(oracle_dual(big, budget=20), big.mu, big.nu) == 0
 
 
 def test_oracle_dual_one_by_one():

@@ -31,7 +31,8 @@ enumerated, to name the first witness per k.
 Tolerances come from the one policy in core and are never passed in: exact
 zeros in rational mode; in float mode ``core.tolerance`` for masses and
 ``core.cost_tolerance`` for cost-valued quantities. The report prints them.
-A certificate tests dual feasibility once, inside the duality gap.
+A certificate sums each row and column once and tests dual feasibility
+once, inside the duality gap.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .dual import solve_dual
 from .errors import (
     DimensionMismatch,
     InfeasibleArguments,
-    InfeasibleInput,
     InfeasiblePotentials,
     SupportTooLarge,
 )
@@ -118,10 +118,12 @@ class DualityCertificate:
 
 def duality_gap(plan: TransportPlan, pot: DualPotentials, instance: Instance) -> Number:
     """plan_cost - dual_value for a feasible pair; always >= 0."""
-    try:
-        plan.check_feasible(instance.mu, instance.nu)
-    except InfeasibleInput as exc:
-        raise InfeasibleArguments(f"plan violates the marginal law: {exc}") from exc
+    _lawful_marginals(plan, instance)
+    return _gap(plan, pot, instance)
+
+
+def _gap(plan: TransportPlan, pot: DualPotentials, instance: Instance) -> Number:
+    """The duality gap of a plan already known to obey the marginal law."""
     if not pot.is_feasible_for(instance.cost):
         raise InfeasibleArguments("potentials violate phi + psi <= c")
     return plan_cost(plan, instance.cost) - dual_value(pot, instance.mu, instance.nu)
@@ -130,14 +132,37 @@ def duality_gap(plan: TransportPlan, pot: DualPotentials, instance: Instance) ->
 def check_marginals(plan: TransportPlan, mu: Marginal, nu: Marginal) -> MarginalReport:
     """Largest row/column-sum deviation from the prescribed marginals,
     reported against ``tolerance(mode)``."""
+    return _marginal_law(plan, mu, nu)[0]
+
+
+def _lawful_marginals(plan: TransportPlan, instance: Instance) -> MarginalReport:
+    """The marginal report of a plan that must obey the marginal law; the
+    first row, then column, off by more than the tolerance raises
+    InfeasibleArguments naming it."""
+    report, breach = _marginal_law(plan, instance.mu, instance.nu)
+    if breach is not None:
+        raise InfeasibleArguments(f"plan violates the marginal law: {breach}")
+    return report
+
+
+def _marginal_law(plan: TransportPlan, mu: Marginal, nu: Marginal):
+    """One pass of row and column sums: the marginal report, and the first
+    row (then column) off by more than ``tolerance(mode)`` as the words of
+    ``TransportPlan.check_feasible``, or None."""
     if plan.shape != (mu.size, nu.size):
         raise DimensionMismatch(
             f"plan {plan.shape} vs marginals ({mu.size}, {nu.size})"
         )
     tol = tolerance(plan.mode)
-    row_dev = max(abs(s - mu.weights[i]) for i, s in enumerate(plan.row_sums()))
-    col_dev = max(abs(s - nu.weights[j]) for j, s in enumerate(plan.col_sums()))
-    return MarginalReport(max_row_deviation=row_dev, max_col_deviation=col_dev, tol=tol)
+    lines = [("row", plan.row_sums(), mu.weights), ("column", plan.col_sums(), nu.weights)]
+    devs = [[abs(s - w) for s, w in zip(sums, weights)] for _, sums, weights in lines]
+    breach = next(
+        (f"{kind} {k} sums to {sums[k]}, expected {weights[k]}"
+         for (kind, sums, weights), dev in zip(lines, devs)
+         for k, d in enumerate(dev) if d > tol),
+        None,
+    )
+    return MarginalReport(max(devs[0]), max(devs[1]), tol), breach
 
 
 def check_slackness(plan: TransportPlan, pot: DualPotentials, cost: CostMatrix) -> tuple:
@@ -246,12 +271,13 @@ def build_certificate(
     budget: Optional[int] = None,
 ) -> DualityCertificate:
     """Assemble the full certificate at the tolerance policy of the module
-    docstring. :func:`duality_gap` tests dual feasibility, once, so the
-    slackness report reuses that verdict instead of testing again."""
-    gap = duality_gap(plan, pot, instance)
+    docstring. Each law is decided once: one pass of row and column sums
+    gives the marginal report and the gap's marginal precondition, and the
+    gap tests dual feasibility, whose verdict the slackness report reuses."""
+    marginals = _lawful_marginals(plan, instance)
     return DualityCertificate(
-        gap=gap,
-        marginals=check_marginals(plan, instance.mu, instance.nu),
+        gap=_gap(plan, pot, instance),
+        marginals=marginals,
         slackness=_slack_violations(plan, pot, instance.cost),
         cyclic=check_cyclic_monotonicity(plan, instance.cost, k_max=k_max, budget=budget),
         tol=cost_tolerance(instance.cost),

@@ -21,10 +21,11 @@ All containers are frozen dataclasses over read-only numpy arrays
 built object is valid, immutable and safe to share across threads. An
 :class:`Instance` checks that its parts agree in shape and mode, and
 takes its mode from the cost; :func:`make_instance` builds one from raw
-values. One tree walk, :func:`tree_potentials`, gives the tight
-potentials of a basis to the simplex pivot, the dual extraction and the
-oracle dual. One min-plus product, :func:`min_plus`, gives the
-c-transforms, the dual feasibility test and the Lipschitz envelope.
+values. One tree walk, :func:`hang_subtree`, gives the tight potentials
+of a basis: whole, through :func:`tree_potentials`, to the dual extraction
+and the oracle dual, and one moved subtree per simplex pivot. One
+min-plus product, :func:`min_plus`, gives the c-transforms, the dual
+feasibility test and the Lipschitz envelope.
 """
 
 from __future__ import annotations
@@ -232,10 +233,7 @@ def tree_potentials(m: int, n: int, cells, rows, z):
     the potentials of the 0/1 ``+inf`` indicator (else None), so that
     ``(wall, pot)`` are the lexicographic potentials of the cost."""
     size = m + n
-    adj = [[] for _ in range(size)]
-    for i, j in cells:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
+    adj = tree_adjacency(m, n, cells)
     wall = [0] * size if any(rows[i][j] == INF for i, j in cells) else None
     comp = [-1] * size
     parent = [-1] * size
@@ -244,22 +242,47 @@ def tree_potentials(m: int, n: int, cells, rows, z):
     for anchor in range(size):
         if comp[anchor] >= 0:
             continue
-        comp[anchor] = ncomp
-        stack = [anchor]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if comp[v] >= 0:
-                    continue
-                comp[v] = ncomp
-                parent[v] = u
-                c = rows[u][v - m] if u < m else rows[v][u - m]
-                if wall is not None:
-                    wall[v] = (c == INF) - wall[u]
-                pot[v] = (z if c == INF else c) - pot[u]
-                stack.append(v)
+        for v in hang_subtree(m, adj, rows, z, anchor, -1, parent, pot, wall):
+            comp[v] = ncomp
         ncomp += 1
     return comp, pot, parent, wall
+
+
+def tree_adjacency(m: int, n: int, cells) -> list:
+    """Neighbour lists of the nodes (rows, then columns) of a cell set."""
+    adj = [[] for _ in range(m + n)]
+    for i, j in cells:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    return adj
+
+
+def hang_subtree(m: int, adj, rows, z, root: int, above: int, parent, pot, wall) -> list:
+    """Hang the tree that ``root`` reaches without passing ``above`` under
+    ``above`` (-1 makes ``root`` an anchor at potential ``z``), writing the
+    ``parent``, ``pot`` and, unless None, ``wall`` entries of its nodes in
+    place by the walk of :func:`tree_potentials`; returns the nodes in walk
+    order. A potential depends only on the path to the anchor, so after a
+    basis exchange re-hanging the cut-off subtree under the entering cell
+    gives exactly the values of a fresh walk."""
+    parent[root] = above
+    nodes = [root]
+    for v in nodes:
+        u = parent[v]
+        if u < 0:
+            pot[v] = z
+            if wall is not None:
+                wall[v] = 0
+        else:
+            c = rows[u][v - m] if u < m else rows[v][u - m]
+            if wall is not None:
+                wall[v] = (c == INF) - wall[u]
+            pot[v] = (z if c == INF else c) - pot[u]
+        for w in adj[v]:
+            if w != u:
+                parent[w] = v
+                nodes.append(w)
+    return nodes
 
 
 def _comparable_rows(arr: np.ndarray, exact: bool = False) -> list:

@@ -14,9 +14,17 @@ simplex on Fractions; masses are mapped back to ``Fraction(x, L)`` at the
 end and the value is the exact ``plan_cost`` of that Fraction plan. Float
 instances run the same loop on floats with a scale-aware tolerance.
 
-Each pivot walks the basis tree once (``core.tree_potentials``): the walk
-gives the potentials for pricing and the parent links along which the
-entering cell's cycle is traced.
+The basis tree is walked once, from row 0 (``core.hang_subtree``, the walk
+of ``core.tree_potentials``), and then kept: a pivot drops the leaving
+cell, adds the entering one and re-hangs only the subtree the leaving cell
+cuts off, under the entering cell's endpoint outside it. A potential is the
+alternating cost sum on the path to row 0, so the kept parent links and
+potentials are exactly those of a fresh walk, in float mode bit for bit.
+Each pivot then prices every cell in one numpy pass, ``c - phi - psi`` in
+the order of the scalar formula, and the first negative non-basic cell in
+row-major order enters. The arrays are float64 in float mode; the scaled
+ints go to int64 when no reduced cost can leave its range (``_price_dtype``)
+and stay Python ints in an object array otherwise.
 
 Infinite costs ride along as lexicographic two-part values (inf-mass part,
 finite part); minimizing them first pushes all mass off infinite cells
@@ -30,6 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .core import (
     INF,
     RATIONAL,
@@ -37,12 +47,13 @@ from .core import (
     Marginal,
     TransportPlan,
     cost_tolerance,
+    hang_subtree,
     is_inf,
     plan_cost,
     plan_from_cells,
     scaled_data,
     tolerance,
-    tree_potentials,
+    tree_adjacency,
 )
 from .errors import InfeasibleFiniteCost
 
@@ -104,34 +115,40 @@ def solve_primal(instance: Instance) -> OptimalPlanResult:
     mu, nu, cost, L, _ = scaled_data(instance)
     z = 0 if rational else 0.0
 
-    mass = _northwest_basis(mu, nu)
-    basis = set(mass)
+    mass = _northwest_basis(mu, nu)  # its keys are the basis
 
     # a thousandth of the dual check's tolerance, so near-ties still pivot
     eps = 0 if rational else cost_tolerance(instance.cost) / 1000
 
+    # The northwest basis is a spanning tree; hang it from row 0 once.
+    walled = any(c == INF for row in cost for c in row)
+    adj = tree_adjacency(m, n, mass)
+    parent, pot = [-1] * (m + n), [z] * (m + n)
+    wall = [0] * (m + n) if walled else None
+    hang_subtree(m, adj, cost, z, 0, -1, parent, pot, wall)
+
+    dtype = _price_dtype(rational, m, n, cost)
+    finite = np.array([[z if c == INF else c for c in row] for row in cost], dtype=dtype)
+    if walled:
+        infinite = np.array([[c == INF for c in row] for row in cost], dtype=np.int64)
+    nonbasic = np.ones((m, n), dtype=bool)
+    for cell in mass:
+        nonbasic[cell] = False
+
     for _ in range(_MAX_PIVOTS):
         # Reduced costs are lexicographic (wall, finite) pairs: the wall
         # part counts +inf cells, and the finite part counts them as z.
-        _, pot, parent, wall = tree_potentials(m, n, basis, cost, z)
-        psi = pot[m:]
-        entering = None
-        for i in range(m):
-            phi_i = pot[i]
-            row = cost[i]
-            for j in range(n):
-                if (i, j) in basis:
-                    continue
-                c = row[j]
-                inf = c == INF
-                r0 = inf - wall[i] - wall[m + j] if wall is not None else inf
-                if r0 < 0 or (not r0 and (z if inf else c) - phi_i - psi[j] < -eps):
-                    entering = (i, j)
-                    break
-            if entering is not None:
-                break
-        if entering is None:
+        p = np.array(pot, dtype=dtype)
+        enter = finite - p[:m, None] - p[None, m:] < -eps
+        if walled:
+            w = np.array(wall)
+            r0 = infinite - w[:m, None] - w[None, m:]
+            enter = (r0 < 0) | ((r0 == 0) & enter)
+        enter &= nonbasic
+        k = int(enter.argmax())
+        if not enter.flat[k]:
             break
+        entering = divmod(k, n)
         cycle = _basis_cycle(m, parent, entering)
         # Alternate signs around the cycle, + on the entering cell.
         minus = cycle[1::2]
@@ -141,9 +158,10 @@ def solve_primal(instance: Instance) -> OptimalPlanResult:
             mass[cell] = mass.get(cell, z) + theta
         for cell in minus:
             mass[cell] = mass[cell] - theta
-        basis.add(entering)
-        basis.remove(leaving)
         del mass[leaving]
+        nonbasic[entering] = False
+        nonbasic[leaving] = True
+        _exchange(m, adj, cost, z, parent, pot, wall, entering, leaving)
     else:
         raise RuntimeError("network simplex exceeded the pivot safety bound")
 
@@ -162,7 +180,7 @@ def solve_primal(instance: Instance) -> OptimalPlanResult:
             "every feasible plan places mass on an infinite-cost cell"
         )
     reported = tuple(sorted(
-        (i, j) for (i, j) in basis if not is_inf(cost[i][j])
+        (i, j) for (i, j) in mass if not is_inf(cost[i][j])
     ))
     return OptimalPlanResult(plan=plan, value=value, basis=reported)
 
@@ -183,3 +201,31 @@ def _basis_cycle(m, parent, entering):
     return [entering] + [
         (a, b - m) if a < m else (b, a - m) for a, b in zip(path, path[1:])
     ]
+
+
+def _exchange(m, adj, rows, z, parent, pot, wall, entering, leaving):
+    """Swap the leaving cell for the entering one in the basis tree and
+    re-hang the subtree the leaving cell cuts off from the anchor under the
+    entering cell's endpoint outside it (``core.hang_subtree``)."""
+    i, j = leaving
+    cut = i if parent[i] == m + j else m + j
+    adj[i].remove(m + j)
+    adj[m + j].remove(i)
+    i0, j0 = entering
+    adj[i0].append(m + j0)
+    adj[m + j0].append(i0)
+    v = i0
+    while v >= 0 and v != cut:
+        v = parent[v]
+    inner, outer = (i0, m + j0) if v == cut else (m + j0, i0)
+    hang_subtree(m, adj, rows, z, inner, outer, parent, pot, wall)
+
+
+def _price_dtype(rational, m, n, cost):
+    """The dtype of the pricing arrays. A potential is an alternating sum
+    of at most m+n-1 costs, so no reduced cost exceeds (2(m+n)+1)·max|c|;
+    the scaled ints price in int64 when that stays below 2**62."""
+    if not rational:
+        return np.float64
+    big = max((abs(c) for row in cost for c in row if c != INF), default=0)
+    return np.int64 if (2 * (m + n) + 1) * big < 2**62 else object

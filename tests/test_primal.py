@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,8 +22,25 @@ from otlab import (
     solve_primal,
 )
 
-from otlab.core import cost_tolerance, is_inf, tree_potentials
-from otlab.primal import _basis_cycle
+from otlab.core import (
+    INF,
+    RATIONAL,
+    cost_tolerance,
+    hang_subtree,
+    is_inf,
+    plan_from_cells,
+    scaled_data,
+    tolerance,
+    tree_adjacency,
+    tree_potentials,
+)
+from otlab.primal import (
+    OptimalPlanResult,
+    _basis_cycle,
+    _exchange,
+    _northwest_basis,
+    _price_dtype,
+)
 
 from conftest import random_marginal, random_rational_instance
 
@@ -203,8 +221,8 @@ def _dfs_basis_cycle(m, n, basis, entering):
     return [entering] + cells
 
 
-@st.composite
-def trees_with_an_entering_cell(draw):
+def draw_spanning_tree(draw):
+    """A random spanning tree of the m x n bipartite graph, m, n >= 2."""
     m = draw(st.integers(2, 6))
     n = draw(st.integers(2, 6))
     nodes = draw(st.permutations(range(m + n)))
@@ -219,6 +237,12 @@ def trees_with_an_entering_cell(draw):
         elif v >= m and v - m != cols[0]:
             tree.add((draw(st.sampled_from(seen_rows)), v - m))
             seen_cols.append(v - m)
+    return m, n, tree
+
+
+@st.composite
+def trees_with_an_entering_cell(draw):
+    m, n, tree = draw_spanning_tree(draw)
     outside = sorted({(i, j) for i in range(m) for j in range(n)} - tree)
     return m, n, tree, draw(st.sampled_from(outside))
 
@@ -235,6 +259,60 @@ def test_parent_link_cycle_matches_tree_search(case):
         set(reference[0::2]), set(reference[1::2])
     )
     assert cycle == reference
+
+
+@st.composite
+def trees_with_swaps(draw):
+    """A spanning tree, costs (rational or float, some +inf) and a list of
+    basis exchanges, each an (entering, leaving-on-its-cycle) choice."""
+    m, n, tree = draw_spanning_tree(draw)
+    if draw(st.booleans()):
+        value = st.builds(F, st.integers(-50, 50), st.sampled_from([1, 2, 3, 7]))
+        z = F(0)
+    else:
+        value = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        z = 0.0
+    cell = st.one_of(value, value, value, st.just(INF))
+    rows = [[draw(cell) for _ in range(n)] for _ in range(m)]
+    choice = st.integers(0, 10**6)
+    swaps = draw(st.lists(st.tuples(choice, choice), min_size=1, max_size=15))
+    return m, n, tree, rows, z, swaps
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=trees_with_swaps())
+def test_rehang_matches_a_fresh_walk_after_every_swap(case):
+    # the simplex keeps its tree and re-hangs one subtree per pivot; after
+    # each exchange, parent links, potentials and wall potentials equal
+    # those of a fresh walk anchored at row 0, floats bit for bit
+    m, n, tree, rows, z, swaps = case
+    size = m + n
+    basis = set(tree)
+    adj = tree_adjacency(m, n, basis)
+    parent, pot = [-1] * size, [z] * size
+    walled = any(INF in row for row in rows)
+    wall = [0] * size if walled else None
+    hang_subtree(m, adj, rows, z, 0, -1, parent, pot, wall)
+
+    def assert_fresh():
+        comp, fresh_pot, fresh_parent, fresh_wall = tree_potentials(m, n, basis, rows, z)
+        assert comp == [0] * size
+        assert parent == fresh_parent
+        assert [type(p) for p in pot] == [type(p) for p in fresh_pot]
+        assert pot == fresh_pot
+        if walled:
+            assert wall == (fresh_wall or [0] * size)
+
+    assert_fresh()
+    for a, b in swaps:
+        outside = sorted({(i, j) for i in range(m) for j in range(n)} - basis)
+        entering = outside[a % len(outside)]
+        cycle = _basis_cycle(m, parent, entering)
+        leaving = cycle[1 + b % (len(cycle) - 1)]
+        basis.add(entering)
+        basis.remove(leaving)
+        _exchange(m, adj, rows, z, parent, pot, wall, entering, leaving)
+        assert_fresh()
 
 
 def _is_acyclic(cells, m):
@@ -345,10 +423,12 @@ DENOMINATORS = [1, 2, 3, 7, 2**31 - 1, 2**61 - 1, 10**9 + 7]
 
 
 @st.composite
-def rational_instances(draw):
+def rational_instances(draw, anywhere=False):
     """Rational instances with mixed and huge denominators, zero masses,
     optionally all-equal costs, and optionally +inf walls that keep the
-    northwest-corner plan finite (so a finite optimum exists)."""
+    northwest-corner plan finite (so a finite optimum exists). With
+    ``anywhere`` the walls may also sit on that plan's support, so the
+    simplex first pivots mass off them, or finds no finite plan."""
     m = draw(st.integers(1, 5))
     n = draw(st.integers(1, 5))
     den = st.sampled_from(DENOMINATORS)
@@ -368,7 +448,9 @@ def rational_instances(draw):
         cost = [[F(draw(st.integers(-20, 50)), draw(den)) for _ in range(n)]
                 for _ in range(m)]
     if draw(st.booleans()):
-        keep = set(northwest_corner(marginal_of(mu), marginal_of(nu)).support())
+        keep = () if anywhere else set(
+            northwest_corner(marginal_of(mu), marginal_of(nu)).support()
+        )
         for i in range(m):
             for j in range(n):
                 if (i, j) not in keep and draw(st.integers(0, 2)) == 0:
@@ -430,3 +512,110 @@ def certify_outcome(inst, optimum):
         return abs(value - optimum) <= cost_tolerance(inst.cost) and certify_instance(inst).verdict
     except OTLabError as exc:
         return type(exc)
+
+
+# --- reference loop -------------------------------------------------------------
+
+
+def reference_solve(instance):
+    """The Bland simplex with a full tree walk (``core.tree_potentials``) and
+    a scalar scan of every cell per pivot: the reference for the kept tree
+    and the numpy pricing of solve_primal."""
+    m, n = instance.shape
+    rational = instance.mode == RATIONAL
+    mu, nu, cost, L, _ = scaled_data(instance)
+    z = 0 if rational else 0.0
+    mass = _northwest_basis(mu, nu)
+    basis = set(mass)
+    eps = 0 if rational else cost_tolerance(instance.cost) / 1000
+    while True:
+        _, pot, parent, wall = tree_potentials(m, n, basis, cost, z)
+        psi = pot[m:]
+        entering = None
+        for i in range(m):
+            for j in range(n):
+                if (i, j) in basis:
+                    continue
+                c = cost[i][j]
+                inf = c == INF
+                r0 = inf - wall[i] - wall[m + j] if wall is not None else inf
+                if r0 < 0 or (not r0 and (z if inf else c) - pot[i] - psi[j] < -eps):
+                    entering = (i, j)
+                    break
+            if entering is not None:
+                break
+        if entering is None:
+            break
+        cycle = _basis_cycle(m, parent, entering)
+        minus = cycle[1::2]
+        theta = min(mass[cell] for cell in minus)
+        leaving = min(cell for cell in minus if mass[cell] == theta)
+        for cell in cycle[0::2]:
+            mass[cell] = mass.get(cell, z) + theta
+        for cell in minus:
+            mass[cell] = mass[cell] - theta
+        basis.add(entering)
+        basis.remove(leaving)
+        del mass[leaving]
+    crumb = tolerance(instance.mode)
+    plan = plan_from_cells(
+        (m, n),
+        {(i, j): F(x, L) if rational else x for (i, j), x in mass.items()
+         if x > (crumb if cost[i][j] == INF else 0)},
+        instance.mode,
+    )
+    value = plan_cost(plan, instance.cost)
+    if is_inf(value):
+        raise InfeasibleFiniteCost(
+            "every feasible plan places mass on an infinite-cost cell"
+        )
+    basis = tuple(sorted(cell for cell in basis if not is_inf(cost[cell[0]][cell[1]])))
+    return OptimalPlanResult(plan=plan, value=value, basis=basis)
+
+
+def outcome(solve, inst):
+    """Plan entries, value and basis of a solve, or its error class."""
+    try:
+        res = solve(inst)
+    except OTLabError as exc:
+        return type(exc)
+    return res.plan.entries.tolist(), res.value, res.basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=rational_instances(anywhere=True))
+def test_solve_primal_matches_the_reference_loop(inst):
+    # walls, ties, zero masses and huge denominators, in both modes
+    for case in (inst, convert_instance(inst, "float")):
+        assert outcome(solve_primal, case) == outcome(reference_solve, case)
+
+
+def test_solve_primal_matches_the_reference_loop_on_fixtures():
+    from otlab.fixtures import generate_fixture
+
+    for family in ("indicator", "random-uniform", "separable", "discrete-metric-spike"):
+        for size in (3, 7, 12):
+            inst = generate_fixture(family, size, seed=size)
+            for case in (inst, convert_instance(inst, "float")):
+                assert outcome(solve_primal, case) == outcome(reference_solve, case)
+
+
+# (2(m+n)+1) * max|c| < 2**62 is the int64 pricing bound; at 2 x 2 the
+# factor is 9, so BOUND is the largest scaled cost that prices in int64
+BOUND = (2**62 - 1) // 9
+
+
+@pytest.mark.parametrize("cost, dtype", [
+    ([[BOUND, 0], [0, BOUND]], "int64"),
+    ([[-BOUND, 0], [1, BOUND]], "int64"),
+    ([[BOUND + 1, 0], [0, BOUND]], "object"),
+    ([[0, -BOUND - 1], [3, 1]], "object"),
+    # denominators 2**52 and 2**66 scale the cost 1 to 2**66
+    ([[F(1, 2**52), F(3, 2**66)], [F(5, 2**66), 1]], "object"),
+])
+def test_pricing_dtype_guard_keeps_the_reference_plan(cost, dtype):
+    inst = make_instance(cost, [F(1, 3), F(2, 3)], [F(1, 2), F(1, 2)])
+    m, n = inst.shape
+    scaled = scaled_data(inst)[2]
+    assert np.dtype(_price_dtype(True, m, n, scaled)) == dtype
+    assert outcome(solve_primal, inst) == outcome(reference_solve, inst)

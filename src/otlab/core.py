@@ -31,6 +31,7 @@ feasibility test and the Lipschitz envelope.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -69,6 +70,11 @@ def is_inf(x) -> bool:
 #: -Infinity and NaN among them); every other string is read by Fraction.
 _FLOAT_WORDS = {"inf", "+inf", "Infinity", "-inf", "-Infinity", "nan", "NaN"}
 
+#: The "p/q" and integer tokens that ``Fraction(str)`` reads as
+#: ``Fraction(int(p), int(q))``: ASCII digits, an optional sign, a nonzero
+#: denominator and optional ASCII whitespace around the whole token.
+_INT_TOKEN = re.compile(r"\s*([+-]?)([0-9]+)(?:/(0*[1-9][0-9]*))?\s*", re.ASCII)
+
 _BAD_NUMBER_REASONS = {
     ZeroDivisionError: "zero denominator",
     OverflowError: "beyond the float range",
@@ -81,11 +87,31 @@ def to_number(x, mode: str) -> Number:
     silently converting binary fractions. A token that gives no number of
     the mode (bad syntax, a zero denominator, a value beyond the float
     range, NaN, -inf) raises ValueError naming the token; a NaN or -inf
-    string gives the same reason as the float it spells."""
+    string gives the same reason as the float it spells.
+
+    A string reads as ``Fraction(str)`` reads it. The common ``[+-]p[/q]``
+    tokens of ASCII digits (``_INT_TOKEN``) are parsed by ``int()`` into
+    the same value; every other token (zero denominators, underscores,
+    non-ASCII digits or spaces, decimals, exponents) goes to
+    ``Fraction(str)`` itself, so the accepted set and the error texts are
+    those of ``Fraction``. A Fraction in rational mode, and a finite float
+    in float mode, is returned as it is."""
     try:
         value = x
         if isinstance(x, str):
-            value = float(x) if x.strip() in _FLOAT_WORDS else Fraction(x)
+            token = _INT_TOKEN.fullmatch(x)
+            if token is not None:
+                sign, p, q = token.groups()
+                p = int(p)
+                value = Fraction(-p if sign == "-" else p, int(q) if q else 1)
+            elif x.strip() in _FLOAT_WORDS:
+                value = float(x)
+            else:
+                value = Fraction(x)
+        if type(value) is Fraction and mode == RATIONAL:
+            return value
+        if type(value) is float and mode == FLOAT and math.isfinite(value):
+            return value
         if is_inf(value):
             if value < 0:
                 raise ValueError("negative infinity")
@@ -300,35 +326,63 @@ def _comparable_rows(arr: np.ndarray, exact: bool = False) -> list:
     return [_scale_to_ints(row, scale) for row in rows]
 
 
+#: Cells of one block of the triangle test; a block of rows holds at most
+#: this many or k*k cells, so memory stays O(k^2).
+_TRIANGLE_BLOCK = 1 << 14
+
+
+def _law_array(d: np.ndarray) -> np.ndarray:
+    """The entries of a square matrix as one numpy array on which every
+    metric law reads as on the entries: float64 in float mode; in rational
+    mode the ints of :func:`_comparable_rows` with ``+inf`` as
+    ``s = 2 max|finite| + 1`` (``-inf`` as ``-s``), in int64 when a sum of
+    two entries fits, else as Python ints. ``s`` keeps the sign and the
+    inequalities of the marker: it differs from every finite entry, and
+    once the entries are nonnegative it exceeds every sum of two finite
+    ones, while ``s + x >= s``."""
+    if mode_of(d) != RATIONAL:
+        return np.asarray(d, dtype=np.float64)
+    rows = _comparable_rows(d)
+    s = 2 * max((abs(v) for row in rows for v in row if not is_inf(v)), default=0) + 1
+    rows = [[(s if v > 0 else -s) if is_inf(v) else v for v in row] for row in rows]
+    return np.array(rows, dtype=np.int64 if s < 2**62 else object).reshape(d.shape)
+
+
 def metric_violation(d: np.ndarray):
     """The first failed pseudometric law of a square matrix, or None.
 
     Returns ``(kind, cell)``: ``("diagonal", (i,))``, ``("negative", (i, j))``,
     ``("asymmetry", (i, j))`` or ``("triangle", (i, l, j))`` when
-    d[i][j] > d[i][l] + d[l][j]. Rows are scanned in ``i, j`` order with the
-    diagonal, sign and symmetry checks first, then triples in ``i, j, l``
-    order, so the first reported cell is deterministic. Callers format the
-    message from the original entries."""
-    rows = _comparable_rows(d)
-    k = len(rows)
-    for i in range(k):
-        row = rows[i]
-        if row[i] != 0:
+    d[i][j] > d[i][l] + d[l][j]. The first reported cell is that of an
+    ordered scan: rows in ``i, j`` order with the diagonal, sign and
+    symmetry checks first, then triples in ``i, j, l`` order. The laws are
+    decided on :func:`_law_array` by numpy masks, the triangle test one
+    block of rows at a time, and the first cell is the first True cell of
+    a mask in row-major order. Callers format the message from the
+    original entries."""
+    a = _law_array(d)
+    k = a.shape[0]
+    if not k:
+        return None
+    # a failed diagonal marks its whole row, so it is found before the row's cells
+    bad = (a < 0) | (a != a.T) | (a.diagonal() != 0)[:, None]
+    first = int(bad.argmax())
+    if bad.flat[first]:
+        i, j = divmod(first, k)
+        if a[i, i] != 0:
             return "diagonal", (i,)
-        for j in range(k):
-            if row[j] < 0:
-                return "negative", (i, j)
-            if row[j] != rows[j][i]:
-                return "asymmetry", (i, j)
-    for i in range(k):
-        row_i = rows[i]
-        for j in range(k):
-            d_ij = row_i[j]
-            # symmetric by now, so rows[j][l] == d[l][j]
-            if any(d_ij > a + b for a, b in zip(row_i, rows[j])):
-                for l in range(k):
-                    if d_ij > row_i[l] + rows[l][j]:
-                        return "triangle", (i, l, j)
+        return ("negative" if a[i, j] < 0 else "asymmetry"), (i, j)
+    step = max(1, _TRIANGLE_BLOCK // (k * k))
+    for lo in range(0, k, step):
+        rows = a[lo:lo + step]
+        # over[r, j, l]: d[i, j] > d[i, l] + d[l, j] at i = lo + r (d is
+        # symmetric by now, so a[j, l] == d[l][j])
+        over = rows[:, :, None] > rows[:, None, :] + a
+        first = int(over.argmax())
+        if over.flat[first]:
+            r, jl = divmod(first, k * k)
+            j, l = divmod(jl, k)
+            return "triangle", (lo + r, l, j)
     return None
 
 

@@ -28,6 +28,7 @@ from .core import (
     CostMatrix,
     Instance,
     Number,
+    as_numbers,
     cost_tolerance,
     frozen_array,
     is_inf,
@@ -92,9 +93,15 @@ def lipschitz_envelope(cost: CostMatrix, d_x, d_y, n: Number) -> CostMatrix:
     trunc = [[n if is_inf(v) or v > n else v for v in row]
              for row in cost.entries.tolist()]
     # inner[k][j] = min_l trunc[k][l] + n * d_Y[j][l]
-    inner, _ = min_plus(trunc, [[n * v for v in row] for row in dy.T.tolist()])
-    out, _ = min_plus([[n * v for v in row] for row in dx.tolist()], inner)
+    inner, _ = min_plus(trunc, _times(n, dy.T))
+    out, _ = min_plus(_times(n, dx), inner)
     return CostMatrix(frozen_array(out, cost.mode))
+
+
+def _times(n: Number, d) -> list:
+    """``n * d`` as nested lists, with 0 * inf = 0 (the convention of core)."""
+    level0 = not n
+    return [[n if level0 and is_inf(v) else n * v for v in row] for row in d.tolist()]
 
 
 def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeSchedule:
@@ -108,7 +115,7 @@ def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeS
     """
     _require_metrics(instance)
     _require_nonnegative(instance.cost)
-    levels_in = [to_number(n, instance.mode) for n in n_list]
+    levels_in = as_numbers(n_list, instance.mode, "levels")
     if not levels_in or any(b <= a for a, b in zip(levels_in, levels_in[1:])):
         raise InfeasibleInput("n_list must be nonempty and strictly increasing")
 

@@ -47,8 +47,9 @@ def format_scalar(value, mode: str):
     if is_inf(value):
         return "inf"
     if mode == RATIONAL:
-        f = Fraction(value)
-        return f"{f.numerator}/{f.denominator}"
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        return f"{value.numerator}/{value.denominator}"
     return float(value)
 
 

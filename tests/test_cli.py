@@ -237,6 +237,21 @@ def test_infinite_envelope_level_is_named(tmp_path, capsys, flags):
     assert err == "otlab: error: the level n must be finite and nonnegative, got inf\n"
 
 
+@pytest.mark.parametrize("flags", [[], ["--float"]])
+def test_envelope_at_level_zero_over_an_infinite_distance(tmp_path, capsys, flags):
+    path = tmp_path / "walled.json"
+    path.write_text(json.dumps({
+        "X": {"labels": ["a", "b"], "metric": [["0/1", "inf"], ["inf", "0/1"]]},
+        "Y": {"labels": ["u", "v"], "metric": [["0/1", "1/1"], ["1/1", "0/1"]]},
+        "cost": [["1/1", "2/1"], ["3/1", "1/1"]], "mu": ["1/2", "1/2"], "nu": ["1/2", "1/2"],
+    }), encoding="utf-8")
+    code, out, err = run_cli(["envelope", "--levels", "0,1,2", *flags, str(path)], capsys)
+    assert (code, err) == (0, "")
+    levels = json.loads(out)["levels"]
+    zero, one = ("0/1", "1/1") if not flags else (0.0, 1.0)
+    assert [lv["value"] for lv in levels] == [zero, one, one]
+
+
 def test_envelope_law_violation_is_a_one_line_error(tmp_path, capsys, monkeypatch):
     from otlab import envelope
     from otlab.primal import OptimalPlanResult

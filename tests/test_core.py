@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import math
 import re
 from fractions import Fraction as F
 from pathlib import Path
@@ -29,7 +30,9 @@ import otlab
 from otlab.core import (
     INF,
     CostMatrix,
+    FiniteSpace,
     Instance,
+    _law_array,
     as_matrix,
     convert_instance,
     is_inf,
@@ -116,13 +119,37 @@ def reference_metric_violation(d):
     return None
 
 
-@settings(max_examples=150)
+@pytest.mark.parametrize("rows, expected", [
+    ([[1, -1], [-1, 0]], ("diagonal", (0,))),  # the diagonal before the row's cells
+    ([[0, -1], [2, 0]], ("negative", (0, 1))),  # the sign before symmetry in one cell
+    ([[0, 1], [2, -1]], ("asymmetry", (0, 1))),  # row 0 before row 1's diagonal
+    ([[0, "inf"], [1, 0]], ("asymmetry", (0, 1))),
+    ([[0, 3, 1, 1], [3, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]], ("triangle", (0, 2, 1))),
+    ([[0, 1, 3], [1, 0, 1], [3, 1, 0]], ("triangle", (0, 1, 2))),
+    ([[0, "inf", 1], ["inf", 0, 1], [1, 1, 0]], ("triangle", (0, 2, 1))),
+])
+def test_metric_violation_reports_the_first_cell_of_the_scan(rows, expected):
+    for mode in ("rational", "float"):
+        d = as_matrix(rows, mode)
+        assert metric_violation(d) == reference_metric_violation(d) == expected
+
+
+#: The largest finite entry whose +inf stand-in keeps the law array in int64
+#: (``2 * (2 * big + 1) < 2**63``); one more goes to Python ints.
+INT64_EDGE = 2**61 - 1
+
+
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_metric_violation_matches_entrywise_reference(data):
-    k = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, 8))
+    edge = st.builds(lambda d, q: F(INT64_EDGE + d, q),
+                     st.integers(-2, 2), st.sampled_from([1, 1, 3]))
     entry = st.one_of(
         st.fractions(min_value=-1, max_value=12, max_denominator=10**12),
         st.just("inf"),
+        st.sampled_from([F(-1, 2), F(0)]),
+        edge,
     )
     rows = [[F(0)] * k for _ in range(k)]
     for i in range(k):
@@ -134,6 +161,56 @@ def test_metric_violation_matches_entrywise_reference(data):
     for mode in ("rational", "float"):
         d = as_matrix(rows, mode)
         assert metric_violation(d) == reference_metric_violation(d)
+
+
+@pytest.mark.parametrize("big, dtype", [(INT64_EDGE, np.int64), (INT64_EDGE + 1, object)])
+def test_metric_law_array_switches_dtype_at_the_int64_guard(big, dtype):
+    # +inf stands in as 2 * big + 1: an overflowing sum of two of them would
+    # make d(0, 1) look longer than the path through x2
+    rows = [[0, big, "inf"], [big, 0, "inf"], ["inf", "inf", 0]]
+    d = as_matrix(rows, "rational")
+    assert _law_array(d).dtype == dtype
+    assert metric_violation(d) is None
+    bad = as_matrix([[0, big, 1, "inf"], [big, 0, 1, "inf"], [1, 1, 0, "inf"],
+                     ["inf", "inf", "inf", 0]], "rational")
+    assert _law_array(bad).dtype == dtype
+    assert metric_violation(bad) == reference_metric_violation(bad) == ("triangle", (0, 2, 1))
+
+
+def test_metric_violation_finds_a_late_row_across_triangle_blocks():
+    # 130 points pass the triangle test one row per block; 10 > 2 + 7 first at l = 118
+    k = 130
+    rows = [[abs(i - j) for j in range(k)] for i in range(k)]
+    rows[120][125] = rows[125][120] = 10
+    for mode in ("rational", "float"):
+        assert metric_violation(as_matrix(rows, mode)) == ("triangle", (120, 118, 125))
+
+
+def test_metric_violation_names_the_cell_beyond_the_float_range():
+    # the entrywise scan adds 10**400 to +inf, which does not fit a float
+    d = as_matrix([[0, 1, "inf"], [1, 0, 10**400], ["inf", 10**400, 0]], "rational")
+    assert metric_violation(d) == ("triangle", (0, 1, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_float_metric_with_nan_matches_the_reference(data):
+    k = data.draw(st.integers(1, 8))
+    cell = st.sampled_from([0.0, 0.5, 1.0, 2.0, float("inf"), float("nan")])
+    d = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            d[i, j] = d[j, i] = data.draw(cell)
+    for _ in range(data.draw(st.integers(0, 2))):
+        d[data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))] = data.draw(cell)
+    expected = reference_metric_violation(d)
+    assert metric_violation(d) == expected
+    labels = [f"x{i}" for i in range(k)]
+    if expected is None:
+        FiniteSpace(labels, d)
+    else:
+        with pytest.raises(MetricViolation):
+            FiniteSpace(labels, d)
 
 
 def test_dimension_mismatch():
@@ -186,6 +263,103 @@ def test_bad_entry_error_names_the_field_and_cell():
     inst = make_instance([[0, "1e400"], [1, 0]], HALF, HALF)
     with pytest.raises(BadNumber, match=r"^cost\[0\]\[1\]: bad number '1000"):
         convert_instance(inst, "float")
+
+
+_REFERENCE_FLOAT_WORDS = {"inf", "+inf", "Infinity", "-inf", "-Infinity", "nan", "NaN"}
+
+
+def reference_to_number(x, mode):
+    """``to_number`` before its int fast path: every string token through
+    ``Fraction(str)`` (or ``float`` for the float words), every value copied
+    into the mode's type. The reference for the token grammar."""
+    try:
+        value = x
+        if isinstance(x, str):
+            value = float(x) if x.strip() in _REFERENCE_FLOAT_WORDS else F(x)
+        if is_inf(value):
+            if value < 0:
+                raise ValueError("negative infinity")
+            return INF
+        if isinstance(value, float) and math.isnan(value):
+            raise ValueError("not a number")
+        if mode == "rational":
+            if isinstance(value, float) and not value.is_integer():
+                raise ValueError(
+                    "non-integral float in rational mode; pass a Fraction or 'p/q' string"
+                )
+            return F(value)
+        if mode == "float":
+            return float(value)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        reason = {ZeroDivisionError: "zero denominator",
+                  OverflowError: "beyond the float range"}.get(type(exc), exc)
+        raise ValueError(f"bad number {str(x)!r} ({reason})") from None
+    raise ValueError(f"unknown arithmetic mode {mode!r}")
+
+
+def _outcome(read, token, mode):
+    try:
+        value = read(token, mode)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "value", type(value), value
+
+
+_SPACE = st.sampled_from(["", "", " ", "  ", "\t", "\n", "\r\n", "\x0b", "\x0c",
+                          "\xa0", "\u2003", "\u3000", "\x1c"])
+_DIGITS = st.one_of(
+    st.text("0123456789", min_size=1, max_size=6),
+    st.sampled_from(["0", "00", "007", "10", "1_000", "1__0", "_1", "1_", "\u0663",
+                     "1\u0662", "\uff11", "\u00b2", "9" * 5000]),
+)
+
+
+@st.composite
+def number_tokens(draw):
+    """Strings near the ``[+-]p[/q]`` grammar: signs, ASCII and Unicode
+    whitespace, underscores, non-ASCII digits, leading zeros, zero and
+    signed denominators, decimals, exponents, a 5,000-digit run, and the
+    float words."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(sorted(_REFERENCE_FLOAT_WORDS) + [
+            " inf ", "INF", "infinity", "+Infinity", "-nan", "nan ", "/0", "", " ", "/", "-", "+"]))
+    sign = draw(st.sampled_from(["", "", "+", "-", "--", "+-", " -"]))
+    num = draw(st.one_of(_DIGITS, st.just("")))
+    tail = draw(st.sampled_from(["", "", "slash", "decimal", "exponent"]))
+    if tail == "slash":
+        gap = draw(st.sampled_from(["", "", " ", "\t"]))
+        den = draw(st.one_of(_DIGITS, st.sampled_from(["0", "000", "-4", "+4", "", "4.0", "4/2"])))
+        tail = draw(st.sampled_from(["/", gap + "/", "/" + gap])) + den
+    elif tail == "decimal":
+        tail = "." + draw(st.sampled_from(["", "5", "25", "0_5"]))
+    elif tail == "exponent":
+        tail = draw(st.sampled_from(["e", "E", "e+", "e-"])) + draw(st.sampled_from(["3", "40", "_1", ""]))
+    return draw(_SPACE) + sign + num + tail + draw(_SPACE)
+
+
+@settings(max_examples=600, deadline=None)
+@given(token=number_tokens())
+def test_to_number_reads_tokens_like_fraction(token):
+    for mode in ("rational", "float"):
+        assert _outcome(to_number, token, mode) == _outcome(reference_to_number, token, mode)
+
+
+@pytest.mark.parametrize("token", [
+    "3/4", "-6/8", "+0007/0010", " 12 ", "\t-5\n", "3/-4", "3/ 4", "1/0", "1/000", "\u0663/4",
+    "\xa03/4", "1_0/3", "1.5", "1e3", "-inf", "nan",
+    pytest.param("9" * 5000, id="5000-digit-numerator"),
+    pytest.param("1/" + "9" * 5000, id="5000-digit-denominator"),
+])
+def test_to_number_reads_the_fast_path_edges_like_fraction(token):
+    for mode in ("rational", "float"):
+        assert _outcome(to_number, token, mode) == _outcome(reference_to_number, token, mode)
+
+
+def test_to_number_returns_a_number_of_the_mode_as_it_is():
+    half, quarter = F(1, 2), 0.25
+    assert to_number(half, "rational") is half
+    assert to_number(quarter, "float") is quarter
+    assert to_number(F(3, 1), "float") == 3.0 and to_number(3.0, "rational") == F(3)
 
 
 def test_rational_mode_rejects_nonintegral_floats():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otlab import (
+    BadNumber,
     EnvelopeLawViolation,
     InfeasibleInput,
     MissingMetric,
@@ -224,6 +225,28 @@ def test_schedule_requires_increasing_levels():
         envelope_schedule(spike_instance(), [2, 1])
     with pytest.raises(InfeasibleInput):
         envelope_schedule(spike_instance(), [])
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_level_zero_over_an_infinite_distance(mode):
+    # 0 * inf = 0: at level 0 an infinite distance costs nothing, as a finite one
+    cost = [[1, 2], [3, 1]]
+    walled = convert_instance(make_instance(
+        cost, HALF, HALF, metric_x=[[0, "inf"], ["inf", 0]], metric_y=DISCRETE), mode)
+    finite = convert_instance(make_instance(
+        cost, HALF, HALF, metric_x=[[0, 5], [5, 0]], metric_y=DISCRETE), mode)
+    level0 = lipschitz_envelope(walled.cost, *metrics(walled), 0).entries.tolist()
+    assert level0 == lipschitz_envelope(finite.cost, *metrics(finite), 0).entries.tolist()
+    assert level0 == [[0, 0], [0, 0]]
+    sched = envelope_schedule(walled, [0, 1, 2])
+    assert [lv.value for lv in sched.levels] == [0, 1, 1]
+    assert sched.limit_value == 1 and sched.saturation_level == 1
+
+
+def test_schedule_names_a_bad_level():
+    with pytest.raises(BadNumber) as err:
+        envelope_schedule(spike_instance(), [1, "x"])
+    assert str(err.value) == "levels[1]: bad number 'x' (Invalid literal for Fraction: 'x')"
 
 
 def test_schedule_with_unreachable_limit():

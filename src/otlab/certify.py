@@ -16,14 +16,14 @@ negative-cycle question. On the digraph whose nodes are the support cells,
 with weight c(x_a, y_b) - c(x_a, y_a) on arc a -> b, the cyclic reordering
 of a tuple of distinct cells lowers the cost by exactly minus the weight of
 the corresponding simple cycle; any negative closed walk contains a negative
-simple cycle. So with finite costs on the support, a digraph without
-negative cycles has no tuple of any size whose reordering lowers the cost
-at all, let alone by more than the tolerance, which is never negative (the
-finite form of Rockafellar's theorem). The weights are exact integers
-(rational costs scaled by their common denominator, floats converted
-exactly through ``Fraction``), so the no-cycle answer carries no round-off;
-in float mode it also clears reorderings of equal exact cost whose summed
-floats differ in the last places.
+simple cycle. Every weight is raised by tol / (k_max + 1), tol the cost
+tolerance (0 in rational mode), so a cycle of k <= k_max arcs gains less
+than tol: without a negative cycle no tuple of at most k_max cells lowers
+the cost by tol (with tol = 0, by anything: the finite form of
+Rockafellar's theorem). The weights are exact ints (``core.scaled``, float
+values read as ``Fraction``s), and the margin tol / (k_max + 1) lies far
+above float round-off, so a float-optimal support whose exact cycles sit a
+few ulps below 0 passes without enumeration.
 Only when that test cannot clear the support (a negative cycle or an
 infinite support cost) are the (k-1)! cyclic reorderings of each k-subset
 enumerated, to name the first witness per k.
@@ -38,6 +38,7 @@ once, inside the duality gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Optional
 
@@ -47,12 +48,13 @@ from .core import (
     Instance,
     Marginal,
     Number,
+    RATIONAL,
     TransportPlan,
-    _comparable_rows,
     cost_tolerance,
     dual_value,
     is_inf,
     plan_cost,
+    scaled,
     shortest_distances,
     tolerance,
 )
@@ -146,23 +148,14 @@ def _lawful_marginals(plan: TransportPlan, instance: Instance) -> MarginalReport
 
 
 def _marginal_law(plan: TransportPlan, mu: Marginal, nu: Marginal):
-    """One pass of row and column sums: the marginal report, and the first
-    row (then column) off by more than ``tolerance(mode)`` as the words of
-    ``TransportPlan.check_feasible``, or None."""
+    """The marginal report and the first breach of
+    ``TransportPlan.marginal_law``, from one pass of row and column sums."""
     if plan.shape != (mu.size, nu.size):
         raise DimensionMismatch(
             f"plan {plan.shape} vs marginals ({mu.size}, {nu.size})"
         )
-    tol = tolerance(plan.mode)
-    lines = [("row", plan.row_sums(), mu.weights), ("column", plan.col_sums(), nu.weights)]
-    devs = [[abs(s - w) for s, w in zip(sums, weights)] for _, sums, weights in lines]
-    breach = next(
-        (f"{kind} {k} sums to {sums[k]}, expected {weights[k]}"
-         for (kind, sums, weights), dev in zip(lines, devs)
-         for k, d in enumerate(dev) if d > tol),
-        None,
-    )
-    return MarginalReport(max(devs[0]), max(devs[1]), tol), breach
+    row_dev, col_dev, breach = plan.marginal_law(mu, nu)
+    return MarginalReport(row_dev, col_dev, tolerance(plan.mode)), breach
 
 
 def check_slackness(plan: TransportPlan, pot: DualPotentials, cost: CostMatrix) -> tuple:
@@ -210,7 +203,7 @@ def check_cyclic_monotonicity(
     if k_max < 2:
         raise InfeasibleArguments("k_max must be at least 2")
     support = plan.support()
-    if _no_negative_cycle(support, cost):
+    if _no_negative_cycle(support, cost, k_max):
         return {k: None for k in range(2, k_max + 1)}
     if budget is None:
         budget = DEFAULT_CHECK_BUDGET
@@ -246,11 +239,15 @@ def check_cyclic_monotonicity(
     return report
 
 
-def _no_negative_cycle(support, cost: CostMatrix) -> bool:
+def _no_negative_cycle(support, cost: CostMatrix, k_max: int) -> bool:
     """True when every support cell has a finite cost and the support
-    digraph (arc a -> b weighted c(x_a, y_b) - c(x_a, y_a), left out where
-    c(x_a, y_b) is +inf) has no negative cycle; decided on exact ints."""
-    c = _comparable_rows(cost.entries, exact=True)
+    digraph (arc a -> b weighted c(x_a, y_b) - c(x_a, y_a) + tol/(k_max+1),
+    left out where c(x_a, y_b) is +inf) has no negative cycle; decided on
+    the exact ints of ``core.scaled`` (module docstring)."""
+    rows = cost.entries.tolist()
+    if cost.mode != RATIONAL:
+        rows = [[v if is_inf(v) else Fraction(v) for v in row] for row in rows]
+    (*c, (shift,)), _ = scaled(rows + [[Fraction(cost_tolerance(cost)) / (k_max + 1)]])
     arcs = []
     for a, (i, j) in enumerate(support):
         row = c[i]
@@ -259,7 +256,7 @@ def _no_negative_cycle(support, cost: CostMatrix) -> bool:
             return False
         for b, (_, j_b) in enumerate(support):
             if b != a and not is_inf(row[j_b]):
-                arcs.append((a, b, row[j_b] - own))
+                arcs.append((a, b, row[j_b] - own + shift))
     return shortest_distances(len(support), arcs) is not None
 
 

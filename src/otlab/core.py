@@ -25,7 +25,9 @@ values. One tree walk, :func:`hang_subtree`, gives the tight potentials
 of a basis: whole, through :func:`tree_potentials`, to the dual extraction
 and the oracle dual, and one moved subtree per simplex pivot. One
 min-plus product, :func:`min_plus`, gives the c-transforms, the dual
-feasibility test and the Lipschitz envelope.
+feasibility test and the Lipschitz envelope. Rational data become exact
+ints in one place, :func:`scaled`, and one guard, :func:`int_dtype`, keeps
+them in int64 where every sum fits.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -192,20 +193,31 @@ def cost_tolerance(cost: "CostMatrix") -> Number:
 
 
 # ---------------------------------------------------------------------------
-# Integer scaling
+# Exact integer kernel
 # ---------------------------------------------------------------------------
 
 
-def _common_denominator(values) -> int:
-    """Least common multiple of the denominators of finite rational values;
-    infinite markers are skipped."""
-    return math.lcm(*{v.denominator for v in values if not is_inf(v)})
+def scaled(rows) -> tuple:
+    """Rational rows, of any lengths, as ``(ints, D)``: ``D`` the lcm of the
+    finite entries' denominators and each finite ``v`` the int ``v * D``;
+    floats are infinite markers and stay. Order and sums compare alike."""
+    D = math.lcm(*{v.denominator for row in rows for v in row if type(v) is not float})
+    return [[v if type(v) is float else v.numerator * (D // v.denominator) for v in row]
+            for row in rows], D
 
 
-def _scale_to_ints(values, scale: int) -> list:
-    """Rational values times ``scale`` (a multiple of every denominator) as
-    Python ints; infinite markers stay symbolic."""
-    return [v if is_inf(v) else v.numerator * (scale // v.denominator) for v in values]
+def int_dtype(bound: int):
+    """int64 when ints within ``bound`` and the sum of any two fit in it;
+    else Python ints in an object array."""
+    return np.int64 if bound < 2**62 else object
+
+
+def _int_array(ints: list, k: int):
+    """``(array, s)``: a row of :func:`scaled` in ``int_dtype(s)``, with
+    ``+inf`` as ``s = k max|finite| + 1`` and ``-inf`` as ``-s``."""
+    s = k * max((abs(v) for v in ints if type(v) is not float), default=0) + 1
+    return np.array([(s if v > 0 else -s) if type(v) is float else v for v in ints],
+                    dtype=int_dtype(s)), s
 
 
 def shortest_distances(n: int, arcs, z=0):
@@ -230,19 +242,36 @@ def shortest_distances(n: int, arcs, z=0):
     return None
 
 
-def min_plus(a, b):
-    """The min-plus product of two nested lists: ``(out, arg)`` with
-    ``out[i][j] = min_k a[i][k] + b[k][j]`` and ``arg[i][j]`` the smallest
-    minimizing ``k``. A ``+inf`` entry never beats a finite sum, so a line
-    of only ``+inf`` sums gives ``+inf`` (with witness 0)."""
-    cols = list(zip(*b))
-    out, arg = [], []
-    for row in a:
-        sums = [list(map(add, row, col)) for col in cols]
-        best = [min(s) for s in sums]
-        out.append(best)
-        arg.append([s.index(v) for s, v in zip(sums, best)])
-    return out, arg
+#: Cells of one block of rows of a three-index numpy pass (the triangle
+#: test, the min-plus sums), so memory stays that of the operands.
+_BLOCK = 1 << 14
+
+
+def min_plus(a: np.ndarray, b: np.ndarray):
+    """The min-plus product of two matrices of one mode: ``(out, arg)``,
+    ``out[i, j] = min_k a[i, k] + b[k, j]`` (frozen) and ``arg`` the smallest
+    minimizing ``k`` (int64); a line of only ``+inf`` sums gives ``+inf``
+    with witness 0. Floats sum in float64. Rational operands sum as ints
+    over their joint denominator, ``+inf`` as ``s = 3 max|finite| + 1``, so
+    any sum with an ``s`` term tops every finite one."""
+    m, (K, n) = a.shape[0], b.shape
+    mode = mode_of(b)
+    if mode == RATIONAL:
+        (ints,), D = scaled([a.ravel().tolist() + b.ravel().tolist()])
+        ints, s = _int_array(ints, 3)
+        a, b = ints[:a.size].reshape(a.shape), ints[a.size:].reshape(b.shape)
+    out = np.empty((m, n), dtype=b.dtype)
+    arg = np.empty((m, n), dtype=np.int64)
+    step = max(1, _BLOCK // max(1, K * n))
+    for lo in range(0, m, step):
+        sums = a[lo:lo + step, :, None] + b
+        arg[lo:lo + step] = sums.argmin(axis=1)
+        out[lo:lo + step] = sums.min(axis=1)
+    if mode == RATIONAL:
+        finite = 2 * (s // 3)  # the largest finite sum, 2 max|finite|
+        arg[out > finite] = 0  # encoded +inf sums differ, +inf ones do not
+        out = [[INF if v > finite else Fraction(v, D) for v in row] for row in out.tolist()]
+    return frozen_array(out, mode), arg
 
 
 def tree_potentials(m: int, n: int, cells, rows, z):
@@ -311,41 +340,15 @@ def hang_subtree(m: int, adj, rows, z, root: int, above: int, parent, pot, wall)
     return nodes
 
 
-def _comparable_rows(arr: np.ndarray, exact: bool = False) -> list:
-    """Rows of a matrix as plain Python numbers that compare like the
-    entries: rational entries scaled to ints by one common factor, float
-    entries as floats, or with ``exact`` also scaled to ints through their
-    exact ``Fraction`` values. Positive scaling preserves every order
-    relation and every sum comparison; ``+inf`` markers stay symbolic."""
-    rows = arr.tolist()
-    if mode_of(arr) != RATIONAL:
-        if not exact:
-            return rows
-        rows = [[v if is_inf(v) else Fraction(v) for v in row] for row in rows]
-    scale = _common_denominator(v for row in rows for v in row)
-    return [_scale_to_ints(row, scale) for row in rows]
-
-
-#: Cells of one block of the triangle test; a block of rows holds at most
-#: this many or k*k cells, so memory stays O(k^2).
-_TRIANGLE_BLOCK = 1 << 14
-
-
 def _law_array(d: np.ndarray) -> np.ndarray:
     """The entries of a square matrix as one numpy array on which every
-    metric law reads as on the entries: float64 in float mode; in rational
-    mode the ints of :func:`_comparable_rows` with ``+inf`` as
-    ``s = 2 max|finite| + 1`` (``-inf`` as ``-s``), in int64 when a sum of
-    two entries fits, else as Python ints. ``s`` keeps the sign and the
-    inequalities of the marker: it differs from every finite entry, and
-    once the entries are nonnegative it exceeds every sum of two finite
-    ones, while ``s + x >= s``."""
+    metric law reads as on the entries: float64, or :func:`_int_array` with
+    ``+inf`` as ``s = 2 max|finite| + 1``, unlike every finite entry and,
+    once all are nonnegative, above every sum of two, while ``s + x >= s``."""
     if mode_of(d) != RATIONAL:
         return np.asarray(d, dtype=np.float64)
-    rows = _comparable_rows(d)
-    s = 2 * max((abs(v) for row in rows for v in row if not is_inf(v)), default=0) + 1
-    rows = [[(s if v > 0 else -s) if is_inf(v) else v for v in row] for row in rows]
-    return np.array(rows, dtype=np.int64 if s < 2**62 else object).reshape(d.shape)
+    (ints,), _ = scaled([d.ravel().tolist()])
+    return _int_array(ints, 2)[0].reshape(d.shape)
 
 
 def metric_violation(d: np.ndarray):
@@ -372,7 +375,7 @@ def metric_violation(d: np.ndarray):
         if a[i, i] != 0:
             return "diagonal", (i,)
         return ("negative" if a[i, j] < 0 else "asymmetry"), (i, j)
-    step = max(1, _TRIANGLE_BLOCK // (k * k))
+    step = max(1, _BLOCK // (k * k))
     for lo in range(0, k, step):
         rows = a[lo:lo + step]
         # over[r, j, l]: d[i, j] > d[i, l] + d[l, j] at i = lo + r (d is
@@ -541,6 +544,21 @@ class TransportPlan:
             (i, j) for i in range(m) for j in range(n) if self.entries[i, j] > tol
         )
 
+    def marginal_law(self, mu: Marginal, nu: Marginal):
+        """One pass of row and column sums against same-shaped marginals:
+        the largest row and column deviations and the first row, then
+        column, off by more than ``tolerance(mode)`` as words, or None."""
+        tol = tolerance(self.mode)
+        lines = [("row", self.row_sums(), mu.weights), ("column", self.col_sums(), nu.weights)]
+        devs = [[abs(s - w) for s, w in zip(sums, weights)] for _, sums, weights in lines]
+        breach = next(
+            (f"{kind} {k} sums to {sums[k]}, expected {weights[k]}"
+             for (kind, sums, weights), dev in zip(lines, devs)
+             for k, d in enumerate(dev) if d > tol),
+            None,
+        )
+        return max(devs[0]), max(devs[1]), breach
+
     def check_feasible(self, mu: Marginal, nu: Marginal):
         """Raise unless row sums match mu and column sums match nu within
         ``tolerance(mode)``."""
@@ -548,13 +566,9 @@ class TransportPlan:
             raise DimensionMismatch(
                 f"plan shape {self.shape} vs marginals ({mu.size}, {nu.size})"
             )
-        tol = tolerance(self.mode)
-        for i, s in enumerate(self.row_sums()):
-            if abs(s - mu.weights[i]) > tol:
-                raise InfeasibleInput(f"row {i} sums to {s}, expected {mu.weights[i]}")
-        for j, s in enumerate(self.col_sums()):
-            if abs(s - nu.weights[j]) > tol:
-                raise InfeasibleInput(f"column {j} sums to {s}, expected {nu.weights[j]}")
+        breach = self.marginal_law(mu, nu)[2]
+        if breach is not None:
+            raise InfeasibleInput(breach)
 
 
 @dataclass(frozen=True, eq=False)
@@ -580,10 +594,9 @@ class DualPotentials:
         psi <= phi^c + tol with phi^c[j] = min_i c[i][j] - phi[i]."""
         if cost.shape != self.shape:
             raise DimensionMismatch(f"potentials {self.shape} vs cost {cost.shape}")
-        tol = cost_tolerance(cost)
-        neg_phi = [-v for v in self.phi.tolist()]
-        (phi_c,), _ = min_plus([neg_phi], cost.entries.tolist())
-        return all(p <= c + tol for p, c in zip(self.psi.tolist(), phi_c))
+        phi = as_vector(self.phi, cost.mode, "phi")
+        (phi_c,), _ = min_plus(-phi[None], cost.entries)
+        return bool(np.all(self.psi <= phi_c + cost_tolerance(cost)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -678,25 +691,18 @@ def convert_instance(instance: Instance, mode: str) -> Instance:
 
 
 def scaled_data(instance: Instance):
-    """Clear denominators once: return ``(mu, nu, cost, L, M)`` as nested
-    Python lists, where rational-mode marginals are ints scaled by the LCM
-    ``L`` of their denominators and finite costs are ints scaled by the LCM
-    ``M`` of theirs. ``+inf`` cost cells stay the ``INF`` marker. Float mode
-    passes the values through as floats with ``L = M = 1``."""
+    """Clear denominators once: ``(mu, nu, cost, L, M)`` as nested lists,
+    in rational mode the marginals :func:`scaled` over one lcm ``L`` and the
+    cost over its own ``M`` (``+inf`` stays ``INF``); float mode passes the
+    floats through with ``L = M = 1``."""
     mu = instance.mu.weights.tolist()
     nu = instance.nu.weights.tolist()
     cost = instance.cost.entries.tolist()
     if instance.mode != RATIONAL:
         return mu, nu, cost, 1, 1
-    L = _common_denominator(mu + nu)
-    M = _common_denominator(c for row in cost for c in row)
-    return (
-        _scale_to_ints(mu, L),
-        _scale_to_ints(nu, L),
-        [_scale_to_ints(row, M) for row in cost],
-        L,
-        M,
-    )
+    (mu, nu), L = scaled([mu, nu])
+    cost, M = scaled(cost)
+    return mu, nu, cost, L, M
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ coordinate), and the normalized pair
 lands, for a bounded cost, in the boxes [-3 ||c||, ||c||] x [0, 2 ||c||] —
 which is what makes dual solutions of this canonical shape possible.
 ``+inf`` cost cells are skipped by both transforms, which are one row of the
-min-plus product ``core.min_plus``.
+min-plus product ``core.min_plus``; caller potentials are read in the
+cost's mode (``core.as_vector``), so the product never sees two modes.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 from .core import (
     CostMatrix,
     DualPotentials,
+    as_vector,
     cost_tolerance,
     frozen_array,
     is_inf,
@@ -67,38 +69,34 @@ class PseudometricMatrix:
         raise MetricViolation(f"not a pseudometric at {cell}")
 
 
-def _check_vector(v: np.ndarray, length: int, name: str):
-    if v.ndim != 1 or v.shape[0] != length:
-        raise DimensionMismatch(f"{name} has shape {v.shape}, expected ({length},)")
-    for x in v:
-        if is_inf(x) or (isinstance(x, float) and x != x):
-            raise UnboundedTransform(f"{name} must have finite entries")
-
-
-def _transform(pot, rows, mode: str, name: str, line: str):
-    """``out[b] = min_a rows[a][b] - pot[a]`` with the smallest minimizing
+def _transform(pot, rows: np.ndarray, mode: str, name: str, line: str):
+    """``out[b] = min_a rows[a, b] - pot[a]`` with the smallest minimizing
     ``a`` as witness: one row of ``core.min_plus``. ``rows`` is the cost for
-    the c-transform and its transpose for the cbar-transform."""
-    pot = np.asarray(pot)
-    _check_vector(pot, len(rows), name)
-    (out,), (witness,) = min_plus([[-v for v in pot.tolist()]], rows)
+    the c-transform and its transpose for the cbar-transform; ``pot`` is
+    read in the cost's mode."""
+    raw = np.asarray(pot)
+    if raw.ndim != 1 or raw.shape[0] != len(rows):
+        raise DimensionMismatch(f"{name} has shape {raw.shape}, expected ({len(rows)},)")
+    if any(is_inf(x) or (isinstance(x, float) and x != x) for x in raw):
+        raise UnboundedTransform(f"{name} must have finite entries")
+    (out,), (witness,) = min_plus(-as_vector(pot, mode, name)[None], rows)
     for b, v in enumerate(out):
         if is_inf(v):
             raise UnboundedTransform(f"{line} {b} of the cost is entirely +inf")
-    return frozen_array(out, mode), np.array(witness, dtype=np.int64)
+    return out, witness
 
 
 def c_transform(phi, cost: CostMatrix, with_witness: bool = False):
     """phi^c over Y. Columns that are entirely +inf admit no finite value
     and raise UnboundedTransform. With ``with_witness`` the smallest-index
     minimizing x is returned alongside (deterministic tie-break)."""
-    out, witness = _transform(phi, cost.entries.tolist(), cost.mode, "phi", "column")
+    out, witness = _transform(phi, cost.entries, cost.mode, "phi", "column")
     return (out, witness) if with_witness else out
 
 
 def cbar_transform(psi, cost: CostMatrix, with_witness: bool = False):
     """psi^cbar over X; the mirror of :func:`c_transform`."""
-    out, witness = _transform(psi, cost.entries.T.tolist(), cost.mode, "psi", "row")
+    out, witness = _transform(psi, cost.entries.T, cost.mode, "psi", "row")
     return (out, witness) if with_witness else out
 
 
@@ -113,8 +111,8 @@ def normalize_pair(phi, cost: CostMatrix) -> DualPotentials:
     phi_cc = cbar_transform(psi, cost)
     shift = min(psi)
     return DualPotentials(
-        phi=frozen_array([v + shift for v in phi_cc], cost.mode),
-        psi=frozen_array([v - shift for v in psi], cost.mode),
+        phi=frozen_array(phi_cc + shift, cost.mode),
+        psi=frozen_array(psi - shift, cost.mode),
     )
 
 
@@ -142,7 +140,7 @@ def is_c_concave(phi, cost: CostMatrix) -> bool:
     """Whether phi is fixed by the double transform: ||phi^{c cbar} - phi||
     within ``cost_tolerance(cost)``, which is 0 in rational mode. The double
     transform never falls below phi, so this is a one-sided check in exact
-    arithmetic."""
-    phi = np.asarray(phi)
+    arithmetic. phi is read in the cost's mode, as by :func:`c_transform`."""
     phi_cc = cbar_transform(c_transform(phi, cost), cost)
-    return max(abs(phi_cc[i] - phi[i]) for i in range(len(phi))) <= cost_tolerance(cost)
+    phi = as_vector(phi, cost.mode, "phi")
+    return max(abs(phi_cc - phi)) <= cost_tolerance(cost)

@@ -11,7 +11,7 @@ exactly from a computable finite level onward. Optimal values inherit the
 monotone chain v_n <= v_{n+1} <= v and meet v at that saturation level.
 
 The sum metric separates, so the matrix is two min-plus products
-(``core.min_plus``) in O(|X| |Y| (|X| + |Y|)):
+(``core.min_plus``, exact ints when rational) in O(|X| |Y| (|X| + |Y|)):
 
     inner = min(c, n) (x) n d_Y,    c_n = n d_X (x) inner.
 """
@@ -28,15 +28,16 @@ from .core import (
     CostMatrix,
     Instance,
     Number,
+    as_matrix,
     as_numbers,
     cost_tolerance,
-    frozen_array,
     is_inf,
     min_plus,
     to_number,
     zero,
 )
 from .errors import (
+    BadNumber,
     EnvelopeLawViolation,
     InfeasibleFiniteCost,
     InfeasibleInput,
@@ -78,9 +79,13 @@ def _require_nonnegative(cost: CostMatrix):
 
 
 def lipschitz_envelope(cost: CostMatrix, d_x, d_y, n: Number) -> CostMatrix:
-    """The level-n envelope matrix (see module docstring)."""
+    """The level-n envelope matrix (see module docstring). The level and
+    the metrics are read in the cost's mode; a bad level is a BadNumber."""
     _require_nonnegative(cost)
-    n = to_number(n, cost.mode)
+    try:
+        n = to_number(n, cost.mode)
+    except ValueError as exc:
+        raise BadNumber(f"level n: {exc}") from None
     if is_inf(n) or n < 0:
         raise InfeasibleInput(f"the level n must be finite and nonnegative, got {n}")
     m, p = cost.shape
@@ -90,18 +95,16 @@ def lipschitz_envelope(cost: CostMatrix, d_x, d_y, n: Number) -> CostMatrix:
         raise MissingMetric(
             f"metric shapes {dx.shape}, {dy.shape} do not match cost {cost.shape}"
         )
-    trunc = [[n if is_inf(v) or v > n else v for v in row]
-             for row in cost.entries.tolist()]
-    # inner[k][j] = min_l trunc[k][l] + n * d_Y[j][l]
-    inner, _ = min_plus(trunc, _times(n, dy.T))
+    dx, dy = as_matrix(dx, cost.mode, "d_x"), as_matrix(dy, cost.mode, "d_y")
+    # inner[k, j] = min_l min(c[k, l], n) + n * d_Y[j, l]
+    inner, _ = min_plus(np.minimum(cost.entries, n), _times(n, dy.T))
     out, _ = min_plus(_times(n, dx), inner)
-    return CostMatrix(frozen_array(out, cost.mode))
+    return CostMatrix(out)
 
 
-def _times(n: Number, d) -> list:
-    """``n * d`` as nested lists, with 0 * inf = 0 (the convention of core)."""
-    level0 = not n
-    return [[n if level0 and is_inf(v) else n * v for v in row] for row in d.tolist()]
+def _times(n: Number, d: np.ndarray) -> np.ndarray:
+    """``n * d`` with 0 * inf = 0 (the convention of core)."""
+    return d * n if n else np.full(d.shape, n, dtype=d.dtype)
 
 
 def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeSchedule:

@@ -5,10 +5,10 @@ follow Bland's anti-cycling rule (first cell in row-major order with a
 negative reduced cost enters; the smallest-index tie leaves), so the solver
 terminates and is fully deterministic.
 
-Rational data are scaled to integers once (``core.scaled_data``: masses
-times the LCM L of the marginal denominators, costs times the LCM M of the
-cost denominators) and the simplex runs on Python ints. Positive scaling
-keeps the sign of every reduced cost and every mass comparison, so the
+Rational data are scaled to integers once (``core.scaled_data`` over
+``core.scaled``: masses times the LCM L of the marginal denominators, costs
+times the LCM M of theirs) and the simplex runs on Python ints. Positive
+scaling keeps the sign of every reduced cost and every mass comparison, so the
 Bland pivot sequence, the basis and the plan are exactly those of the same
 simplex on Fractions; masses are mapped back to ``Fraction(x, L)`` at the
 end and the value is the exact ``plan_cost`` of that Fraction plan. Float
@@ -23,8 +23,8 @@ potentials are exactly those of a fresh walk, in float mode bit for bit.
 Each pivot then prices every cell in one numpy pass, ``c - phi - psi`` in
 the order of the scalar formula, and the first negative non-basic cell in
 row-major order enters. The arrays are float64 in float mode; the scaled
-ints go to int64 when no reduced cost can leave its range (``_price_dtype``)
-and stay Python ints in an object array otherwise.
+ints take ``core.int_dtype((2(m+n)+1)·max|c|)``, a bound on every reduced
+cost, as a potential is an alternating sum of at most m+n-1 costs.
 
 Infinite costs ride along as lexicographic two-part values (inf-mass part,
 finite part); minimizing them first pushes all mass off infinite cells
@@ -48,6 +48,7 @@ from .core import (
     TransportPlan,
     cost_tolerance,
     hang_subtree,
+    int_dtype,
     is_inf,
     plan_cost,
     plan_from_cells,
@@ -127,7 +128,10 @@ def solve_primal(instance: Instance) -> OptimalPlanResult:
     wall = [0] * (m + n) if walled else None
     hang_subtree(m, adj, cost, z, 0, -1, parent, pot, wall)
 
-    dtype = _price_dtype(rational, m, n, cost)
+    dtype = np.float64
+    if rational:
+        big = max((abs(c) for row in cost for c in row if c != INF), default=0)
+        dtype = int_dtype((2 * (m + n) + 1) * big)
     finite = np.array([[z if c == INF else c for c in row] for row in cost], dtype=dtype)
     if walled:
         infinite = np.array([[c == INF for c in row] for row in cost], dtype=np.int64)
@@ -220,12 +224,3 @@ def _exchange(m, adj, rows, z, parent, pot, wall, entering, leaving):
     inner, outer = (i0, m + j0) if v == cut else (m + j0, i0)
     hang_subtree(m, adj, rows, z, inner, outer, parent, pot, wall)
 
-
-def _price_dtype(rational, m, n, cost):
-    """The dtype of the pricing arrays. A potential is an alternating sum
-    of at most m+n-1 costs, so no reduced cost exceeds (2(m+n)+1)·max|c|;
-    the scaled ints price in int64 when that stays below 2**62."""
-    if not rational:
-        return np.float64
-    big = max((abs(c) for row in cost for c in row if c != INF), default=0)
-    return np.int64 if (2 * (m + n) + 1) * big < 2**62 else object

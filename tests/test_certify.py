@@ -24,6 +24,7 @@ from otlab import (
     convert_instance,
     dual_value,
     duality_gap,
+    generate_fixture,
     make_instance,
     northwest_corner,
     oracle_dual,
@@ -300,6 +301,17 @@ def test_cyclic_report_matches_enumeration(case):
             assert type(violation.baseline) is type(baseline)
             assert type(violation.permuted) is type(permuted)
             assert (violation.baseline, violation.permuted) == (baseline, permuted)
+
+
+@pytest.mark.parametrize("size, seed", [(14, 1), (14, 3), (30, 1), (45, 1), (60, 2)])
+def test_float_optimal_support_clears_without_enumerating(size, seed):
+    # the float simplex stops at a thousandth of the tolerance, so these
+    # supports carry cycles a few ulps below 0 (the unshifted test sees them
+    # at all but n = 30); raised by tol / (k_max + 1) no cycle is negative,
+    # and budget=0 shows that no reordering was enumerated
+    inst = generate_fixture("random-uniform", size, seed, mode="float")
+    plan = solve_primal(inst).plan
+    assert check_cyclic_monotonicity(plan, inst.cost, budget=0) == {2: None, 3: None, 4: None}
 
 
 def test_cyclic_float_check_is_exact_at_large_cost_scale():

@@ -162,6 +162,19 @@ def test_certify_large_support_passes_every_k(tmp_path, capsys):
     assert json.loads(out)["cyclic"] == {"k2": "pass", "k3": "pass", "k4": "pass"}
 
 
+def test_float_certify_decides_a_size_45_support_in_polynomial_time(tmp_path, capsys):
+    # the unshifted cyclic test saw round-off cycles here and ran out of
+    # the enumeration budget after about 37 s
+    path = tmp_path / "inst.json"
+    run_cli(["gen", "random-uniform", "--size", "45", "--seed", "1", "--float",
+             "-o", str(path)], capsys)
+    code, out, err = run_cli(["certify", str(path)], capsys)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["verdict"] == "pass"
+    assert payload["cyclic"] == {"k2": "pass", "k3": "pass", "k4": "pass"}
+
+
 @pytest.mark.parametrize(
     "command, key, value", [("solve", "mode", "float"), ("certify", "verdict", "pass")]
 )

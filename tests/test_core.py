@@ -5,6 +5,7 @@ import inspect
 import math
 import re
 from fractions import Fraction as F
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from otlab.core import (
     _law_array,
     as_matrix,
     convert_instance,
+    int_dtype,
     is_inf,
     metric_violation,
     min_plus,
@@ -167,6 +169,7 @@ def test_metric_violation_matches_entrywise_reference(data):
 def test_metric_law_array_switches_dtype_at_the_int64_guard(big, dtype):
     # +inf stands in as 2 * big + 1: an overflowing sum of two of them would
     # make d(0, 1) look longer than the path through x2
+    assert int_dtype(2 * big + 1) == dtype
     rows = [[0, big, "inf"], [big, 0, "inf"], ["inf", "inf", 0]]
     d = as_matrix(rows, "rational")
     assert _law_array(d).dtype == dtype
@@ -521,14 +524,81 @@ def test_plan_cost_linear_in_plan():
 # --- min-plus product and dual feasibility ----------------------------------
 
 
+def reference_min_plus(a, b):
+    """The min-plus product of nested lists, one Python addition per entry:
+    the reference for the numpy (float) and scaled-int (rational) sums of
+    ``core.min_plus``."""
+    cols = list(zip(*b))
+    out, arg = [], []
+    for row in a:
+        sums = [list(map(add, row, col)) for col in cols]
+        best = [min(s) for s in sums]
+        out.append(best)
+        arg.append([s.index(v) for s, v in zip(sums, best)])
+    return out, arg
+
+
 def test_min_plus_takes_the_smallest_witness_and_keeps_inf_lines():
-    a = [[F(1), F(0), F(2)], [INF, INF, F(5)]]
-    b = [[F(0), INF], [F(1), INF], [F(-1), INF]]
+    for mode in ("rational", "float"):
+        a = as_matrix([[1, 0, 2], ["inf", "inf", 5]], mode)
+        b = as_matrix([[0, "inf"], [1, "inf"], [-1, "inf"]], mode)
+        out, arg = min_plus(a, b)
+        # row 0, column 0: sums 1, 1, 1 tie, so the first k wins
+        assert out.tolist() == [[1, INF], [4, INF]]
+        assert arg.tolist() == [[0, 0], [2, 0]]
+        assert (out.dtype, arg.dtype) == (np.dtype(object if mode == "rational" else float), np.int64)
+        assert type(out.tolist()[0][0]) is (F if mode == "rational" else float)
+
+
+#: The largest finite |entry| whose +inf stand-in ``3 * big + 1`` keeps the
+#: rational min-plus sums in int64; one more goes to Python ints.
+MIN_PLUS_EDGE = (2**62 - 2) // 3
+
+
+@pytest.mark.parametrize("big, dtype", [(MIN_PLUS_EDGE, np.int64), (MIN_PLUS_EDGE + 1, object)])
+def test_min_plus_switches_dtype_at_the_int64_guard(big, dtype):
+    # +inf + +inf sums to 2 * (3 * big + 1): in int64 one more would wrap
+    # below every finite sum and win the minimum
+    assert int_dtype(3 * big + 1) == dtype
+    a = as_matrix([[big, -big, "inf"], ["inf", "inf", "inf"]], "rational")
+    b = as_matrix([["inf", big], [big, "inf"], ["inf", "inf"]], "rational")
     out, arg = min_plus(a, b)
-    # row 0, column 0: sums 1, 1, 1 tie, so the first k wins
-    assert out == [[1, INF], [4, INF]]
-    assert arg == [[0, 0], [2, 0]]
-    assert type(out[0][0]) is F
+    assert (out.tolist(), arg.tolist()) == reference_min_plus(a.tolist(), b.tolist())
+    assert out.tolist() == [[0, 2 * big], [INF, INF]]
+    assert arg.tolist() == [[1, 0], [0, 0]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_min_plus_matches_the_list_reference(data):
+    m, k, n = (data.draw(st.integers(1, 4)) for _ in range(3))
+    den = st.sampled_from([1, 1, 2, 3, 7, 2**52, 2**66])
+    entry = st.one_of(
+        st.builds(F, st.integers(-3, 3), den),  # small values tie often
+        st.builds(F, st.integers(-10**20, 10**20), den),
+        st.just("inf"),
+        # near the int64 guard, on both sides of it
+        st.builds(lambda d, sign: sign * (MIN_PLUS_EDGE + d),
+                  st.integers(-2, 2), st.sampled_from([1, -1])),
+    )
+
+    def matrix(rows, cols):
+        out = [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
+        if data.draw(st.booleans()):  # an all-+inf line
+            out[data.draw(st.integers(0, rows - 1))] = ["inf"] * cols
+        return out
+
+    a, b = matrix(m, k), matrix(k, n)
+    if data.draw(st.booleans()):  # a level-0 operand: 0 * d with 0 * inf = 0
+        b = [[0] * n for _ in range(k)]
+    for mode in ("rational", "float"):
+        left, right = as_matrix(a, mode), as_matrix(b, mode)
+        out, arg = min_plus(left, right)
+        ref_out, ref_arg = reference_min_plus(left.tolist(), right.tolist())
+        assert (out.tolist(), arg.tolist()) == (ref_out, ref_arg)
+        assert [type(v) for row in out.tolist() for v in row] == [
+            type(v) for row in ref_out for v in row
+        ]
 
 
 def _feasible_cellwise(phi, psi, cost):

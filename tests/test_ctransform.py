@@ -2,11 +2,13 @@
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from otlab import (
+    BadNumber,
     DualPotentials,
     UnboundedTransform,
     as_vector,
@@ -125,6 +127,19 @@ def test_unbounded_cost_normalizes():
     assert pair.is_feasible_for(cost)
     assert is_c_concave(pair.phi, cost)
     assert list(c_transform(pair.phi, cost)) == list(pair.psi)
+
+
+def test_float_potential_on_a_rational_cost_is_a_bad_number():
+    # a float inside the rational min-plus product would read as +inf
+    cost = fixture_cost()
+    for transform in (c_transform, cbar_transform, normalize_pair, is_c_concave):
+        with pytest.raises(BadNumber, match=r"\[0\]: bad number '0.5'"):
+            transform([0.5, 0], cost)
+    with pytest.raises(BadNumber, match=r"phi\[0\]: bad number '0.5'"):
+        DualPotentials(np.array([0.5, 0.0]), np.array([0.0, 0.0])).is_feasible_for(cost)
+    # integral floats read as the Fractions they equal
+    assert list(c_transform([0.0, 1.0], cost)) == [0, 0]
+    assert type(c_transform([0.0, 1.0], cost)[0]) is F
 
 
 def test_all_inf_column_rejected():

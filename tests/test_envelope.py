@@ -3,6 +3,7 @@ chain, and exact saturation."""
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -247,6 +248,26 @@ def test_schedule_names_a_bad_level():
     with pytest.raises(BadNumber) as err:
         envelope_schedule(spike_instance(), [1, "x"])
     assert str(err.value) == "levels[1]: bad number 'x' (Invalid literal for Fraction: 'x')"
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_envelope_names_a_bad_level(mode):
+    inst = convert_instance(spike_instance(), mode)
+    with pytest.raises(BadNumber) as err:
+        lipschitz_envelope(inst.cost, *metrics(inst), "x")
+    assert str(err.value) == "level n: bad number 'x' (Invalid literal for Fraction: 'x')"
+
+
+def test_envelope_reads_the_metrics_in_the_cost_mode():
+    # a float metric would otherwise reach the rational min-plus product,
+    # whose only floats are +inf markers
+    inst = spike_instance()
+    halves = np.array([[0.0, 0.5], [0.5, 0.0]])
+    with pytest.raises(BadNumber, match=r"d_x\[0\]\[1\]: bad number '0.5'"):
+        lipschitz_envelope(inst.cost, halves, halves, 2)
+    ones = np.array([[0.0, 1.0], [1.0, 0.0]])
+    out = lipschitz_envelope(inst.cost, ones, ones, 2).entries.tolist()
+    assert out == [[0, 2], [2, 0]] and type(out[0][1]) is F
 
 
 def test_schedule_with_unreachable_limit():

@@ -1,0 +1,67 @@
+"""Golden CLI output: the sha256 of stdout, stderr and the exit code of
+``solve --dual``, ``certify``, ``envelope`` and ``transform`` on every
+fixture family, sizes 1-6, seed 0, in both modes.
+
+The digests in ``golden_cli.json`` pin the wire format byte for byte. After
+an intended change to it, write them again with
+``PYTHONPATH=src python tests/test_golden.py`` and say why in the change.
+"""
+
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from otlab.cli import main
+from otlab.fixtures import FIXTURE_NAMES
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+
+def commands(size):
+    phi = ",".join(f"{(-1) ** i * i}/{i + 1}" for i in range(size))
+    return {
+        "solve": ["solve", "--dual"],
+        "certify": ["certify"],
+        "envelope": ["envelope", "--levels", "0,1,2,4"],
+        "transform": ["transform", f"--phi={phi}"],
+    }
+
+
+def _digest(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    blob = f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def compute_digests(workdir):
+    digests = {}
+    for family in FIXTURE_NAMES:
+        for size in range(1, 7):
+            path = str(Path(workdir) / f"{family}-{size}.json")
+            assert main(["gen", family, "--size", str(size), "--seed", "0", "-o", path]) == 0
+            for name, argv in commands(size).items():
+                for flags in ([], ["--float"]):
+                    key = " ".join([name, family, str(size), *flags])
+                    digests[key] = _digest(argv + flags + [path])
+    return digests
+
+
+def test_cli_output_matches_the_golden_digests(tmp_path):
+    expected = json.loads(GOLDEN.read_text())
+    actual = compute_digests(tmp_path)
+    assert sorted(actual) == sorted(expected)
+    changed = [key for key in expected if actual[key] != expected[key]]
+    assert changed == []
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = compute_digests(tmp)
+    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    sys.stdout.write(f"wrote {len(digests)} digests to {GOLDEN}\n")

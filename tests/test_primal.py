@@ -27,6 +27,7 @@ from otlab.core import (
     RATIONAL,
     cost_tolerance,
     hang_subtree,
+    int_dtype,
     is_inf,
     plan_from_cells,
     scaled_data,
@@ -39,7 +40,6 @@ from otlab.primal import (
     _basis_cycle,
     _exchange,
     _northwest_basis,
-    _price_dtype,
 )
 
 from conftest import random_marginal, random_rational_instance
@@ -617,5 +617,6 @@ def test_pricing_dtype_guard_keeps_the_reference_plan(cost, dtype):
     inst = make_instance(cost, [F(1, 3), F(2, 3)], [F(1, 2), F(1, 2)])
     m, n = inst.shape
     scaled = scaled_data(inst)[2]
-    assert np.dtype(_price_dtype(True, m, n, scaled)) == dtype
+    big = max(abs(c) for row in scaled for c in row)
+    assert np.dtype(int_dtype((2 * (m + n) + 1) * big)) == dtype
     assert outcome(solve_primal, inst) == outcome(reference_solve, inst)

@@ -18,6 +18,7 @@ the instance and switches every check to tolerance-based comparison.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .certify import certify_instance
@@ -59,6 +60,7 @@ class _UsageError(Exception):
     pass
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="otlab", description="finite Kantorovich duality laboratory")
     sub = parser.add_subparsers(dest="command", required=True)

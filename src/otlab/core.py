@@ -10,7 +10,8 @@ Two arithmetic modes coexist and are carried by array dtype:
 * ``"rational"`` — entries are ``fractions.Fraction`` (or ints) held in
   ``dtype=object`` arrays; every identity is checked with exact equality.
 * ``"float"`` — entries are ``float64``; checks use tolerances relative to
-  the size of what is compared (:func:`tolerance`, :func:`cost_tolerance`).
+  the size of what is compared (:func:`tolerance`, :func:`cost_tolerance`,
+  whose cost scale ``CostMatrix.scale`` is scanned once per cost).
 
 Infinite costs are represented by the genuine ``math.inf`` marker, never a
 large sentinel value. Wherever a plan mass of zero meets an infinite cost
@@ -23,7 +24,9 @@ built object is valid, immutable and safe to share across threads. An
 takes its mode from the cost; :func:`make_instance` builds one from raw
 values. One tree walk, :func:`hang_subtree`, gives the tight potentials
 of a basis: whole, through :func:`tree_potentials`, to the dual extraction
-and the oracle dual, and one moved subtree per simplex pivot. One
+and the oracle dual, and one moved subtree per simplex pivot. A basis is
+always one spanning tree, hung from row 0; :func:`tree_potentials`
+refuses any other cell set before it walks. One
 min-plus product, :func:`min_plus`, gives the c-transforms, the dual
 feasibility test and the Lipschitz envelope. Rational data become exact
 ints in one place, :func:`scaled`, and one guard, :func:`int_dtype`, keeps
@@ -36,6 +39,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -180,16 +184,10 @@ def tolerance(mode: str, scale: Number = 1) -> Number:
     return 0 if mode == RATIONAL else FLOAT_REL * scale
 
 
-def cost_scale(cost: "CostMatrix") -> float:
-    """The largest finite |c[i][j]| as a float (0.0 when none is finite)."""
-    vals = [abs(v) for v in cost.entries.flat if not is_inf(v)]
-    return float(max(vals)) if vals else 0.0
-
-
 def cost_tolerance(cost: "CostMatrix") -> Number:
     """The tolerance of cost-valued quantities (values, potentials, slacks):
-    ``tolerance(mode, cost_scale(cost))``, without scanning a rational cost."""
-    return 0 if cost.mode == RATIONAL else tolerance(FLOAT, cost_scale(cost))
+    ``tolerance(mode, cost.scale)``, without scanning a rational cost."""
+    return 0 if cost.mode == RATIONAL else tolerance(FLOAT, cost.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +218,16 @@ def _int_array(ints: list, k: int):
                     dtype=int_dtype(s)), s
 
 
-def shortest_distances(n: int, arcs, z=0):
+def shortest_distances(n: int, arcs):
     """Bellman-Ford from a virtual source joined to all ``n`` nodes by arcs of
-    weight ``z``.
+    weight 0.
 
     ``arcs`` holds ``(u, v, w)`` triples, relaxed in the given order as
     ``dist[v] = min(dist[v], dist[u] + w)``; rounds stop at the first one that
     changes nothing. Returns the distance list, or None when some directed
     cycle has negative total weight (no round settles). Without a negative
     cycle the distances are unique, whatever the arc order."""
-    dist = [z] * n
+    dist = [0] * n
     for _ in range(n + 1):
         changed = False
         for u, v, w in arcs:
@@ -275,32 +273,40 @@ def min_plus(a: np.ndarray, b: np.ndarray):
 
 
 def tree_potentials(m: int, n: int, cells, rows, z):
-    """One walk of the forest an acyclic cell set spans, giving its tight
+    """One walk of the spanning tree a basis forms, giving its tight
     potentials: ``pot[i] + pot[m + j] = rows[i][j]`` on every cell, where
     the nodes are the rows ``0..m-1`` and then the columns ``m..m+n-1``.
 
-    Each component is anchored at potential ``z`` at its first row (at its
-    column when it has no row); a potential is the alternating cost sum on
-    the unique path to the anchor, whatever the walk order. Returns
-    ``(comp, pot, parent, wall)`` by node: component numbers in anchor
-    order, potentials with ``+inf`` cells counted as ``z``, the parent link
-    toward the anchor (-1 at anchors), and, only when some cell is ``+inf``,
-    the potentials of the 0/1 ``+inf`` indicator (else None), so that
-    ``(wall, pot)`` are the lexicographic potentials of the cost."""
+    The tree hangs from row 0 at potential ``z``; a potential is the
+    alternating cost sum on the path to row 0, whatever the walk order.
+    Returns ``(pot, parent, wall)`` by node: potentials with ``+inf`` cells
+    counted as ``z``, the parent link toward row 0 (-1 there), and, only
+    when some cell is ``+inf``, the potentials of the 0/1 ``+inf``
+    indicator (else None), so that ``(wall, pot)`` are the lexicographic
+    potentials of the cost. Cells that are not m+n-1 cells without a cycle
+    (so reaching every node) raise InfeasibleInput before the walk."""
     size = m + n
-    adj = tree_adjacency(m, n, cells)
+    if len(cells) != size - 1:
+        raise InfeasibleInput(
+            f"{len(cells)} basis cells; a spanning tree of {m} x {n} has {size - 1}"
+        )
+    root = list(range(size))  # union-find over the nodes the cells join
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for i, j in cells:
+        a, b = find(i), find(m + j)
+        if a == b:
+            raise InfeasibleInput(f"basis cell ({i}, {j}) closes a cycle")
+        root[a] = b
     wall = [0] * size if any(rows[i][j] == INF for i, j in cells) else None
-    comp = [-1] * size
-    parent = [-1] * size
-    pot = [z] * size
-    ncomp = 0
-    for anchor in range(size):
-        if comp[anchor] >= 0:
-            continue
-        for v in hang_subtree(m, adj, rows, z, anchor, -1, parent, pot, wall):
-            comp[v] = ncomp
-        ncomp += 1
-    return comp, pot, parent, wall
+    parent, pot = [-1] * size, [z] * size
+    hang_subtree(m, tree_adjacency(m, n, cells), rows, z, 0, -1, parent, pot, wall)
+    return pot, parent, wall
 
 
 def tree_adjacency(m: int, n: int, cells) -> list:
@@ -312,14 +318,14 @@ def tree_adjacency(m: int, n: int, cells) -> list:
     return adj
 
 
-def hang_subtree(m: int, adj, rows, z, root: int, above: int, parent, pot, wall) -> list:
+def hang_subtree(m: int, adj, rows, z, root: int, above: int, parent, pot, wall):
     """Hang the tree that ``root`` reaches without passing ``above`` under
     ``above`` (-1 makes ``root`` an anchor at potential ``z``), writing the
     ``parent``, ``pot`` and, unless None, ``wall`` entries of its nodes in
-    place by the walk of :func:`tree_potentials`; returns the nodes in walk
-    order. A potential depends only on the path to the anchor, so after a
-    basis exchange re-hanging the cut-off subtree under the entering cell
-    gives exactly the values of a fresh walk."""
+    place by the walk of :func:`tree_potentials`. A potential depends only
+    on the path to the anchor, so after a basis exchange re-hanging the
+    cut-off subtree under the entering cell gives exactly the values of a
+    fresh walk."""
     parent[root] = above
     nodes = [root]
     for v in nodes:
@@ -337,7 +343,6 @@ def hang_subtree(m: int, adj, rows, z, root: int, above: int, parent, pot, wall)
             if w != u:
                 parent[w] = v
                 nodes.append(w)
-    return nodes
 
 
 def _law_array(d: np.ndarray) -> np.ndarray:
@@ -464,6 +469,13 @@ class CostMatrix:
     @property
     def is_bounded(self) -> bool:
         return not any(is_inf(v) for v in self.entries.flat)
+
+    @cached_property
+    def scale(self) -> float:
+        """The largest finite |c[i][j]| as a float (0.0 when none is
+        finite), from one scan on first use."""
+        vals = [abs(v) for v in self.entries.flat if not is_inf(v)]
+        return float(max(vals)) if vals else 0.0
 
     @property
     def mode(self) -> str:

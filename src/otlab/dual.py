@@ -1,19 +1,20 @@
 """Dual-optimal potentials in the canonical double-transform shape.
 
 The pipeline is: read tight potentials off the optimal spanning-tree basis
-(phi[i] + psi[j] = c[i][j] on every basic cell, phi anchored at the first
-X-point of each tree component, by the one tree walk
-``core.tree_potentials``), then push the pair through the transform
+(phi[i] + psi[j] = c[i][j] on every basic cell, phi[0] = 0, by the one tree
+walk ``core.tree_potentials``), then push the pair through the transform
 normalization. The result is feasible, attains the primal value exactly,
 and has the canonical form: phi* is c-concave and psi* is a shift of
 (phi*)^c.
 
-With a bounded cost the basis is one spanning tree and the extraction is a
-single propagation pass. When infinite costs force a forest (see primal),
-the per-component potentials are reconciled by component offsets chosen to
-maximize the minimum slack on cross-component cells — an exact minimum-mean
--cycle computation — which is guaranteed feasible because a dual optimum
-tight on the reported basis exists.
+With a bounded cost the walk's potentials are the answer. When the basis
+holds zero-mass +inf cells (see primal), the walk also gives the wall
+potentials, the potentials of the 0/1 +inf indicator; with them,
+``(wall, pot)`` are the simplex's lexicographic optimality certificate, as
+in the big-M argument. One scalar lift ``pot + t * wall`` turns it into
+finite feasible potentials: every finite cell has ``wall[i] + wall[m+j] <= 0``
+at the optimum, so a large enough ``t`` covers the cells with a negative
+wall part, and it costs nothing, since the plan puts no mass on +inf cells.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .core import (
     Instance,
     frozen_array,
     is_inf,
-    shortest_distances,
     tree_potentials,
     zero,
 )
@@ -68,95 +68,27 @@ def improve_dual(pot: DualPotentials, cost: CostMatrix) -> DualPotentials:
 
 
 def extract_dual_from_basis(result: OptimalPlanResult, cost: CostMatrix) -> DualPotentials:
-    """Potentials tight on every basic cell and feasible everywhere, with
-    dual value equal to the plan value."""
+    """Potentials tight on every finite basic cell and feasible everywhere,
+    with dual value equal to the plan value. The basis must be a spanning
+    tree (InfeasibleInput otherwise) and optimal (NoFeasibleTreeDual)."""
     m, n = cost.shape
-    comp, pot, _, _ = tree_potentials(
-        m, n, result.basis, cost.entries.tolist(), zero(cost.mode)
-    )
-    phi, psi = pot[:m], pot[m:]
-
-    ncomp = max(comp) + 1
-    if ncomp > 1:
-        offsets = _component_offsets(comp, phi, psi, cost, ncomp)
-        phi = [phi[i] + offsets[comp[i]] for i in range(m)]
-        psi = [psi[j] - offsets[comp[m + j]] for j in range(n)]
-
+    rows = cost.entries.tolist()
+    pot, _, wall = tree_potentials(m, n, result.basis, rows, zero(cost.mode))
+    if wall is not None:
+        # the smallest lift t >= 0 that leaves no finite cell with slack
+        # c - P + t * -W below 0, where W and P are its wall and pot sums
+        t = max([0] + [
+            (pot[i] + pot[m + j] - c) / -(wall[i] + wall[m + j])
+            for i, row in enumerate(rows) for j, c in enumerate(row)
+            if not is_inf(c) and wall[i] + wall[m + j] < 0
+        ])
+        if t > 0:
+            pot = [p + t * w for p, w in zip(pot, wall)]
     pot = DualPotentials(
-        phi=frozen_array(phi, cost.mode), psi=frozen_array(psi, cost.mode)
+        phi=frozen_array(pot[:m], cost.mode), psi=frozen_array(pot[m:], cost.mode)
     )
     if not pot.is_feasible_for(cost):
         raise NoFeasibleTreeDual(
             "basis potentials are infeasible; the basis cannot be optimal"
         )
     return pot
-
-
-def _component_offsets(comp, phi, psi, cost: CostMatrix, ncomp):
-    """Offsets a_k (phi += a_k, psi -= a_k inside component k) maximizing the
-    minimum slack over finite cross-component cells.
-
-    The slack of a cross cell (i in k, j in l) becomes s - a_k + a_l, so the
-    program is max t s.t. a_k - a_l <= s_min(k, l) - t: the optimal t is the
-    minimum mean weight of a directed cycle among components, and offsets
-    fall out of shortest paths. With no directed cycle the program is
-    unbounded; t = 0 then already yields feasible slacks and the shortest-
-    path solution is used as the deterministic canonical choice."""
-    m, n = cost.shape
-    arcs = {}
-    for i in range(m):
-        for j in range(n):
-            c = cost.entries[i, j]
-            if is_inf(c):
-                continue
-            k, l = comp[i], comp[m + j]
-            if k == l:
-                continue
-            s = c - phi[i] - psi[j]
-            if (k, l) not in arcs or s < arcs[(k, l)]:
-                arcs[(k, l)] = s
-    z = zero(cost.mode)
-    if not arcs:
-        return [z] * ncomp
-    t_star = _min_mean_cycle(arcs, ncomp)
-    t = max(t_star, z) if t_star is not None else z
-    # Difference constraints a_k - a_l <= s - t: shortest paths along arcs
-    # l -> k from a virtual source with zero arcs to every component.
-    dist = shortest_distances(
-        ncomp, [(l, k, s - t) for (k, l), s in arcs.items()], z
-    )
-    if dist is None:
-        raise NoFeasibleTreeDual("offset system inconsistent at optimal t")
-    return dist
-
-
-def _min_mean_cycle(arcs, ncomp):
-    """Karp's minimum mean cycle over the component digraph; None if the
-    digraph is acyclic. Arc (k, l) with weight s constrains a_k - a_l, so
-    cycles are walked along those arcs. Multi-start initialization is the
-    super-source construction, so no connectivity assumption is needed."""
-    # D[r][v] = min weight of an r-arc walk ending at v (from any start)
-    D = [[None] * ncomp for _ in range(ncomp + 1)]
-    for v in range(ncomp):
-        D[0][v] = 0
-    for r in range(1, ncomp + 1):
-        for (k, l), s in arcs.items():
-            # walk arc l -> k in constraint-graph orientation
-            if D[r - 1][l] is not None:
-                cand = D[r - 1][l] + s
-                if D[r][k] is None or cand < D[r][k]:
-                    D[r][k] = cand
-    best = None
-    for v in range(ncomp):
-        if D[ncomp][v] is None:
-            continue
-        worst = None
-        for r in range(ncomp):
-            if D[r][v] is None:
-                continue
-            mean = (D[ncomp][v] - D[r][v]) / (ncomp - r)
-            if worst is None or mean > worst:
-                worst = mean
-        if worst is not None and (best is None or worst < best):
-            best = worst
-    return best

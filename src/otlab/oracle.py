@@ -41,7 +41,7 @@ from .core import (
     tree_potentials,
     zero,
 )
-from .errors import BudgetExceeded, InfiniteCostInBoundedMode, NoFeasibleTreeDual
+from .errors import BadNumber, BudgetExceeded, InfiniteCostInBoundedMode, NoFeasibleTreeDual
 from .primal import OptimalPlanResult
 
 #: Largest |X| * |Y| the oracle accepts by default.
@@ -50,11 +50,15 @@ DEFAULT_CELL_BUDGET = 16
 
 def budget_from_env(budget: Optional[int]) -> int:
     """The oracle's cell budget: an explicit ``budget``, else the
-    ``OT_LAB_BUDGET`` environment variable, else DEFAULT_CELL_BUDGET."""
+    ``OT_LAB_BUDGET`` environment variable, else DEFAULT_CELL_BUDGET. A
+    variable that is not an integer raises BadNumber naming it."""
     if budget is not None:
         return budget
     env = os.environ.get("OT_LAB_BUDGET")
-    return int(env) if env else DEFAULT_CELL_BUDGET
+    try:
+        return int(env) if env else DEFAULT_CELL_BUDGET
+    except ValueError:
+        raise BadNumber(f"OT_LAB_BUDGET: bad number {env!r} (not an integer)") from None
 
 
 class _StopEnumeration(Exception):
@@ -271,7 +275,7 @@ def oracle_dual(instance: Instance, budget: Optional[int] = None) -> DualPotenti
     found = []
 
     def feasible(edges):
-        _, tight, _, _ = tree_potentials(m, n, edges, rows, z)
+        tight, _, _ = tree_potentials(m, n, edges, rows, z)
         pot = DualPotentials(
             phi=frozen_array(tight[:m], instance.mode),
             psi=frozen_array(tight[m:], instance.mode),

@@ -30,7 +30,8 @@ Infinite costs ride along as lexicographic two-part values (inf-mass part,
 finite part); minimizing them first pushes all mass off infinite cells
 whenever a finite-cost plan exists, and raises InfeasibleFiniteCost when it
 does not. This keeps +inf symbolic instead of smuggling in a big numeric
-sentinel.
+sentinel. The reported basis is the whole final tree, zero-mass +inf cells
+included, so its lexicographic potentials are those the simplex stopped at.
 """
 
 from __future__ import annotations
@@ -65,11 +66,10 @@ _MAX_PIVOTS = 10_000_000  # safety net; Bland's rule terminates long before
 class OptimalPlanResult:
     """An optimal plan, its exact value, and the supporting basis cells.
 
-    The basis is acyclic, contains every positive-mass cell, and — for
-    bounded costs — forms a single spanning tree of the bipartite graph
-    (zero-mass basic cells included). With +inf entries the reported basis
-    may be a forest: infinite-cost basic cells (always zero-mass at a finite
-    optimum) are dropped.
+    The basis is always a spanning tree of the bipartite graph: m+n-1
+    acyclic cells, sorted, containing every positive-mass cell. Zero-mass
+    basic cells are included, +inf ones too (always zero-mass at a finite
+    optimum).
     """
 
     plan: TransportPlan
@@ -183,10 +183,7 @@ def solve_primal(instance: Instance) -> OptimalPlanResult:
         raise InfeasibleFiniteCost(
             "every feasible plan places mass on an infinite-cost cell"
         )
-    reported = tuple(sorted(
-        (i, j) for (i, j) in mass if not is_inf(cost[i][j])
-    ))
-    return OptimalPlanResult(plan=plan, value=value, basis=reported)
+    return OptimalPlanResult(plan=plan, value=value, basis=tuple(sorted(mass)))
 
 
 def _basis_cycle(m, parent, entering):

@@ -117,7 +117,7 @@ def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh, parse_float=_json_float)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise OTLabError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise OTLabError(f"{path} must contain a JSON object")

@@ -34,7 +34,7 @@ from otlab import (
     solve_dual,
     solve_primal,
 )
-from otlab.core import Marginal, cost_scale, cost_tolerance, is_inf, tolerance
+from otlab.core import Marginal, cost_tolerance, is_inf, tolerance
 
 from conftest import random_rational_instance
 
@@ -357,7 +357,7 @@ def test_float_certificate_holds_at_every_cost_scale(pair):
     result = solve_primal(inst)
     dual = dual_value(solve_dual(inst, result), inst.mu, inst.nu)
     optimum = solve_primal(exact).value
-    tol = tolerance("float", cost_scale(inst.cost))
+    tol = tolerance("float", inst.cost.scale)
     assert abs(F(result.value) - optimum) <= tol
     assert abs(F(dual) - optimum) <= tol
 
@@ -373,7 +373,7 @@ def test_float_marginal_below_the_mass_tolerance():
     )
     inst = convert_instance(exact, "float")
     optimum = solve_primal(exact).value
-    tol = tolerance("float", cost_scale(inst.cost))
+    tol = tolerance("float", inst.cost.scale)
     for result in (solve_primal(inst), oracle_primal(inst)):
         assert abs(F(result.value) - optimum) <= tol
         assert abs(sum(result.plan.entries[1]) - 4e-10) <= 1e-15
@@ -431,7 +431,7 @@ def test_certificate_float_mode_passes_at_tolerance(rng):
     for _ in range(8):
         inst = convert_instance(random_rational_instance(rng), "float")
         cert = certify_instance(inst)
-        assert cert.tol == tolerance("float", cost_scale(inst.cost))
+        assert cert.tol == tolerance("float", inst.cost.scale)
         assert cert.verdict
 
 

@@ -289,6 +289,39 @@ def test_usage_error_exits_one(capsys):
     assert code == 1
 
 
+def test_one_parser_serves_every_command_alike(fixture_file, capsys):
+    from otlab.cli import _build_parser
+
+    path = str(fixture_file)
+    sequence = [["solve", "--dual", path], ["solve", path], ["solve", "--levels", "1", path],
+                ["certify", path]]
+    in_turn = [run_cli(argv, capsys) for argv in sequence]
+    assert _build_parser() is _build_parser()
+    alone = []
+    for argv in sequence:
+        _build_parser.cache_clear()
+        alone.append(run_cli(argv, capsys))
+    assert in_turn == alone
+    assert "phi" not in json.loads(in_turn[1][1])
+    assert in_turn[2][0] == 1 and "unrecognized arguments: --levels" in in_turn[2][2]
+
+
+def test_non_utf8_instance_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(["solve", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"otlab: error: {path} is not valid JSON: 'utf-8' codec")
+    assert err.count("\n") == 1
+
+
+def test_bad_oracle_budget_is_a_one_line_error(fixture_file, capsys, monkeypatch):
+    monkeypatch.setenv("OT_LAB_BUDGET", "abc")
+    code, out, err = run_cli(["oracle", str(fixture_file)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "otlab: error: OT_LAB_BUDGET: bad number 'abc' (not an integer)\n"
+
+
 @pytest.mark.parametrize("args", [
     ["transform", "--phi", "0,abc,1"],
     ["envelope", "--levels", "1,x"],

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from otlab import (
     DimensionMismatch,
     DualPotentials,
+    InfeasibleInput,
     Marginal,
     MassNotOne,
     MetricViolation,
@@ -36,6 +37,7 @@ from otlab.core import (
     _law_array,
     as_matrix,
     convert_instance,
+    cost_tolerance,
     int_dtype,
     is_inf,
     metric_violation,
@@ -655,7 +657,19 @@ def test_is_feasible_for_skips_infinite_cells_and_checks_shape():
 # --- tree potentials ---------------------------------------------------------
 
 
-def test_tree_potentials_on_a_forest_with_a_column_only_component():
+@pytest.mark.parametrize("cells, match", [
+    ([(0, 0), (1, 1), (1, 2)], "3 basis cells; a spanning tree of 2 x 3 has 4"),  # a forest
+    ([(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)], "5 basis cells"),  # one cell too many
+    ([(0, 0), (0, 1), (1, 0), (1, 1)], r"basis cell \(1, 1\) closes a cycle"),
+    ([(0, 0), (0, 1), (0, 1), (1, 2)], r"basis cell \(0, 1\) closes a cycle"),  # a repeat
+])
+def test_tree_potentials_refuses_a_cell_set_that_is_not_a_spanning_tree(cells, match):
+    rows = [[F(1), F(5), F(2)], [F(3), F(1, 2), F(4)]]
+    with pytest.raises(InfeasibleInput, match=match):
+        tree_potentials(2, 3, cells, rows, F(0))
+
+
+def test_tree_potentials_hang_a_spanning_tree_from_row_0():
     # rows 0..2 are nodes 0..2, columns 0..3 are nodes 3..6
     m, n = 3, 4
     rows = [
@@ -663,12 +677,10 @@ def test_tree_potentials_on_a_forest_with_a_column_only_component():
         [F(3), F(1, 2), F(4), F(9)],
         [F(6), F(2), F(8), F(1)],
     ]
-    cells = [(2, 1), (0, 1), (2, 3), (1, 0)]  # column 2 touches no cell
-    comp, pot, parent, wall = tree_potentials(m, n, cells, rows, F(0))
-    assert comp == [0, 1, 0, 1, 0, 2, 0]
-    anchors = [v for v in range(m + n) if parent[v] == -1]
-    assert anchors == [0, 1, m + 2]  # first row of each component, else its column
-    assert all(pot[v] == 0 for v in anchors)
+    cells = [(2, 1), (0, 1), (2, 3), (1, 0), (1, 1), (0, 2)]
+    pot, parent, wall = tree_potentials(m, n, cells, rows, F(0))
+    assert [v for v in range(m + n) if parent[v] == -1] == [0]
+    assert pot[0] == 0
     for i, j in cells:
         assert pot[i] + pot[m + j] == rows[i][j]
         assert parent[i] == m + j or parent[m + j] == i
@@ -679,12 +691,22 @@ def test_tree_potentials_wall_part_counts_infinite_cells():
     m, n = 2, 2
     rows = [[3, INF], [4, 1]]
     cells = [(0, 0), (0, 1), (1, 1)]
-    comp, pot, parent, wall = tree_potentials(m, n, cells, rows, 0)
-    assert comp == [0] * 4 and parent[0] == -1
+    pot, parent, wall = tree_potentials(m, n, cells, rows, 0)
+    assert parent[0] == -1
     for i, j in cells:
         inf = rows[i][j] == INF
         assert wall[i] + wall[m + j] == (1 if inf else 0)
         assert pot[i] + pot[m + j] == (0 if inf else rows[i][j])
+
+
+def test_cost_scale_is_scanned_once_and_never_in_rational_mode():
+    rows = [[1, "-3/2", "inf"], [F(5, 2), 0, "inf"]]
+    exact = CostMatrix(as_matrix(rows, "rational"))
+    assert cost_tolerance(exact) == 0 and "scale" not in vars(exact)
+    cost = CostMatrix(as_matrix(rows, "float"))
+    assert cost_tolerance(cost) == 1e-9 * 2.5
+    assert vars(cost)["scale"] == 2.5  # kept on the frozen cost for later calls
+    assert CostMatrix(as_matrix([["inf"]], "float")).scale == 0.0
 
 
 def test_no_public_signature_takes_a_tol():

@@ -4,23 +4,29 @@ from fractions import Fraction as F
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from otlab import (
     DualPotentials,
+    InfeasibleFiniteCost,
     InfeasibleInput,
     UnboundedTransform,
     as_vector,
     c_transform,
+    convert_instance,
     dual_value,
     extract_dual_from_basis,
     improve_dual,
     is_c_concave,
     make_instance,
     oracle_primal,
+    product_plan,
     solve_dual,
     solve_primal,
 )
 from otlab.primal import OptimalPlanResult
-from otlab.core import TransportPlan, as_matrix
+from otlab.core import TransportPlan, as_matrix, cost_tolerance, is_inf
 
 from conftest import random_rational_instance
 
@@ -94,12 +100,15 @@ def test_extract_from_solver_results(rng):
 
 
 def test_extract_with_disconnected_basis_offsets():
-    # infinite walls split the terminal basis into components
+    # without its zero-mass +inf cell (1, 0) the basis would be two
+    # components; the basis keeps it, and the wall potentials lift across it
     inst = make_instance([[0, "inf"], ["inf", 0]], HALF, HALF)
     res = solve_primal(inst)
+    assert res.basis == ((0, 0), (1, 0), (1, 1))
     out = extract_dual_from_basis(res, inst.cost)
     assert out.is_feasible_for(inst.cost)
     assert dual_value(out, inst.mu, inst.nu) == 0
+    assert out.phi[0] + out.psi[0] == 0 and out.phi[1] + out.psi[1] == 0
 
 
 def test_extract_with_finite_cross_component_cells():
@@ -114,9 +123,8 @@ def test_extract_with_finite_cross_component_cells():
 
 def test_extract_under_random_infinite_walls(rng):
     """Random +inf sprinkles: whenever a finite optimum exists, extraction
-    must stay tight on the basis, feasible, and close the gap exactly."""
-    from otlab import InfeasibleFiniteCost
-
+    must stay tight on the finite basic cells, feasible, and close the gap
+    exactly."""
     solved = 0
     attempts = 0
     while solved < 40 and attempts < 400:
@@ -141,12 +149,77 @@ def test_extract_under_random_infinite_walls(rng):
         assert out.is_feasible_for(walled.cost)
         assert dual_value(out, walled.mu, walled.nu) == res.value
         for (i, j) in res.basis:
-            assert out.phi[i] + out.psi[j] == walled.cost.entries[i, j]
+            if not is_inf(walled.cost.entries[i, j]):
+                assert out.phi[i] + out.psi[j] == walled.cost.entries[i, j]
         canonical = solve_dual(walled, res)
         assert canonical.is_feasible_for(walled.cost)
         assert dual_value(canonical, walled.mu, walled.nu) == res.value
         assert is_c_concave(canonical.phi, walled.cost)
     assert solved >= 20  # enough solvable samples to mean something
+
+
+@pytest.mark.parametrize("basis, match", [
+    ([(0, 0), (1, 1)], "2 basis cells"),  # a forest
+    ([(0, 0), (0, 1), (1, 0), (1, 1)], "4 basis cells"),  # a cycle, one cell too many
+    ([(0, 0), (0, 0), (1, 1)], r"basis cell \(0, 0\) closes a cycle"),
+])
+def test_extract_refuses_a_basis_that_is_not_a_spanning_tree(basis, match):
+    inst = fixture_instance()
+    result = OptimalPlanResult(product_plan(inst.mu, inst.nu), F(5, 4), tuple(basis))
+    with pytest.raises(InfeasibleInput, match=match):
+        extract_dual_from_basis(result, inst.cost)
+
+
+@st.composite
+def walled_instances(draw):
+    """Small rational instances, about 40% of the cells +inf, zero masses
+    allowed."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    value = st.builds(F, st.integers(-10, 20), st.integers(1, 4))
+    cell = st.tuples(st.integers(0, 9), value).map(lambda p: "inf" if p[0] < 4 else p[1])
+
+    def marginal(k):
+        raw = draw(st.lists(st.integers(0, 9), min_size=k, max_size=k).filter(any))
+        return [F(v, sum(raw)) for v in raw]
+
+    rows = [[draw(cell) for _ in range(n)] for _ in range(m)]
+    return make_instance(rows, marginal(m), marginal(n))
+
+
+def _is_spanning_tree(cells, m, n):
+    root = list(range(m + n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for i, j in cells:
+        a, b = find(i), find(m + j)
+        if a == b:
+            return False
+        root[a] = b
+    return len(cells) == m + n - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=walled_instances(), mode=st.sampled_from(["rational", "float"]))
+def test_every_walled_basis_is_a_spanning_tree_with_a_tight_dual(inst, mode):
+    inst = convert_instance(inst, mode)
+    try:
+        res = solve_primal(inst)
+    except InfeasibleFiniteCost:
+        return
+    m, n = inst.shape
+    assert _is_spanning_tree(res.basis, m, n)
+    out = extract_dual_from_basis(res, inst.cost)
+    tol = cost_tolerance(inst.cost)
+    for i, j in res.basis:
+        c = inst.cost.entries[i, j]
+        if not is_inf(c):
+            assert abs(out.phi[i] + out.psi[j] - c) <= tol
+    assert out.is_feasible_for(inst.cost)
+    assert abs(dual_value(out, inst.mu, inst.nu) - res.value) <= tol
 
 
 def test_all_infinite_zero_mass_line_has_no_canonical_dual():
@@ -192,31 +265,6 @@ def test_extract_anchor_shift_invariance():
     moved = pot([v + a for v in out.phi], [v - a for v in out.psi])
     assert moved.is_feasible_for(inst.cost)
     assert dual_value(moved, inst.mu, inst.nu) == dual_value(out, inst.mu, inst.nu)
-
-
-def test_min_mean_cycle_against_exhaustive_enumeration(rng):
-    """The offset program's inner solver, checked against brute force over
-    all simple directed cycles."""
-    from itertools import permutations
-
-    from otlab.dual import _min_mean_cycle
-
-    for _ in range(60):
-        k = rng.randint(2, 5)
-        arcs = {}
-        for a in range(k):
-            for b in range(k):
-                if a != b and rng.random() < 0.5:
-                    arcs[(a, b)] = F(rng.randint(-6, 10), rng.randint(1, 3))
-        expected = None
-        for length in range(2, k + 1):
-            for nodes in permutations(range(k), length):
-                ring = nodes + (nodes[0],)
-                if all((ring[t], ring[t + 1]) in arcs for t in range(length)):
-                    mean = sum(arcs[(ring[t], ring[t + 1])] for t in range(length)) / length
-                    if expected is None or mean < expected:
-                        expected = mean
-        assert _min_mean_cycle(arcs, k) == expected
 
 
 # --- improve_dual ---------------------------------------------------------------

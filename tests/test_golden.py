@@ -1,6 +1,8 @@
 """Golden CLI output: the sha256 of stdout, stderr and the exit code of
 ``solve --dual``, ``certify``, ``envelope`` and ``transform`` on every
-fixture family, sizes 1-6, seed 0, in both modes.
+fixture family, sizes 1-6, seed 0, in both modes, and of ``solve --dual``
+and ``certify`` on a 2 x 3 instance whose optimal basis holds a zero-mass
++inf cell.
 
 The digests in ``golden_cli.json`` pin the wire format byte for byte. After
 an intended change to it, write them again with
@@ -19,6 +21,14 @@ from otlab.cli import main
 from otlab.fixtures import FIXTURE_NAMES
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+WALLED = {
+    "X": {"labels": ["x0", "x1"]},
+    "Y": {"labels": ["y0", "y1", "y2"]},
+    "cost": [["19/4", "13/3", "15/4"], ["7/3", "inf", "inf"]],
+    "mu": ["1/2", "1/2"],
+    "nu": ["1/2", "5/16", "3/16"],
+}
 
 
 def commands(size):
@@ -49,6 +59,12 @@ def compute_digests(workdir):
                 for flags in ([], ["--float"]):
                     key = " ".join([name, family, str(size), *flags])
                     digests[key] = _digest(argv + flags + [path])
+    path = Path(workdir) / "walled-2x3.json"
+    path.write_text(json.dumps(WALLED))
+    for name in ("solve", "certify"):
+        for flags in ([], ["--float"]):
+            key = " ".join([name, "walled-2x3", *flags])
+            digests[key] = _digest(commands(2)[name] + flags + [str(path)])
     return digests
 
 

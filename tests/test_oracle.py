@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from otlab import (
+    BadNumber,
     BudgetExceeded,
     InfiniteCostInBoundedMode,
     dual_value,
@@ -19,7 +20,7 @@ from otlab import (
     product_plan,
 )
 from otlab import oracle
-from otlab.oracle import _enumerate_trees
+from otlab.oracle import _enumerate_trees, budget_from_env
 
 from conftest import random_marginal, random_rational_instance
 
@@ -175,6 +176,12 @@ def test_budget_env_override(monkeypatch):
     )
     monkeypatch.setenv("OT_LAB_BUDGET", "25")
     oracle_primal(big)
+
+
+def test_budget_env_that_is_not_an_integer_is_a_bad_number(monkeypatch):
+    monkeypatch.setenv("OT_LAB_BUDGET", "abc")
+    with pytest.raises(BadNumber, match=r"^OT_LAB_BUDGET: bad number 'abc' \(not an integer\)$"):
+        budget_from_env(None)
 
 
 def test_float_mode_oracle(rng):

@@ -252,7 +252,7 @@ def trees_with_an_entering_cell(draw):
 def test_parent_link_cycle_matches_tree_search(case):
     m, n, tree, entering = case
     zeros = [[0] * n for _ in range(m)]
-    _, _, parent, _ = tree_potentials(m, n, tree, zeros, 0)
+    _, parent, _ = tree_potentials(m, n, tree, zeros, 0)
     cycle = _basis_cycle(m, parent, entering)
     reference = _dfs_basis_cycle(m, n, tree, entering)
     assert (set(cycle[0::2]), set(cycle[1::2])) == (
@@ -295,8 +295,7 @@ def test_rehang_matches_a_fresh_walk_after_every_swap(case):
     hang_subtree(m, adj, rows, z, 0, -1, parent, pot, wall)
 
     def assert_fresh():
-        comp, fresh_pot, fresh_parent, fresh_wall = tree_potentials(m, n, basis, rows, z)
-        assert comp == [0] * size
+        fresh_pot, fresh_parent, fresh_wall = tree_potentials(m, n, basis, rows, z)
         assert parent == fresh_parent
         assert [type(p) for p in pot] == [type(p) for p in fresh_pot]
         assert pot == fresh_pot
@@ -487,13 +486,11 @@ def test_integer_kernel_is_exact(inst):
     res.plan.check_feasible(inst.mu, inst.nu)  # exact marginals
     assert type(res.value) is F
     assert res.value == plan_cost(res.plan, inst.cost)
-    # basis invariants: acyclic, finite-cost, covers the support, and a
-    # spanning tree when the cost is bounded
+    # basis invariants: a spanning tree (m+n-1 acyclic cells, +inf ones
+    # included) that covers the support
+    assert len(res.basis) == m + n - 1
     assert _is_acyclic(res.basis, m)
     assert set(res.plan.support()) <= set(res.basis)
-    assert not any(is_inf(inst.cost.entries[cell]) for cell in res.basis)
-    if inst.cost.is_bounded:
-        assert len(res.basis) == m + n - 1
     if inst.cost.is_bounded and m * n <= 16:
         assert res.value == oracle_primal(inst).value
     else:
@@ -529,7 +526,7 @@ def reference_solve(instance):
     basis = set(mass)
     eps = 0 if rational else cost_tolerance(instance.cost) / 1000
     while True:
-        _, pot, parent, wall = tree_potentials(m, n, basis, cost, z)
+        pot, parent, wall = tree_potentials(m, n, basis, cost, z)
         psi = pot[m:]
         entering = None
         for i in range(m):
@@ -569,8 +566,7 @@ def reference_solve(instance):
         raise InfeasibleFiniteCost(
             "every feasible plan places mass on an infinite-cost cell"
         )
-    basis = tuple(sorted(cell for cell in basis if not is_inf(cost[cell[0]][cell[1]])))
-    return OptimalPlanResult(plan=plan, value=value, basis=basis)
+    return OptimalPlanResult(plan=plan, value=value, basis=tuple(sorted(basis)))
 
 
 def outcome(solve, inst):

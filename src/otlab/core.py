@@ -91,8 +91,8 @@ def to_number(x, mode: str) -> Number:
     arithmetic mode. Rational mode refuses non-integral floats rather than
     silently converting binary fractions. A token that gives no number of
     the mode (bad syntax, a zero denominator, a value beyond the float
-    range, NaN, -inf) raises ValueError naming the token; a NaN or -inf
-    string gives the same reason as the float it spells.
+    range, NaN, -inf, a bool) raises ValueError naming the token; a NaN or
+    -inf string gives the same reason as the float it spells.
 
     A string reads as ``Fraction(str)`` reads it. The common ``[+-]p[/q]``
     tokens of ASCII digits (``_INT_TOKEN``) are parsed by ``int()`` into
@@ -117,6 +117,8 @@ def to_number(x, mode: str) -> Number:
             return value
         if type(value) is float and mode == FLOAT and math.isfinite(value):
             return value
+        if isinstance(value, bool):
+            raise ValueError("not a number")
         if is_inf(value):
             if value < 0:
                 raise ValueError("negative infinity")
@@ -151,7 +153,10 @@ def frozen_array(values, mode: str) -> np.ndarray:
 
 def as_numbers(values, mode: str, name: str) -> list:
     """``to_number`` over a sequence; a bad entry raises BadNumber naming
-    ``name[k]``."""
+    ``name[k]``; a string in place of the sequence raises BadNumber naming
+    ``name``."""
+    if isinstance(values, str):
+        raise BadNumber(f"{name}: expected a list, got the string {values!r}")
     out = []
     for k, v in enumerate(values):
         try:
@@ -168,6 +173,8 @@ def as_vector(values: Sequence, mode: str, name: str = "values") -> np.ndarray:
 
 def as_matrix(rows: Sequence[Sequence], mode: str, name: str = "values") -> np.ndarray:
     """A frozen matrix in ``mode``; ``name`` labels a bad cell's error."""
+    if isinstance(rows, str):
+        raise BadNumber(f"{name}: expected a list, got the string {rows!r}")
     converted = [as_numbers(row, mode, f"{name}[{i}]") for i, row in enumerate(rows)]
     if len({len(r) for r in converted}) > 1:
         raise DimensionMismatch("matrix rows have unequal lengths")
@@ -283,8 +290,9 @@ def tree_potentials(m: int, n: int, cells, rows, z):
     counted as ``z``, the parent link toward row 0 (-1 there), and, only
     when some cell is ``+inf``, the potentials of the 0/1 ``+inf``
     indicator (else None), so that ``(wall, pot)`` are the lexicographic
-    potentials of the cost. Cells that are not m+n-1 cells without a cycle
-    (so reaching every node) raise InfeasibleInput before the walk."""
+    potentials of the cost. Cells that are not m+n-1 cells of the grid
+    without a cycle (so reaching every node) raise InfeasibleInput before
+    the walk."""
     size = m + n
     if len(cells) != size - 1:
         raise InfeasibleInput(
@@ -299,6 +307,8 @@ def tree_potentials(m: int, n: int, cells, rows, z):
         return v
 
     for i, j in cells:
+        if not (0 <= i < m and 0 <= j < n):
+            raise InfeasibleInput(f"basis cell ({i}, {j}) lies outside the {m} x {n} grid")
         a, b = find(i), find(m + j)
         if a == b:
             raise InfeasibleInput(f"basis cell ({i}, {j}) closes a cycle")

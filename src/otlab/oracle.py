@@ -14,13 +14,14 @@ sequences depth-first; canonical order is enforced by "debts" (any active
 node smaller than the plucked one must serve as a parent later on). Masses
 propagate incrementally — a plucked node sends its remaining balance across
 its last edge — so branches are cut the moment any balance goes negative,
-and, once an incumbent exists, the moment the partial cost can no longer
-improve on it. Neither cut affects the exact minimum nor the deterministic
-first-found tie-break.
+and, once a tree has completed, the moment the partial cost passes the
+incumbent: the cheapest tree completed so far (there is no seed). Neither
+cut affects the exact minimum nor the deterministic first-found tie-break.
 
 Rational data is scaled to integers (denominators cleared, by the same
 ``core.scaled_data`` the simplex uses) so the hot loop runs on Python ints.
-That scaling is shared with the simplex; its solving logic is not.
+That scaling and the tree walk ``core.tree_potentials`` are shared with the
+simplex; its solving logic is not.
 """
 
 from __future__ import annotations
@@ -71,54 +72,44 @@ def _enumerate_trees(
     mu,
     nu,
     cost,
+    on_tree,
     *,
     prune_infeasible: bool = True,
-    cost_bound=None,
-    on_tree=None,
     neg_tol=0,
     cost_tol=0,
 ):
     """Walk every canonical pluck sequence depth-first.
 
     ``on_tree(edges, masses, total_cost)`` fires for each completed tree
-    (edges as (i, j) cell pairs, in pluck order). It may return a new cost
-    bound to tighten pruning; returning None keeps the current bound.
-    With ``prune_infeasible=False`` every spanning tree is visited, negative
-    masses included (used by the bijection self-test).
+    (edges as (i, j) cell pairs, in pluck order); it may raise
+    ``_StopEnumeration`` to end the walk. The incumbent is the cheapest
+    tree completed so far: a branch whose partial cost passes it by more
+    than ``cost_tol`` is cut. With ``prune_infeasible=False`` nothing is
+    cut and every spanning tree is visited, negative masses included (used
+    by the bijection self-test).
     """
     size = m + n
-    root = size - 1
     # node k: row k if k < m else column k - m
     rem = list(mu) + list(nu)
     active = [True] * size
     debt = [False] * size
     edges = []
     masses = []
-    bound = [None if cost_bound is None else cost_bound + cost_tol]
+    best = bound = None  # the incumbent's cost and, shifted, its cut
 
     # Shift costs nonnegative so partial sums are monotone; total mass is
     # fixed, so every plan's cost shifts by the same constant.
-    if cost_bound is not None or on_tree is not None:
-        flat = [c for row in cost for c in row]
-        cmin = min(flat) if flat else 0
-        if cmin < 0:
-            cost = [[c - cmin for c in row] for row in cost]
-            total_mass = sum(mu)
-            shift = cmin * total_mass
-            if bound[0] is not None:
-                bound[0] -= shift
-        else:
-            shift = 0
-    else:
-        shift = 0
+    cmin = min([0] + [c for row in cost for c in row])
+    cost = [[c - cmin for c in row] for row in cost]
+    shift = cmin * sum(mu)
 
     def dfs(steps_left: int, partial):
+        nonlocal best, bound
         if steps_left == 0:
             total = partial + shift
-            if on_tree is not None:
-                new_bound = on_tree(tuple(edges), tuple(masses), total)
-                if new_bound is not None:
-                    bound[0] = new_bound - shift + cost_tol
+            on_tree(tuple(edges), tuple(masses), total)
+            if best is None or total < best:
+                best, bound = total, total - shift + cost_tol
             return  # root's remaining balance is zero by mass conservation
         for v in range(size - 1):
             if not active[v] or debt[v]:
@@ -147,11 +138,7 @@ def _enumerate_trees(
                     continue
                 cell_cost = cost[v][p - m] if v < m else cost[p][v - m]
                 new_partial = partial + x * cell_cost
-                if (
-                    prune_infeasible
-                    and bound[0] is not None
-                    and new_partial > bound[0]
-                ):
+                if prune_infeasible and bound is not None and new_partial > bound:
                     rem[p] += x
                     continue
                 had_debt = debt[p]
@@ -173,17 +160,16 @@ def _enumerate_trees(
         pass
 
 
-def _best_tree(instance: Instance, budget: Optional[int], on_candidate=None):
+def _walk(instance: Instance, budget: Optional[int], on_tree):
     """The one guarded walk behind both oracle entry points.
 
     Refuses a ``+inf`` cost and an instance over the cell budget (default
     16, overridable via the ``budget`` argument or the OT_LAB_BUDGET
-    variable), then enumerates the trees with the incumbent as cost bound,
-    so every tree that completes ties or beats the incumbent within
-    ``cost_tolerance``. ``on_candidate(edges)`` sees each such tree in walk
-    order; returning True ends the walk. Returns the best tree found as
-    ``(edges, masses, total)`` (None when the walk found none) and the
-    scales ``(L, M)`` of ``core.scaled_data``."""
+    variable), then walks the trees of the scaled data with
+    ``on_tree(edges, masses, total)`` as the observer. The walk's
+    incumbent is the cheapest tree it has completed (there is no seed), so
+    each tree that completes ties or beats it within ``cost_tolerance``.
+    Returns the scales ``(L, M)`` of ``core.scaled_data``."""
     if not instance.cost.is_bounded:
         raise InfiniteCostInBoundedMode("the oracle requires a finite cost matrix")
     m, n = instance.shape
@@ -193,32 +179,27 @@ def _best_tree(instance: Instance, budget: Optional[int], on_candidate=None):
             f"{m}x{n} instance exceeds the oracle budget of {budget} cells"
         )
     mu, nu, cost, L, M = scaled_data(instance)
-    best = [None]
-
-    def on_tree(edges, masses, total):
-        if on_candidate is not None and on_candidate(edges):
-            raise _StopEnumeration
-        if best[0] is None or total < best[0][2]:
-            best[0] = (edges, masses, total)
-            return total
-        return None
-
-    # A greedy feasible value seeds the cost bound without consulting the
-    # simplex solver, keeping the oracle independent.
     _enumerate_trees(
-        m, n, mu, nu, cost, cost_bound=_northwest_value(mu, nu, cost), on_tree=on_tree,
+        m, n, mu, nu, cost, on_tree,
         neg_tol=tolerance(instance.mode), cost_tol=cost_tolerance(instance.cost),
     )
-    return best[0], (L, M)
+    return L, M
 
 
 def oracle_primal(instance: Instance, budget: Optional[int] = None) -> OptimalPlanResult:
-    """Exact optimum by spanning-tree enumeration; the master ground truth.
+    """Exact optimum by spanning-tree enumeration; the master ground truth:
+    the first strictly cheapest tree of the walk.
 
     Accepts bounded instances with |X| * |Y| within the cell budget (see
-    :func:`_best_tree`)."""
-    best, (L, M) = _best_tree(instance, budget)
-    if best is None:
+    :func:`_walk`)."""
+    best = []
+
+    def keep_cheapest(edges, masses, total):
+        if not best or total < best[2]:
+            best[:] = edges, masses, total
+
+    L, M = _walk(instance, budget, keep_cheapest)
+    if not best:
         raise NoFeasibleTreeDual("no feasible tree found; enumeration bug")
     edges, tree_masses, total = best
     m, n = instance.shape
@@ -233,26 +214,6 @@ def oracle_primal(instance: Instance, budget: Optional[int] = None) -> OptimalPl
         value=value,
         basis=tuple(sorted(edges)),
     )
-
-
-def _northwest_value(mu, nu, cost):
-    rem_mu = list(mu)
-    rem_nu = list(nu)
-    i = j = 0
-    total = 0
-    m, n = len(rem_mu), len(rem_nu)
-    while True:
-        x = min(rem_mu[i], rem_nu[j])
-        total += x * cost[i][j]
-        rem_mu[i] -= x
-        rem_nu[j] -= x
-        if i == m - 1 and j == n - 1:
-            return total
-        # the last column and row absorb float round-off left over
-        if i < m - 1 and (rem_mu[i] == 0 or j == n - 1):
-            i += 1
-        else:
-            j += 1
 
 
 def oracle_dual(instance: Instance, budget: Optional[int] = None) -> DualPotentials:
@@ -274,7 +235,7 @@ def oracle_dual(instance: Instance, budget: Optional[int] = None) -> DualPotenti
     z = zero(instance.mode)
     found = []
 
-    def feasible(edges):
+    def stop_at_feasible(edges, masses, total):
         tight, _, _ = tree_potentials(m, n, edges, rows, z)
         pot = DualPotentials(
             phi=frozen_array(tight[:m], instance.mode),
@@ -282,9 +243,9 @@ def oracle_dual(instance: Instance, budget: Optional[int] = None) -> DualPotenti
         )
         if pot.is_feasible_for(instance.cost):
             found.append(pot)
-        return bool(found)
+            raise _StopEnumeration
 
-    _best_tree(instance, budget, on_candidate=feasible)
+    _walk(instance, budget, stop_at_feasible)
     if not found:
         raise NoFeasibleTreeDual("all optimal trees produced infeasible potentials")
     return found[0]

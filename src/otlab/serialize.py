@@ -86,6 +86,9 @@ def instance_from_dict(data: dict) -> Instance:
         if mode not in (RATIONAL, FLOAT):
             raise OTLabError(f"unknown mode {mode!r}")
         x, y = data["X"], data["Y"]
+        for name, labels in (("X", x["labels"]), ("Y", y["labels"])):
+            if isinstance(labels, str):
+                raise OTLabError(f"{name}.labels: expected a list, got the string {labels!r}")
         # keys are read in check order: X, Y, cost, mu, nu (labels before metric)
         return make_instance(
             labels_x=tuple(x["labels"]),

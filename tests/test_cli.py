@@ -348,6 +348,8 @@ class JSONNumber(str):
     ("rational", "cost", 1, JSONNumber("1e400"), ["--float"], "cost[0][1]"),
     ("float", "cost", 1, JSONNumber("1e400"), [], "cost[0][1]"),
     ("rational", "mu", 0, float("nan"), [], "mu[0]"),
+    ("rational", "mu", 0, True, [], "mu[0]"),
+    ("float", "cost", 0, True, [], "cost[0][0]"),
 ])
 def test_bad_number_in_instance_is_a_one_line_error(
     fixture_file, capsys, mode, field, cell, token, flags, where
@@ -367,6 +369,25 @@ def test_bad_number_in_instance_is_a_one_line_error(
     assert err.startswith(f"otlab: error: {where}: bad number") and err.count("\n") == 1
     if token != token:  # NaN gets one reason in both modes
         assert err.endswith(" (not a number)\n")
+
+
+@pytest.mark.parametrize("field, value, where", [
+    ("cost", "7", "cost"),
+    ("mu", "1", "mu"),
+    ("cost", ["7"], "cost[0]"),
+    ("X", {"labels": "ab"}, "X.labels"),
+    ("X", {"labels": ["a"], "metric": "0"}, "X.metric"),
+])
+def test_a_string_in_place_of_a_list_is_a_one_line_error(tmp_path, capsys, field, value, where):
+    data = {"X": {"labels": ["a"]}, "Y": {"labels": ["b"]},
+            "cost": [["7"]], "mu": ["1"], "nu": ["1"]}
+    data[field] = value
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["solve", "--dual", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"otlab: error: {where}: expected a list, got the string ")
+    assert err.count("\n") == 1
 
 
 def test_float_mass_not_one_prints_a_plain_float(fixture_file, capsys):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otlab import (
+    BadNumber,
     DimensionMismatch,
     DualPotentials,
     InfeasibleInput,
@@ -258,6 +259,24 @@ def test_to_number_rejects_a_bad_token_by_name(token, mode):
               "-inf": "negative infinity", "-Infinity": "negative infinity"}.get(str(token))
     if reason:
         assert str(exc.value) == f"bad number {str(token)!r} ({reason})"
+
+
+def test_to_number_refuses_a_bool():
+    for mode in ("rational", "float"):
+        with pytest.raises(ValueError, match=r"^bad number 'True' \(not a number\)$"):
+            to_number(True, mode)
+    with pytest.raises(BadNumber, match=r"^cost\[0\]\[0\]: bad number 'True' \(not a number\)$"):
+        make_instance([[True]], [1], [1])
+
+
+@pytest.mark.parametrize("cost, mu, where", [
+    ("7", [1], "cost"),
+    (["7"], [1], r"cost\[0\]"),
+    ([[7]], "1", "mu"),
+])
+def test_a_string_is_not_a_list_of_numbers(cost, mu, where):
+    with pytest.raises(BadNumber, match=rf"^{where}: expected a list, got the string '"):
+        make_instance(cost, mu, [1])
 
 
 def test_bad_entry_error_names_the_field_and_cell():
@@ -662,6 +681,9 @@ def test_is_feasible_for_skips_infinite_cells_and_checks_shape():
     ([(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)], "5 basis cells"),  # one cell too many
     ([(0, 0), (0, 1), (1, 0), (1, 1)], r"basis cell \(1, 1\) closes a cycle"),
     ([(0, 0), (0, 1), (0, 1), (1, 2)], r"basis cell \(0, 1\) closes a cycle"),  # a repeat
+    ([(0, 0), (0, 1), (0, 2), (5, 0)], r"basis cell \(5, 0\) lies outside the 2 x 3 grid"),
+    ([(0, 0), (0, 1), (0, 2), (1, 7)], r"basis cell \(1, 7\) lies outside the 2 x 3 grid"),
+    ([(0, 0), (0, 1), (0, 2), (-1, 0)], r"basis cell \(-1, 0\) lies outside"),  # no wrap
 ])
 def test_tree_potentials_refuses_a_cell_set_that_is_not_a_spanning_tree(cells, match):
     rows = [[F(1), F(5), F(2)], [F(3), F(1, 2), F(4)]]

@@ -121,6 +121,17 @@ def test_extract_with_finite_cross_component_cells():
         assert out.phi[i] + out.psi[j] == inst.cost.entries[i, j]
 
 
+def test_extract_lifts_the_wall_potentials_by_t():
+    # the walk's potentials leave cell (0, 0) a slack of -23/12 and a wall
+    # sum of -1, so the lift along the wall potentials needs t = 23/12
+    inst = make_instance(
+        [["19/4", "13/3", "15/4"], ["7/3", "inf", "inf"]], HALF, ["1/2", "5/16", "3/16"]
+    )
+    out = extract_dual_from_basis(solve_primal(inst), inst.cost)
+    assert list(out.phi) == [0, F(-29, 12)]
+    assert list(out.psi) == [F(19, 4), F(13, 3), F(15, 4)]
+
+
 def test_extract_under_random_infinite_walls(rng):
     """Random +inf sprinkles: whenever a finite optimum exists, extraction
     must stay tight on the finite basic cells, feasible, and close the gap
@@ -162,6 +173,9 @@ def test_extract_under_random_infinite_walls(rng):
     ([(0, 0), (1, 1)], "2 basis cells"),  # a forest
     ([(0, 0), (0, 1), (1, 0), (1, 1)], "4 basis cells"),  # a cycle, one cell too many
     ([(0, 0), (0, 0), (1, 1)], r"basis cell \(0, 0\) closes a cycle"),
+    ([(0, 0), (0, 1), (5, 0)], r"basis cell \(5, 0\) lies outside the 2 x 2 grid"),
+    ([(0, 0), (0, 1), (1, 7)], r"basis cell \(1, 7\) lies outside the 2 x 2 grid"),
+    ([(0, 0), (0, 1), (-1, 0)], r"basis cell \(-1, 0\) lies outside the 2 x 2 grid"),
 ])
 def test_extract_refuses_a_basis_that_is_not_a_spanning_tree(basis, match):
     inst = fixture_instance()

@@ -20,6 +20,7 @@ from otlab import (
     product_plan,
 )
 from otlab import oracle
+from otlab.core import scaled_data, tree_potentials
 from otlab.oracle import _enumerate_trees, budget_from_env
 
 from conftest import random_marginal, random_rational_instance
@@ -134,6 +135,46 @@ def test_oracle_dual_walks_the_trees_once(rng, monkeypatch):
         pot = oracle_dual(inst)
         assert len(walks) == 1
         assert pot.is_feasible_for(inst.cost)
+
+
+def test_pruning_never_changes_the_oracle_answer():
+    """The pruned walk answers as the unpruned one does: oracle_primal gives
+    its first cheapest nonnegative tree, and oracle_dual the tight
+    potentials of the first such tree whose potentials are feasible. Small
+    integer costs of both signs and zero masses make ties common."""
+    rng = random.Random(8642)
+
+    def marginal(size):
+        raw = [0] * size
+        while not any(raw):
+            raw = [rng.randint(0, 3) for _ in range(size)]
+        return [F(v, sum(raw)) for v in raw]
+
+    for _ in range(300):
+        m, n = rng.randint(1, 3), rng.randint(1, 4)
+        cost = [[F(rng.randint(-4, 4), rng.choice([1, 2])) for _ in range(n)] for _ in range(m)]
+        inst = make_instance(cost, marginal(m), marginal(n))
+        mu, nu, scaled_cost, L, M = scaled_data(inst)
+        trees = []
+
+        def keep_nonnegative(edges, masses, total):
+            if min(masses) >= 0:
+                trees.append((edges, total))
+
+        _enumerate_trees(
+            m, n, mu, nu, scaled_cost, on_tree=keep_nonnegative, prune_infeasible=False
+        )
+        best = min(total for _, total in trees)
+        cheapest = [edges for edges, total in trees if total == best]
+        res = oracle_primal(inst)
+        assert (res.value, res.basis) == (F(best, L * M), tuple(sorted(cheapest[0])))
+
+        potentials = (tree_potentials(m, n, edges, cost, F(0))[0] for edges in cheapest)
+        tight = next(pot for pot in potentials if all(
+            pot[i] + pot[m + j] <= c for i, row in enumerate(cost) for j, c in enumerate(row)
+        ))
+        pot = oracle_dual(inst)
+        assert list(pot.phi) + list(pot.psi) == tight
 
 
 def test_oracle_dual_keeps_the_guards():

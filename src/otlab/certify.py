@@ -31,8 +31,9 @@ enumerated, to name the first witness per k.
 Tolerances come from the one policy in core and are never passed in: exact
 zeros in rational mode; in float mode ``core.tolerance`` for masses and
 ``core.cost_tolerance`` for cost-valued quantities. The report prints them.
-A certificate sums each row and column once and tests dual feasibility
-once, inside the duality gap.
+The marginal law is decided in one place, :func:`check_marginals`, by one
+pass over the plan's nonzero cells (``TransportPlan.cells``). A certificate
+runs it once and tests dual feasibility once, inside the duality gap.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .core import (
     scaled,
     shortest_distances,
     tolerance,
+    zero,
 )
 from .dual import solve_dual
 from .errors import (
@@ -74,9 +76,13 @@ DEFAULT_CHECK_BUDGET = 10_000_000
 
 @dataclass(frozen=True, eq=False)
 class MarginalReport:
+    """The largest row and column deviations, their tolerance, and the first
+    row, then column, off by more than it, in words (None if none; not serialized)."""
+
     max_row_deviation: Number
     max_col_deviation: Number
     tol: Number
+    breach: Optional[str] = None
 
     @property
     def passed(self) -> bool:
@@ -132,30 +138,33 @@ def _gap(plan: TransportPlan, pot: DualPotentials, instance: Instance) -> Number
 
 
 def check_marginals(plan: TransportPlan, mu: Marginal, nu: Marginal) -> MarginalReport:
-    """Largest row/column-sum deviation from the prescribed marginals,
-    reported against ``tolerance(mode)``."""
-    return _marginal_law(plan, mu, nu)[0]
+    """The marginal law in one pass over ``plan.cells``: row and column sums
+    against same-shaped marginals, reported against ``tolerance(mode)``."""
+    if plan.shape != (mu.size, nu.size):
+        raise DimensionMismatch(f"plan {plan.shape} vs marginals ({mu.size}, {nu.size})")
+    rows, cols = [zero(plan.mode)] * mu.size, [zero(plan.mode)] * nu.size
+    for (i, j), mass in plan.cells:
+        rows[i] += mass
+        cols[j] += mass
+    tol = tolerance(plan.mode)
+    lines = [("row", rows, mu.weights), ("column", cols, nu.weights)]
+    devs = [[abs(s - w) for s, w in zip(sums, weights)] for _, sums, weights in lines]
+    breach = next(
+        (f"{kind} {k} sums to {sums[k]}, expected {weights[k]}"
+         for (kind, sums, weights), dev in zip(lines, devs)
+         for k, d in enumerate(dev) if d > tol),
+        None,
+    )
+    return MarginalReport(max(devs[0]), max(devs[1]), tol, breach)
 
 
 def _lawful_marginals(plan: TransportPlan, instance: Instance) -> MarginalReport:
-    """The marginal report of a plan that must obey the marginal law; the
-    first row, then column, off by more than the tolerance raises
-    InfeasibleArguments naming it."""
-    report, breach = _marginal_law(plan, instance.mu, instance.nu)
-    if breach is not None:
-        raise InfeasibleArguments(f"plan violates the marginal law: {breach}")
+    """The marginal report of a plan that must obey the marginal law; a
+    breach raises InfeasibleArguments naming it."""
+    report = check_marginals(plan, instance.mu, instance.nu)
+    if report.breach is not None:
+        raise InfeasibleArguments(f"plan violates the marginal law: {report.breach}")
     return report
-
-
-def _marginal_law(plan: TransportPlan, mu: Marginal, nu: Marginal):
-    """The marginal report and the first breach of
-    ``TransportPlan.marginal_law``, from one pass of row and column sums."""
-    if plan.shape != (mu.size, nu.size):
-        raise DimensionMismatch(
-            f"plan {plan.shape} vs marginals ({mu.size}, {nu.size})"
-        )
-    row_dev, col_dev, breach = plan.marginal_law(mu, nu)
-    return MarginalReport(row_dev, col_dev, tolerance(plan.mode)), breach
 
 
 def check_slackness(plan: TransportPlan, pot: DualPotentials, cost: CostMatrix) -> tuple:
@@ -171,15 +180,15 @@ def check_slackness(plan: TransportPlan, pot: DualPotentials, cost: CostMatrix) 
 
 def _slack_violations(plan: TransportPlan, pot: DualPotentials, cost: CostMatrix) -> tuple:
     """The slackness report of potentials already known to be feasible."""
-    tol = cost_tolerance(cost)
+    tol, mass_tol = cost_tolerance(cost), tolerance(plan.mode)
     violations = []
-    for (i, j) in plan.support():
+    for (i, j), mass in plan.cells:
+        if mass <= mass_tol:  # off the support
+            continue
         c = cost.entries[i, j]
         slack = c - pot.phi[i] - pot.psi[j] if not is_inf(c) else c
         if slack > tol:  # an infinite slack always exceeds it
-            violations.append(
-                SlacknessViolation(cell=(i, j), mass=plan.entries[i, j], slack=slack)
-            )
+            violations.append(SlacknessViolation(cell=(i, j), mass=mass, slack=slack))
     return tuple(violations)
 
 
@@ -261,14 +270,10 @@ def _no_negative_cycle(support, cost: CostMatrix, k_max: int) -> bool:
 
 
 def build_certificate(
-    instance: Instance,
-    plan: TransportPlan,
-    pot: DualPotentials,
-    k_max: int = 4,
-    budget: Optional[int] = None,
+    instance: Instance, plan: TransportPlan, pot: DualPotentials
 ) -> DualityCertificate:
     """Assemble the full certificate at the tolerance policy of the module
-    docstring. Each law is decided once: one pass of row and column sums
+    docstring. Each law is decided once: one pass over the plan's cells
     gives the marginal report and the gap's marginal precondition, and the
     gap tests dual feasibility, whose verdict the slackness report reuses."""
     marginals = _lawful_marginals(plan, instance)
@@ -276,16 +281,13 @@ def build_certificate(
         gap=_gap(plan, pot, instance),
         marginals=marginals,
         slackness=_slack_violations(plan, pot, instance.cost),
-        cyclic=check_cyclic_monotonicity(plan, instance.cost, k_max=k_max, budget=budget),
+        cyclic=check_cyclic_monotonicity(plan, instance.cost),
         tol=cost_tolerance(instance.cost),
     )
 
 
-def certify_instance(
-    instance: Instance, k_max: int = 4, budget: Optional[int] = None
-) -> DualityCertificate:
+def certify_instance(instance: Instance) -> DualityCertificate:
     """Solve the primal problem once, read the dual off its basis, and
     certify the resulting pair."""
     result = solve_primal(instance)
-    pot = solve_dual(instance, result)
-    return build_certificate(instance, result.plan, pot, k_max=k_max, budget=budget)
+    return build_certificate(instance, result.plan, solve_dual(instance, result))

@@ -20,24 +20,27 @@ the product contributes zero (the lower-integral convention 0 * inf = 0).
 All containers are frozen dataclasses over read-only numpy arrays
 (:func:`frozen_array`) that check their invariants at construction, so a
 built object is valid, immutable and safe to share across threads. An
-:class:`Instance` checks that its parts agree in shape and mode, and
-takes its mode from the cost; :func:`make_instance` builds one from raw
-values. One tree walk, :func:`hang_subtree`, gives the tight potentials
-of a basis: whole, through :func:`tree_potentials`, to the dual extraction
-and the oracle dual, and one moved subtree per simplex pivot. A basis is
-always one spanning tree, hung from row 0; :func:`tree_potentials`
-refuses any other cell set before it walks. One
-min-plus product, :func:`min_plus`, gives the c-transforms, the dual
-feasibility test and the Lipschitz envelope. Rational data become exact
-ints in one place, :func:`scaled`, and one guard, :func:`int_dtype`, keeps
-them in int64 where every sum fits.
+:class:`Instance` checks that its parts agree in shape and mode, and takes
+its mode from the cost; :func:`make_instance` builds one from raw values.
+A :class:`TransportPlan` collects its nonzero cells in the one scan that
+checks its entries, and every reader of plan mass reads those. One tree
+walk, :func:`hang_subtree`, gives the tight potentials of a basis: whole,
+through :func:`tree_potentials`, to the dual extraction and the oracle
+dual, and one moved subtree per simplex pivot. A basis is always one
+spanning tree, hung from row 0; :func:`tree_potentials` refuses any other
+cell set before it walks. One min-plus product, :func:`min_plus`, gives
+the c-transforms, the dual feasibility test and the Lipschitz envelope.
+Rational data become exact ints in one place, :func:`scaled`, and one
+guard, :func:`int_dtype`, keeps them in int64 where every sum fits.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -151,12 +154,19 @@ def frozen_array(values, mode: str) -> np.ndarray:
     return arr
 
 
+def require_list(values, name: str):
+    """Raise BadNumber naming ``name`` when a string, a mapping or a scalar
+    (a number, a bool, None) stands where a list belongs, rather than read
+    its characters or its keys."""
+    if isinstance(values, (str, Mapping, numbers.Number)) or values is None:
+        kind = "the string " if isinstance(values, str) else ""
+        raise BadNumber(f"{name}: expected a list, got {kind}{values!r}")
+
+
 def as_numbers(values, mode: str, name: str) -> list:
     """``to_number`` over a sequence; a bad entry raises BadNumber naming
-    ``name[k]``; a string in place of the sequence raises BadNumber naming
-    ``name``."""
-    if isinstance(values, str):
-        raise BadNumber(f"{name}: expected a list, got the string {values!r}")
+    ``name[k]``; no sequence at all (:func:`require_list`) names ``name``."""
+    require_list(values, name)
     out = []
     for k, v in enumerate(values):
         try:
@@ -173,8 +183,7 @@ def as_vector(values: Sequence, mode: str, name: str = "values") -> np.ndarray:
 
 def as_matrix(rows: Sequence[Sequence], mode: str, name: str = "values") -> np.ndarray:
     """A frozen matrix in ``mode``; ``name`` labels a bad cell's error."""
-    if isinstance(rows, str):
-        raise BadNumber(f"{name}: expected a list, got the string {rows!r}")
+    require_list(rows, name)
     converted = [as_numbers(row, mode, f"{name}[{i}]") for i, row in enumerate(rows)]
     if len({len(r) for r in converted}) > 1:
         raise DimensionMismatch("matrix rows have unequal lengths")
@@ -531,18 +540,27 @@ class Marginal:
 
 @dataclass(frozen=True, eq=False)
 class TransportPlan:
-    """Nonnegative joint mass matrix; the discrete transport plan."""
+    """Nonnegative joint mass matrix; the discrete transport plan.
+
+    One scan of the entries collects ``cells``, the ``((i, j), mass)`` pairs
+    of the nonzero entries in row-major order, and checks them; every reader
+    of plan mass (:func:`plan_cost`, :meth:`support`, the certificate's
+    marginal law and slackness report) reads them, not the m x n entries."""
 
     entries: np.ndarray
+    cells: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.entries.ndim != 2:
             raise DimensionMismatch("plan must be a 2-d matrix")
-        for v in self.entries.flat:
+        cells = tuple(((i, j), v) for i, row in enumerate(self.entries.tolist())
+                      for j, v in enumerate(row) if v)  # 0 and -0.0 carry no mass
+        for _, v in cells:
             if is_inf(v):
                 raise NegativeMass("plan entries must be finite")
-            if not v >= 0:  # NaN fails every comparison
+            if not v > 0:  # NaN fails every comparison
                 raise NegativeMass(f"negative plan mass {v}")
+        object.__setattr__(self, "cells", cells)
 
     @property
     def shape(self):
@@ -552,45 +570,10 @@ class TransportPlan:
     def mode(self) -> str:
         return mode_of(self.entries)
 
-    def row_sums(self):
-        return [sum(self.entries[i, :]) for i in range(self.shape[0])]
-
-    def col_sums(self):
-        return [sum(self.entries[:, j]) for j in range(self.shape[1])]
-
     def support(self):
         """Cells carrying mass above ``tolerance(mode)``."""
         tol = tolerance(self.mode)
-        m, n = self.shape
-        return tuple(
-            (i, j) for i in range(m) for j in range(n) if self.entries[i, j] > tol
-        )
-
-    def marginal_law(self, mu: Marginal, nu: Marginal):
-        """One pass of row and column sums against same-shaped marginals:
-        the largest row and column deviations and the first row, then
-        column, off by more than ``tolerance(mode)`` as words, or None."""
-        tol = tolerance(self.mode)
-        lines = [("row", self.row_sums(), mu.weights), ("column", self.col_sums(), nu.weights)]
-        devs = [[abs(s - w) for s, w in zip(sums, weights)] for _, sums, weights in lines]
-        breach = next(
-            (f"{kind} {k} sums to {sums[k]}, expected {weights[k]}"
-             for (kind, sums, weights), dev in zip(lines, devs)
-             for k, d in enumerate(dev) if d > tol),
-            None,
-        )
-        return max(devs[0]), max(devs[1]), breach
-
-    def check_feasible(self, mu: Marginal, nu: Marginal):
-        """Raise unless row sums match mu and column sums match nu within
-        ``tolerance(mode)``."""
-        if self.shape != (mu.size, nu.size):
-            raise DimensionMismatch(
-                f"plan shape {self.shape} vs marginals ({mu.size}, {nu.size})"
-            )
-        breach = self.marginal_law(mu, nu)[2]
-        if breach is not None:
-            raise InfeasibleInput(breach)
+        return tuple(cell for cell, mass in self.cells if mass > tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -741,14 +724,11 @@ def plan_cost(plan: TransportPlan, cost: CostMatrix) -> Number:
     if plan.shape != cost.shape:
         raise DimensionMismatch(f"plan {plan.shape} vs cost {cost.shape}")
     total = zero(plan.mode)
-    for i in range(plan.shape[0]):
-        for j in range(plan.shape[1]):
-            mass = plan.entries[i, j]
-            if mass > 0:
-                c = cost.entries[i, j]
-                if is_inf(c):
-                    return INF
-                total += mass * c
+    for (i, j), mass in plan.cells:
+        c = cost.entries[i, j]
+        if is_inf(c):
+            return INF
+        total += mass * c
     return total
 
 

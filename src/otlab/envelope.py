@@ -32,6 +32,7 @@ from .core import (
     as_numbers,
     cost_tolerance,
     is_inf,
+    metric_violation,
     min_plus,
     to_number,
     zero,
@@ -41,6 +42,7 @@ from .errors import (
     EnvelopeLawViolation,
     InfeasibleFiniteCost,
     InfeasibleInput,
+    MetricViolation,
     MissingMetric,
 )
 from .primal import solve_primal
@@ -64,38 +66,44 @@ class EnvelopeSchedule:
     saturation_level: Optional[Number]
 
 
-def _require_metrics(instance: Instance):
-    if instance.space_x.metric is None or instance.space_y.metric is None:
-        raise MissingMetric(
-            "the envelope needs metrics on both spaces; refusing to default "
-            "to the discrete metric silently"
-        )
-
-
 def _require_nonnegative(cost: CostMatrix):
     for v in cost.entries.flat:
         if not is_inf(v) and v < 0:
             raise InfeasibleInput("the envelope requires a nonnegative cost")
 
 
+def _read_metrics(cost: CostMatrix, d_x, d_y) -> list:
+    """``d_x`` and ``d_y`` read as :func:`lipschitz_envelope` states."""
+    read = []
+    for name, d, k in zip(("d_x", "d_y"), (d_x, d_y), cost.shape):
+        if np.shape(d) != (k, k):
+            raise MissingMetric(f"{name} has shape {np.shape(d)}, expected ({k}, {k})")
+        d = as_matrix(d, cost.mode, name)
+        bad = metric_violation(d)
+        if bad is not None:
+            raise MetricViolation(f"{name} is not a pseudometric: {bad[0]} at {bad[1]}")
+        read.append(d)
+    return read
+
+
 def lipschitz_envelope(cost: CostMatrix, d_x, d_y, n: Number) -> CostMatrix:
-    """The level-n envelope matrix (see module docstring). The level and
-    the metrics are read in the cost's mode; a bad level is a BadNumber."""
+    """The level-n envelope matrix (see module docstring). The level is read
+    in the cost's mode (a bad one is a BadNumber). The metrics must be square
+    over X and Y (else MissingMetric), are read in the cost's mode, and must
+    pass ``core.metric_violation`` (else MetricViolation naming d_x or d_y)."""
     _require_nonnegative(cost)
     try:
         n = to_number(n, cost.mode)
     except ValueError as exc:
         raise BadNumber(f"level n: {exc}") from None
+    return _level_cost(cost, *_read_metrics(cost, d_x, d_y), n)
+
+
+def _level_cost(cost: CostMatrix, dx: np.ndarray, dy: np.ndarray, n: Number) -> CostMatrix:
+    """The level-n envelope of a nonnegative cost, on metrics and a level
+    already read in its mode; the level must be finite and nonnegative."""
     if is_inf(n) or n < 0:
         raise InfeasibleInput(f"the level n must be finite and nonnegative, got {n}")
-    m, p = cost.shape
-    dx = np.asarray(d_x)
-    dy = np.asarray(d_y)
-    if dx.shape != (m, m) or dy.shape != (p, p):
-        raise MissingMetric(
-            f"metric shapes {dx.shape}, {dy.shape} do not match cost {cost.shape}"
-        )
-    dx, dy = as_matrix(dx, cost.mode, "d_x"), as_matrix(dy, cost.mode, "d_y")
     # inner[k, j] = min_l min(c[k, l], n) + n * d_Y[j, l]
     inner, _ = min_plus(np.minimum(cost.entries, n), _times(n, dy.T))
     out, _ = min_plus(_times(n, dx), inner)
@@ -108,7 +116,8 @@ def _times(n: Number, d: np.ndarray) -> np.ndarray:
 
 
 def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeSchedule:
-    """Solve the regularized problem along increasing levels.
+    """Solve the regularized problem along increasing levels, on the
+    instance's metrics as ``FiniteSpace`` checked them (read once, not per level).
 
     Checks the monotone chain v_n <= v_{n+1} <= v, raising
     EnvelopeLawViolation when it breaks, and reports the smallest listed
@@ -116,7 +125,11 @@ def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeS
     are exact in rational mode; in float mode a level allows the larger cost
     tolerance of c and of its envelope matrix (above c only where c is +inf).
     """
-    _require_metrics(instance)
+    if instance.space_x.metric is None or instance.space_y.metric is None:
+        raise MissingMetric(
+            "the envelope needs metrics on both spaces; refusing to default "
+            "to the discrete metric silently"
+        )
     _require_nonnegative(instance.cost)
     levels_in = as_numbers(n_list, instance.mode, "levels")
     if not levels_in or any(b <= a for a, b in zip(levels_in, levels_in[1:])):
@@ -136,7 +149,7 @@ def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeS
     previous_cost = None
     previous_value = None
     for n in levels_in:
-        cost_n = lipschitz_envelope(instance.cost, dx, dy, n)
+        cost_n = _level_cost(instance.cost, dx, dy, n)
         value_n = solve_primal(replace(instance, cost=cost_n)).value
         tol = max(limit_tol, cost_tolerance(cost_n))
         if previous_cost is not None:
@@ -183,16 +196,14 @@ def saturation_index(cost: CostMatrix, d_x, d_y) -> Number:
 
     and each such constraint switches on at a single closed threshold.
     Bounded by max(||c|| / min positive distance, ||c||). Raises when no
-    finite level recovers c (distinct cost over a zero-distance pair).
+    finite level recovers c (distinct cost over a zero-distance pair). The
+    metrics are read as by :func:`lipschitz_envelope`.
     """
     if not cost.is_bounded:
         raise InfeasibleInput("saturation_index requires a bounded cost")
     _require_nonnegative(cost)
+    dx, dy = _read_metrics(cost, d_x, d_y)
     m, p = cost.shape
-    dx = np.asarray(d_x)
-    dy = np.asarray(d_y)
-    if dx.shape != (m, m) or dy.shape != (p, p):
-        raise MissingMetric("metric shapes do not match the cost")
     best = zero(cost.mode)
     c = cost.entries
     for i in range(m):

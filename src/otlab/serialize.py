@@ -35,6 +35,7 @@ from .core import (
     Instance,
     is_inf,
     make_instance,
+    require_list,
 )
 from .envelope import EnvelopeSchedule
 from .errors import OTLabError
@@ -86,9 +87,13 @@ def instance_from_dict(data: dict) -> Instance:
         if mode not in (RATIONAL, FLOAT):
             raise OTLabError(f"unknown mode {mode!r}")
         x, y = data["X"], data["Y"]
-        for name, labels in (("X", x["labels"]), ("Y", y["labels"])):
-            if isinstance(labels, str):
-                raise OTLabError(f"{name}.labels: expected a list, got the string {labels!r}")
+        for name, space in (("X", x), ("Y", y)):
+            if not isinstance(space, dict):
+                raise OTLabError(f"{name}: expected an object, got {space!r}")
+            require_list(space["labels"], f"{name}.labels")
+            for k, label in enumerate(space["labels"]):
+                if not isinstance(label, str):
+                    raise OTLabError(f"{name}.labels[{k}]: expected a string, got {label!r}")
         # keys are read in check order: X, Y, cost, mu, nu (labels before metric)
         return make_instance(
             labels_x=tuple(x["labels"]),

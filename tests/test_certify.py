@@ -1,5 +1,6 @@
 """Certificates: gap, marginal law, slackness, c-cyclic monotonicity."""
 
+import inspect
 from fractions import Fraction as F
 from itertools import combinations, permutations
 
@@ -34,7 +35,16 @@ from otlab import (
     solve_dual,
     solve_primal,
 )
-from otlab.core import Marginal, cost_tolerance, is_inf, tolerance
+from otlab.core import (
+    INF,
+    CostMatrix,
+    Marginal,
+    cost_tolerance,
+    frozen_array,
+    is_inf,
+    tolerance,
+    zero,
+)
 
 from conftest import random_rational_instance
 
@@ -117,6 +127,118 @@ def test_marginals_northwest_exact(rng):
     mu, nu = Marginal(inst.mu.weights), Marginal(inst.nu.weights)
     report = check_marginals(northwest_corner(mu, nu), mu, nu)
     assert report.passed
+
+
+# --- the plan's cells against the dense readers ---------------------------------
+
+
+def dense_plan_cost(plan, cost):
+    """The m x n double loop ``plan_cost`` ran before plans kept their
+    nonzero cells: the reference for the cell reader."""
+    total = zero(plan.mode)
+    for i in range(plan.shape[0]):
+        for j in range(plan.shape[1]):
+            mass = plan.entries[i, j]
+            if mass > 0:
+                c = cost.entries[i, j]
+                if is_inf(c):
+                    return INF
+                total += mass * c
+    return total
+
+
+def dense_support(plan):
+    tol = tolerance(plan.mode)
+    m, n = plan.shape
+    return tuple((i, j) for i in range(m) for j in range(n) if plan.entries[i, j] > tol)
+
+
+def dense_marginal_law(plan, mu, nu):
+    """Row and column sums of whole rows and columns: the largest row and
+    column deviations and the first row, then column, off by more than the
+    tolerance, as words."""
+    tol = tolerance(plan.mode)
+    lines = [
+        ("row", [sum(plan.entries[i, :]) for i in range(plan.shape[0])], mu.weights),
+        ("column", [sum(plan.entries[:, j]) for j in range(plan.shape[1])], nu.weights),
+    ]
+    devs = [[abs(s - w) for s, w in zip(sums, weights)] for _, sums, weights in lines]
+    breach = next(
+        (f"{kind} {k} sums to {sums[k]}, expected {weights[k]}"
+         for (kind, sums, weights), dev in zip(lines, devs)
+         for k, d in enumerate(dev) if d > tol),
+        None,
+    )
+    return max(devs[0]), max(devs[1]), breach
+
+
+@st.composite
+def plans_costs_marginals(draw):
+    """A plan, a cost and marginals of one shape in either mode: zero rows
+    and columns, -0.0, float masses at and below the mass tolerance, and
+    +inf costs under zero and under positive mass. Half the time the
+    marginals are the plan's own sums, so that the law can hold."""
+    mode = draw(st.sampled_from(["rational", "float"]))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if mode == "rational":
+        mass = st.just(F(0)) | st.builds(F, st.integers(1, 12), st.integers(1, 6))
+        entry = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
+    else:
+        mass = st.sampled_from([0.0, -0.0, 1e-9, 5e-10, 1e-12]) | st.floats(0, 1)
+        entry = st.floats(-10, 10)
+    rows = [[draw(mass) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, m - 1))] = [-0.0 if mode == "float" else F(0)] * n
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = zero(mode)
+    total = sum(sum(row) for row in rows)
+    if total and draw(st.booleans()):
+        rows = [[v / total for v in row] for row in rows]
+        mu, nu = [sum(row) for row in rows], [sum(col) for col in zip(*rows)]
+    else:
+        mu, nu = [F(1, m)] * m, [F(1, n)] * n
+    cost = [[draw(entry | st.just("inf")) for _ in range(n)] for _ in range(m)]
+    plan = TransportPlan(frozen_array(rows, mode))
+    return (plan, CostMatrix(as_matrix(cost, mode)),
+            Marginal(as_vector(mu, mode)), Marginal(as_vector(nu, mode)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=plans_costs_marginals())
+def test_cell_readers_match_the_dense_readers(case):
+    plan, cost, mu, nu = case
+    m, n = plan.shape
+    assert plan.cells == tuple(
+        ((i, j), plan.entries[i, j]) for i in range(m) for j in range(n) if plan.entries[i, j]
+    )
+    value, expected = plan_cost(plan, cost), dense_plan_cost(plan, cost)
+    assert value == expected and type(value) is type(expected)
+    assert plan.support() == dense_support(plan)
+    report = check_marginals(plan, mu, nu)
+    *devs, breach = dense_marginal_law(plan, mu, nu)
+    got = [report.max_row_deviation, report.max_col_deviation]
+    assert got == devs and [type(d) for d in got] == [type(d) for d in devs]
+    assert report.breach == breach
+    assert report.passed == (breach is None)
+
+
+def test_a_breach_names_the_first_row_then_column():
+    mu = Marginal(vec(HALF))
+    report = check_marginals(plan([[F(1, 2), F(1, 4)], [0, F(1, 4)]]), mu, mu)
+    assert report.breach == "row 0 sums to 3/4, expected 1/2"
+    report = check_marginals(plan([[F(1, 4), F(1, 4)], [F(1, 2), 0]]), mu, mu)
+    assert report.breach == "column 0 sums to 3/4, expected 1/2"
+    inst = make_instance([[0, 2], [2, 1]], HALF, HALF)
+    with pytest.raises(InfeasibleArguments, match="^plan violates the marginal law: column 0 "):
+        build_certificate(inst, plan([[F(1, 4), F(1, 4)], [F(1, 2), 0]]), pot([0, 0], [0, 0]))
+
+
+def test_certificate_builders_take_no_cyclic_knobs():
+    # the certificate's cyclic check runs at check_cyclic_monotonicity's defaults
+    assert list(inspect.signature(build_certificate).parameters) == ["instance", "plan", "pot"]
+    assert list(inspect.signature(certify_instance).parameters) == ["instance"]
 
 
 # --- check_slackness -----------------------------------------------------------

@@ -390,6 +390,33 @@ def test_a_string_in_place_of_a_list_is_a_one_line_error(tmp_path, capsys, field
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("mu", {"1/2": 0, "2/4": 0}, "mu: expected a list, got {'1/2': 0, '2/4': 0}"),
+    ("nu", {"1": "x"}, "nu: expected a list, got {'1': 'x'}"),
+    ("cost", {"3": 0, "5": 0}, "cost: expected a list, got {'3': 0, '5': 0}"),
+    ("nu", 1, "nu: expected a list, got 1"),
+    ("mu", None, "mu: expected a list, got None"),
+    ("cost", [True], "cost[0]: expected a list, got True"),
+    ("X", "a", "X: expected an object, got 'a'"),
+    ("Y", ["b"], "Y: expected an object, got ['b']"),
+    ("X", {"labels": 1}, "X.labels: expected a list, got 1"),
+    ("X", {"labels": [["a"], None]}, "X.labels[0]: expected a string, got ['a']"),
+    ("Y", {"labels": [True]}, "Y.labels[0]: expected a string, got True"),
+    ("X", {"labels": ["a"], "metric": {"0": 0}}, "X.metric: expected a list, got {'0': 0}"),
+])
+def test_no_list_or_object_where_one_belongs_is_a_one_line_error(
+    tmp_path, capsys, field, value, message
+):
+    # a JSON object is not read as its keys, nor a label as its str()
+    data = {"X": {"labels": ["a"]}, "Y": {"labels": ["b"]},
+            "cost": [["7"]], "mu": ["1"], "nu": ["1"]}
+    data[field] = value
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["solve", "--dual", str(path)], capsys)
+    assert (code, out, err) == (1, "", f"otlab: error: {message}\n")
+
+
 def test_float_mass_not_one_prints_a_plain_float(fixture_file, capsys):
     data = json.loads(fixture_file.read_text())
     data["mode"] = "float"

@@ -24,6 +24,7 @@ from otlab import (
     NegativeMass,
     TransportPlan,
     as_vector,
+    check_marginals,
     dual_value,
     make_instance,
     plan_cost,
@@ -279,6 +280,22 @@ def test_a_string_is_not_a_list_of_numbers(cost, mu, where):
         make_instance(cost, mu, [1])
 
 
+@pytest.mark.parametrize("read, values, message", [
+    (as_vector, {"1": 0}, "mu: expected a list, got {'1': 0}"),
+    (as_vector, 1, "mu: expected a list, got 1"),
+    (as_vector, None, "mu: expected a list, got None"),
+    (as_vector, True, "mu: expected a list, got True"),
+    (as_matrix, {"7": 0}, "mu: expected a list, got {'7': 0}"),
+    (as_matrix, [7], "mu[0]: expected a list, got 7"),
+    (as_matrix, [{"7": 0}], "mu[0]: expected a list, got {'7': 0}"),
+])
+def test_a_mapping_or_scalar_is_not_a_list_of_numbers(read, values, message):
+    for mode in ("rational", "float"):
+        with pytest.raises(BadNumber) as err:
+            read(values, mode, "mu")
+        assert str(err.value) == message
+
+
 def test_bad_entry_error_names_the_field_and_cell():
     from otlab import BadNumber
 
@@ -473,7 +490,7 @@ def test_product_plan_outer():
         [F(3, 20), F(7, 20)],
         [F(3, 20), F(7, 20)],
     ]
-    plan.check_feasible(mu, nu)
+    assert check_marginals(plan, mu, nu).passed
 
 
 def test_product_plan_single_point():
@@ -491,7 +508,7 @@ def test_product_plan_marginals_exact(data):
     nu_raw = data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
     mu = Marginal(as_vector([F(v, sum(mu_raw)) for v in mu_raw], "rational"))
     nu = Marginal(as_vector([F(v, sum(nu_raw)) for v in nu_raw], "rational"))
-    product_plan(mu, nu).check_feasible(mu, nu)
+    assert check_marginals(product_plan(mu, nu), mu, nu).passed
 
 
 # --- weak duality and linearity ---------------------------------------------

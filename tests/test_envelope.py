@@ -1,6 +1,7 @@
 """Lipschitz envelope: formula, sandwich/monotone/Lipschitz laws, the value
 chain, and exact saturation."""
 
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -12,6 +13,7 @@ from otlab import (
     BadNumber,
     EnvelopeLawViolation,
     InfeasibleInput,
+    MetricViolation,
     MissingMetric,
     envelope_schedule,
     lipschitz_envelope,
@@ -268,6 +270,56 @@ def test_envelope_reads_the_metrics_in_the_cost_mode():
     ones = np.array([[0.0, 1.0], [1.0, 0.0]])
     out = lipschitz_envelope(inst.cost, ones, ones, 2).entries.tolist()
     assert out == [[0, 2], [2, 0]] and type(out[0][1]) is F
+
+
+@pytest.mark.parametrize("metric, error, message", [
+    ([[0, 0.5], [0.5, 0]], BadNumber,
+     "d_x[0][1]: bad number '0.5' (non-integral float in rational mode; "
+     "pass a Fraction or 'p/q' string)"),
+    ([[0, -1], [-1, 0]], MetricViolation, "d_x is not a pseudometric: negative at (0, 1)"),
+    ([[0, 1], [2, 0]], MetricViolation, "d_x is not a pseudometric: asymmetry at (0, 1)"),
+    ([[0, 1, 1]], MissingMetric, "d_x has shape (1, 3), expected (2, 2)"),
+])
+def test_both_public_functions_read_their_metrics_alike(metric, error, message):
+    cost = make_instance([[0, 1], [1, 0]], HALF, HALF).cost
+    for call in (lambda: saturation_index(cost, metric, DISCRETE),
+                 lambda: lipschitz_envelope(cost, metric, DISCRETE, 2)):
+        with pytest.raises(error) as err:
+            call()
+        assert str(err.value) == message
+    with pytest.raises(MetricViolation, match=r"^d_y is not a pseudometric: negative"):
+        saturation_index(cost, DISCRETE, [[0, -1], [-1, 0]])
+
+
+def test_saturation_reads_string_metrics_in_the_cost_mode():
+    cost = make_instance([[0, 1], [1, 0]], HALF, HALF).cost
+    halves = [["0", "1/2"], ["1/2", "0"]]
+    n_star = saturation_index(cost, halves, halves)
+    assert n_star == 2 and type(n_star) is F
+    exact = [[F(0), F(1, 2)], [F(1, 2), F(0)]]
+    at = lipschitz_envelope(cost, halves, halves, n_star).entries.tolist()
+    assert at == lipschitz_envelope(cost, exact, exact, n_star).entries.tolist()
+    assert at == cost.entries.tolist()
+
+
+def test_schedule_reads_the_instance_metrics_once(monkeypatch):
+    from otlab import envelope
+
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(envelope, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in ("_require_nonnegative", "as_matrix", "metric_violation", "to_number"):
+        monkeypatch.setattr(envelope, name, counted(name))
+    sched = envelope_schedule(spike_instance(), [1, 2, 4, 8])
+    assert [lv.value for lv in sched.levels] == [0, 0, 0, 0]
+    assert calls == {"_require_nonnegative": 1}
 
 
 def test_schedule_with_unreachable_limit():

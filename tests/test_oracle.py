@@ -12,6 +12,7 @@ from otlab import (
     BadNumber,
     BudgetExceeded,
     InfiniteCostInBoundedMode,
+    check_marginals,
     dual_value,
     make_instance,
     oracle_dual,
@@ -54,7 +55,7 @@ def test_fixture_two_by_two():
     res = oracle_primal(inst)
     assert res.value == F(1, 2)
     assert res.plan.entries.tolist() == [[F(1, 2), F(0)], [F(0), F(1, 2)]]
-    res.plan.check_feasible(inst.mu, inst.nu)
+    assert check_marginals(res.plan, inst.mu, inst.nu).passed
     # uniform marginals make both off-diagonal trees collapse onto the same
     # vertex: 4 feasible trees, 2 distinct plans
     plans = set()

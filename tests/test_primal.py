@@ -13,6 +13,7 @@ from otlab import (
     OTLabError,
     as_vector,
     certify_instance,
+    check_marginals,
     convert_instance,
     make_instance,
     northwest_corner,
@@ -73,7 +74,7 @@ def test_northwest_always_feasible(rng):
         mu = marginal(random_marginal(rng, m))
         nu = marginal(random_marginal(rng, n))
         plan = northwest_corner(mu, nu)
-        plan.check_feasible(mu, nu)
+        assert check_marginals(plan, mu, nu).passed
         assert len(plan.support()) <= m + n - 1
 
 
@@ -83,7 +84,7 @@ def test_northwest_float_round_off_stays_in_the_matrix():
     mu = Marginal(as_vector([F(k, 25) for k in (7, 4, 1, 7, 5, 1, 0)], "float"))
     nu = Marginal(as_vector([F(k, 14) for k in (7, 4, 3)], "float"))
     plan = northwest_corner(mu, nu)
-    plan.check_feasible(mu, nu)
+    assert check_marginals(plan, mu, nu).passed
     assert len(plan.support()) <= 7 + 3 - 1
     inst = make_instance(
         [[(i * j) % 5 for j in range(3)] for i in range(7)],
@@ -91,7 +92,7 @@ def test_northwest_float_round_off_stays_in_the_matrix():
         [F(k, 14) for k in (7, 4, 3)],
         mode="float",
     )
-    solve_primal(inst).plan.check_feasible(inst.mu, inst.nu)
+    assert check_marginals(solve_primal(inst).plan, inst.mu, inst.nu).passed
 
 
 # --- solve_primal -------------------------------------------------------------
@@ -130,7 +131,7 @@ def test_master_equivalence_with_oracle(rng):
         res = solve_primal(inst)
         assert res.value == oracle_primal(inst).value
         assert res.value == plan_cost(res.plan, inst.cost)
-        res.plan.check_feasible(inst.mu, inst.nu)
+        assert check_marginals(res.plan, inst.mu, inst.nu).passed
 
 
 def test_value_monotone_in_cost(rng):
@@ -341,7 +342,7 @@ def test_zero_mass_points_are_kept():
     res = solve_primal(inst)
     assert res.value == F(1, 2)
     assert res.plan.shape == (2, 3)
-    assert res.plan.row_sums()[1] == 0
+    assert sum(res.plan.entries[1]) == 0
 
 
 def test_infeasible_finite_cost_raises():
@@ -483,7 +484,7 @@ def test_integer_kernel_is_exact(inst):
     m, n = inst.shape
     res = solve_primal(inst)
     assert all(type(x) is F for x in res.plan.entries.flat)
-    res.plan.check_feasible(inst.mu, inst.nu)  # exact marginals
+    assert check_marginals(res.plan, inst.mu, inst.nu).passed  # exact marginals
     assert type(res.value) is F
     assert res.value == plan_cost(res.plan, inst.cost)
     # basis invariants: a spanning tree (m+n-1 acyclic cells, +inf ones

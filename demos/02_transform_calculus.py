@@ -47,7 +47,7 @@ print("\nnormalized phi:", list(pair.phi), f"  (box [-3||c||, ||c||] = [{-3 * no
 print("normalized psi:", list(pair.psi), f"  (box [0, 2||c||] = [0, {2 * norm}])")
 
 # transforms are 1-Lipschitz for the induced pseudometrics
-d_y = induced_pseudometric(inst.cost, OVER_Y).entries
+d_y = induced_pseudometric(inst.cost, OVER_Y)
 worst = max(
     abs(psi[j] - psi[l]) - d_y[j, l] for j in range(size) for l in range(size)
 )

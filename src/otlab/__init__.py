@@ -38,7 +38,6 @@ from .core import (
 from .ctransform import (
     OVER_X,
     OVER_Y,
-    PseudometricMatrix,
     c_transform,
     cbar_transform,
     induced_pseudometric,

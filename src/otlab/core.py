@@ -31,7 +31,9 @@ spanning tree, hung from row 0; :func:`tree_potentials` refuses any other
 cell set before it walks. One min-plus product, :func:`min_plus`, gives
 the c-transforms, the dual feasibility test and the Lipschitz envelope.
 Rational data become exact ints in one place, :func:`scaled`, and one
-guard, :func:`int_dtype`, keeps them in int64 where every sum fits.
+guard, :func:`int_dtype`, keeps them in int64 where every sum fits. One
+check, :func:`require_pseudometric`, words every metric-law error; it
+decides the triangle law at the float tolerance and the others exactly.
 """
 
 from __future__ import annotations
@@ -186,7 +188,7 @@ def as_matrix(rows: Sequence[Sequence], mode: str, name: str = "values") -> np.n
     require_list(rows, name)
     converted = [as_numbers(row, mode, f"{name}[{i}]") for i, row in enumerate(rows)]
     if len({len(r) for r in converted}) > 1:
-        raise DimensionMismatch("matrix rows have unequal lengths")
+        raise DimensionMismatch(f"{name}: rows have unequal lengths")
     return frozen_array(converted or np.empty((0, 0)), mode)
 
 
@@ -380,13 +382,14 @@ def metric_violation(d: np.ndarray):
 
     Returns ``(kind, cell)``: ``("diagonal", (i,))``, ``("negative", (i, j))``,
     ``("asymmetry", (i, j))`` or ``("triangle", (i, l, j))`` when
-    d[i][j] > d[i][l] + d[l][j]. The first reported cell is that of an
+    d[i][j] > d[i][l] + d[l][j] + tol. The first reported cell is that of an
     ordered scan: rows in ``i, j`` order with the diagonal, sign and
     symmetry checks first, then triples in ``i, j, l`` order. The laws are
     decided on :func:`_law_array` by numpy masks, the triangle test one
     block of rows at a time, and the first cell is the first True cell of
-    a mask in row-major order. Callers format the message from the
-    original entries."""
+    a mask in row-major order. The first three laws are exact; the float
+    triangle allows ``tol = tolerance(FLOAT, largest finite d)``, so sums
+    that round below a distance pass (``tol`` is 0 in rational mode)."""
     a = _law_array(d)
     k = a.shape[0]
     if not k:
@@ -399,18 +402,28 @@ def metric_violation(d: np.ndarray):
         if a[i, i] != 0:
             return "diagonal", (i,)
         return ("negative" if a[i, j] < 0 else "asymmetry"), (i, j)
+    tol = 0 if mode_of(d) == RATIONAL else tolerance(FLOAT, a[np.isfinite(a)].max())
     step = max(1, _BLOCK // (k * k))
     for lo in range(0, k, step):
         rows = a[lo:lo + step]
-        # over[r, j, l]: d[i, j] > d[i, l] + d[l, j] at i = lo + r (d is
-        # symmetric by now, so a[j, l] == d[l][j])
-        over = rows[:, :, None] > rows[:, None, :] + a
+        # over[r, j, l]: d[i, j] > d[i, l] + d[l, j] + tol at i = lo + r (d
+        # is symmetric by now, so a[j, l] == d[l][j])
+        over = rows[:, :, None] > rows[:, None, :] + a + tol
         first = int(over.argmax())
         if over.flat[first]:
             r, jl = divmod(first, k * k)
             j, l = divmod(jl, k)
             return "triangle", (lo + r, l, j)
     return None
+
+
+def require_pseudometric(d: np.ndarray, name: str):
+    """Raise MetricViolation naming ``name`` and the first failed law of
+    :func:`metric_violation` (``"d_x is not a pseudometric: triangle at
+    (0, 1, 2)"``); the one place a metric-law error is worded."""
+    bad = metric_violation(d)
+    if bad is not None:
+        raise MetricViolation(f"{name} is not a pseudometric: {bad[0]} at {bad[1]}")
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +435,9 @@ def metric_violation(d: np.ndarray):
 class FiniteSpace:
     """A finite ground space: distinct point labels plus an optional metric.
 
-    The metric matrix, when present, must be square, symmetric, nonnegative,
-    zero on the diagonal and satisfy the triangle inequality for every
+    The metric matrix, when present, must be square over the labels and
+    pass :func:`require_pseudometric` as ``metric``: symmetric, nonnegative,
+    zero on the diagonal and within the triangle inequality for every
     triple. Zero distance between distinct points is allowed (pseudometric).
     """
 
@@ -443,22 +457,7 @@ class FiniteSpace:
                 raise DimensionMismatch(
                     f"metric shape {d.shape} does not match {k} labels"
                 )
-            bad = metric_violation(d)
-            if bad is None:
-                return
-            kind, cell = bad
-            names = tuple(self.labels[a] for a in cell)
-            if kind == "diagonal":
-                raise MetricViolation(f"nonzero diagonal at {names[0]}")
-            if kind == "negative":
-                raise MetricViolation(f"negative distance ({names[0]}, {names[1]})")
-            if kind == "asymmetry":
-                raise MetricViolation(f"asymmetry at ({names[0]}, {names[1]})")
-            i, l, j = cell
-            raise MetricViolation(
-                f"triangle inequality fails on ({i}, {l}, {j}): "
-                f"d({i},{j})={d[i, j]} > {d[i, l]} + {d[l, j]}"
-            )
+            require_pseudometric(d, "metric")
 
     @property
     def size(self) -> int:
@@ -656,22 +655,30 @@ def make_instance(
 ) -> Instance:
     """Build an Instance from raw values: nested sequences or arrays of
     anything :func:`to_number` reads. Labels default to ``x0, x1, ...`` and
-    ``y0, y1, ...`` over the cost's rows and columns. The fields are built
-    in a fixed order (X, Y, cost, mu, nu), so the first bad one is the one
-    reported."""
+    ``y0, y1, ...`` over the cost's rows and columns, read only once the
+    cost and its first row are lists. The fields are built in a fixed order
+    (X, Y, cost, mu, nu), so the first bad one is the one reported; a
+    MetricViolation of a space names it (``X.metric``, ``Y.labels``)."""
+    if labels_x is None or labels_y is None:
+        require_list(cost, "cost")
+        if len(cost):
+            require_list(cost[0], "cost[0]")
     if labels_x is None:
         labels_x = [f"x{i}" for i in range(len(cost))]
     if labels_y is None:
         labels_y = [f"y{j}" for j in range(len(cost[0]) if len(cost) else 0)]
-    space_x = FiniteSpace(
-        tuple(labels_x), None if metric_x is None else as_matrix(metric_x, mode, "X.metric")
-    )
-    space_y = FiniteSpace(
-        tuple(labels_y), None if metric_y is None else as_matrix(metric_y, mode, "Y.metric")
-    )
+
+    def space(name, labels, metric):
+        if metric is not None:
+            metric = as_matrix(metric, mode, f"{name}.metric")
+        try:
+            return FiniteSpace(tuple(labels), metric)
+        except MetricViolation as exc:
+            raise MetricViolation(f"{name}.{exc}") from None
+
     return Instance(
-        space_x,
-        space_y,
+        space("X", labels_x, metric_x),
+        space("Y", labels_y, metric_y),
         CostMatrix(as_matrix(cost, mode, "cost")),
         Marginal(as_vector(mu, mode, "mu")),
         Marginal(as_vector(nu, mode, "nu")),

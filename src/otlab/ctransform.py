@@ -9,7 +9,8 @@ the pair dual-feasible:
 The double transform phi^{c cbar} dominates phi pointwise; a potential
 fixed by it is c-concave. Both transform images are 1-Lipschitz for the
 pseudometrics induced by the cost (worst-case cost variation across one
-coordinate), and the normalized pair
+coordinate; :func:`induced_pseudometric` returns them as plain frozen
+matrices), and the normalized pair
 
     ( phi^{c cbar} + min phi^c ,  phi^c - min phi^c )
 
@@ -22,8 +23,6 @@ cost's mode (``core.as_vector``), so the product never sees two modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -33,40 +32,12 @@ from .core import (
     cost_tolerance,
     frozen_array,
     is_inf,
-    metric_violation,
     min_plus,
-    zero,
 )
-from .errors import DimensionMismatch, MetricViolation, UnboundedTransform
+from .errors import DimensionMismatch, UnboundedTransform
 
 OVER_X = "over-X"
 OVER_Y = "over-Y"
-
-
-@dataclass(frozen=True, eq=False)
-class PseudometricMatrix:
-    """A symmetric, zero-diagonal, triangle-inequality matrix tagged with
-    the axis it measures (over-X or over-Y)."""
-
-    entries: np.ndarray
-    axis: str
-
-    def __post_init__(self):
-        if self.axis not in (OVER_X, OVER_Y):
-            raise ValueError(f"axis must be {OVER_X!r} or {OVER_Y!r}")
-        d = self.entries
-        k = d.shape[0]
-        if d.shape != (k, k):
-            raise DimensionMismatch("pseudometric must be square")
-        bad = metric_violation(d)
-        if bad is None:
-            return
-        kind, cell = bad
-        if kind == "diagonal":
-            raise MetricViolation(f"nonzero diagonal at {cell[0]}")
-        if kind == "triangle":
-            raise MetricViolation(f"triangle inequality fails on {cell}")
-        raise MetricViolation(f"not a pseudometric at {cell}")
 
 
 def _transform(pot, rows: np.ndarray, mode: str, name: str, line: str):
@@ -116,8 +87,9 @@ def normalize_pair(phi, cost: CostMatrix) -> DualPotentials:
     )
 
 
-def induced_pseudometric(cost: CostMatrix, axis: str) -> PseudometricMatrix:
-    """Worst-case cost variation across the other coordinate:
+def induced_pseudometric(cost: CostMatrix, axis: str) -> np.ndarray:
+    """Worst-case cost variation across the other coordinate, a frozen
+    matrix that is a pseudometric by construction:
 
     over-X entry (i, i') = max_j |c[i][j] - c[i'][j]|
     over-Y entry (j, j') = max_i |c[i][j] - c[i][j']|
@@ -128,12 +100,7 @@ def induced_pseudometric(cost: CostMatrix, axis: str) -> PseudometricMatrix:
         raise ValueError(f"axis must be {OVER_X!r} or {OVER_Y!r}")
     # rows of c are the points of the measured axis
     c = cost.entries if axis == OVER_X else cost.entries.T
-    k = c.shape[0]
-    d = [[zero(cost.mode)] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(a + 1, k):
-            d[a][b] = d[b][a] = max(abs(x - y) for x, y in zip(c[a], c[b]))
-    return PseudometricMatrix(entries=frozen_array(d, cost.mode), axis=axis)
+    return frozen_array(abs(c[:, None, :] - c[None, :, :]).max(axis=2), cost.mode)
 
 
 def is_c_concave(phi, cost: CostMatrix) -> bool:

@@ -7,7 +7,8 @@ the sum metric after truncation at n:
 
 c_n is n-Lipschitz for the sum metric, squeezed as 0 <= c_n <= min(c, n)
 for nonnegative c, nondecreasing in n, and on finite spaces recovers c
-exactly from a computable finite level onward. Optimal values inherit the
+exactly from a finite level onward, which :func:`saturation_index` reads
+off the induced pseudometrics in closed form. Optimal values inherit the
 monotone chain v_n <= v_{n+1} <= v and meet v at that saturation level.
 
 The sum metric separates, so the matrix is two min-plus products
@@ -32,17 +33,17 @@ from .core import (
     as_numbers,
     cost_tolerance,
     is_inf,
-    metric_violation,
     min_plus,
+    require_pseudometric,
     to_number,
     zero,
 )
+from .ctransform import OVER_X, OVER_Y, induced_pseudometric
 from .errors import (
     BadNumber,
     EnvelopeLawViolation,
     InfeasibleFiniteCost,
     InfeasibleInput,
-    MetricViolation,
     MissingMetric,
 )
 from .primal import solve_primal
@@ -76,21 +77,20 @@ def _read_metrics(cost: CostMatrix, d_x, d_y) -> list:
     """``d_x`` and ``d_y`` read as :func:`lipschitz_envelope` states."""
     read = []
     for name, d, k in zip(("d_x", "d_y"), (d_x, d_y), cost.shape):
-        if np.shape(d) != (k, k):
-            raise MissingMetric(f"{name} has shape {np.shape(d)}, expected ({k}, {k})")
         d = as_matrix(d, cost.mode, name)
-        bad = metric_violation(d)
-        if bad is not None:
-            raise MetricViolation(f"{name} is not a pseudometric: {bad[0]} at {bad[1]}")
+        if d.shape != (k, k):
+            raise MissingMetric(f"{name} has shape {d.shape}, expected ({k}, {k})")
+        require_pseudometric(d, name)
         read.append(d)
     return read
 
 
 def lipschitz_envelope(cost: CostMatrix, d_x, d_y, n: Number) -> CostMatrix:
     """The level-n envelope matrix (see module docstring). The level is read
-    in the cost's mode (a bad one is a BadNumber). The metrics must be square
-    over X and Y (else MissingMetric), are read in the cost's mode, and must
-    pass ``core.metric_violation`` (else MetricViolation naming d_x or d_y)."""
+    in the cost's mode (a bad one is a BadNumber). The metrics are read in
+    the cost's mode (``core.as_matrix``), must be square over X and Y (else
+    MissingMetric) and must pass ``core.require_pseudometric`` (else
+    MetricViolation naming d_x or d_y)."""
     _require_nonnegative(cost)
     try:
         n = to_number(n, cost.mode)
@@ -187,42 +187,32 @@ def _assert_entrywise_le(a: CostMatrix, b: CostMatrix, tol: Number):
 
 
 def saturation_index(cost: CostMatrix, d_x, d_y) -> Number:
-    """The smallest level n with lipschitz_envelope(cost, n) == cost.
+    """The smallest level n with lipschitz_envelope(cost, n) == cost:
 
-    Enumerates the exact activation thresholds instead of bisecting: the
-    envelope equals c iff for every target (i, j) and source (k, l)
+        n* = max(||c||, max over both axes and pairs with d > 0 of d_c / d),
 
-        min(c[k][l], n) + n * D >= c[i][j],   D = d(i,k) + d(j,l),
+    where d_c is that axis's :func:`~otlab.ctransform.induced_pseudometric`
+    and d its metric. Since c_n <= min(c, n), n* >= ||c||. For n >= ||c||,
+    c_n = c exactly when c is n-Lipschitz for d_X + d_Y; by the triangle
+    inequality through (x', y) that holds exactly when c is n-Lipschitz in
+    each coordinate, that is d_c <= n d on each axis. O(|X| |Y| (|X| + |Y|)).
 
-    and each such constraint switches on at a single closed threshold.
-    Bounded by max(||c|| / min positive distance, ||c||). Raises when no
-    finite level recovers c (distinct cost over a zero-distance pair). The
-    metrics are read as by :func:`lipschitz_envelope`.
+    Raises InfeasibleInput when no finite level recovers c: the cost
+    differs over a pair at distance 0. The metrics are read as by
+    :func:`lipschitz_envelope`.
     """
     if not cost.is_bounded:
         raise InfeasibleInput("saturation_index requires a bounded cost")
     _require_nonnegative(cost)
-    dx, dy = _read_metrics(cost, d_x, d_y)
-    m, p = cost.shape
-    best = zero(cost.mode)
-    c = cost.entries
-    for i in range(m):
-        for j in range(p):
-            target = c[i, j]
-            for k in range(m):
-                for l in range(p):
-                    D = dx[i, k] + dy[j, l]
-                    source = c[k, l]
-                    if source * (1 + D) >= target:
-                        threshold = target / (1 + D)
-                    elif D > 0:
-                        threshold = (target - source) / D
-                    else:
-                        raise InfeasibleInput(
-                            f"cost differs over a zero-distance pair "
-                            f"(({i},{j}) vs ({k},{l})); no finite level "
-                            f"recovers it"
-                        )
-                    if threshold > best:
-                        best = threshold
-    return best
+    levels = [zero(cost.mode), cost.sup_norm()]
+    for axis, d in zip((OVER_X, OVER_Y), _read_metrics(cost, d_x, d_y)):
+        d_c = induced_pseudometric(cost, axis)
+        stuck = (d == 0) & (d_c > 0)
+        if stuck.any():
+            pair = divmod(int(stuck.argmax()), len(d))
+            raise InfeasibleInput(f"cost differs across the {axis} pair {pair} at distance 0; "
+                                  f"no finite level recovers it")
+        moves = d > 0
+        if moves.any():
+            levels.append((d_c[moves] / d[moves]).max())
+    return max(levels)

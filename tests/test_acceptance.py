@@ -97,8 +97,8 @@ def test_criterion_3_transform_calculus_500_pairs():
         phi = as_vector(random_potential(rng, m), "rational")
         psi = c_transform(phi, inst.cost)
         phi_cc = cbar_transform(psi, inst.cost)
-        d_y = induced_pseudometric(inst.cost, OVER_Y).entries
-        d_x = induced_pseudometric(inst.cost, OVER_X).entries
+        d_y = induced_pseudometric(inst.cost, OVER_Y)
+        d_x = induced_pseudometric(inst.cost, OVER_X)
         norm = inst.cost.sup_norm()
         pair = normalize_pair(phi, inst.cost)
 

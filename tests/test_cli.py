@@ -265,6 +265,50 @@ def test_envelope_at_level_zero_over_an_infinite_distance(tmp_path, capsys, flag
     assert [lv["value"] for lv in levels] == [zero, one, one]
 
 
+def _line_metric(points):
+    return [[str(abs(a - b)) for b in points] for a in points]
+
+
+@pytest.mark.parametrize("command", [["solve"], ["solve", "--float"], ["certify", "--float"]])
+def test_a_rational_line_metric_passes_in_float_mode(tmp_path, capsys, command):
+    # converted to float, some distances round above the sum of two others
+    from fractions import Fraction as F
+
+    points = [F(8, 9), F(2), F(27, 11), F(30, 11), F(36, 11)]
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({
+        "X": {"labels": list("abcde"), "metric": _line_metric(points)},
+        "Y": {"labels": ["u"]},
+        "cost": [["1"]] * 5, "mu": ["1/5"] * 5, "nu": ["1"],
+    }), encoding="utf-8")
+    code, out, err = run_cli([*command, str(path)], capsys)
+    assert (code, err) == (0, "")
+
+
+def test_a_float_line_metric_passes(tmp_path, capsys):
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({
+        "mode": "float",
+        "X": {"labels": ["a", "b", "c"], "metric": [[0, 0.7, 0.8], [0.7, 0, 0.1], [0.8, 0.1, 0]]},
+        "Y": {"labels": ["u"]},
+        "cost": [[0], [1], [2]], "mu": [0.5, 0.25, 0.25], "nu": [1],
+    }), encoding="utf-8")
+    code, out, err = run_cli(["solve", str(path)], capsys)
+    assert (code, err) == (0, "")
+
+
+def test_a_bad_metric_names_its_space(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "X": {"labels": ["a", "b", "c"], "metric": _line_metric([0, 1, 2])},
+        "Y": {"labels": ["u", "v", "w"], "metric": [["0", "1", "3"], ["1", "0", "1"], ["3", "1", "0"]]},
+        "cost": [["0", "1", "2"]] * 3, "mu": ["1/3"] * 3, "nu": ["1/3"] * 3,
+    }), encoding="utf-8")
+    code, out, err = run_cli(["solve", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "otlab: error: Y.metric is not a pseudometric: triangle at (0, 1, 2)\n"
+
+
 def test_envelope_law_violation_is_a_one_line_error(tmp_path, capsys, monkeypatch):
     from otlab import envelope
     from otlab.primal import OptimalPlanResult

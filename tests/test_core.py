@@ -32,6 +32,7 @@ from otlab import (
 )
 import otlab
 from otlab.core import (
+    FLOAT_REL,
     INF,
     CostMatrix,
     FiniteSpace,
@@ -107,8 +108,11 @@ def test_metric_violation_names_the_triple():
 
 
 def reference_metric_violation(d):
-    """The validator's loops as written on the raw entries, for comparison."""
+    """The validator's loops as written on the raw entries, for comparison;
+    a float triangle allows 1e-9 times the largest finite entry."""
     k = d.shape[0]
+    finite = [abs(v) for v in d.flat if v == v and not is_inf(v)]
+    tol = FLOAT_REL * max(finite, default=0) if d.dtype == np.float64 else 0
     for i in range(k):
         if d[i, i] != 0:
             return "diagonal", (i,)
@@ -120,7 +124,7 @@ def reference_metric_violation(d):
     for i in range(k):
         for j in range(k):
             for l in range(k):
-                if d[i, j] > d[i, l] + d[l, j]:
+                if d[i, j] > d[i, l] + d[l, j] + tol:
                     return "triangle", (i, l, j)
     return None
 
@@ -138,6 +142,50 @@ def test_metric_violation_reports_the_first_cell_of_the_scan(rows, expected):
     for mode in ("rational", "float"):
         d = as_matrix(rows, mode)
         assert metric_violation(d) == reference_metric_violation(d) == expected
+
+
+def test_a_float_line_metric_passes_the_triangle_at_the_tolerance():
+    # the points 0, 0.7 and 0.8 on a line: 0.7 + 0.1 rounds below 0.8
+    line = [[0, 0.7, 0.8], [0.7, 0, 0.1], [0.8, 0.1, 0]]
+    assert 0.7 + 0.1 < 0.8
+    d = as_matrix(line, "float")
+    assert metric_violation(d) is None
+    make_instance([[0, 1, 2]] * 3, [1 / 3] * 3, [1 / 3] * 3, mode="float", metric_x=line)
+
+
+@pytest.mark.parametrize("excess, expected", [
+    (1e-9, None),  # within 1e-9 * 2
+    (5e-9, ("triangle", (0, 1, 2))),
+])
+def test_a_float_triangle_breach_above_the_tolerance_is_refused(excess, expected):
+    d = as_matrix([[0, 1, 2 + excess], [1, 0, 1], [2 + excess, 1, 0]], "float")
+    assert metric_violation(d) == reference_metric_violation(d) == expected
+
+
+def test_a_bad_instance_metric_names_its_field():
+    bad = [[0, 5, 10], [5, 0, 1], [10, 1, 0]]
+    with pytest.raises(MetricViolation) as err:
+        make_instance([[0, 1, 2]] * 2, HALF, [F(1, 3)] * 3, metric_y=bad)
+    assert str(err.value) == "Y.metric is not a pseudometric: triangle at (0, 1, 2)"
+    with pytest.raises(MetricViolation) as err:
+        make_instance([[0, 1], [1, 0]], HALF, HALF, labels_x=("a", "a"))
+    assert str(err.value) == "X.labels must be distinct"
+
+
+@pytest.mark.parametrize("cost, message", [
+    ({"7": 0}, "cost: expected a list, got {'7': 0}"),
+    (5, "cost: expected a list, got 5"),
+    ([5], "cost[0]: expected a list, got 5"),
+])
+def test_a_malformed_cost_is_a_bad_number_before_the_default_labels(cost, message):
+    with pytest.raises(BadNumber) as err:
+        make_instance(cost, [1], [1])
+    assert str(err.value) == message
+
+
+def test_ragged_rows_name_the_field():
+    with pytest.raises(DimensionMismatch, match=r"^cost: rows have unequal lengths$"):
+        make_instance([[0, 1], [1]], HALF, HALF)
 
 
 #: The largest finite entry whose +inf stand-in keeps the law array in int64

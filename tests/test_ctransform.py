@@ -156,8 +156,8 @@ def test_all_inf_column_rejected():
 def test_induced_pseudometric_fixture():
     d_y = induced_pseudometric(fixture_cost(), OVER_Y)
     d_x = induced_pseudometric(fixture_cost(), OVER_X)
-    assert d_y.entries[0, 1] == 2
-    assert d_x.entries[0, 1] == 2
+    assert d_y[0, 1] == 2
+    assert d_x[0, 1] == 2
 
 
 def test_separable_cost_pseudometric():
@@ -169,13 +169,13 @@ def test_separable_cost_pseudometric():
     d_y = induced_pseudometric(cost, OVER_Y)
     for j in range(3):
         for l in range(3):
-            assert d_y.entries[j, l] == abs(b[j] - b[l])
+            assert d_y[j, l] == abs(b[j] - b[l])
 
 
 def test_constant_cost_zero_pseudometric():
     cost = make_instance([[3, 3], [3, 3]], HALF, HALF).cost
     d = induced_pseudometric(cost, OVER_Y)
-    assert all(d.entries[i, j] == 0 for i in range(2) for j in range(2))
+    assert all(d[i, j] == 0 for i in range(2) for j in range(2))
 
 
 def test_one_lipschitz_law(rng):
@@ -185,8 +185,8 @@ def test_one_lipschitz_law(rng):
         phi = vec(random_potential(rng, m))
         psi = c_transform(phi, inst.cost)
         phi_cc = cbar_transform(psi, inst.cost)
-        d_y = induced_pseudometric(inst.cost, OVER_Y).entries
-        d_x = induced_pseudometric(inst.cost, OVER_X).entries
+        d_y = induced_pseudometric(inst.cost, OVER_Y)
+        d_x = induced_pseudometric(inst.cost, OVER_X)
         for j in range(n):
             for l in range(n):
                 assert abs(psi[j] - psi[l]) <= d_y[j, l]

@@ -11,19 +11,24 @@ from hypothesis import strategies as st
 
 from otlab import (
     BadNumber,
+    DimensionMismatch,
     EnvelopeLawViolation,
     InfeasibleInput,
     MetricViolation,
     MissingMetric,
+    OTLabError,
+    OVER_X,
+    OVER_Y,
     envelope_schedule,
     lipschitz_envelope,
     make_instance,
     convert_instance,
     generate_fixture,
+    induced_pseudometric,
     saturation_index,
     solve_primal,
 )
-from otlab.core import cost_tolerance, is_inf
+from otlab.core import CostMatrix, as_matrix, cost_tolerance, frozen_array, is_inf, zero
 
 from conftest import random_rational_instance
 
@@ -279,6 +284,8 @@ def test_envelope_reads_the_metrics_in_the_cost_mode():
     ([[0, -1], [-1, 0]], MetricViolation, "d_x is not a pseudometric: negative at (0, 1)"),
     ([[0, 1], [2, 0]], MetricViolation, "d_x is not a pseudometric: asymmetry at (0, 1)"),
     ([[0, 1, 1]], MissingMetric, "d_x has shape (1, 3), expected (2, 2)"),
+    ([[0, 1], [1]], DimensionMismatch, "d_x: rows have unequal lengths"),
+    ("ab", BadNumber, "d_x: expected a list, got the string 'ab'"),
 ])
 def test_both_public_functions_read_their_metrics_alike(metric, error, message):
     cost = make_instance([[0, 1], [1, 0]], HALF, HALF).cost
@@ -315,7 +322,7 @@ def test_schedule_reads_the_instance_metrics_once(monkeypatch):
             return original(*args)
         return wrapper
 
-    for name in ("_require_nonnegative", "as_matrix", "metric_violation", "to_number"):
+    for name in ("_require_nonnegative", "as_matrix", "require_pseudometric", "to_number"):
         monkeypatch.setattr(envelope, name, counted(name))
     sched = envelope_schedule(spike_instance(), [1, 2, 4, 8])
     assert [lv.value for lv in sched.levels] == [0, 0, 0, 0]
@@ -425,6 +432,89 @@ def test_saturation_impossible_on_zero_distance_pair():
     dx, dy = metrics(inst)
     with pytest.raises(InfeasibleInput):
         saturation_index(inst.cost, dx, dy)
+
+
+@np.errstate(invalid="ignore")  # a float 0 * inf is NaN: that source case is skipped
+def reference_saturation_index(cost, dx, dy):
+    """The smallest level at which every target cell (i, j) and source cell
+    (k, l) satisfy min(c[k][l], n) + n D >= c[i][j], D = dx[i][k] + dy[j][l],
+    by the loop over all four indices that the closed form replaced."""
+    if not cost.is_bounded:
+        raise InfeasibleInput("saturation_index requires a bounded cost")
+    m, p = cost.shape
+    best = zero(cost.mode)
+    c = cost.entries
+    for i in range(m):
+        for j in range(p):
+            target = c[i, j]
+            for k in range(m):
+                for l in range(p):
+                    D = dx[i, k] + dy[j, l]
+                    source = c[k, l]
+                    if source * (1 + D) >= target:
+                        threshold = target / (1 + D)
+                    elif D > 0:
+                        threshold = (target - source) / D
+                    else:
+                        raise InfeasibleInput("cost differs over a zero-distance pair")
+                    if threshold > best:
+                        best = threshold
+    return best
+
+
+def reference_induced_pseudometric(cost, axis):
+    """max_j |c[a][j] - c[b][j]| over the rows of the measured axis, pair by pair."""
+    c = cost.entries if axis == OVER_X else cost.entries.T
+    k = c.shape[0]
+    d = [[zero(cost.mode)] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a + 1, k):
+            d[a][b] = d[b][a] = max(abs(x - y) for x, y in zip(c[a], c[b]))
+    return frozen_array(d, cost.mode)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except OTLabError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_closed_forms_match_the_loops(data):
+    mode = data.draw(st.sampled_from(["rational", "float"]))
+    # float data are dyadic, so the loop's sums are exact and both forms
+    # round the one exact quotient alike
+    dens = [1, 2, 3] if mode == "rational" else [1, 2, 4]
+    number = st.builds(F, st.integers(0, 6), st.sampled_from(dens))
+
+    def line_metric(k):
+        # points on lines (equal positions: zero distance), apart from
+        # other components (+inf distance)
+        where = [(data.draw(st.sampled_from([0, 0, 0, 1])), data.draw(number))
+                 for _ in range(k)]
+        return as_matrix([[abs(a - b) if u == v else "inf" for v, b in where]
+                          for u, a in where], mode)
+
+    m, p = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    if data.draw(st.booleans()):
+        rows = [[0] * p for _ in range(m)]
+    else:
+        rows = [[data.draw(number) for _ in range(p)] for _ in range(m)]
+    if data.draw(st.integers(0, 7)) == 0:  # unbounded: both refuse it
+        rows[data.draw(st.integers(0, m - 1))][data.draw(st.integers(0, p - 1))] = "inf"
+    cost = CostMatrix(as_matrix(rows, mode))
+    dx, dy = line_metric(m), line_metric(p)
+    got = _outcome(saturation_index, cost, dx, dy)
+    want = _outcome(reference_saturation_index, cost, dx, dy)
+    assert type(got) is type(want) and got == want
+    if cost.is_bounded:
+        for axis in (OVER_X, OVER_Y):
+            got = induced_pseudometric(cost, axis)
+            want = reference_induced_pseudometric(cost, axis)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+            assert [type(v) for v in got.flat] == [type(v) for v in want.flat]
 
 
 def test_value_chain_meets_limit_at_saturation(rng):

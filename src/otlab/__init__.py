@@ -68,7 +68,6 @@ from .errors import (
     NegativeMass,
     NoFeasibleTreeDual,
     OTLabError,
-    SupportTooLarge,
     UnboundedTransform,
     UnknownFixture,
 )

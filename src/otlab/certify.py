@@ -7,26 +7,31 @@ A certificate bundles four verdicts about a (plan, potentials) pair:
 * marginal law — row and column sums reproduce the prescribed marginals;
 * complementary slackness — plan mass lives only where phi + psi = c;
 * c-cyclic monotonicity of the support — no finite tuple of support cells
-  lowers total cost under a permutation of targets (cyclic permutations
-  suffice: every permutation splits into cycles and the inequality is
-  additive across them).
+  lowers total cost under a reordering of targets (cyclic shifts suffice:
+  every reordering splits into cycles and the inequality is additive
+  across them).
 
-Cyclic monotonicity is decided for every tuple size at once as a
-negative-cycle question. On the digraph whose nodes are the support cells,
-with weight c(x_a, y_b) - c(x_a, y_a) on arc a -> b, the cyclic reordering
-of a tuple of distinct cells lowers the cost by exactly minus the weight of
-the corresponding simple cycle; any negative closed walk contains a negative
-simple cycle. Every weight is raised by tol / (k_max + 1), tol the cost
-tolerance (0 in rational mode), so a cycle of k <= k_max arcs gains less
-than tol: without a negative cycle no tuple of at most k_max cells lowers
-the cost by tol (with tol = 0, by anything: the finite form of
-Rockafellar's theorem). The weights are exact ints (``core.scaled``, float
-values read as ``Fraction``s), and the margin tol / (k_max + 1) lies far
-above float round-off, so a float-optimal support whose exact cycles sit a
-few ulps below 0 passes without enumeration.
-Only when that test cannot clear the support (a negative cycle or an
-infinite support cost) are the (k-1)! cyclic reorderings of each k-subset
-enumerated, to name the first witness per k.
+Cyclic monotonicity is decided by its textbook definition (Rockafellar
+1966; Villani, *Optimal Transport: Old and New*, Def. 5.1), in which the N
+support cells of a tuple may repeat. On the digraph whose nodes are the
+support cells, arc a -> b weighs c(x_a, y_b) - c(x_a, y_a): a closed walk
+a_1 -> ... -> a_N -> a_1 weighs the reordered cost of its cells minus
+their own, and the zero diagonal pads a walk with self-loops. The support
+fails at k when some closed walk of at most k arcs weighs below -tol, tol
+the cost tolerance (0 in rational mode). That is read off the min-plus
+powers P_t of the weight matrix (``core.min_plus_arrays``): a closed walk
+of k arcs runs k//2 arcs out to some cell and the rest back, so each k is
+one look at P_(k//2) + P_(k - k//2)^T, and k_max = 4 takes one product.
+The weights are the ints of ``core.scaled`` in rational mode and float64
+in float mode, where a walk of k arcs rounds by about 2k^2 ulps of the cost
+scale, far below tol.
+
+``+inf`` keeps its extended-real meaning. A reordering that costs ``+inf``
+never violates, and a cell of infinite own cost against a finite
+reordering always does. So an arc with infinite c(x_a, y_b) weighs H and
+one out of an infinite own cost (c(x_a, y_b) finite) weighs -G, where G
+tops k_max finite arcs plus tol and H tops k_max arcs of -G and finite
+ones (``core._int_array`` does the same; ``core.int_dtype`` guards the sums).
 
 Tolerances come from the one policy in core and are never passed in: exact
 zeros in rational mode; in float mode ``core.tolerance`` for masses and
@@ -39,11 +44,12 @@ runs it once and tests dual feasibility once, inside the duality gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, permutations
 from typing import Optional
 
+import numpy as np
+
 from .core import (
+    INF,
     CostMatrix,
     DualPotentials,
     Instance,
@@ -53,26 +59,17 @@ from .core import (
     TransportPlan,
     cost_tolerance,
     dual_value,
+    int_dtype,
     is_inf,
+    min_plus_arrays,
     plan_cost,
     scaled,
-    shortest_distances,
     tolerance,
     zero,
 )
 from .dual import solve_dual
-from .errors import (
-    DimensionMismatch,
-    InfeasibleArguments,
-    InfeasiblePotentials,
-    SupportTooLarge,
-)
+from .errors import DimensionMismatch, InfeasibleArguments, InfeasiblePotentials
 from .primal import solve_primal
-
-#: Upper bound on individual tuple/permutation inequality checks in the
-#: witness search on a support that is not cyclically monotone.
-DEFAULT_CHECK_BUDGET = 10_000_000
-
 
 @dataclass(frozen=True, eq=False)
 class MarginalReport:
@@ -98,10 +95,16 @@ class SlacknessViolation:
 
 @dataclass(frozen=True, eq=False)
 class CyclicViolation:
+    """A closed walk of at most k arcs on the support that lowers the cost:
+    its ``cells`` in walk order, where cells may repeat (module docstring),
+    each cell's target moved to the one before it; ``baseline`` sums the
+    cells' own costs and ``permuted``, finite, the reordered ones, below
+    ``baseline`` by more than the tolerance."""
+
     k: int
     cells: tuple
     baseline: Number
-    permuted: Number  # strictly below baseline: the swap improves the cost
+    permuted: Number
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,6 +176,8 @@ def check_slackness(plan: TransportPlan, pot: DualPotentials, cost: CostMatrix) 
 
     An empty tuple certifies complementary slackness; exact optimal pairs
     always produce one."""
+    if plan.shape != cost.shape:
+        raise DimensionMismatch(f"plan {plan.shape} vs cost {cost.shape}")
     if not pot.is_feasible_for(cost):
         raise InfeasiblePotentials("potentials violate phi + psi <= c")
     return _slack_violations(plan, pot, cost)
@@ -192,81 +197,73 @@ def _slack_violations(plan: TransportPlan, pot: DualPotentials, cost: CostMatrix
     return tuple(violations)
 
 
-def check_cyclic_monotonicity(
-    plan: TransportPlan,
-    cost: CostMatrix,
-    k_max: int = 4,
-    budget: Optional[int] = None,
-) -> dict:
-    """First c-cyclic-monotonicity violation on the support per tuple size.
+def check_cyclic_monotonicity(plan: TransportPlan, cost: CostMatrix, k_max: int = 4) -> dict:
+    """The least-weight violation of c-cyclic monotonicity on the support
+    per tuple size (module docstring).
 
-    Returns {k: None | CyclicViolation} for 2 <= k <= k_max. When the
-    support digraph has no negative cycle (module docstring) every k passes
-    and the budget is not consulted. Otherwise, for each k, walks all
-    k-subsets of support cells and all cyclic reorderings of the targets
-    (lexicographic order, deterministic), and records the first tuple whose
-    reordering undercuts the original cost by more than ``cost_tolerance``;
-    that search raises SupportTooLarge past ``budget`` reorderings (default
-    DEFAULT_CHECK_BUDGET).
-    """
+    Returns {k: None | CyclicViolation} for 2 <= k <= k_max: None when no
+    closed walk of at most k arcs weighs below -``cost_tolerance``, else
+    the lightest one, from the smallest start cell and midpoint cell, with
+    its self-loops dropped."""
     if k_max < 2:
         raise InfeasibleArguments("k_max must be at least 2")
+    if plan.shape != cost.shape:
+        raise DimensionMismatch(f"plan {plan.shape} vs cost {cost.shape}")
     support = plan.support()
-    if _no_negative_cycle(support, cost, k_max):
-        return {k: None for k in range(2, k_max + 1)}
-    if budget is None:
-        budget = DEFAULT_CHECK_BUDGET
+    if not support:
+        return dict.fromkeys(range(2, k_max + 1))
+    w = _arc_weights(support, cost, k_max)
+    powers, args = [w], [None]  # P_t and the argmins of P_t = P_(t-1) W
+    for _ in range((k_max - 1) // 2):
+        p, arg = min_plus_arrays(powers[-1], w)
+        powers.append(p)
+        args.append(arg)
     tol = cost_tolerance(cost)
-    checks = 0
-    report: dict = {}
+    report = {}
     for k in range(2, k_max + 1):
-        found = None
-        for cells in combinations(support, k):
-            baseline = sum(cost.entries[i, j] for (i, j) in cells)
-            first, rest = cells[0], cells[1:]
-            for order in permutations(rest):
-                checks += 1
-                if checks > budget:
-                    raise SupportTooLarge(
-                        f"cyclic check budget of {budget} exceeded at k={k}"
-                    )
-                ring = (first,) + order
-                permuted = sum(
-                    cost.entries[ring[idx][0], ring[(idx + 1) % k][1]]
-                    for idx in range(k)
-                )
-                # an infinite baseline against a finite reordering is a
-                # genuine violation; inf - finite compares > tol as needed
-                if not is_inf(permuted) and baseline - permuted > tol:
-                    found = CyclicViolation(
-                        k=k, cells=ring, baseline=baseline, permuted=permuted
-                    )
-                    break
-            if found:
-                break
-        report[k] = found
+        h = k // 2
+        loops = powers[h - 1] + powers[k - h - 1].T  # out to c in h arcs, back in k - h
+        first = int(loops.argmin())
+        report[k] = None
+        if loops.flat[first] < -tol:
+            a, c = divmod(first, len(support))
+            walk = _walk(args, a, c, h)[:-1] + _walk(args, c, a, k - h)[:-1]
+            ring = tuple(support[x] for t, x in enumerate(walk) if x != walk[t - 1])
+            after = ring[1:] + ring[:1]
+            report[k] = CyclicViolation(
+                k=k,
+                cells=ring,
+                baseline=sum(cost.entries[i, j] for i, j in ring),
+                permuted=sum(cost.entries[i, j] for (i, _), (_, j) in zip(ring, after)),
+            )
     return report
 
 
-def _no_negative_cycle(support, cost: CostMatrix, k_max: int) -> bool:
-    """True when every support cell has a finite cost and the support
-    digraph (arc a -> b weighted c(x_a, y_b) - c(x_a, y_a) + tol/(k_max+1),
-    left out where c(x_a, y_b) is +inf) has no negative cycle; decided on
-    the exact ints of ``core.scaled`` (module docstring)."""
+def _arc_weights(support, cost: CostMatrix, k_max: int) -> np.ndarray:
+    """The support digraph's weights c(x_a, y_b) - c(x_a, y_a), 0 on the
+    diagonal, with ``+inf`` encoded by G and H (module docstring): ints of
+    ``core.scaled`` in ``int_dtype`` of every walk's sum, or float64."""
     rows = cost.entries.tolist()
-    if cost.mode != RATIONAL:
-        rows = [[v if is_inf(v) else Fraction(v) for v in row] for row in rows]
-    (*c, (shift,)), _ = scaled(rows + [[Fraction(cost_tolerance(cost)) / (k_max + 1)]])
-    arcs = []
+    if cost.mode == RATIONAL:
+        rows, _ = scaled(rows)
+    big = max((abs(v) for row in rows for v in row if v != INF), default=0)
+    G = 2 * k_max * big + 1  # tops k_max - 1 finite arcs, of at most 2 big, plus tol
+    H = k_max * (G + 2 * big) + 1
+    w = []
     for a, (i, j) in enumerate(support):
-        row = c[i]
-        own = row[j]
-        if is_inf(own):
-            return False
-        for b, (_, j_b) in enumerate(support):
-            if b != a and not is_inf(row[j_b]):
-                arcs.append((a, b, row[j_b] - own + shift))
-    return shortest_distances(len(support), arcs) is not None
+        row, own = rows[i], rows[i][j]
+        w.append([H if row[b] == INF else -G if own == INF else row[b] - own for _, b in support])
+        w[a][a] = 0
+    return np.array(w, dtype=int_dtype(k_max * H) if cost.mode == RATIONAL else np.float64)
+
+
+def _walk(args, a: int, b: int, t: int) -> list:
+    """The nodes a, ..., b of the lightest walk of t arcs that ``args``, the
+    argmins of the min-plus powers, record."""
+    nodes = [b]
+    for arg in args[t - 1:0:-1]:
+        nodes.append(int(arg[a, nodes[-1]]))
+    return [a] + nodes[::-1]
 
 
 def build_certificate(

@@ -29,11 +29,13 @@ through :func:`tree_potentials`, to the dual extraction and the oracle
 dual, and one moved subtree per simplex pivot. A basis is always one
 spanning tree, hung from row 0; :func:`tree_potentials` refuses any other
 cell set before it walks. One min-plus product, :func:`min_plus`, gives
-the c-transforms, the dual feasibility test and the Lipschitz envelope.
-Rational data become exact ints in one place, :func:`scaled`, and one
-guard, :func:`int_dtype`, keeps them in int64 where every sum fits. One
-check, :func:`require_pseudometric`, words every metric-law error; it
-decides the triangle law at the float tolerance and the others exactly.
+the c-transforms, the dual feasibility test and the Lipschitz envelope;
+its one numpy loop, :func:`min_plus_arrays`, also gives the min-plus
+powers of the cyclic-monotonicity check. Rational data become exact ints
+in one place, :func:`scaled`, and one guard, :func:`int_dtype`, keeps
+them in int64 where every sum fits. One check,
+:func:`require_pseudometric`, words every metric-law error; it decides
+the triangle law at the float tolerance and the others exactly.
 """
 
 from __future__ import annotations
@@ -236,28 +238,6 @@ def _int_array(ints: list, k: int):
                     dtype=int_dtype(s)), s
 
 
-def shortest_distances(n: int, arcs):
-    """Bellman-Ford from a virtual source joined to all ``n`` nodes by arcs of
-    weight 0.
-
-    ``arcs`` holds ``(u, v, w)`` triples, relaxed in the given order as
-    ``dist[v] = min(dist[v], dist[u] + w)``; rounds stop at the first one that
-    changes nothing. Returns the distance list, or None when some directed
-    cycle has negative total weight (no round settles). Without a negative
-    cycle the distances are unique, whatever the arc order."""
-    dist = [0] * n
-    for _ in range(n + 1):
-        changed = False
-        for u, v, w in arcs:
-            d = dist[u] + w
-            if d < dist[v]:
-                dist[v] = d
-                changed = True
-        if not changed:
-            return dist
-    return None
-
-
 #: Cells of one block of rows of a three-index numpy pass (the triangle
 #: test, the min-plus sums), so memory stays that of the operands.
 _BLOCK = 1 << 14
@@ -270,12 +250,24 @@ def min_plus(a: np.ndarray, b: np.ndarray):
     with witness 0. Floats sum in float64. Rational operands sum as ints
     over their joint denominator, ``+inf`` as ``s = 3 max|finite| + 1``, so
     any sum with an ``s`` term tops every finite one."""
-    m, (K, n) = a.shape[0], b.shape
     mode = mode_of(b)
     if mode == RATIONAL:
         (ints,), D = scaled([a.ravel().tolist() + b.ravel().tolist()])
         ints, s = _int_array(ints, 3)
         a, b = ints[:a.size].reshape(a.shape), ints[a.size:].reshape(b.shape)
+    out, arg = min_plus_arrays(a, b)
+    if mode == RATIONAL:
+        finite = 2 * (s // 3)  # the largest finite sum, 2 max|finite|
+        arg[out > finite] = 0  # encoded +inf sums differ, +inf ones do not
+        out = [[INF if v > finite else Fraction(v, D) for v in row] for row in out.tolist()]
+    return frozen_array(out, mode), arg
+
+
+def min_plus_arrays(a: np.ndarray, b: np.ndarray):
+    """The min-plus product of two int or float64 arrays, one block of rows
+    at a time: ``(out, arg)`` as in :func:`min_plus`, in the operands' dtype
+    and not frozen, the sums taken as they come."""
+    m, (K, n) = a.shape[0], b.shape
     out = np.empty((m, n), dtype=b.dtype)
     arg = np.empty((m, n), dtype=np.int64)
     step = max(1, _BLOCK // max(1, K * n))
@@ -283,11 +275,7 @@ def min_plus(a: np.ndarray, b: np.ndarray):
         sums = a[lo:lo + step, :, None] + b
         arg[lo:lo + step] = sums.argmin(axis=1)
         out[lo:lo + step] = sums.min(axis=1)
-    if mode == RATIONAL:
-        finite = 2 * (s // 3)  # the largest finite sum, 2 max|finite|
-        arg[out > finite] = 0  # encoded +inf sums differ, +inf ones do not
-        out = [[INF if v > finite else Fraction(v, D) for v in row] for row in out.tolist()]
-    return frozen_array(out, mode), arg
+    return out, arg
 
 
 def tree_potentials(m: int, n: int, cells, rows, z):
@@ -447,7 +435,7 @@ class FiniteSpace:
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
         if not self.labels:
-            raise DimensionMismatch("space needs at least one point")
+            raise DimensionMismatch("labels must name at least one point")
         if len(set(self.labels)) != len(self.labels):
             raise MetricViolation("labels must be distinct")
         if self.metric is not None:
@@ -658,7 +646,8 @@ def make_instance(
     ``y0, y1, ...`` over the cost's rows and columns, read only once the
     cost and its first row are lists. The fields are built in a fixed order
     (X, Y, cost, mu, nu), so the first bad one is the one reported; a
-    MetricViolation of a space names it (``X.metric``, ``Y.labels``)."""
+    MetricViolation or DimensionMismatch of a space names it (``X.metric``,
+    ``Y.labels``)."""
     if labels_x is None or labels_y is None:
         require_list(cost, "cost")
         if len(cost):
@@ -673,8 +662,8 @@ def make_instance(
             metric = as_matrix(metric, mode, f"{name}.metric")
         try:
             return FiniteSpace(tuple(labels), metric)
-        except MetricViolation as exc:
-            raise MetricViolation(f"{name}.{exc}") from None
+        except (MetricViolation, DimensionMismatch) as exc:
+            raise type(exc)(f"{name}.{exc}") from None
 
     return Instance(
         space("X", labels_x, metric_x),

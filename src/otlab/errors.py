@@ -57,12 +57,9 @@ class InfeasiblePotentials(OTLabError, ValueError):
     """Potentials violate phi(x) + psi(y) <= c(x, y)."""
 
 
-class SupportTooLarge(OTLabError):
-    """Cyclic-monotonicity enumeration would exceed the check budget."""
-
-
 class BudgetExceeded(OTLabError):
-    """The instance is larger than the brute-force oracle budget."""
+    """The instance has more cells than the brute-force oracle allows
+    (``OT_LAB_BUDGET``)."""
 
 
 class NoFeasibleTreeDual(OTLabError):

@@ -1,19 +1,20 @@
 """Certificates: gap, marginal law, slackness, c-cyclic monotonicity."""
 
 import inspect
+import time
 from fractions import Fraction as F
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otlab import (
+    DimensionMismatch,
     DualPotentials,
     InfeasibleArguments,
     InfeasibleFiniteCost,
     InfeasiblePotentials,
-    SupportTooLarge,
     TransportPlan,
     as_matrix,
     as_vector,
@@ -239,6 +240,10 @@ def test_certificate_builders_take_no_cyclic_knobs():
     # the certificate's cyclic check runs at check_cyclic_monotonicity's defaults
     assert list(inspect.signature(build_certificate).parameters) == ["instance", "plan", "pot"]
     assert list(inspect.signature(certify_instance).parameters) == ["instance"]
+    # and the benchmark's tracer binds k_max by name
+    params = inspect.signature(check_cyclic_monotonicity).parameters
+    assert list(params) == ["plan", "cost", "k_max"]
+    assert params["k_max"].default == 4
 
 
 # --- check_slackness -----------------------------------------------------------
@@ -298,48 +303,29 @@ def test_cyclic_single_cell_trivially_passes():
     assert all(v is None for v in report.values())
 
 
-def test_cyclic_budget_guard():
-    # separable cost: no tuple can ever violate, and the negative-cycle test
-    # proves it without enumerating, so a tiny budget is never consulted
+def test_cyclic_separable_cost_passes():
+    # separable cost: every reordering of every tuple costs the same
     inst = make_instance(
         [[F(i, 2) + F(j, 3) for j in range(4)] for i in range(4)],
         [F(1, 4)] * 4,
         [F(1, 4)] * 4,
     )
     spread = product_plan(inst.mu, inst.nu)  # 16 support cells
-    report = check_cyclic_monotonicity(spread, inst.cost, k_max=4, budget=100)
+    report = check_cyclic_monotonicity(spread, inst.cost, k_max=4)
     assert report == {2: None, 3: None, 4: None}
 
 
 def test_cyclic_budget_bounds_witness_search():
-    # a non-monotone support: naming the first witness per k takes 14
-    # reorderings here, so a smaller budget stops the search
+    # a non-monotone support: each k reports its lightest closed walk, from
+    # the smallest start cell, then the smallest midpoint cell
     third = [F(1, 3)] * 3
     inst = make_instance([[0, 1, 2], [1, 0, 1], [2, 1, 0]], third, third)
     spread = product_plan(inst.mu, inst.nu)
-    with pytest.raises(SupportTooLarge):
-        check_cyclic_monotonicity(spread, inst.cost, k_max=3, budget=13)
-    report = check_cyclic_monotonicity(spread, inst.cost, k_max=3, budget=14)
-    assert report[2].cells == ((0, 1), (1, 0))
-    assert (report[2].baseline, report[2].permuted) == (2, 0)
-    assert report[3].cells == ((0, 0), (1, 0), (0, 1))
-
-
-def test_oracle_env_budget_leaves_the_cyclic_budget_alone(monkeypatch):
-    # OT_LAB_BUDGET is the oracle's cell budget only: the witness search
-    # below takes 14 reorderings and still completes under a budget of 1
-    inst = make_instance([[0, 2], [2, 0]], HALF, HALF)
-    monkeypatch.setenv("OT_LAB_BUDGET", "1")
-    report = check_cyclic_monotonicity(
-        product_plan(inst.mu, inst.nu), inst.cost, k_max=2
-    )
-    assert report[2].cells == ((0, 1), (1, 0))
-    third = [F(1, 3)] * 3
-    inst = make_instance([[0, 1, 2], [1, 0, 1], [2, 1, 0]], third, third)
-    report = check_cyclic_monotonicity(
-        product_plan(inst.mu, inst.nu), inst.cost, k_max=3
-    )
-    assert report[3].cells == ((0, 0), (1, 0), (0, 1))
+    report = check_cyclic_monotonicity(spread, inst.cost, k_max=3)
+    assert report[2].cells == ((0, 2), (2, 0))
+    assert (report[2].baseline, report[2].permuted) == (4, 0)
+    assert report[3].cells == ((0, 0), (2, 0), (0, 2))
+    assert (report[3].baseline, report[3].permuted) == (4, 0)
 
 
 def test_cyclic_ties_pass():
@@ -372,6 +358,31 @@ def _enumerated_cyclic_report(plan, cost, k_max, tol):
                 break
         report[k] = found
     return report
+
+
+def _walked_cyclic_failures(plan, cost, k_max, tol):
+    """Reference for the textbook definition: {k: whether some tuple of at
+    most k support cells, repeats allowed, lowers its cost by more than
+    ``tol`` when each cell takes the next one's target}, by walking every
+    such tuple that starts at its smallest cell."""
+    support = plan.support()
+    rows = cost.entries.tolist()
+    take = [[rows[i][j] for _, j in support] for i, _ in support]
+
+    def violates(ring):
+        baseline = sum(take[a][a] for a in ring)
+        permuted = sum(take[a][b] for a, b in zip(ring, ring[1:] + ring[:1]))
+        return not is_inf(permuted) and baseline - permuted > tol
+
+    fails, failed = {}, False
+    for k in range(2, k_max + 1):
+        failed = failed or any(
+            violates((first,) + rest)
+            for first in range(len(support))
+            for rest in product(range(first, len(support)), repeat=k - 1)
+        )
+        fails[k] = failed
+    return fails
 
 
 @st.composite
@@ -410,30 +421,101 @@ def cyclic_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(case=cyclic_cases())
 def test_cyclic_report_matches_enumeration(case):
-    plan, cost, k_max = case
-    expected = _enumerated_cyclic_report(plan, cost, k_max, cost_tolerance(cost))
+    _assert_report_matches_enumeration(*case)
+
+
+def test_cyclic_check_past_the_int64_guard():
+    # the lcm of these denominators passes 2**62, so the weights and their
+    # sums are Python ints in object arrays
+    primes = [1000003, 1000033, 1000037, 1000039, 1000081, 1000099, 1000117, 1000121, 1000133]
+    rows = [[F(1 + 9 * (i != j), primes[3 * i + j]) for j in range(3)] for i in range(3)]
+    rows[0][2] = "inf"
+    third = [F(1, 3)] * 3
+    inst = make_instance(rows, third, third)
+    spread = product_plan(inst.mu, inst.nu)
+    report = _assert_report_matches_enumeration(spread, inst.cost, 4)
+    assert all(report.values())
+
+
+def _assert_report_matches_enumeration(plan, cost, k_max):
+    tol = cost_tolerance(cost)
+    fails = _walked_cyclic_failures(plan, cost, k_max, tol)
+    distinct = _enumerated_cyclic_report(plan, cost, k_max, tol)
     report = check_cyclic_monotonicity(plan, cost, k_max=k_max)
-    assert list(report) == list(expected)
+    assert list(report) == list(fails)
     for k, violation in report.items():
-        if expected[k] is None:
-            assert violation is None
-        else:
-            ring, baseline, permuted = expected[k]
-            assert (violation.k, violation.cells) == (k, ring)
-            assert type(violation.baseline) is type(baseline)
-            assert type(violation.permuted) is type(permuted)
-            assert (violation.baseline, violation.permuted) == (baseline, permuted)
+        assert (violation is not None) == fails[k]
+        # k distinct cells are a closed walk of k arcs; with tol = 0 a
+        # violating walk splits into simple cycles, one of them violating
+        if distinct[k] is not None:
+            assert violation is not None
+        if cost.mode == "rational":
+            assert fails[k] == any(distinct[j] is not None for j in range(2, k + 1))
+        if violation is None:
+            continue
+        ring = violation.cells
+        assert violation.k == k and 1 < len(ring) <= k
+        assert set(ring) <= set(plan.support())
+        baseline = sum(cost.entries[i, j] for i, j in ring)
+        permuted = sum(cost.entries[i, j] for (i, _), (_, j) in zip(ring, ring[1:] + ring[:1]))
+        assert type(violation.baseline) is type(baseline)
+        assert type(violation.permuted) is type(permuted)
+        assert (violation.baseline, violation.permuted) == (baseline, permuted)
+        assert not is_inf(permuted) and baseline - permuted > tol
+    return report
+
+
+def _shift_beside_a_product_block():
+    """A 16 x 16 cost and a plan of 126 support cells: on a 5 x 5 block with
+    c(i, i) = 0, c(i, i + 1 mod 5) = 1 and 10 elsewhere the plan is the
+    shift, whose only violating tuple is all five cells; on an 11 x 11
+    block of the separable cost i + 2j it is the product plan; 1000 across."""
+    def entry(i, j):
+        if i < 5 and j < 5:
+            return 0 if i == j else 1 if j == (i + 1) % 5 else 10
+        if i >= 5 and j >= 5:
+            return i + 2 * j
+        return 1000
+
+    cost = CostMatrix(as_matrix([[entry(i, j) for j in range(16)] for i in range(16)], "rational"))
+    shift = {(i, (i + 1) % 5) for i in range(5)}
+    masses = [[F(1, 126) if (i, j) in shift or min(i, j) >= 5 else 0 for j in range(16)]
+              for i in range(16)]
+    return plan(masses), cost
+
+
+def test_a_five_cell_cycle_in_a_large_support_is_decided_in_polynomial_time():
+    spread, cost = _shift_beside_a_product_block()
+    assert len(spread.support()) == 126
+    start = time.perf_counter()
+    assert check_cyclic_monotonicity(spread, cost) == {2: None, 3: None, 4: None}
+    report = check_cyclic_monotonicity(spread, cost, k_max=5)
+    assert time.perf_counter() - start < 1.0
+    assert [report[k] for k in (2, 3, 4)] == [None, None, None]
+    assert report[5].cells == ((0, 1), (4, 0), (3, 4), (2, 3), (1, 2))
+    assert (report[5].baseline, report[5].permuted) == (5, 0)
+
+
+@pytest.mark.parametrize("rows", [
+    [[F(1, 9)] * 3] * 3,
+    [[1]],
+])
+def test_a_plan_of_another_shape_than_the_cost_is_refused(rows):
+    inst = make_instance([[0, 2], [2, 1]], HALF, HALF)
+    other = plan(rows)
+    with pytest.raises(DimensionMismatch, match=r"^plan \(\d, \d\) vs cost \(2, 2\)$"):
+        check_cyclic_monotonicity(other, inst.cost)
+    with pytest.raises(DimensionMismatch, match=r"^plan \(\d, \d\) vs cost \(2, 2\)$"):
+        check_slackness(other, pot([0, 0], [0, 0]), inst.cost)
 
 
 @pytest.mark.parametrize("size, seed", [(14, 1), (14, 3), (30, 1), (45, 1), (60, 2)])
-def test_float_optimal_support_clears_without_enumerating(size, seed):
+def test_float_optimal_support_passes_every_k(size, seed):
     # the float simplex stops at a thousandth of the tolerance, so these
-    # supports carry cycles a few ulps below 0 (the unshifted test sees them
-    # at all but n = 30); raised by tol / (k_max + 1) no cycle is negative,
-    # and budget=0 shows that no reordering was enumerated
+    # supports carry cycles a few ulps below 0, far above -tol
     inst = generate_fixture("random-uniform", size, seed, mode="float")
     plan = solve_primal(inst).plan
-    assert check_cyclic_monotonicity(plan, inst.cost, budget=0) == {2: None, 3: None, 4: None}
+    assert check_cyclic_monotonicity(plan, inst.cost) == {2: None, 3: None, 4: None}
 
 
 def test_cyclic_float_check_is_exact_at_large_cost_scale():

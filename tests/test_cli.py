@@ -309,6 +309,18 @@ def test_a_bad_metric_names_its_space(tmp_path, capsys):
     assert err == "otlab: error: Y.metric is not a pseudometric: triangle at (0, 1, 2)\n"
 
 
+def test_a_metric_of_the_wrong_shape_names_its_space(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "X": {"labels": ["a", "b"]},
+        "Y": {"labels": ["u", "v"], "metric": _line_metric([0, 1, 2])},
+        "cost": [["0", "1"]] * 2, "mu": ["1/2"] * 2, "nu": ["1/2"] * 2,
+    }), encoding="utf-8")
+    code, out, err = run_cli(["solve", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "otlab: error: Y.metric shape (3, 3) does not match 2 labels\n"
+
+
 def test_envelope_law_violation_is_a_one_line_error(tmp_path, capsys, monkeypatch):
     from otlab import envelope
     from otlab.primal import OptimalPlanResult

@@ -172,6 +172,16 @@ def test_a_bad_instance_metric_names_its_field():
     assert str(err.value) == "X.labels must be distinct"
 
 
+def test_a_space_of_the_wrong_shape_names_its_field():
+    line = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    with pytest.raises(DimensionMismatch) as err:
+        make_instance([[0, 1]] * 2, HALF, HALF, metric_y=line)
+    assert str(err.value) == "Y.metric shape (3, 3) does not match 2 labels"
+    with pytest.raises(DimensionMismatch) as err:
+        make_instance([[0, 1]] * 2, HALF, HALF, labels_x=[])
+    assert str(err.value) == "X.labels must name at least one point"
+
+
 @pytest.mark.parametrize("cost, message", [
     ({"7": 0}, "cost: expected a list, got {'7': 0}"),
     (5, "cost: expected a list, got 5"),

@@ -68,7 +68,7 @@ from .core import (
     zero,
 )
 from .dual import solve_dual
-from .errors import DimensionMismatch, InfeasibleArguments, InfeasiblePotentials
+from .errors import DimensionMismatch, InfeasibleArguments
 from .primal import solve_primal
 
 @dataclass(frozen=True, eq=False)
@@ -135,8 +135,7 @@ def duality_gap(plan: TransportPlan, pot: DualPotentials, instance: Instance) ->
 
 def _gap(plan: TransportPlan, pot: DualPotentials, instance: Instance) -> Number:
     """The duality gap of a plan already known to obey the marginal law."""
-    if not pot.is_feasible_for(instance.cost):
-        raise InfeasibleArguments("potentials violate phi + psi <= c")
+    pot.require_feasible_for(instance.cost)
     return plan_cost(plan, instance.cost) - dual_value(pot, instance.mu, instance.nu)
 
 
@@ -178,8 +177,7 @@ def check_slackness(plan: TransportPlan, pot: DualPotentials, cost: CostMatrix) 
     always produce one."""
     if plan.shape != cost.shape:
         raise DimensionMismatch(f"plan {plan.shape} vs cost {cost.shape}")
-    if not pot.is_feasible_for(cost):
-        raise InfeasiblePotentials("potentials violate phi + psi <= c")
+    pot.require_feasible_for(cost)
     return _slack_violations(plan, pot, cost)
 
 
@@ -213,11 +211,9 @@ def check_cyclic_monotonicity(plan: TransportPlan, cost: CostMatrix, k_max: int 
     if not support:
         return dict.fromkeys(range(2, k_max + 1))
     w = _arc_weights(support, cost, k_max)
-    powers, args = [w], [None]  # P_t and the argmins of P_t = P_(t-1) W
+    powers = [w]  # P_t = P_(t-1) W at index t - 1
     for _ in range((k_max - 1) // 2):
-        p, arg = min_plus_arrays(powers[-1], w)
-        powers.append(p)
-        args.append(arg)
+        powers.append(min_plus_arrays(powers[-1], w))
     tol = cost_tolerance(cost)
     report = {}
     for k in range(2, k_max + 1):
@@ -227,7 +223,7 @@ def check_cyclic_monotonicity(plan: TransportPlan, cost: CostMatrix, k_max: int 
         report[k] = None
         if loops.flat[first] < -tol:
             a, c = divmod(first, len(support))
-            walk = _walk(args, a, c, h)[:-1] + _walk(args, c, a, k - h)[:-1]
+            walk = _walk(powers, a, c, h)[:-1] + _walk(powers, c, a, k - h)[:-1]
             ring = tuple(support[x] for t, x in enumerate(walk) if x != walk[t - 1])
             after = ring[1:] + ring[:1]
             report[k] = CyclicViolation(
@@ -257,12 +253,12 @@ def _arc_weights(support, cost: CostMatrix, k_max: int) -> np.ndarray:
     return np.array(w, dtype=int_dtype(k_max * H) if cost.mode == RATIONAL else np.float64)
 
 
-def _walk(args, a: int, b: int, t: int) -> list:
-    """The nodes a, ..., b of the lightest walk of t arcs that ``args``, the
-    argmins of the min-plus powers, record."""
-    nodes = [b]
-    for arg in args[t - 1:0:-1]:
-        nodes.append(int(arg[a, nodes[-1]]))
+def _walk(powers, a: int, b: int, t: int) -> list:
+    """The nodes a, ..., b of the lightest walk of t arcs, back from b: before
+    v on P_s = P_(s-1) W comes the smallest l minimizing P_(s-1)[a, l] + W[l, v]."""
+    w, nodes = powers[0], [b]
+    for p in reversed(powers[:t - 1]):
+        nodes.append(int((p[a] + w[:, nodes[-1]]).argmin()))
     return [a] + nodes[::-1]
 
 

@@ -28,10 +28,12 @@ walk, :func:`hang_subtree`, gives the tight potentials of a basis: whole,
 through :func:`tree_potentials`, to the dual extraction and the oracle
 dual, and one moved subtree per simplex pivot. A basis is always one
 spanning tree, hung from row 0; :func:`tree_potentials` refuses any other
-cell set before it walks. One min-plus product, :func:`min_plus`, gives
-the c-transforms, the dual feasibility test and the Lipschitz envelope;
-its one numpy loop, :func:`min_plus_arrays`, also gives the min-plus
-powers of the cyclic-monotonicity check. Rational data become exact ints
+cell set before it walks. One kernel, :func:`min_plus_arrays`, is the one
+three-index numpy pass, and it returns minima only. Through
+:func:`min_plus` it gives the c-transforms, the dual feasibility test, the
+Lipschitz envelope and the induced pseudometrics (a max-plus product);
+directly, the triangle law (``d <= d (x) d``, a min-plus square) and the
+min-plus powers of the cyclic-monotonicity check. Rational data become exact ints
 in one place, :func:`scaled`, and one guard, :func:`int_dtype`, keeps
 them in int64 where every sum fits. One check,
 :func:`require_pseudometric`, words every metric-law error; it decides
@@ -238,44 +240,38 @@ def _int_array(ints: list, k: int):
                     dtype=int_dtype(s)), s
 
 
-#: Cells of one block of rows of a three-index numpy pass (the triangle
-#: test, the min-plus sums), so memory stays that of the operands.
+#: Cells of one block of rows of the min-plus sums: memory stays that of the operands.
 _BLOCK = 1 << 14
 
 
-def min_plus(a: np.ndarray, b: np.ndarray):
-    """The min-plus product of two matrices of one mode: ``(out, arg)``,
-    ``out[i, j] = min_k a[i, k] + b[k, j]`` (frozen) and ``arg`` the smallest
-    minimizing ``k`` (int64); a line of only ``+inf`` sums gives ``+inf``
-    with witness 0. Floats sum in float64. Rational operands sum as ints
-    over their joint denominator, ``+inf`` as ``s = 3 max|finite| + 1``, so
-    any sum with an ``s`` term tops every finite one."""
+def min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The min-plus product of two matrices of one mode, frozen:
+    ``out[i, j] = min_k a[i, k] + b[k, j]``, ``+inf`` where every sum is.
+    Floats sum in float64. Rational operands sum as ints over their joint
+    denominator, ``+inf`` as ``s = 3 max|finite| + 1``, so any sum with an
+    ``s`` term tops every finite one."""
     mode = mode_of(b)
     if mode == RATIONAL:
         (ints,), D = scaled([a.ravel().tolist() + b.ravel().tolist()])
         ints, s = _int_array(ints, 3)
         a, b = ints[:a.size].reshape(a.shape), ints[a.size:].reshape(b.shape)
-    out, arg = min_plus_arrays(a, b)
+    out = min_plus_arrays(a, b)
     if mode == RATIONAL:
         finite = 2 * (s // 3)  # the largest finite sum, 2 max|finite|
-        arg[out > finite] = 0  # encoded +inf sums differ, +inf ones do not
         out = [[INF if v > finite else Fraction(v, D) for v in row] for row in out.tolist()]
-    return frozen_array(out, mode), arg
+    return frozen_array(out, mode)
 
 
-def min_plus_arrays(a: np.ndarray, b: np.ndarray):
+def min_plus_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The min-plus product of two int or float64 arrays, one block of rows
-    at a time: ``(out, arg)`` as in :func:`min_plus`, in the operands' dtype
-    and not frozen, the sums taken as they come."""
+    at a time, in the operands' dtype and not frozen, the sums taken as
+    they come: the one three-index pass of the package."""
     m, (K, n) = a.shape[0], b.shape
     out = np.empty((m, n), dtype=b.dtype)
-    arg = np.empty((m, n), dtype=np.int64)
     step = max(1, _BLOCK // max(1, K * n))
     for lo in range(0, m, step):
-        sums = a[lo:lo + step, :, None] + b
-        arg[lo:lo + step] = sums.argmin(axis=1)
-        out[lo:lo + step] = sums.min(axis=1)
-    return out, arg
+        out[lo:lo + step] = (a[lo:lo + step, :, None] + b).min(axis=1)
+    return out
 
 
 def tree_potentials(m: int, n: int, cells, rows, z):
@@ -366,18 +362,15 @@ def _law_array(d: np.ndarray) -> np.ndarray:
 
 
 def metric_violation(d: np.ndarray):
-    """The first failed pseudometric law of a square matrix, or None.
-
-    Returns ``(kind, cell)``: ``("diagonal", (i,))``, ``("negative", (i, j))``,
-    ``("asymmetry", (i, j))`` or ``("triangle", (i, l, j))`` when
-    d[i][j] > d[i][l] + d[l][j] + tol. The first reported cell is that of an
-    ordered scan: rows in ``i, j`` order with the diagonal, sign and
-    symmetry checks first, then triples in ``i, j, l`` order. The laws are
-    decided on :func:`_law_array` by numpy masks, the triangle test one
-    block of rows at a time, and the first cell is the first True cell of
-    a mask in row-major order. The first three laws are exact; the float
-    triangle allows ``tol = tolerance(FLOAT, largest finite d)``, so sums
-    that round below a distance pass (``tol`` is 0 in rational mode)."""
+    """The first failed pseudometric law of a square matrix, or None:
+    ``("diagonal", (i,))``, ``("negative", (i, j))``, ``("asymmetry", (i, j))``
+    or ``("triangle", (i, l, j))`` when d[i][j] > d[i][l] + d[l][j] + tol.
+    The laws are read on :func:`_law_array`: the diagonal, sign and symmetry
+    by numpy masks, then the triangle law as the min-plus square, failing
+    where ``d > d (x) d + tol``; each at its first cell (i, j) in row-major
+    order, a triangle at its first l. The first three laws are exact; the
+    float triangle allows ``tol = tolerance(FLOAT, largest finite d)``, so
+    sums that round below a distance pass (``tol`` is 0 in rational mode)."""
     a = _law_array(d)
     k = a.shape[0]
     if not k:
@@ -391,18 +384,13 @@ def metric_violation(d: np.ndarray):
             return "diagonal", (i,)
         return ("negative" if a[i, j] < 0 else "asymmetry"), (i, j)
     tol = 0 if mode_of(d) == RATIONAL else tolerance(FLOAT, a[np.isfinite(a)].max())
-    step = max(1, _BLOCK // (k * k))
-    for lo in range(0, k, step):
-        rows = a[lo:lo + step]
-        # over[r, j, l]: d[i, j] > d[i, l] + d[l, j] + tol at i = lo + r (d
-        # is symmetric by now, so a[j, l] == d[l][j])
-        over = rows[:, :, None] > rows[:, None, :] + a + tol
-        first = int(over.argmax())
-        if over.flat[first]:
-            r, jl = divmod(first, k * k)
-            j, l = divmod(jl, k)
-            return "triangle", (lo + r, l, j)
-    return None
+    # l = i gives (d (x) d)[i, j] <= d[i, j], so only a shorter two-step path fails
+    over = a > min_plus_arrays(a, a) + tol
+    first = int(over.argmax())
+    if not over.flat[first]:
+        return None
+    i, j = divmod(first, k)
+    return "triangle", (i, int((a[i, j] > a[i] + a[:, j] + tol).argmax()), j)
 
 
 def require_pseudometric(d: np.ndarray, name: str):
@@ -587,8 +575,13 @@ class DualPotentials:
         if cost.shape != self.shape:
             raise DimensionMismatch(f"potentials {self.shape} vs cost {cost.shape}")
         phi = as_vector(self.phi, cost.mode, "phi")
-        (phi_c,), _ = min_plus(-phi[None], cost.entries)
+        (phi_c,) = min_plus(-phi[None], cost.entries)
         return bool(np.all(self.psi <= phi_c + cost_tolerance(cost)))
+
+    def require_feasible_for(self, cost: CostMatrix):
+        """Raise InfeasiblePotentials, worded here only, unless :meth:`is_feasible_for`."""
+        if not self.is_feasible_for(cost):
+            raise InfeasiblePotentials("potentials violate phi + psi <= c")
 
 
 @dataclass(frozen=True, eq=False)

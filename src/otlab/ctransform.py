@@ -41,34 +41,30 @@ OVER_Y = "over-Y"
 
 
 def _transform(pot, rows: np.ndarray, mode: str, name: str, line: str):
-    """``out[b] = min_a rows[a, b] - pot[a]`` with the smallest minimizing
-    ``a`` as witness: one row of ``core.min_plus``. ``rows`` is the cost for
-    the c-transform and its transpose for the cbar-transform; ``pot`` is
-    read in the cost's mode."""
+    """``out[b] = min_a rows[a, b] - pot[a]``: one row of ``core.min_plus``.
+    ``rows`` is the cost for the c-transform and its transpose for the
+    cbar-transform; ``pot`` is read in the cost's mode."""
     raw = np.asarray(pot)
     if raw.ndim != 1 or raw.shape[0] != len(rows):
         raise DimensionMismatch(f"{name} has shape {raw.shape}, expected ({len(rows)},)")
     if any(is_inf(x) or (isinstance(x, float) and x != x) for x in raw):
         raise UnboundedTransform(f"{name} must have finite entries")
-    (out,), (witness,) = min_plus(-as_vector(pot, mode, name)[None], rows)
+    (out,) = min_plus(-as_vector(pot, mode, name)[None], rows)
     for b, v in enumerate(out):
         if is_inf(v):
             raise UnboundedTransform(f"{line} {b} of the cost is entirely +inf")
-    return out, witness
+    return out
 
 
-def c_transform(phi, cost: CostMatrix, with_witness: bool = False):
+def c_transform(phi, cost: CostMatrix):
     """phi^c over Y. Columns that are entirely +inf admit no finite value
-    and raise UnboundedTransform. With ``with_witness`` the smallest-index
-    minimizing x is returned alongside (deterministic tie-break)."""
-    out, witness = _transform(phi, cost.entries, cost.mode, "phi", "column")
-    return (out, witness) if with_witness else out
+    and raise UnboundedTransform."""
+    return _transform(phi, cost.entries, cost.mode, "phi", "column")
 
 
-def cbar_transform(psi, cost: CostMatrix, with_witness: bool = False):
+def cbar_transform(psi, cost: CostMatrix):
     """psi^cbar over X; the mirror of :func:`c_transform`."""
-    out, witness = _transform(psi, cost.entries.T, cost.mode, "psi", "row")
-    return (out, witness) if with_witness else out
+    return _transform(psi, cost.entries.T, cost.mode, "psi", "row")
 
 
 def normalize_pair(phi, cost: CostMatrix) -> DualPotentials:
@@ -93,14 +89,17 @@ def induced_pseudometric(cost: CostMatrix, axis: str) -> np.ndarray:
 
     over-X entry (i, i') = max_j |c[i][j] - c[i'][j]|
     over-Y entry (j, j') = max_i |c[i][j] - c[i][j']|
-    """
+
+    One max-plus product: with ``low = min_plus(-c, c.T)``, entry (i, i') is
+    ``max(-low[i, i'], -low[i', i])``, exact as negation is, in both modes."""
     if not cost.is_bounded:
         raise UnboundedTransform("induced pseudometrics require a bounded cost")
     if axis not in (OVER_X, OVER_Y):
         raise ValueError(f"axis must be {OVER_X!r} or {OVER_Y!r}")
     # rows of c are the points of the measured axis
     c = cost.entries if axis == OVER_X else cost.entries.T
-    return frozen_array(abs(c[:, None, :] - c[None, :, :]).max(axis=2), cost.mode)
+    low = min_plus(-c, c.T)
+    return frozen_array(np.maximum(0 - low, 0 - low.T), cost.mode)  # 0 - 0.0 is +0.0
 
 
 def is_c_concave(phi, cost: CostMatrix) -> bool:

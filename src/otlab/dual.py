@@ -31,7 +31,7 @@ from .core import (
     zero,
 )
 from .ctransform import normalize_pair
-from .errors import DimensionMismatch, InfeasibleInput, NoFeasibleTreeDual
+from .errors import DimensionMismatch, NoFeasibleTreeDual
 from .primal import OptimalPlanResult, solve_primal
 
 
@@ -62,8 +62,7 @@ def improve_dual(pot: DualPotentials, cost: CostMatrix) -> DualPotentials:
 
     Never decreases the dual value (phi^{c cbar} >= phi and psi <= phi^c for
     a feasible pair) and is idempotent on already-canonical pairs."""
-    if not pot.is_feasible_for(cost):
-        raise InfeasibleInput("potentials violate phi + psi <= c")
+    pot.require_feasible_for(cost)
     return normalize_pair(pot.phi, cost)
 
 

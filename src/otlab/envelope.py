@@ -105,8 +105,8 @@ def _level_cost(cost: CostMatrix, dx: np.ndarray, dy: np.ndarray, n: Number) -> 
     if is_inf(n) or n < 0:
         raise InfeasibleInput(f"the level n must be finite and nonnegative, got {n}")
     # inner[k, j] = min_l min(c[k, l], n) + n * d_Y[j, l]
-    inner, _ = min_plus(np.minimum(cost.entries, n), _times(n, dy.T))
-    out, _ = min_plus(_times(n, dx), inner)
+    inner = min_plus(np.minimum(cost.entries, n), _times(n, dy.T))
+    out = min_plus(_times(n, dx), inner)
     return CostMatrix(out)
 
 

@@ -27,6 +27,7 @@ from otlab import (
     dual_value,
     duality_gap,
     generate_fixture,
+    improve_dual,
     make_instance,
     northwest_corner,
     oracle_dual,
@@ -89,7 +90,7 @@ def test_gap_rejects_infeasible_arguments():
     inst = make_instance([[0, 2], [2, 1]], HALF, HALF)
     with pytest.raises(InfeasibleArguments):
         duality_gap(plan([[1, 0], [0, 0]]), pot([0, 0], [0, 0]), inst)
-    with pytest.raises(InfeasibleArguments):
+    with pytest.raises(InfeasiblePotentials):
         duality_gap(product_plan(inst.mu, inst.nu), pot([3, 3], [3, 3]), inst)
 
 
@@ -274,6 +275,17 @@ def test_slackness_rejects_infeasible_potentials():
     inst = make_instance([[0, 2], [2, 1]], HALF, HALF)
     with pytest.raises(InfeasiblePotentials):
         check_slackness(product_plan(inst.mu, inst.nu), pot([2, 2], [2, 2]), inst.cost)
+
+
+def test_every_entry_point_words_infeasible_potentials_alike():
+    inst = make_instance([[0, 2], [2, 1]], HALF, HALF)
+    plan, bad = product_plan(inst.mu, inst.nu), pot([2, 2], [2, 2])
+    for check in (lambda: duality_gap(plan, bad, inst),
+                  lambda: build_certificate(inst, plan, bad),
+                  lambda: check_slackness(plan, bad, inst.cost),
+                  lambda: improve_dual(bad, inst.cost)):
+        with pytest.raises(InfeasiblePotentials, match=r"^potentials violate phi \+ psi <= c$"):
+            check()
 
 
 # --- check_cyclic_monotonicity ---------------------------------------------------

@@ -11,6 +11,7 @@ from otlab import (
     DualPotentials,
     InfeasibleFiniteCost,
     InfeasibleInput,
+    InfeasiblePotentials,
     UnboundedTransform,
     as_vector,
     c_transform,
@@ -326,7 +327,7 @@ def test_improve_dual_constant_cost():
 
 def test_improve_dual_rejects_infeasible():
     inst = fixture_instance()
-    with pytest.raises(InfeasibleInput):
+    with pytest.raises(InfeasiblePotentials):
         improve_dual(pot([1, 1], [1, 1]), inst.cost)
 
 

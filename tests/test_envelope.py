@@ -1,6 +1,7 @@
 """Lipschitz envelope: formula, sandwich/monotone/Lipschitz laws, the value
 chain, and exact saturation."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 
@@ -509,12 +510,33 @@ def test_closed_forms_match_the_loops(data):
     got = _outcome(saturation_index, cost, dx, dy)
     want = _outcome(reference_saturation_index, cost, dx, dy)
     assert type(got) is type(want) and got == want
-    if cost.is_bounded:
+    # the induced forms also on a float cost of either sign, not dyadic,
+    # at scales 1e-8 to 1e8
+    scaled_float = st.builds(lambda x, e: x * 10.0 ** e, st.floats(-10, 10), st.integers(-8, 8))
+    signed = CostMatrix(as_matrix([[data.draw(scaled_float) for _ in range(p)]
+                                   for _ in range(m)], "float"))
+    for bounded in [cost, signed] if cost.is_bounded else [signed]:
         for axis in (OVER_X, OVER_Y):
-            got = induced_pseudometric(cost, axis)
-            want = reference_induced_pseudometric(cost, axis)
+            got = induced_pseudometric(bounded, axis)
+            want = reference_induced_pseudometric(bounded, axis)
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
             assert [type(v) for v in got.flat] == [type(v) for v in want.flat]
+
+
+def test_induced_pseudometric_zeros_are_positive_zeros():
+    cost = CostMatrix(as_matrix([[0.5, -1.0], [0.5, -1.0]], "float"))
+    assert not np.signbit(induced_pseudometric(cost, OVER_X)).any()
+
+
+def test_induced_pseudometric_memory_is_that_of_one_kernel_block():
+    cost = generate_fixture("random-uniform", 60, seed=1).cost
+    tracemalloc.start()
+    try:
+        induced_pseudometric(cost, OVER_X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # a 60 x 60 x 60 pass of Fractions takes about 26 MB
 
 
 def test_value_chain_meets_limit_at_saturation(rng):

@@ -1,9 +1,9 @@
 """What the brute-force oracle actually walks.
 
 Every vertex of the transportation polytope sits on a spanning tree of the
-bipartite supply-demand graph; the oracle enumerates all of them (here:
-3^2 * 3^2 = 81 trees for a 3x3 instance), keeps the feasible ones, and
-takes the exact minimum. The network simplex must agree bit for bit.
+bipartite supply-demand graph; the oracle's walk yields all of them (here:
+3^2 * 3^2 = 81 trees for a 3x3 instance), and the oracle takes the exact
+minimum over the feasible ones. The network simplex must agree bit for bit.
 """
 
 import random
@@ -27,19 +27,12 @@ inst = make_instance(
     [F(v, total) for v in nu_raw],
 )
 
-trees = []
-feasible = 0
-
-def on_tree(edges, masses, value):
-    global feasible
-    trees.append(edges)
-    if all(x >= 0 for x in masses):
-        feasible += 1
-
-_enumerate_trees(
-    m, n, mu_raw, nu_raw, [[int(c) for c in row] for row in cost],
-    prune_infeasible=False, on_tree=on_tree,
-)
+# the unpruned walk yields every spanning tree with its (possibly negative)
+# masses; the trees whose masses are all nonnegative are the vertices
+trees = list(_enumerate_trees(
+    m, n, mu_raw, nu_raw, [[int(c) for c in row] for row in cost], prune_infeasible=False
+))
+feasible = sum(all(x >= 0 for x in masses) for _, masses, _ in trees)
 print(f"spanning trees of K_{m},{n}: {len(trees)} (formula: {m**(n-1) * n**(m-1)})")
 print(f"feasible trees (vertices, with degenerate repeats): {feasible}")
 

@@ -475,10 +475,14 @@ class CostMatrix:
     def mode(self) -> str:
         return mode_of(self.entries)
 
+    def require_bounded(self, what: str):
+        """Raise InfiniteCostInBoundedMode, worded here only, unless :attr:`is_bounded`."""
+        if not self.is_bounded:
+            raise InfiniteCostInBoundedMode(f"{what} requires a bounded cost")
+
     def sup_norm(self) -> Number:
         """max |c[i][j]| over all entries; requires a bounded matrix."""
-        if not self.is_bounded:
-            raise InfiniteCostInBoundedMode("sup norm of an unbounded cost")
+        self.require_bounded("the sup norm")
         return max(abs(v) for v in self.entries.flat)
 
 

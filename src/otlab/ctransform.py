@@ -92,8 +92,7 @@ def induced_pseudometric(cost: CostMatrix, axis: str) -> np.ndarray:
 
     One max-plus product: with ``low = min_plus(-c, c.T)``, entry (i, i') is
     ``max(-low[i, i'], -low[i', i])``, exact as negation is, in both modes."""
-    if not cost.is_bounded:
-        raise UnboundedTransform("induced pseudometrics require a bounded cost")
+    cost.require_bounded("the induced pseudometric")
     if axis not in (OVER_X, OVER_Y):
         raise ValueError(f"axis must be {OVER_X!r} or {OVER_Y!r}")
     # rows of c are the points of the measured axis

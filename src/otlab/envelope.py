@@ -133,7 +133,7 @@ def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeS
     _require_nonnegative(instance.cost)
     levels_in = as_numbers(n_list, instance.mode, "levels")
     if not levels_in or any(b <= a for a, b in zip(levels_in, levels_in[1:])):
-        raise InfeasibleInput("n_list must be nonempty and strictly increasing")
+        raise InfeasibleInput("levels must be nonempty and strictly increasing")
 
     try:
         limit_value = solve_primal(instance).value
@@ -146,19 +146,18 @@ def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeS
     limit_tol = cost_tolerance(instance.cost)
     levels = []
     saturation = None
-    previous_cost = None
-    previous_value = None
     for n in levels_in:
         cost_n = _level_cost(instance.cost, dx, dy, n)
         value_n = solve_primal(replace(instance, cost=cost_n)).value
         tol = max(limit_tol, cost_tolerance(cost_n))
-        if previous_cost is not None:
-            _assert_entrywise_le(previous_cost, cost_n, tol)
-        if previous_value is not None and value_n < previous_value - tol:
-            raise EnvelopeLawViolation(
-                f"value chain must be nondecreasing in n: level {n} gives "
-                f"{value_n} < {previous_value}"
-            )
+        if levels:
+            previous = levels[-1]
+            _assert_entrywise_le(previous.cost, cost_n, tol)
+            if value_n < previous.value - tol:
+                raise EnvelopeLawViolation(
+                    f"value chain must be nondecreasing in n: level {n} gives "
+                    f"{value_n} < {previous.value}"
+                )
         if value_n > limit_value + tol:
             raise EnvelopeLawViolation(
                 f"regularized value {value_n} at level {n} exceeds the limit "
@@ -167,7 +166,6 @@ def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeS
         if saturation is None and abs(value_n - limit_value) <= tol:
             saturation = n
         levels.append(EnvelopeLevel(n=n, cost=cost_n, value=value_n))
-        previous_cost, previous_value = cost_n, value_n
 
     return EnvelopeSchedule(
         levels=tuple(levels), limit_value=limit_value, saturation_level=saturation
@@ -201,8 +199,7 @@ def saturation_index(cost: CostMatrix, d_x, d_y) -> Number:
     differs over a pair at distance 0. The metrics are read as by
     :func:`lipschitz_envelope`.
     """
-    if not cost.is_bounded:
-        raise InfeasibleInput("saturation_index requires a bounded cost")
+    cost.require_bounded("the saturation index")
     _require_nonnegative(cost)
     levels = [zero(cost.mode), cost.sup_norm()]
     for axis, d in zip((OVER_X, OVER_Y), _read_metrics(cost, d_x, d_y)):

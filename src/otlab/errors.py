@@ -37,8 +37,7 @@ class InfiniteCostInBoundedMode(OTLabError, ValueError):
 
 
 class UnboundedTransform(OTLabError):
-    """A c-transform is undefined: a whole column/row of the cost is +inf,
-    or a bounded cost was required and an infinite entry is present."""
+    """A c-transform is undefined: a whole column/row of the cost is +inf."""
 
 
 class InfeasibleFiniteCost(OTLabError):

@@ -69,35 +69,33 @@ def _random_points(rng: random.Random, size: int):
     return points
 
 
+def _on_random_lines(cost, rng: random.Random) -> Instance:
+    """The square ``cost`` on two random point lines with their line
+    metrics and two random marginals, drawn from ``rng`` in that order."""
+    size = len(cost)
+    px = _random_points(rng, size)
+    py = _random_points(rng, size)
+    return make_instance(
+        cost,
+        _random_marginal(rng, size),
+        _random_marginal(rng, size),
+        metric_x=_abs_metric(px),
+        metric_y=_abs_metric(py),
+    )
+
+
 def _fixture_random_uniform(size: int, rng: random.Random) -> Instance:
     cost = [
         [Fraction(rng.randint(0, 20), rng.randint(1, 4)) for _ in range(size)]
         for _ in range(size)
     ]
-    px = _random_points(rng, size)
-    py = _random_points(rng, size)
-    return make_instance(
-        cost,
-        _random_marginal(rng, size),
-        _random_marginal(rng, size),
-        metric_x=_abs_metric(px),
-        metric_y=_abs_metric(py),
-    )
+    return _on_random_lines(cost, rng)
 
 
 def _fixture_separable(size: int, rng: random.Random) -> Instance:
     a = [Fraction(rng.randint(0, 10), rng.randint(1, 3)) for _ in range(size)]
     b = [Fraction(rng.randint(0, 10), rng.randint(1, 3)) for _ in range(size)]
-    cost = [[ai + bj for bj in b] for ai in a]
-    px = _random_points(rng, size)
-    py = _random_points(rng, size)
-    return make_instance(
-        cost,
-        _random_marginal(rng, size),
-        _random_marginal(rng, size),
-        metric_x=_abs_metric(px),
-        metric_y=_abs_metric(py),
-    )
+    return _on_random_lines([[ai + bj for bj in b] for ai in a], rng)
 
 
 def _fixture_spike(size: int, rng: random.Random) -> Instance:

@@ -18,6 +18,11 @@ and, once a tree has completed, the moment the partial cost passes the
 incumbent: the cheapest tree completed so far (there is no seed). Neither
 cut affects the exact minimum nor the deterministic first-found tie-break.
 
+The walk is a generator that yields each completed tree. ``oracle_primal``
+is the ``min`` of those trees by cost (the first cheapest one), and
+``oracle_dual`` stops iterating at the first tree whose tight potentials
+are feasible, which ends the walk.
+
 Rational data is scaled to integers (denominators cleared, by the same
 ``core.scaled_data`` the simplex uses) so the hot loop runs on Python ints.
 That scaling and the tree walk ``core.tree_potentials`` are shared with the
@@ -42,7 +47,7 @@ from .core import (
     tree_potentials,
     zero,
 )
-from .errors import BadNumber, BudgetExceeded, InfiniteCostInBoundedMode, NoFeasibleTreeDual
+from .errors import BadNumber, BudgetExceeded, NoFeasibleTreeDual
 from .primal import OptimalPlanResult
 
 #: Largest |X| * |Y| the oracle accepts by default.
@@ -62,31 +67,24 @@ def budget_from_env(budget: Optional[int]) -> int:
         raise BadNumber(f"OT_LAB_BUDGET: bad number {env!r} (not an integer)") from None
 
 
-class _StopEnumeration(Exception):
-    """Raised by an on_tree callback to abort the walk early."""
-
-
 def _enumerate_trees(
     m: int,
     n: int,
     mu,
     nu,
     cost,
-    on_tree,
     *,
     prune_infeasible: bool = True,
     neg_tol=0,
     cost_tol=0,
 ):
-    """Walk every canonical pluck sequence depth-first.
-
-    ``on_tree(edges, masses, total_cost)`` fires for each completed tree
-    (edges as (i, j) cell pairs, in pluck order); it may raise
-    ``_StopEnumeration`` to end the walk. The incumbent is the cheapest
-    tree completed so far: a branch whose partial cost passes it by more
-    than ``cost_tol`` is cut. With ``prune_infeasible=False`` nothing is
-    cut and every spanning tree is visited, negative masses included (used
-    by the bijection self-test).
+    """Walk every canonical pluck sequence depth-first, yielding
+    ``(edges, masses, total_cost)`` for each completed tree (edges as
+    (i, j) cell pairs, in pluck order). A consumer that stops iterating
+    ends the walk. The incumbent is the cheapest tree yielded so far: a
+    branch whose partial cost passes it by more than ``cost_tol`` is cut.
+    With ``prune_infeasible=False`` nothing is cut and every spanning tree
+    is yielded, negative masses included (used by the bijection self-test).
     """
     size = m + n
     # node k: row k if k < m else column k - m
@@ -107,7 +105,7 @@ def _enumerate_trees(
         nonlocal best, bound
         if steps_left == 0:
             total = partial + shift
-            on_tree(tuple(edges), tuple(masses), total)
+            yield tuple(edges), tuple(masses), total
             if best is None or total < best:
                 best, bound = total, total - shift + cost_tol
             return  # root's remaining balance is zero by mass conservation
@@ -145,7 +143,7 @@ def _enumerate_trees(
                 debt[p] = False
                 edges.append((v, p - m) if v < m else (p, v - m))
                 masses.append(x)
-                dfs(steps_left - 1, new_partial)
+                yield from dfs(steps_left - 1, new_partial)
                 edges.pop()
                 masses.pop()
                 debt[p] = had_debt
@@ -154,24 +152,20 @@ def _enumerate_trees(
             for u in newly_indebted:
                 debt[u] = False
 
-    try:
-        dfs(size - 1, 0)
-    except _StopEnumeration:
-        pass
+    yield from dfs(size - 1, 0)
 
 
-def _walk(instance: Instance, budget: Optional[int], on_tree):
+def _walk(instance: Instance, budget: Optional[int]):
     """The one guarded walk behind both oracle entry points.
 
     Refuses a ``+inf`` cost and an instance over the cell budget (default
     16, overridable via the ``budget`` argument or the OT_LAB_BUDGET
-    variable), then walks the trees of the scaled data with
-    ``on_tree(edges, masses, total)`` as the observer. The walk's
-    incumbent is the cheapest tree it has completed (there is no seed), so
-    each tree that completes ties or beats it within ``cost_tolerance``.
-    Returns the scales ``(L, M)`` of ``core.scaled_data``."""
-    if not instance.cost.is_bounded:
-        raise InfiniteCostInBoundedMode("the oracle requires a finite cost matrix")
+    variable) at once, then returns ``(trees, L, M)``: the tree generator
+    of :func:`_enumerate_trees` on the scaled data, and the scales of
+    ``core.scaled_data``. The walk's incumbent is the cheapest tree it has
+    yielded (there is no seed), so each tree it yields ties or beats it
+    within ``cost_tolerance``."""
+    instance.cost.require_bounded("the oracle")
     m, n = instance.shape
     budget = budget_from_env(budget)
     if m * n > budget:
@@ -179,11 +173,11 @@ def _walk(instance: Instance, budget: Optional[int], on_tree):
             f"{m}x{n} instance exceeds the oracle budget of {budget} cells"
         )
     mu, nu, cost, L, M = scaled_data(instance)
-    _enumerate_trees(
-        m, n, mu, nu, cost, on_tree,
+    trees = _enumerate_trees(
+        m, n, mu, nu, cost,
         neg_tol=tolerance(instance.mode), cost_tol=cost_tolerance(instance.cost),
     )
-    return L, M
+    return trees, L, M
 
 
 def oracle_primal(instance: Instance, budget: Optional[int] = None) -> OptimalPlanResult:
@@ -192,14 +186,9 @@ def oracle_primal(instance: Instance, budget: Optional[int] = None) -> OptimalPl
 
     Accepts bounded instances with |X| * |Y| within the cell budget (see
     :func:`_walk`)."""
-    best = []
-
-    def keep_cheapest(edges, masses, total):
-        if not best or total < best[2]:
-            best[:] = edges, masses, total
-
-    L, M = _walk(instance, budget, keep_cheapest)
-    if not best:
+    trees, L, M = _walk(instance, budget)
+    best = min(trees, key=lambda tree: tree[2], default=None)
+    if best is None:
         raise NoFeasibleTreeDual("no feasible tree found; enumeration bug")
     edges, tree_masses, total = best
     m, n = instance.shape
@@ -219,33 +208,28 @@ def oracle_primal(instance: Instance, budget: Optional[int] = None) -> OptimalPl
 def oracle_dual(instance: Instance, budget: Optional[int] = None) -> DualPotentials:
     """Feasible potentials matching the oracle optimum exactly, from one walk.
 
-    On each tree the walk completes, tightness is propagated from
+    On each tree the walk yields, tightness is propagated from
     phi[0] = 0 by ``core.tree_potentials`` (trees are connected, so
     propagation is total), and the first tree whose potentials are feasible
-    everywhere wins. By complementary slackness such a tree is optimal: its
-    masses are nonnegative, and its plan and potentials are tight on the
-    same cells, so its cost equals their dual value. Cost pruning cuts only
-    trees strictly worse than the incumbent, which are never optimal, so
-    this is the first optimal tree with feasible potentials in walk order.
-    Strong duality guarantees one exists; running out of candidates
-    signals a bug. The guards are those of :func:`oracle_primal`.
+    everywhere wins; returning from the loop ends the walk. By
+    complementary slackness such a tree is optimal: its masses are
+    nonnegative, and its plan and potentials are tight on the same cells,
+    so its cost equals their dual value. Cost pruning cuts only trees
+    strictly worse than the incumbent, which are never optimal, so this is
+    the first optimal tree with feasible potentials in walk order. Strong
+    duality guarantees one exists; running out of candidates signals a
+    bug. The guards are those of :func:`oracle_primal`.
     """
+    trees, _, _ = _walk(instance, budget)
     m, n = instance.shape
     rows = instance.cost.entries.tolist()
     z = zero(instance.mode)
-    found = []
-
-    def stop_at_feasible(edges, masses, total):
+    for edges, _, _ in trees:
         tight, _, _ = tree_potentials(m, n, edges, rows, z)
         pot = DualPotentials(
             phi=frozen_array(tight[:m], instance.mode),
             psi=frozen_array(tight[m:], instance.mode),
         )
         if pot.is_feasible_for(instance.cost):
-            found.append(pot)
-            raise _StopEnumeration
-
-    _walk(instance, budget, stop_at_feasible)
-    if not found:
-        raise NoFeasibleTreeDual("all optimal trees produced infeasible potentials")
-    return found[0]
+            return pot
+    raise NoFeasibleTreeDual("all optimal trees produced infeasible potentials")

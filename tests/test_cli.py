@@ -72,6 +72,17 @@ def test_gen_unknown_fixture(capsys):
     assert "unknown fixture" in err
 
 
+@pytest.mark.parametrize("name,size,match", [
+    ("bogus", 2, "^unknown fixture 'bogus'; choose one of "),
+    ("indicator", 0, "^fixture size must be at least 1$"),
+])
+def test_generate_fixture_refuses_an_unknown_name_or_size(name, size, match):
+    from otlab import UnknownFixture, generate_fixture
+
+    with pytest.raises(UnknownFixture, match=match):
+        generate_fixture(name, size=size)
+
+
 # --- solve / oracle ---------------------------------------------------------------
 
 
@@ -108,7 +119,7 @@ def test_oracle_on_an_infinite_cost_is_a_one_line_error(fixture_file, capsys, fl
     fixture_file.write_text(json.dumps(data))
     code, out, err = run_cli(["oracle", *flags, str(fixture_file)], capsys)
     assert (code, out) == (1, "")
-    assert err == "otlab: error: the oracle requires a finite cost matrix\n"
+    assert err == "otlab: error: the oracle requires a bounded cost\n"
 
 
 def test_solve_missing_file(capsys):
@@ -248,6 +259,14 @@ def test_infinite_envelope_level_is_named(tmp_path, capsys, flags):
     code, out, err = run_cli(["envelope", "--levels", "1,inf", *flags, str(path)], capsys)
     assert (code, out) == (1, "")
     assert err == "otlab: error: the level n must be finite and nonnegative, got inf\n"
+
+
+def test_decreasing_envelope_levels_are_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    run_cli(["gen", "random-uniform", "--size", "3", "--seed", "0", "-o", str(path)], capsys)
+    code, out, err = run_cli(["envelope", "--levels", "2,1", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "otlab: error: levels must be nonempty and strictly increasing\n"
 
 
 @pytest.mark.parametrize("flags", [[], ["--float"]])

@@ -471,6 +471,19 @@ def test_bounded_mode_rejects_infinite_cost():
     assert make_instance([[0, 1], [1, 0]], HALF, HALF).cost.is_bounded
 
 
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_every_entry_point_words_a_required_bound_alike(mode):
+    inst = convert_instance(make_instance([[0, "inf"], [1, 0]], HALF, HALF), mode)
+    d = np.zeros((2, 2))
+    for what, call in (("the sup norm", inst.cost.sup_norm),
+                       ("the induced pseudometric",
+                        lambda: otlab.induced_pseudometric(inst.cost, otlab.OVER_X)),
+                       ("the saturation index", lambda: otlab.saturation_index(inst.cost, d, d)),
+                       ("the oracle", lambda: otlab.oracle_primal(inst))):
+        with pytest.raises(otlab.InfiniteCostInBoundedMode, match=f"^{what} requires a bounded cost$"):
+            call()
+
+
 # --- plan_cost ---------------------------------------------------------------
 
 

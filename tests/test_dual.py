@@ -12,6 +12,7 @@ from otlab import (
     InfeasibleFiniteCost,
     InfeasibleInput,
     InfeasiblePotentials,
+    NoFeasibleTreeDual,
     UnboundedTransform,
     as_vector,
     c_transform,
@@ -21,12 +22,13 @@ from otlab import (
     improve_dual,
     is_c_concave,
     make_instance,
+    northwest_corner,
     oracle_primal,
     product_plan,
     solve_dual,
     solve_primal,
 )
-from otlab.primal import OptimalPlanResult
+from otlab.primal import OptimalPlanResult, _northwest_basis
 from otlab.core import TransportPlan, as_matrix, cost_tolerance, is_inf
 
 from conftest import random_rational_instance
@@ -183,6 +185,19 @@ def test_extract_refuses_a_basis_that_is_not_a_spanning_tree(basis, match):
     result = OptimalPlanResult(product_plan(inst.mu, inst.nu), F(5, 4), tuple(basis))
     with pytest.raises(InfeasibleInput, match=match):
         extract_dual_from_basis(result, inst.cost)
+
+
+def test_a_basis_that_is_not_optimal_has_no_feasible_tree_dual():
+    """The northwest basis of an anti-diagonal optimum (value 2, optimum 0)
+    has tight potentials that violate phi + psi <= c."""
+    inst = make_instance([[2, 0], [0, 2]], HALF, HALF)
+    basis = sorted(_northwest_basis(inst.mu.weights, inst.nu.weights))
+    result = OptimalPlanResult(northwest_corner(inst.mu, inst.nu), F(2), tuple(basis))
+    match = "^basis potentials are infeasible; the basis cannot be optimal$"
+    with pytest.raises(NoFeasibleTreeDual, match=match):
+        extract_dual_from_basis(result, inst.cost)
+    with pytest.raises(NoFeasibleTreeDual, match=match):
+        solve_dual(inst, result)
 
 
 @st.composite

@@ -15,6 +15,7 @@ from otlab import (
     DimensionMismatch,
     EnvelopeLawViolation,
     InfeasibleInput,
+    InfiniteCostInBoundedMode,
     MetricViolation,
     MissingMetric,
     OTLabError,
@@ -441,7 +442,7 @@ def reference_saturation_index(cost, dx, dy):
     (k, l) satisfy min(c[k][l], n) + n D >= c[i][j], D = dx[i][k] + dy[j][l],
     by the loop over all four indices that the closed form replaced."""
     if not cost.is_bounded:
-        raise InfeasibleInput("saturation_index requires a bounded cost")
+        raise InfiniteCostInBoundedMode("the saturation index requires a bounded cost")
     m, p = cost.shape
     best = zero(cost.mode)
     c = cost.entries

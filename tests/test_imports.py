@@ -1,13 +1,14 @@
 """Static checks of the library source by the stdlib ``ast``: every name a
-module imports is used in that module, and one function holds the one
-three-index numpy pass."""
+module imports is used in that module, one function holds the one
+three-index numpy pass, and every error class is raised and tested."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "otlab"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "otlab"
 
 
 def unused_imports(source: str) -> list:
@@ -62,3 +63,41 @@ def test_the_min_plus_kernel_is_the_one_three_index_pass():
     found = [(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
              for name, _ in three_index_passes(path.read_text(encoding="utf-8"))]
     assert found == [("core.py", "min_plus_arrays")]
+
+
+def raised_names(source: str) -> set:
+    """Names of the classes that a ``raise`` of ``source`` raises, called
+    (``raise E(...)``) or bare (``raise E``)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def referenced_names(source: str) -> set:
+    """Every name ``source`` reads, bare (``E``) or as an attribute (``m.E``)."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_the_check_finds_raised_and_referenced_names():
+    source = "def f(x):\n    if x:\n        raise A('a') from None\n    raise B\nraise m.C()\n"
+    assert raised_names(source) == {"A", "B"}
+    assert referenced_names("pytest.raises(errors.D)\nE\n") == {"pytest", "raises", "errors", "D", "E"}
+
+
+def test_every_error_class_is_raised_and_tested():
+    """Each class of ``errors.py`` has a ``raise`` in some library module
+    and is named by some test file."""
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
+    raised = set().union(*(raised_names(path.read_text(encoding="utf-8"))
+                           for path in PACKAGE.glob("*.py")))
+    tested = set().union(*(referenced_names(path.read_text(encoding="utf-8"))
+                           for path in TESTS.glob("*.py")))
+    assert [name for name in classes if name not in raised] == []
+    assert [name for name in classes if name not in tested] == []

@@ -38,7 +38,8 @@ zeros in rational mode; in float mode ``core.tolerance`` for masses and
 ``core.cost_tolerance`` for cost-valued quantities. The report prints them.
 The marginal law is decided in one place, :func:`check_marginals`, by one
 pass over the plan's nonzero cells (``TransportPlan.cells``). A certificate
-runs it once and tests dual feasibility once, inside the duality gap.
+runs it once and tests dual feasibility once; the gap and the slackness
+report compute on the pair as that test reads it, in the cost's mode.
 """
 
 from __future__ import annotations
@@ -130,12 +131,7 @@ class DualityCertificate:
 def duality_gap(plan: TransportPlan, pot: DualPotentials, instance: Instance) -> Number:
     """plan_cost - dual_value for a feasible pair; always >= 0."""
     _lawful_marginals(plan, instance)
-    return _gap(plan, pot, instance)
-
-
-def _gap(plan: TransportPlan, pot: DualPotentials, instance: Instance) -> Number:
-    """The duality gap of a plan already known to obey the marginal law."""
-    pot.require_feasible_for(instance.cost)
+    pot = pot.require_feasible_for(instance.cost)
     return plan_cost(plan, instance.cost) - dual_value(pot, instance.mu, instance.nu)
 
 
@@ -177,12 +173,11 @@ def check_slackness(plan: TransportPlan, pot: DualPotentials, cost: CostMatrix) 
     always produce one."""
     if plan.shape != cost.shape:
         raise DimensionMismatch(f"plan {plan.shape} vs cost {cost.shape}")
-    pot.require_feasible_for(cost)
-    return _slack_violations(plan, pot, cost)
+    return _slack_violations(plan, pot.require_feasible_for(cost), cost)
 
 
 def _slack_violations(plan: TransportPlan, pot: DualPotentials, cost: CostMatrix) -> tuple:
-    """The slackness report of potentials already known to be feasible."""
+    """The slackness report of a pair from ``require_feasible_for``."""
     tol, mass_tol = cost_tolerance(cost), tolerance(plan.mode)
     violations = []
     for (i, j), mass in plan.cells:
@@ -267,11 +262,12 @@ def build_certificate(
 ) -> DualityCertificate:
     """Assemble the full certificate at the tolerance policy of the module
     docstring. Each law is decided once: one pass over the plan's cells
-    gives the marginal report and the gap's marginal precondition, and the
-    gap tests dual feasibility, whose verdict the slackness report reuses."""
+    gives the marginal report and the gap's marginal precondition, and one
+    feasibility test gives the pair, read in the cost's mode, to the rest."""
     marginals = _lawful_marginals(plan, instance)
+    pot = pot.require_feasible_for(instance.cost)
     return DualityCertificate(
-        gap=_gap(plan, pot, instance),
+        gap=plan_cost(plan, instance.cost) - dual_value(pot, instance.mu, instance.nu),
         marginals=marginals,
         slackness=_slack_violations(plan, pot, instance.cost),
         cyclic=check_cyclic_monotonicity(plan, instance.cost),

@@ -26,7 +26,6 @@ from .core import (
     FLOAT,
     RATIONAL,
     Instance,
-    as_numbers,
     as_vector,
     convert_instance,
     dual_value,
@@ -159,8 +158,7 @@ def cmd_transform(args) -> int:
 def cmd_envelope(args) -> int:
     instance = _load(args)
     tokens = [tok.strip() for tok in args.levels.split(",") if tok.strip()]
-    levels = as_numbers(tokens, instance.mode, "--levels")
-    schedule = envelope_schedule(instance, levels)
+    schedule = envelope_schedule(instance, tokens)
     _emit(dump_json(schedule_to_dict(schedule, instance.mode)))
     return 0
 

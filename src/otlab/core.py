@@ -25,19 +25,19 @@ its mode from the cost; :func:`make_instance` builds one from raw values.
 A :class:`TransportPlan` collects its nonzero cells in the one scan that
 checks its entries, and every reader of plan mass reads those. One tree
 walk, :func:`hang_subtree`, gives the tight potentials of a basis: whole,
-through :func:`tree_potentials`, to the dual extraction and the oracle
-dual, and one moved subtree per simplex pivot. A basis is always one
-spanning tree, hung from row 0; :func:`tree_potentials` refuses any other
-cell set before it walks. One kernel, :func:`min_plus_arrays`, is the one
-three-index numpy pass, and it returns minima only. Through
-:func:`min_plus` it gives the c-transforms, the dual feasibility test, the
-Lipschitz envelope and the induced pseudometrics (a max-plus product);
-directly, the triangle law (``d <= d (x) d``, a min-plus square) and the
-min-plus powers of the cyclic-monotonicity check. Rational data become exact ints
-in one place, :func:`scaled`, and one guard, :func:`int_dtype`, keeps
-them in int64 where every sum fits. One check,
-:func:`require_pseudometric`, words every metric-law error; it decides
-the triangle law at the float tolerance and the others exactly.
+through :func:`tree_potentials`, and one moved subtree per simplex pivot.
+A basis is always one spanning tree, hung from row 0; :func:`tree_potentials`
+refuses any other cell set before it walks. Its one dual, :func:`basis_dual`,
+serves the dual extraction and the oracle dual. One kernel,
+:func:`min_plus_arrays`, is the one three-index numpy pass, and it returns
+minima only. Through :func:`min_plus` it gives the c-transforms, the dual
+feasibility test, the Lipschitz envelope and the induced pseudometrics (a
+max-plus product); directly, the triangle law (``d <= d (x) d``, a min-plus
+square) and the min-plus powers of the cyclic-monotonicity check. Rational
+data become exact ints in one place, :func:`scaled`, and one guard,
+:func:`int_dtype`, keeps them in int64 where every sum fits. One check,
+:func:`require_pseudometric`, words every metric-law error; it decides the
+triangle law at the float tolerance and the others exactly.
 """
 
 from __future__ import annotations
@@ -314,6 +314,36 @@ def tree_potentials(m: int, n: int, cells, rows, z):
     return pot, parent, wall
 
 
+def basis_dual(cells, cost: "CostMatrix") -> Optional["DualPotentials"]:
+    """The dual of a spanning-tree basis: its potentials tight on every
+    finite basic cell (:func:`tree_potentials`, phi[0] = 0) when they are
+    feasible for ``cost``, which certifies the basis optimal; else None.
+
+    When the basis holds zero-mass +inf cells (see primal), the walk also
+    gives the wall potentials, those of the 0/1 +inf indicator; ``(wall,
+    pot)`` are then the simplex's lexicographic optimality certificate, as
+    in the big-M argument. One scalar lift ``pot + t * wall`` turns it into
+    finite feasible potentials: every finite cell has ``wall[i] + wall[m+j]
+    <= 0`` at the optimum, so a large enough ``t`` covers the cells with a
+    negative wall part, and it costs nothing, since the plan puts no mass on
+    +inf cells."""
+    m, n = cost.shape
+    rows = cost.entries.tolist()
+    pot, _, wall = tree_potentials(m, n, cells, rows, zero(cost.mode))
+    if wall is not None:
+        # the smallest lift t >= 0 that leaves no finite cell with slack
+        # c - P + t * -W below 0, where W and P are its wall and pot sums
+        t = max([0] + [
+            (pot[i] + pot[m + j] - c) / -(wall[i] + wall[m + j])
+            for i, row in enumerate(rows) for j, c in enumerate(row)
+            if not is_inf(c) and wall[i] + wall[m + j] < 0
+        ])
+        if t > 0:
+            pot = [p + t * w for p, w in zip(pot, wall)]
+    pot = DualPotentials(frozen_array(pot[:m], cost.mode), frozen_array(pot[m:], cost.mode))
+    return pot if pot.is_feasible_for(cost) else None
+
+
 def tree_adjacency(m: int, n: int, cells) -> list:
     """Neighbour lists of the nodes (rows, then columns) of a cell set."""
     adj = [[] for _ in range(m + n)]
@@ -575,17 +605,25 @@ class DualPotentials:
 
     def is_feasible_for(self, cost: CostMatrix) -> bool:
         """phi + psi <= c + ``cost_tolerance(cost)`` on finite cells, read as
-        psi <= phi^c + tol with phi^c[j] = min_i c[i][j] - phi[i]."""
+        psi <= phi^c + tol with phi^c[j] = min_i c[i][j] - phi[i], for the
+        pair :meth:`_read` in the cost's mode."""
         if cost.shape != self.shape:
             raise DimensionMismatch(f"potentials {self.shape} vs cost {cost.shape}")
-        phi = as_vector(self.phi, cost.mode, "phi")
-        (phi_c,) = min_plus(-phi[None], cost.entries)
-        return bool(np.all(self.psi <= phi_c + cost_tolerance(cost)))
+        pot = self._read(cost.mode)
+        (phi_c,) = min_plus(-pot.phi[None], cost.entries)
+        return bool(np.all(pot.psi <= phi_c + cost_tolerance(cost)))
 
-    def require_feasible_for(self, cost: CostMatrix):
-        """Raise InfeasiblePotentials, worded here only, unless :meth:`is_feasible_for`."""
+    def require_feasible_for(self, cost: CostMatrix) -> "DualPotentials":
+        """The pair :meth:`_read` in the cost's mode; raise InfeasiblePotentials,
+        worded here only, unless :meth:`is_feasible_for`."""
         if not self.is_feasible_for(cost):
             raise InfeasiblePotentials("potentials violate phi + psi <= c")
+        return self._read(cost.mode)
+
+    def _read(self, mode: str) -> "DualPotentials":
+        """The pair by ``as_vector``: a bad entry is a BadNumber (``psi[0]: ...``)."""
+        phi, psi = as_vector(self.phi, mode, "phi"), as_vector(self.psi, mode, "psi")
+        return DualPotentials(phi, psi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -672,7 +710,9 @@ def make_instance(
 
 
 def convert_instance(instance: Instance, mode: str) -> Instance:
-    """Re-express an instance in the other arithmetic mode."""
+    """The instance in ``mode`` by :func:`to_number`: to float, a Fraction
+    rounds to the nearest float; to rational, a float converts exactly, so
+    any float but an integral one or ``+inf`` is a BadNumber naming its cell."""
     if mode == instance.mode:
         return instance
     x, y = instance.space_x, instance.space_y

@@ -41,6 +41,7 @@ from .core import (
 from .ctransform import OVER_X, OVER_Y, induced_pseudometric
 from .errors import (
     BadNumber,
+    DimensionMismatch,
     EnvelopeLawViolation,
     InfeasibleFiniteCost,
     InfeasibleInput,
@@ -79,7 +80,7 @@ def _read_metrics(cost: CostMatrix, d_x, d_y) -> list:
     for name, d, k in zip(("d_x", "d_y"), (d_x, d_y), cost.shape):
         d = as_matrix(d, cost.mode, name)
         if d.shape != (k, k):
-            raise MissingMetric(f"{name} has shape {d.shape}, expected ({k}, {k})")
+            raise DimensionMismatch(f"{name} has shape {d.shape}, expected ({k}, {k})")
         require_pseudometric(d, name)
         read.append(d)
     return read
@@ -87,23 +88,28 @@ def _read_metrics(cost: CostMatrix, d_x, d_y) -> list:
 
 def lipschitz_envelope(cost: CostMatrix, d_x, d_y, n: Number) -> CostMatrix:
     """The level-n envelope matrix (see module docstring). The level is read
-    in the cost's mode (a bad one is a BadNumber). The metrics are read in
-    the cost's mode (``core.as_matrix``), must be square over X and Y (else
-    MissingMetric) and must pass ``core.require_pseudometric`` (else
+    in the cost's mode (a bad one is a BadNumber) and must be finite and
+    nonnegative (else InfeasibleInput). The metrics are read in the cost's
+    mode (``core.as_matrix``), must be square over X and Y (else
+    DimensionMismatch) and must pass ``core.require_pseudometric`` (else
     MetricViolation naming d_x or d_y)."""
     _require_nonnegative(cost)
     try:
         n = to_number(n, cost.mode)
     except ValueError as exc:
         raise BadNumber(f"level n: {exc}") from None
+    _require_level(n)
     return _level_cost(cost, *_read_metrics(cost, d_x, d_y), n)
 
 
-def _level_cost(cost: CostMatrix, dx: np.ndarray, dy: np.ndarray, n: Number) -> CostMatrix:
-    """The level-n envelope of a nonnegative cost, on metrics and a level
-    already read in its mode; the level must be finite and nonnegative."""
+def _require_level(n: Number):
     if is_inf(n) or n < 0:
         raise InfeasibleInput(f"the level n must be finite and nonnegative, got {n}")
+
+
+def _level_cost(cost: CostMatrix, dx: np.ndarray, dy: np.ndarray, n: Number) -> CostMatrix:
+    """The level-n envelope of a nonnegative cost, on metrics and a finite
+    nonnegative level already read in its mode."""
     # inner[k, j] = min_l min(c[k, l], n) + n * d_Y[j, l]
     inner = min_plus(np.minimum(cost.entries, n), _times(n, dy.T))
     out = min_plus(_times(n, dx), inner)
@@ -134,6 +140,8 @@ def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeS
     levels_in = as_numbers(n_list, instance.mode, "levels")
     if not levels_in or any(b <= a for a, b in zip(levels_in, levels_in[1:])):
         raise InfeasibleInput("levels must be nonempty and strictly increasing")
+    for n in levels_in:
+        _require_level(n)
 
     try:
         limit_value = solve_primal(instance).value

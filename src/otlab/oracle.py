@@ -20,13 +20,13 @@ cut affects the exact minimum nor the deterministic first-found tie-break.
 
 The walk is a generator that yields each completed tree. ``oracle_primal``
 is the ``min`` of those trees by cost (the first cheapest one), and
-``oracle_dual`` stops iterating at the first tree whose tight potentials
-are feasible, which ends the walk.
+``oracle_dual`` stops iterating at the first tree with a dual
+(``core.basis_dual``), which ends the walk.
 
 Rational data is scaled to integers (denominators cleared, by the same
 ``core.scaled_data`` the simplex uses) so the hot loop runs on Python ints.
-That scaling and the tree walk ``core.tree_potentials`` are shared with the
-simplex; its solving logic is not.
+That scaling and a basis's dual ``core.basis_dual`` (the tree walk and the
+feasibility test) are shared with the simplex; its solving logic is not.
 """
 
 from __future__ import annotations
@@ -39,13 +39,11 @@ from .core import (
     RATIONAL,
     DualPotentials,
     Instance,
+    basis_dual,
     cost_tolerance,
-    frozen_array,
     plan_from_cells,
     scaled_data,
     tolerance,
-    tree_potentials,
-    zero,
 )
 from .errors import BadNumber, BudgetExceeded, NoFeasibleTreeDual
 from .primal import OptimalPlanResult
@@ -208,28 +206,19 @@ def oracle_primal(instance: Instance, budget: Optional[int] = None) -> OptimalPl
 def oracle_dual(instance: Instance, budget: Optional[int] = None) -> DualPotentials:
     """Feasible potentials matching the oracle optimum exactly, from one walk.
 
-    On each tree the walk yields, tightness is propagated from
-    phi[0] = 0 by ``core.tree_potentials`` (trees are connected, so
-    propagation is total), and the first tree whose potentials are feasible
-    everywhere wins; returning from the loop ends the walk. By
-    complementary slackness such a tree is optimal: its masses are
-    nonnegative, and its plan and potentials are tight on the same cells,
-    so its cost equals their dual value. Cost pruning cuts only trees
+    The first tree the walk yields that has a dual (``core.basis_dual``,
+    never lifted: the cost is bounded) wins; returning from the loop ends
+    the walk. By complementary slackness such a tree is optimal: its masses
+    are nonnegative, and its plan and potentials are tight on the same
+    cells, so its cost equals their dual value. Cost pruning cuts only trees
     strictly worse than the incumbent, which are never optimal, so this is
-    the first optimal tree with feasible potentials in walk order. Strong
-    duality guarantees one exists; running out of candidates signals a
-    bug. The guards are those of :func:`oracle_primal`.
+    the first optimal tree with a dual in walk order. Strong duality
+    guarantees one exists; running out of candidates signals a bug. The
+    guards are those of :func:`oracle_primal`.
     """
     trees, _, _ = _walk(instance, budget)
-    m, n = instance.shape
-    rows = instance.cost.entries.tolist()
-    z = zero(instance.mode)
     for edges, _, _ in trees:
-        tight, _, _ = tree_potentials(m, n, edges, rows, z)
-        pot = DualPotentials(
-            phi=frozen_array(tight[:m], instance.mode),
-            psi=frozen_array(tight[m:], instance.mode),
-        )
-        if pot.is_feasible_for(instance.cost):
+        pot = basis_dual(edges, instance.cost)
+        if pot is not None:
             return pot
     raise NoFeasibleTreeDual("all optimal trees produced infeasible potentials")

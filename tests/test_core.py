@@ -364,6 +364,16 @@ def test_bad_entry_error_names_the_field_and_cell():
         convert_instance(inst, "float")
 
 
+def test_float_to_rational_conversion_takes_integral_floats_only():
+    fractional = make_instance([[0.0, 3.75], [2.0, 0.0]], [1.0, 0.0], [0.0, 1.0], mode="float")
+    with pytest.raises(BadNumber, match=r"^cost\[0\]\[1\]: bad number '3.75' \(non-integral"):
+        convert_instance(fractional, "rational")
+    whole = make_instance([[0.0, 3.0], [2.0, INF]], [1.0, 0.0], [0.0, 1.0], mode="float")
+    exact = convert_instance(whole, "rational")
+    assert exact.cost.entries.tolist() == [[0, 3], [2, INF]]
+    assert type(exact.cost.entries[0, 1]) is F and exact.mu.weights.tolist() == [1, 0]
+
+
 _REFERENCE_FLOAT_WORDS = {"inf", "+inf", "Infinity", "-inf", "-Infinity", "nan", "NaN"}
 
 

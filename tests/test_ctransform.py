@@ -136,6 +136,8 @@ def test_float_potential_on_a_rational_cost_is_a_bad_number():
             transform([0.5, 0], cost)
     with pytest.raises(BadNumber, match=r"phi\[0\]: bad number '0.5'"):
         DualPotentials(np.array([0.5, 0.0]), np.array([0.0, 0.0])).is_feasible_for(cost)
+    with pytest.raises(BadNumber, match=r"^psi\[0\]: bad number '-0.5'"):
+        DualPotentials(np.array([0.0, 0.0]), np.array([-0.5, -0.5])).is_feasible_for(cost)
     # integral floats read as the Fractions they equal
     assert list(c_transform([0.0, 1.0], cost)) == [0, 0]
     assert type(c_transform([0.0, 1.0], cost)[0]) is F

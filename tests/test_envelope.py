@@ -30,7 +30,7 @@ from otlab import (
     saturation_index,
     solve_primal,
 )
-from otlab.core import CostMatrix, as_matrix, cost_tolerance, frozen_array, is_inf, zero
+from otlab.core import INF, CostMatrix, as_matrix, cost_tolerance, frozen_array, is_inf, zero
 
 from conftest import random_rational_instance
 
@@ -253,6 +253,14 @@ def test_level_zero_over_an_infinite_distance(mode):
     assert sched.limit_value == 1 and sched.saturation_level == 1
 
 
+@pytest.mark.parametrize("levels, bad", [([1, INF], "inf"), ([-1, 2], "-1")])
+def test_a_bad_level_is_refused_before_any_solve(primal_calls, levels, bad):
+    with pytest.raises(InfeasibleInput) as err:
+        envelope_schedule(spike_instance(), levels)
+    assert str(err.value) == f"the level n must be finite and nonnegative, got {bad}"
+    assert primal_calls == []
+
+
 def test_schedule_names_a_bad_level():
     with pytest.raises(BadNumber) as err:
         envelope_schedule(spike_instance(), [1, "x"])
@@ -285,7 +293,7 @@ def test_envelope_reads_the_metrics_in_the_cost_mode():
      "pass a Fraction or 'p/q' string)"),
     ([[0, -1], [-1, 0]], MetricViolation, "d_x is not a pseudometric: negative at (0, 1)"),
     ([[0, 1], [2, 0]], MetricViolation, "d_x is not a pseudometric: asymmetry at (0, 1)"),
-    ([[0, 1, 1]], MissingMetric, "d_x has shape (1, 3), expected (2, 2)"),
+    ([[0, 1, 1]], DimensionMismatch, "d_x has shape (1, 3), expected (2, 2)"),
     ([[0, 1], [1]], DimensionMismatch, "d_x: rows have unequal lengths"),
     ("ab", BadNumber, "d_x: expected a list, got the string 'ab'"),
 ])

@@ -31,11 +31,13 @@ refuses any other cell set before it walks. Its one dual, :func:`basis_dual`,
 serves the dual extraction and the oracle dual. One kernel,
 :func:`min_plus_arrays`, is the one three-index numpy pass, and it returns
 minima only. Through :func:`min_plus` it gives the c-transforms, the dual
-feasibility test, the Lipschitz envelope and the induced pseudometrics (a
-max-plus product); directly, the triangle law (``d <= d (x) d``, a min-plus
-square) and the min-plus powers of the cyclic-monotonicity check. Rational
-data become exact ints in one place, :func:`scaled`, and one guard,
-:func:`int_dtype`, keeps them in int64 where every sum fits. One check,
+feasibility test and the induced pseudometrics (a max-plus product);
+directly, the Lipschitz envelope, the triangle law (``d <= d (x) d``, a
+min-plus square) and the min-plus powers of the cyclic-monotonicity check.
+Rational data become exact ints in one place, :func:`scaled`; a cost and a
+marginal cache theirs (``scaled_view``), so the parts that instances share
+are scaled once, and one guard, :func:`int_dtype`, keeps the ints in int64
+where every sum fits. One feasibility test reads a dual pair once. One check,
 :func:`require_pseudometric`, words every metric-law error; it decides the
 triangle law at the float tolerance and the others exactly.
 """
@@ -285,9 +287,20 @@ def tree_potentials(m: int, n: int, cells, rows, z):
     counted as ``z``, the parent link toward row 0 (-1 there), and, only
     when some cell is ``+inf``, the potentials of the 0/1 ``+inf``
     indicator (else None), so that ``(wall, pot)`` are the lexicographic
-    potentials of the cost. Cells that are not m+n-1 cells of the grid
-    without a cycle (so reaching every node) raise InfeasibleInput before
-    the walk."""
+    potentials of the cost. Cells that are not a spanning tree
+    (:func:`require_spanning_tree`) raise InfeasibleInput before the walk."""
+    require_spanning_tree(m, n, cells)
+    size = m + n
+    wall = [0] * size if any(rows[i][j] == INF for i, j in cells) else None
+    parent, pot = [-1] * size, [z] * size
+    hang_subtree(m, tree_adjacency(m, n, cells), rows, z, 0, -1, parent, pot, wall)
+    return pot, parent, wall
+
+
+def require_spanning_tree(m: int, n: int, cells):
+    """Raise InfeasibleInput, naming the count or the cell, unless the cells
+    are m+n-1 cells of the m x n grid without a cycle, so that they join
+    every row and column in one spanning tree."""
     size = m + n
     if len(cells) != size - 1:
         raise InfeasibleInput(
@@ -308,10 +321,6 @@ def tree_potentials(m: int, n: int, cells, rows, z):
         if a == b:
             raise InfeasibleInput(f"basis cell ({i}, {j}) closes a cycle")
         root[a] = b
-    wall = [0] * size if any(rows[i][j] == INF for i, j in cells) else None
-    parent, pot = [-1] * size, [z] * size
-    hang_subtree(m, tree_adjacency(m, n, cells), rows, z, 0, -1, parent, pot, wall)
-    return pot, parent, wall
 
 
 def basis_dual(cells, cost: "CostMatrix") -> Optional["DualPotentials"]:
@@ -505,6 +514,23 @@ class CostMatrix:
     def mode(self) -> str:
         return mode_of(self.entries)
 
+    @cached_property
+    def scaled_view(self) -> tuple:
+        """The rational entries as :func:`scaled` rows ``(ints, D)``, from
+        one pass on first use (or as :meth:`from_scaled` was given them)."""
+        return scaled(self.entries.tolist())
+
+    @classmethod
+    def from_scaled(cls, ints: list, D: int) -> "CostMatrix":
+        """The rational cost ``ints / D`` (int rows, ``+inf`` markers kept),
+        built holding ``(ints, D)`` as its :attr:`scaled_view`: any common
+        denominator ``D`` serves the readers of the view, not only the lcm."""
+        cost = cls(frozen_array(
+            [[v if type(v) is float else Fraction(v, D) for v in row] for row in ints], RATIONAL
+        ))
+        cost.__dict__["scaled_view"] = (ints, D)
+        return cost
+
     def require_bounded(self, what: str):
         """Raise InfiniteCostInBoundedMode, worded here only, unless :attr:`is_bounded`."""
         if not self.is_bounded:
@@ -545,6 +571,13 @@ class Marginal:
     @property
     def mode(self) -> str:
         return mode_of(self.weights)
+
+    @cached_property
+    def scaled_view(self) -> tuple:
+        """The rational weights as one :func:`scaled` row ``(ints, D)``,
+        from one pass on first use."""
+        (ints,), D = scaled([self.weights.tolist()])
+        return ints, D
 
 
 @dataclass(frozen=True, eq=False)
@@ -607,18 +640,24 @@ class DualPotentials:
         """phi + psi <= c + ``cost_tolerance(cost)`` on finite cells, read as
         psi <= phi^c + tol with phi^c[j] = min_i c[i][j] - phi[i], for the
         pair :meth:`_read` in the cost's mode."""
-        if cost.shape != self.shape:
-            raise DimensionMismatch(f"potentials {self.shape} vs cost {cost.shape}")
-        pot = self._read(cost.mode)
-        (phi_c,) = min_plus(-pot.phi[None], cost.entries)
-        return bool(np.all(pot.psi <= phi_c + cost_tolerance(cost)))
+        return self._feasible_read(cost) is not None
 
     def require_feasible_for(self, cost: CostMatrix) -> "DualPotentials":
         """The pair :meth:`_read` in the cost's mode; raise InfeasiblePotentials,
         worded here only, unless :meth:`is_feasible_for`."""
-        if not self.is_feasible_for(cost):
+        pot = self._feasible_read(cost)
+        if pot is None:
             raise InfeasiblePotentials("potentials violate phi + psi <= c")
-        return self._read(cost.mode)
+        return pot
+
+    def _feasible_read(self, cost: CostMatrix) -> Optional["DualPotentials"]:
+        """The one feasibility test: the pair read once in the cost's mode
+        (:meth:`_read`), if it passes :meth:`is_feasible_for`; else None."""
+        if cost.shape != self.shape:
+            raise DimensionMismatch(f"potentials {self.shape} vs cost {cost.shape}")
+        pot = self._read(cost.mode)
+        (phi_c,) = min_plus(-pot.phi[None], cost.entries)
+        return pot if np.all(pot.psi <= phi_c + cost_tolerance(cost)) else None
 
     def _read(self, mode: str) -> "DualPotentials":
         """The pair by ``as_vector``: a bad entry is a BadNumber (``psi[0]: ...``)."""
@@ -729,18 +768,19 @@ def convert_instance(instance: Instance, mode: str) -> Instance:
 
 
 def scaled_data(instance: Instance):
-    """Clear denominators once: ``(mu, nu, cost, L, M)`` as nested lists,
-    in rational mode the marginals :func:`scaled` over one lcm ``L`` and the
-    cost over its own ``M`` (``+inf`` stays ``INF``); float mode passes the
-    floats through with ``L = M = 1``."""
-    mu = instance.mu.weights.tolist()
-    nu = instance.nu.weights.tolist()
-    cost = instance.cost.entries.tolist()
+    """Clear denominators: ``(mu, nu, cost, L, M)`` as lists, in rational
+    mode the marginals over the lcm ``L`` of theirs and the cost over its
+    ``M`` (``+inf`` stays ``INF``), from the ``scaled_view`` each part
+    caches, so a part shared by instances is scaled once; float mode passes
+    the floats through with ``L = M = 1``. The cost rows are the cache:
+    read them, do not write them."""
     if instance.mode != RATIONAL:
-        return mu, nu, cost, 1, 1
-    (mu, nu), L = scaled([mu, nu])
-    cost, M = scaled(cost)
-    return mu, nu, cost, L, M
+        return (instance.mu.weights.tolist(), instance.nu.weights.tolist(),
+                instance.cost.entries.tolist(), 1, 1)
+    (mu, L_mu), (nu, L_nu) = instance.mu.scaled_view, instance.nu.scaled_view
+    L = math.lcm(L_mu, L_nu)
+    cost, M = instance.cost.scaled_view
+    return [v * (L // L_mu) for v in mu], [v * (L // L_nu) for v in nu], cost, L, M
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,29 @@ off the induced pseudometrics in closed form. Optimal values inherit the
 monotone chain v_n <= v_{n+1} <= v and meet v at that saturation level.
 
 The sum metric separates, so the matrix is two min-plus products
-(``core.min_plus``, exact ints when rational) in O(|X| |Y| (|X| + |Y|)):
+(``core.min_plus_arrays``) in O(|X| |Y| (|X| + |Y|)):
 
     inner = min(c, n) (x) n d_Y,    c_n = n d_X (x) inner.
+
+Rational data run on ints. The cost (its cached ``scaled_view``) and the
+metrics are scaled once over a joint denominator D, and the levels join it:
+with Q the lcm of the levels' denominators, min(c, n), n d_X and n d_Y are
+ints over DQ, so every level matrix of a schedule is an int matrix over the
+one denominator DQ, built as a cost holding that view for the simplex, and
+the monotone law between two levels is one int comparison. A +inf distance
+becomes n + 1: every level entry is at most n (the diagonal terms give
+min(c, n)), so no sum through it is a minimum, and at level 0 the matrix is
+0, as 0 * inf = 0 wants. Float data run the same products in float64.
+
+The schedule solves the limit, then each level from the optimal basis of
+the solve before it (``solve_primal(..., basis=...)``): the marginals are
+those of every level, so that basis is feasible, and the next cost is near
+enough that it is a few pivots from optimal.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -26,15 +42,19 @@ import numpy as np
 
 from .core import (
     INF,
+    RATIONAL,
     CostMatrix,
     Instance,
     Number,
     as_matrix,
     as_numbers,
     cost_tolerance,
+    frozen_array,
+    int_dtype,
     is_inf,
-    min_plus,
+    min_plus_arrays,
     require_pseudometric,
+    scaled,
     to_number,
     zero,
 )
@@ -99,7 +119,8 @@ def lipschitz_envelope(cost: CostMatrix, d_x, d_y, n: Number) -> CostMatrix:
     except ValueError as exc:
         raise BadNumber(f"level n: {exc}") from None
     _require_level(n)
-    return _level_cost(cost, *_read_metrics(cost, d_x, d_y), n)
+    ((out, _),) = _level_costs(cost, *_read_metrics(cost, d_x, d_y), [n])
+    return out
 
 
 def _require_level(n: Number):
@@ -107,18 +128,39 @@ def _require_level(n: Number):
         raise InfeasibleInput(f"the level n must be finite and nonnegative, got {n}")
 
 
-def _level_cost(cost: CostMatrix, dx: np.ndarray, dy: np.ndarray, n: Number) -> CostMatrix:
-    """The level-n envelope of a nonnegative cost, on metrics and a finite
-    nonnegative level already read in its mode."""
-    # inner[k, j] = min_l min(c[k, l], n) + n * d_Y[j, l]
-    inner = min_plus(np.minimum(cost.entries, n), _times(n, dy.T))
-    out = min_plus(_times(n, dx), inner)
-    return CostMatrix(out)
-
-
-def _times(n: Number, d: np.ndarray) -> np.ndarray:
-    """``n * d`` with 0 * inf = 0 (the convention of core)."""
-    return d * n if n else np.full(d.shape, n, dtype=d.dtype)
+def _level_costs(cost: CostMatrix, dx: np.ndarray, dy: np.ndarray, levels: list) -> list:
+    """The envelope of a nonnegative cost at each level, on metrics and
+    finite nonnegative levels already read in its mode, as ``(matrix,
+    entries)`` pairs, ``entries`` one array: in rational mode the ints over
+    the one denominator of all the levels (module docstring), in
+    ``core.int_dtype`` of the level's largest product; else float64."""
+    rational = cost.mode == RATIONAL
+    if rational:
+        views = [cost.scaled_view, scaled(dx.tolist()), scaled(dy.T.tolist())]
+        D = math.lcm(*(d for _, d in views))
+        Q = math.lcm(*(n.denominator for n in levels))
+        parts = [np.array(rows, dtype=object) * (D // d) for rows, d in views]
+    else:
+        D = Q = 1
+        parts = [cost.entries, dx, dy.T]
+    walls = [a == INF for a in parts]
+    c, x, y = (np.where(w, 0, a) for w, a in zip(walls, parts))
+    if rational:
+        c_max, d_max = c.max(), max(x.max(), y.max())
+    out = []
+    for n in levels:
+        P = n.numerator * (Q // n.denominator) if rational else n  # n Q
+        top = P * D  # n over the denominator D Q
+        dtype = int_dtype(max(top + 1, P * d_max, Q * c_max)) if rational else np.float64
+        # inner[k, j] = min_l min(c[k, l], n) + n * d_Y[j, l]
+        trunc = np.where(walls[0], top, np.minimum(c.astype(dtype) * Q, top))
+        nx, ny = (np.where(w, top + 1, a.astype(dtype) * P) for w, a in zip(walls[1:], (x, y)))
+        entries = min_plus_arrays(nx, min_plus_arrays(trunc, ny))
+        if rational:
+            out.append((CostMatrix.from_scaled(entries.tolist(), D * Q), entries))
+        else:
+            out.append((CostMatrix(frozen_array(entries, cost.mode)), entries))
+    return out
 
 
 def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeSchedule:
@@ -144,23 +186,26 @@ def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeS
         _require_level(n)
 
     try:
-        limit_value = solve_primal(instance).value
+        limit = solve_primal(instance)
+        limit_value, basis = limit.value, limit.basis
     except InfeasibleFiniteCost:
         # every plan hits an infinite cell: the value chain still rises, but
         # toward +inf and never saturates
-        limit_value = INF
-    dx = instance.space_x.metric
-    dy = instance.space_y.metric
+        limit_value, basis = INF, None
     limit_tol = cost_tolerance(instance.cost)
+    level_costs = _level_costs(
+        instance.cost, instance.space_x.metric, instance.space_y.metric, levels_in
+    )
     levels = []
     saturation = None
-    for n in levels_in:
-        cost_n = _level_cost(instance.cost, dx, dy, n)
-        value_n = solve_primal(replace(instance, cost=cost_n)).value
+    for n, (cost_n, entries) in zip(levels_in, level_costs):
+        # each level starts from the optimal basis of the solve before it
+        result = solve_primal(replace(instance, cost=cost_n), basis=basis)
+        value_n, basis = result.value, result.basis
         tol = max(limit_tol, cost_tolerance(cost_n))
         if levels:
             previous = levels[-1]
-            _assert_entrywise_le(previous.cost, cost_n, tol)
+            _assert_entrywise_le(previous_entries, entries, tol)
             if value_n < previous.value - tol:
                 raise EnvelopeLawViolation(
                     f"value chain must be nondecreasing in n: level {n} gives "
@@ -174,22 +219,22 @@ def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeS
         if saturation is None and abs(value_n - limit_value) <= tol:
             saturation = n
         levels.append(EnvelopeLevel(n=n, cost=cost_n, value=value_n))
+        previous_entries = entries
 
     return EnvelopeSchedule(
         levels=tuple(levels), limit_value=limit_value, saturation_level=saturation
     )
 
 
-def _assert_entrywise_le(a: CostMatrix, b: CostMatrix, tol: Number):
-    m, n = a.shape
-    for i in range(m):
-        for j in range(n):
-            x, y = a.entries[i, j], b.entries[i, j]
-            # tol >= 0, so the plain comparison settles almost every cell
-            if x > y and x > y + tol:
-                raise EnvelopeLawViolation(
-                    f"envelope must be nondecreasing in n at cell ({i}, {j})"
-                )
+def _assert_entrywise_le(a: np.ndarray, b: np.ndarray, tol: Number):
+    """Raise EnvelopeLawViolation at the first cell in row-major order where
+    ``a > b + tol``: two level arrays of :func:`_level_costs`."""
+    over = a > b + tol
+    first = int(over.argmax())
+    if over.flat[first]:
+        raise EnvelopeLawViolation(
+            f"envelope must be nondecreasing in n at cell {divmod(first, a.shape[1])}"
+        )
 
 
 def saturation_index(cost: CostMatrix, d_x, d_y) -> Number:

@@ -5,14 +5,23 @@ follow Bland's anti-cycling rule (first cell in row-major order with a
 negative reduced cost enters; the smallest-index tie leaves), so the solver
 terminates and is fully deterministic.
 
-Rational data are scaled to integers once (``core.scaled_data`` over
-``core.scaled``: masses times the LCM L of the marginal denominators, costs
-times the LCM M of theirs) and the simplex runs on Python ints. Positive
-scaling keeps the sign of every reduced cost and every mass comparison, so the
-Bland pivot sequence, the basis and the plan are exactly those of the same
-simplex on Fractions; masses are mapped back to ``Fraction(x, L)`` at the
-end and the value is the exact ``plan_cost`` of that Fraction plan. Float
-instances run the same loop on floats with a scale-aware tolerance.
+The first basis is the northwest corner, or a spanning tree the caller
+gives (``solve_primal(instance, basis=...)``), such as the optimal basis of
+another cost on the same marginals: the masses of a tree depend on the
+marginals only, so that tree's plan is feasible here too. Its masses are
+found by peeling leaves (a leaf's balance crosses its one cell), exact on
+the scaled ints; a tree whose masses are negative beyond
+``tolerance(mode)`` is refused, naming the cell.
+
+Rational data are scaled to integers once (``core.scaled_data`` over the
+parts' cached ``scaled_view``: masses times the LCM L of the marginal
+denominators, costs times a common denominator M of theirs) and the
+simplex runs on Python ints. Positive scaling keeps the sign of every
+reduced cost and every mass comparison, so the Bland pivot sequence, the
+basis and the plan are exactly those of the same simplex on Fractions;
+masses are mapped back to ``Fraction(x, L)`` at the end and the value is
+``Fraction(sum x * c, L * M)`` of the scaled ints. Float instances run the
+same loop on floats with a scale-aware tolerance.
 
 The basis tree is walked once, from row 0 (``core.hang_subtree``, the walk
 of ``core.tree_potentials``), and then kept: a pivot drops the leaving
@@ -50,14 +59,13 @@ from .core import (
     cost_tolerance,
     hang_subtree,
     int_dtype,
-    is_inf,
-    plan_cost,
     plan_from_cells,
+    require_spanning_tree,
     scaled_data,
     tolerance,
     tree_adjacency,
 )
-from .errors import InfeasibleFiniteCost
+from .errors import InfeasibleFiniteCost, InfeasibleInput
 
 _MAX_PIVOTS = 10_000_000  # safety net; Bland's rule terminates long before
 
@@ -108,20 +116,58 @@ def _northwest_basis(mu, nu) -> dict:
             j += 1
 
 
-def solve_primal(instance: Instance) -> OptimalPlanResult:
-    """Exact minimum-cost transport plan of an instance."""
+def _tree_masses(m: int, n: int, cells, mu, nu, z, neg_tol) -> dict:
+    """The basic solution of a spanning tree as {cell: mass}: the masses on
+    its cells that meet the marginals, found by peeling leaves. A mass below
+    ``-neg_tol`` raises InfeasibleInput naming its cell; one in
+    ``[-neg_tol, 0)`` (float round-off) is ``z``."""
+    adj = tree_adjacency(m, n, cells)
+    rem = list(mu) + list(nu)
+    degree = [len(a) for a in adj]
+    leaves = [v for v in range(m + n) if degree[v] == 1]
+    mass = {}
+    while leaves:
+        v = leaves.pop()
+        if degree[v] != 1:  # the last node, left with its crumb of balance
+            continue
+        degree[v] = 0
+        u = next(w for w in adj[v] if degree[w])
+        cell = (v, u - m) if v < m else (u, v - m)
+        x = rem[v]
+        if x < -neg_tol:
+            raise InfeasibleInput(
+                f"basis cell {cell} would carry negative mass; the tree is not "
+                f"feasible for these marginals"
+            )
+        mass[cell] = x if x >= 0 else z
+        rem[u] -= x
+        degree[u] -= 1
+        if degree[u] == 1:
+            leaves.append(u)
+    return mass
+
+
+def solve_primal(instance: Instance, basis=None) -> OptimalPlanResult:
+    """Exact minimum-cost transport plan of an instance, by Bland's rule from
+    the northwest corner or, when given, from the spanning tree ``basis``
+    (cells (i, j); a wrong count, a cell off the grid or a cycle raises
+    InfeasibleInput, as does a tree whose masses are negative)."""
     m, n = instance.shape
     rational = instance.mode == RATIONAL
     # ints in rational mode: masses times L, costs times M (module docstring)
-    mu, nu, cost, L, _ = scaled_data(instance)
+    mu, nu, cost, L, M = scaled_data(instance)
     z = 0 if rational else 0.0
 
-    mass = _northwest_basis(mu, nu)  # its keys are the basis
+    if basis is None:
+        mass = _northwest_basis(mu, nu)  # its keys are the basis
+    else:
+        require_spanning_tree(m, n, basis)
+        mass = _tree_masses(m, n, basis, mu, nu, z, tolerance(instance.mode))
 
     # a thousandth of the dual check's tolerance, so near-ties still pivot
     eps = 0 if rational else cost_tolerance(instance.cost) / 1000
 
-    # The northwest basis is a spanning tree; hang it from row 0 once.
+    # The first basis is a spanning tree; hang it from row 0 once.
     walled = any(c == INF for row in cost for c in row)
     adj = tree_adjacency(m, n, mass)
     parent, pot = [-1] * (m + n), [z] * (m + n)
@@ -172,18 +218,21 @@ def solve_primal(instance: Instance) -> OptimalPlanResult:
     # Float marginals agree only to the mass tolerance, so round-off can
     # strand a crumb that small on a +inf cell; it is dropped, not charged.
     crumb = tolerance(instance.mode)
+    basis = tuple(sorted(mass))
+    kept = [(cell, mass[cell]) for cell in basis
+            if mass[cell] > (crumb if cost[cell[0]][cell[1]] == INF else 0)]
+    total = z  # summed in row-major order, as plan_cost sums a plan
+    for (i, j), x in kept:
+        if cost[i][j] == INF:
+            raise InfeasibleFiniteCost(
+                "every feasible plan places mass on an infinite-cost cell"
+            )
+        total += x * cost[i][j]
     plan = plan_from_cells(
-        (m, n),
-        {(i, j): Fraction(x, L) if rational else x for (i, j), x in mass.items()
-         if x > (crumb if cost[i][j] == INF else 0)},
-        instance.mode,
+        (m, n), {cell: Fraction(x, L) if rational else x for cell, x in kept}, instance.mode
     )
-    value = plan_cost(plan, instance.cost)
-    if is_inf(value):
-        raise InfeasibleFiniteCost(
-            "every feasible plan places mass on an infinite-cost cell"
-        )
-    return OptimalPlanResult(plan=plan, value=value, basis=tuple(sorted(mass)))
+    value = Fraction(total, L * M) if rational else total
+    return OptimalPlanResult(plan=plan, value=value, basis=basis)
 
 
 def _basis_cycle(m, parent, entering):

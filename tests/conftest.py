@@ -60,9 +60,9 @@ def primal_calls(monkeypatch):
     original = primal.solve_primal
     calls = []
 
-    def counting(instance):
+    def counting(instance, basis=None):
         calls.append(instance)
-        return original(instance)
+        return original(instance, basis=basis)
 
     for name, module in list(sys.modules.items()):
         if name == "otlab" or name.startswith("otlab."):
@@ -73,15 +73,16 @@ def primal_calls(monkeypatch):
 
 @pytest.fixture
 def feasibility_calls(monkeypatch):
-    """Record every DualPotentials.is_feasible_for call (its cost)."""
+    """Record every dual feasibility test (its cost): the one test behind
+    DualPotentials.is_feasible_for and require_feasible_for."""
     from otlab import DualPotentials
 
-    original = DualPotentials.is_feasible_for
+    original = DualPotentials._feasible_read
     calls = []
 
     def counting(self, cost):
         calls.append(cost)
         return original(self, cost)
 
-    monkeypatch.setattr(DualPotentials, "is_feasible_for", counting)
+    monkeypatch.setattr(DualPotentials, "_feasible_read", counting)
     return calls

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from otlab import (
+    BadNumber,
     DimensionMismatch,
     DualPotentials,
     InfeasibleArguments,
@@ -302,6 +303,32 @@ def test_every_entry_point_words_infeasible_potentials_alike():
                   lambda: improve_dual(bad, inst.cost)):
         with pytest.raises(InfeasiblePotentials, match=r"^potentials violate phi \+ psi <= c$"):
             check()
+
+
+def test_a_string_pair_is_read_and_checked_once(monkeypatch):
+    inst = make_instance([[0, 2], [2, 1]], HALF, HALF)
+    reads = []
+    read = DualPotentials._read
+
+    def counting(self, mode):
+        reads.append(mode)
+        return read(self, mode)
+
+    monkeypatch.setattr(DualPotentials, "_read", counting)
+
+    def strings(phi, psi):
+        return DualPotentials(np.array(phi, dtype=object), np.array(psi, dtype=object))
+
+    cert = build_certificate(inst, product_plan(inst.mu, inst.nu),
+                             strings(["0", "1/2"], ["0", "1/2"]))
+    assert reads == ["rational"]
+    assert cert.gap == F(3, 4) and type(cert.gap) is F
+    del reads[:]
+    with pytest.raises(InfeasiblePotentials, match=r"^potentials violate phi \+ psi <= c$"):
+        strings(["2", "2"], ["2", "2"]).require_feasible_for(inst.cost)
+    assert reads == ["rational"]
+    with pytest.raises(BadNumber, match=r"^phi\[1\]: bad number 'x'"):
+        strings(["0", "x"], ["0", "0"]).require_feasible_for(inst.cost)
 
 
 # --- check_cyclic_monotonicity ---------------------------------------------------

@@ -349,7 +349,7 @@ def test_envelope_law_violation_is_a_one_line_error(tmp_path, capsys, monkeypatc
     values = iter([5, 3, 2])  # limit, then a chain that falls
     monkeypatch.setattr(
         envelope, "solve_primal",
-        lambda instance: OptimalPlanResult(plan=None, value=next(values), basis=()),
+        lambda instance, basis=None: OptimalPlanResult(plan=None, value=next(values), basis=()),
     )
     code, out, err = run_cli(["envelope", "--levels", "1,2", str(path)], capsys)
     assert (code, out) == (1, "")

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from otlab import (
@@ -21,6 +21,7 @@ from otlab import (
     OTLabError,
     OVER_X,
     OVER_Y,
+    envelope,
     envelope_schedule,
     lipschitz_envelope,
     make_instance,
@@ -94,19 +95,23 @@ def test_envelope_rejects_negative_cost():
 
 def direct_envelope(cost, dx, dy, n):
     """The defining formula cell by cell, in O(|X|^2 |Y|^2): the reference
-    for the two min-plus products of lipschitz_envelope."""
+    for the two min-plus products of lipschitz_envelope, with 0 * inf = 0."""
     c = cost.entries
     m, p = cost.shape
     trunc = [[n if is_inf(c[k, l]) or c[k, l] > n else c[k, l] for l in range(p)]
              for k in range(m)]
+
+    def times(d):
+        return n * d if n else n
+
     out = [[None] * p for _ in range(m)]
     for i in range(m):
         for j in range(p):
             best = None
             for k in range(m):
-                move_x = n * dx[i, k]
+                move_x = times(dx[i, k])
                 for l in range(p):
-                    v = trunc[k][l] + move_x + n * dy[j, l]
+                    v = trunc[k][l] + move_x + times(dy[j, l])
                     if best is None or v < best:
                         best = v
             out[i][j] = best
@@ -116,7 +121,8 @@ def direct_envelope(cost, dx, dy, n):
 @st.composite
 def walled_metric_instances(draw):
     """Rational instances with line (pseudo)metrics, zero distances and
-    +inf cells included."""
+    +inf cells included; a metric may put its points on two lines, joined
+    by +inf distances."""
     m = draw(st.integers(1, 5))
     n = draw(st.integers(1, 5))
     frac = st.builds(F, st.integers(0, 30), st.sampled_from([1, 2, 3, 7]))
@@ -127,7 +133,9 @@ def walled_metric_instances(draw):
         points = [F(0)]
         for _ in range(size - 1):
             points.append(points[-1] + draw(st.sampled_from([0, F(1, 2), 1, 3])))
-        return [[abs(a - b) for b in points] for a in points]
+        lines = [draw(st.integers(0, 1)) for _ in range(size)]
+        return [[abs(a - b) if u == v else "inf" for b, v in zip(points, lines)]
+                for a, u in zip(points, lines)]
 
     return make_instance(
         cost, [F(1, m)] * m, [F(1, n)] * n,
@@ -135,11 +143,23 @@ def walled_metric_instances(draw):
     )
 
 
+#: Scaled ints past the int64 guard of ``core.int_dtype``: the level
+#: products run on Python ints in an object array.
+HUGE = make_instance(
+    [[2**70, "inf"], [F(1, 3), 2**70 + 1]], HALF, HALF,
+    metric_x=[[0, "inf"], ["inf", 0]], metric_y=[[0, F(2**65, 7)], [F(2**65, 7), 0]],
+)
+HUGE_LEVEL = F(2**64 + 1, 5)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     inst=walled_metric_instances(),
-    level=st.builds(F, st.integers(0, 40), st.sampled_from([1, 2, 3, 5])),
+    level=st.one_of(
+        st.just(F(0)), st.builds(F, st.integers(1, 40), st.sampled_from([1, 2, 3, 5]))
+    ),
 )
+@example(inst=HUGE, level=HUGE_LEVEL)
 def test_envelope_equals_the_direct_formula(inst, level):
     dx, dy = metrics(inst)
     expected = direct_envelope(inst.cost, dx, dy, level)
@@ -149,6 +169,15 @@ def test_envelope_equals_the_direct_formula(inst, level):
     tol = cost_tolerance(out)
     for row, exact_row in zip(out.entries.tolist(), expected):
         assert all(abs(v - float(e)) <= tol for v, e in zip(row, exact_row))
+
+
+def test_a_level_past_the_int64_guard_runs_on_python_ints():
+    dx, dy = metrics(HUGE)
+    ((out, ints),) = envelope._level_costs(HUGE.cost, dx, dy, [HUGE_LEVEL])
+    assert ints.dtype == object
+    assert out.entries.tolist() == direct_envelope(HUGE.cost, dx, dy, HUGE_LEVEL)
+    ints, D = out.scaled_view
+    assert [[F(v, D) for v in row] for row in ints] == out.entries.tolist()
 
 
 def _check_laws(inst, levels):
@@ -379,6 +408,34 @@ def test_float_saturation_matches_rational_far_from_the_cost_scale(
     assert approx.saturation_level == saturation
 
 
+def test_each_level_starts_from_the_previous_optimal_basis(monkeypatch):
+    calls = []
+
+    def recording(instance, basis=None):
+        result = solve_primal(instance, basis=basis)
+        calls.append((basis, result.basis))
+        return result
+
+    monkeypatch.setattr(envelope, "solve_primal", recording)
+    inst = generate_fixture("random-uniform", size=5, seed=2)
+    envelope_schedule(inst, [1, 2, 4, 8])
+    assert len(calls) == 5 and calls[0][0] is None  # the limit starts cold
+    assert [given for given, _ in calls[1:]] == [found for _, found in calls[:-1]]
+
+
+@pytest.mark.parametrize("a, b, tol", [
+    (np.array([[0, 5], [7, 1]]), np.array([[0, 4], [6, 1]]), 0),
+    (np.array([[0, 2**70], [7, 1]], dtype=object), np.array([[0, 1], [6, 1]], dtype=object), 0),
+    (np.array([[0.0, 1.5], [1.5, 1.0]]), np.array([[0.0, 1.0], [1.0, 1.0]]), 0.1),
+])
+def test_the_monotone_law_names_its_first_failing_cell(a, b, tol):
+    with pytest.raises(EnvelopeLawViolation) as err:
+        envelope._assert_entrywise_le(a, b, tol)
+    assert str(err.value) == "envelope must be nondecreasing in n at cell (0, 1)"
+    envelope._assert_entrywise_le(b, a, tol)
+    envelope._assert_entrywise_le(a, a - tol, tol)
+
+
 def test_schedule_law_violation_raises_library_error(monkeypatch):
     from otlab import envelope
     from otlab.primal import OptimalPlanResult
@@ -386,7 +443,7 @@ def test_schedule_law_violation_raises_library_error(monkeypatch):
     values = iter([F(5), F(3), F(2)])  # limit, then a chain that falls
     monkeypatch.setattr(
         envelope, "solve_primal",
-        lambda instance: OptimalPlanResult(plan=None, value=next(values), basis=()),
+        lambda instance, basis=None: OptimalPlanResult(plan=None, value=next(values), basis=()),
     )
     with pytest.raises(EnvelopeLawViolation, match="nondecreasing"):
         envelope_schedule(spike_instance(), [1, 2])

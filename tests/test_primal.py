@@ -1,5 +1,6 @@
 """Network simplex: exactness against the oracle, structural invariants."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,12 +10,15 @@ from hypothesis import strategies as st
 
 from otlab import (
     InfeasibleFiniteCost,
+    InfeasibleInput,
     Marginal,
     OTLabError,
     as_vector,
     certify_instance,
     check_marginals,
     convert_instance,
+    generate_fixture,
+    lipschitz_envelope,
     make_instance,
     northwest_corner,
     oracle_primal,
@@ -26,6 +30,7 @@ from otlab import (
 from otlab.core import (
     INF,
     RATIONAL,
+    basis_dual,
     cost_tolerance,
     hang_subtree,
     int_dtype,
@@ -36,6 +41,7 @@ from otlab.core import (
     tree_adjacency,
     tree_potentials,
 )
+from otlab.fixtures import FIXTURE_NAMES
 from otlab.primal import (
     OptimalPlanResult,
     _basis_cycle,
@@ -375,6 +381,43 @@ def oracle_on_finite_subgraph(inst):
     # x01 = 0 forced; x00 = 1/4; x10 = 1/2; x11 = 1/4
     c = inst.cost.entries
     return c[0, 0] * F(1, 4) + c[1, 0] * F(1, 2) + c[1, 1] * F(1, 4)
+
+
+# --- warm start ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", FIXTURE_NAMES)
+def test_a_warm_start_from_another_level_gives_the_cold_value(family):
+    # the masses of a tree depend on the marginals only, so the optimal basis
+    # of one envelope level (or of the limit) is a feasible start for another
+    for size in (2, 4, 6):
+        inst = generate_fixture(family, size, seed=size)
+        dx, dy = inst.space_x.metric, inst.space_y.metric
+        costs = [inst.cost] + [lipschitz_envelope(inst.cost, dx, dy, n) for n in (F(1, 2), 2, 5)]
+        cold = [solve_primal(replace(inst, cost=cost)) for cost in costs]
+        for cost, res in zip(costs, cold):
+            for other in cold:
+                warm = solve_primal(replace(inst, cost=cost), basis=other.basis)
+                assert warm.value == res.value
+                assert basis_dual(warm.basis, cost) is not None
+
+
+@pytest.mark.parametrize("basis, message", [
+    (((0, 0), (1, 1)), "2 basis cells; a spanning tree of 2 x 3 has 4"),
+    (((0, 0), (0, 1), (1, 0), (1, 1)), "basis cell (1, 1) closes a cycle"),
+    (((0, 0), (0, 1), (0, 2), (2, 0)), "basis cell (2, 0) lies outside the 2 x 3 grid"),
+    # row 0 sends its mass to column 1 and column 0 takes its own from row 1,
+    # so the cell (1, 1) would have to carry -1
+    (((0, 1), (1, 0), (1, 1), (1, 2)),
+     "basis cell (1, 1) would carry negative mass; the tree is not feasible "
+     "for these marginals"),
+])
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_a_warm_start_refuses_a_tree_that_is_no_feasible_basis(basis, message, mode):
+    inst = convert_instance(make_instance([[0, 1, 2], [1, 0, 2]], [1, 0], [1, 0, 0]), mode)
+    with pytest.raises(InfeasibleInput) as err:
+        solve_primal(inst, basis=basis)
+    assert str(err.value) == message
 
 
 # --- float mode ---------------------------------------------------------------

@@ -22,8 +22,9 @@ the cost tolerance (0 in rational mode). That is read off the min-plus
 powers P_t of the weight matrix (``core.min_plus_arrays``): a closed walk
 of k arcs runs k//2 arcs out to some cell and the rest back, so each k is
 one look at P_(k//2) + P_(k - k//2)^T, and k_max = 4 takes one product.
-The weights are the ints of ``core.scaled`` in rational mode and float64
-in float mode, where a walk of k arcs rounds by about 2k^2 ulps of the cost
+The weights are the cost's ``scaled_view`` ints in rational mode (any
+common denominator scales every weight, G and H alike) and float64 in float
+mode, where a walk of k arcs rounds by about 2k^2 ulps of the cost
 scale, far below tol.
 
 ``+inf`` keeps its extended-real meaning. A reordering that costs ``+inf``
@@ -64,7 +65,6 @@ from .core import (
     is_inf,
     min_plus_arrays,
     plan_cost,
-    scaled,
     tolerance,
     zero,
 )
@@ -232,11 +232,10 @@ def check_cyclic_monotonicity(plan: TransportPlan, cost: CostMatrix, k_max: int 
 
 def _arc_weights(support, cost: CostMatrix, k_max: int) -> np.ndarray:
     """The support digraph's weights c(x_a, y_b) - c(x_a, y_a), 0 on the
-    diagonal, with ``+inf`` encoded by G and H (module docstring): ints of
-    ``core.scaled`` in ``int_dtype`` of every walk's sum, or float64."""
-    rows = cost.entries.tolist()
-    if cost.mode == RATIONAL:
-        rows, _ = scaled(rows)
+    diagonal, with ``+inf`` encoded by G and H (module docstring): the
+    cost's cached ``scaled_view`` ints in ``int_dtype`` of every walk's sum,
+    or float64."""
+    rows = cost.scaled_view[0] if cost.mode == RATIONAL else cost.entries.tolist()
     big = max((abs(v) for row in rows for v in row if v != INF), default=0)
     G = 2 * k_max * big + 1  # tops k_max - 1 finite arcs, of at most 2 big, plus tol
     H = k_max * (G + 2 * big) + 1

@@ -25,7 +25,8 @@ its mode from the cost; :func:`make_instance` builds one from raw values.
 A :class:`TransportPlan` collects its nonzero cells in the one scan that
 checks its entries, and every reader of plan mass reads those. One tree
 walk, :func:`hang_subtree`, gives the tight potentials of a basis: whole,
-through :func:`tree_potentials`, and one moved subtree per simplex pivot.
+through :func:`tree_potentials`, and one moved subtree per simplex pivot;
+read in reverse, its walk order gives a warm-start basis its masses.
 A basis is always one spanning tree, hung from row 0; :func:`tree_potentials`
 refuses any other cell set before it walks. Its one dual, :func:`basis_dual`,
 serves the dual extraction and the oracle dual. One kernel,
@@ -366,10 +367,11 @@ def hang_subtree(m: int, adj, rows, z, root: int, above: int, parent, pot, wall)
     """Hang the tree that ``root`` reaches without passing ``above`` under
     ``above`` (-1 makes ``root`` an anchor at potential ``z``), writing the
     ``parent``, ``pot`` and, unless None, ``wall`` entries of its nodes in
-    place by the walk of :func:`tree_potentials`. A potential depends only
-    on the path to the anchor, so after a basis exchange re-hanging the
-    cut-off subtree under the entering cell gives exactly the values of a
-    fresh walk."""
+    place by the walk of :func:`tree_potentials`, and return the nodes it
+    hung in walk order, each after its parent. A potential depends only on
+    the path to the anchor, so after a basis exchange re-hanging the cut-off
+    subtree under the entering cell gives exactly the values of a fresh
+    walk."""
     parent[root] = above
     nodes = [root]
     for v in nodes:
@@ -387,6 +389,7 @@ def hang_subtree(m: int, adj, rows, z, root: int, above: int, parent, pot, wall)
             if w != u:
                 parent[w] = v
                 nodes.append(w)
+    return nodes
 
 
 def _law_array(d: np.ndarray) -> np.ndarray:

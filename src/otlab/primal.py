@@ -8,10 +8,11 @@ terminates and is fully deterministic.
 The first basis is the northwest corner, or a spanning tree the caller
 gives (``solve_primal(instance, basis=...)``), such as the optimal basis of
 another cost on the same marginals: the masses of a tree depend on the
-marginals only, so that tree's plan is feasible here too. Its masses are
-found by peeling leaves (a leaf's balance crosses its one cell), exact on
-the scaled ints; a tree whose masses are negative beyond
-``tolerance(mode)`` is refused, naming the cell.
+marginals only, so that tree's plan is feasible here too. Its masses come
+from the walk that hangs it from row 0: visited in reverse, each node sends
+its remaining balance across the cell to its parent, exact on the scaled
+ints; a tree whose masses are negative beyond ``tolerance(mode)`` is
+refused, naming the cell.
 
 Rational data are scaled to integers once (``core.scaled_data`` over the
 parts' cached ``scaled_view``: masses times the LCM L of the marginal
@@ -116,22 +117,17 @@ def _northwest_basis(mu, nu) -> dict:
             j += 1
 
 
-def _tree_masses(m: int, n: int, cells, mu, nu, z, neg_tol) -> dict:
+def _tree_masses(m: int, order, parent, mu, nu, z, neg_tol) -> dict:
     """The basic solution of a spanning tree as {cell: mass}: the masses on
-    its cells that meet the marginals, found by peeling leaves. A mass below
-    ``-neg_tol`` raises InfeasibleInput naming its cell; one in
-    ``[-neg_tol, 0)`` (float round-off) is ``z``."""
-    adj = tree_adjacency(m, n, cells)
+    its cells that meet the marginals. ``order`` and ``parent`` are the walk
+    that hangs the tree (``core.hang_subtree``); visited in reverse, each
+    node sends its remaining balance to its parent, and the root keeps what
+    round-off leaves over. A mass below ``-neg_tol`` raises InfeasibleInput
+    naming its cell; one in ``[-neg_tol, 0)`` (float round-off) is ``z``."""
     rem = list(mu) + list(nu)
-    degree = [len(a) for a in adj]
-    leaves = [v for v in range(m + n) if degree[v] == 1]
     mass = {}
-    while leaves:
-        v = leaves.pop()
-        if degree[v] != 1:  # the last node, left with its crumb of balance
-            continue
-        degree[v] = 0
-        u = next(w for w in adj[v] if degree[w])
+    for v in reversed(order[1:]):
+        u = parent[v]
         cell = (v, u - m) if v < m else (u, v - m)
         x = rem[v]
         if x < -neg_tol:
@@ -141,9 +137,6 @@ def _tree_masses(m: int, n: int, cells, mu, nu, z, neg_tol) -> dict:
             )
         mass[cell] = x if x >= 0 else z
         rem[u] -= x
-        degree[u] -= 1
-        if degree[u] == 1:
-            leaves.append(u)
     return mass
 
 
@@ -159,20 +152,22 @@ def solve_primal(instance: Instance, basis=None) -> OptimalPlanResult:
     z = 0 if rational else 0.0
 
     if basis is None:
-        mass = _northwest_basis(mu, nu)  # its keys are the basis
+        basis = mass = _northwest_basis(mu, nu)  # its keys are the basis
     else:
         require_spanning_tree(m, n, basis)
-        mass = _tree_masses(m, n, basis, mu, nu, z, tolerance(instance.mode))
+        mass = None
 
     # a thousandth of the dual check's tolerance, so near-ties still pivot
     eps = 0 if rational else cost_tolerance(instance.cost) / 1000
 
     # The first basis is a spanning tree; hang it from row 0 once.
     walled = any(c == INF for row in cost for c in row)
-    adj = tree_adjacency(m, n, mass)
+    adj = tree_adjacency(m, n, basis)
     parent, pot = [-1] * (m + n), [z] * (m + n)
     wall = [0] * (m + n) if walled else None
-    hang_subtree(m, adj, cost, z, 0, -1, parent, pot, wall)
+    order = hang_subtree(m, adj, cost, z, 0, -1, parent, pot, wall)
+    if mass is None:
+        mass = _tree_masses(m, order, parent, mu, nu, z, tolerance(instance.mode))
 
     dtype = np.float64
     if rational:

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from otlab import (
@@ -47,6 +47,7 @@ from otlab.primal import (
     _basis_cycle,
     _exchange,
     _northwest_basis,
+    _tree_masses,
 )
 
 from conftest import random_marginal, random_rational_instance
@@ -420,6 +421,59 @@ def test_a_warm_start_refuses_a_tree_that_is_no_feasible_basis(basis, message, m
     assert str(err.value) == message
 
 
+@st.composite
+def trees_with_marginals(draw):
+    """A spanning tree and rational marginals of its rows and columns, with
+    zero masses; most such trees are no feasible basis."""
+    m, n, tree = draw_spanning_tree(draw)
+
+    def weights(size):
+        raw = [draw(st.integers(0, 9)) for _ in range(size)]
+        if not any(raw):
+            raw[draw(st.integers(0, size - 1))] = 1
+        return [F(w, sum(raw)) for w in raw]
+
+    return m, n, tree, weights(m), weights(n)
+
+
+def tree_masses_outcome(m, n, tree, mu, nu, mode):
+    """"feasible" when the masses of ``tree`` sit on its cells, are
+    nonnegative and meet the marginals (exactly in rational mode), else the
+    refusal, which names a cell of the tree."""
+    z = 0 if mode == RATIONAL else 0.0
+    if mode != RATIONAL:
+        mu, nu = [float(w) for w in mu], [float(w) for w in nu]
+    parent = [-1] * (m + n)
+    zeros = [[z] * n for _ in range(m)]
+    order = hang_subtree(m, tree_adjacency(m, n, tree), zeros, z, 0, -1, parent,
+                         [z] * (m + n), None)
+    assert sorted(order) == list(range(m + n))
+    assert all(order.index(parent[v]) < k for k, v in enumerate(order) if k)
+    tol = tolerance(mode)
+    try:
+        mass = _tree_masses(m, order, parent, mu, nu, z, tol)
+    except InfeasibleInput as err:
+        assert any(str(err).startswith(f"basis cell {cell} would carry negative mass")
+                   for cell in tree)
+        return str(err)
+    assert set(mass) == set(tree)
+    assert all(x >= 0 for x in mass.values())
+    for i in range(m):
+        assert abs(sum(x for (r, _), x in mass.items() if r == i) - mu[i]) <= tol
+    for j in range(n):
+        assert abs(sum(x for (_, c), x in mass.items() if c == j) - nu[j]) <= tol
+    return "feasible"
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=trees_with_marginals())
+def test_tree_masses_meet_the_marginals_or_name_a_negative_cell(case):
+    # the reverse walk gives any spanning tree's masses; a nonzero rational
+    # mass is at least 1/54**2 here, so floats reach the same outcome
+    exact = tree_masses_outcome(*case, RATIONAL)
+    assert tree_masses_outcome(*case, "float") == exact
+
+
 # --- float mode ---------------------------------------------------------------
 
 
@@ -506,7 +560,9 @@ def marginal_of(weights):
 
 
 def linprog_value(inst):
-    """scipy's HiGHS optimum, with +inf cells pinned to zero mass."""
+    """scipy's HiGHS optimum, with +inf cells pinned to zero mass. HiGHS's
+    default feasibility tolerance, 1e-7, is above the smallest masses drawn
+    here, and its presolve then calls a feasible instance infeasible."""
     scipy_opt = pytest.importorskip("scipy.optimize")
     m, n = inst.shape
     cells = [(i, j) for i in range(m) for j in range(n)]
@@ -516,13 +572,24 @@ def linprog_value(inst):
     a_eq += [[1.0 if j == s else 0.0 for (_, j) in cells] for s in range(n)]
     b_eq = [float(w) for w in inst.mu.weights] + [float(w) for w in inst.nu.weights]
     bounds = [(0, None) if ok else (0, 0) for ok in finite]
-    lp = scipy_opt.linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    lp = scipy_opt.linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs",
+                           options={"primal_feasibility_tolerance": 1e-10})
     assert lp.status == 0
     return lp.fun
 
 
+# four masses of 2e-8 to 5e-8, under HiGHS's default feasibility tolerance
+_TINY = 2147483947421012612
+
+
 @settings(max_examples=80, deadline=None)
 @given(inst=rational_instances())
+@example(inst=make_instance(
+    [[F(7, 3)] * 4] * 5,
+    [F(105226698703, _TINY), F(63000000441, _TINY), F(75161927645, _TINY),
+     F(2147483662032385529, _TINY), F(42000000294, _TINY)],
+    [F(8, 33), F(8, 33), F(5, 11), F(2, 33)],
+))
 def test_integer_kernel_is_exact(inst):
     m, n = inst.shape
     res = solve_primal(inst)

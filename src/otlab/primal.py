@@ -1,9 +1,14 @@
 """Exact primal solver: network simplex on the transportation graph.
 
-The basis is a spanning tree of the bipartite supply-demand graph; pivots
-follow Bland's anti-cycling rule (first cell in row-major order with a
-negative reduced cost enters; the smallest-index tie leaves), so the solver
-terminates and is fully deterministic.
+The basis is a spanning tree of the bipartite supply-demand graph. The
+cell with the most negative reduced cost enters (the first in row-major
+order on ties), and the smallest cell among tied leavers leaves. Right after
+a degenerate pivot (one that moves no mass), and on every pivot of an
+instance with +inf cells, Bland's rule picks instead: the first cell in
+row-major order with a negative reduced cost enters. A cycle of bases is
+made of degenerate pivots only, so every pivot on it would be Bland's,
+which never cycles (Bland 1977): the solver terminates and is fully
+deterministic.
 
 The first basis is the northwest corner, or a spanning tree the caller
 gives (``solve_primal(instance, basis=...)``), such as the optimal basis of
@@ -17,9 +22,9 @@ refused, naming the cell.
 Rational data are scaled to integers once (``core.scaled_data`` over the
 parts' cached ``scaled_view``: masses times the LCM L of the marginal
 denominators, costs times a common denominator M of theirs) and the
-simplex runs on Python ints. Positive scaling keeps the sign of every
-reduced cost and every mass comparison, so the Bland pivot sequence, the
-basis and the plan are exactly those of the same simplex on Fractions;
+simplex runs on Python ints. Positive scaling keeps the order of the
+reduced costs and every mass comparison, so the pivot sequence, the basis
+and the plan are exactly those of the same simplex on Fractions;
 masses are mapped back to ``Fraction(x, L)`` at the end and the value is
 ``Fraction(sum x * c, L * M)`` of the scaled ints. Float instances run the
 same loop on floats with a scale-aware tolerance.
@@ -31,10 +36,10 @@ cuts off, under the entering cell's endpoint outside it. A potential is the
 alternating cost sum on the path to row 0, so the kept parent links and
 potentials are exactly those of a fresh walk, in float mode bit for bit.
 Each pivot then prices every cell in one numpy pass, ``c - phi - psi`` in
-the order of the scalar formula, and the first negative non-basic cell in
-row-major order enters. The arrays are float64 in float mode; the scaled
-ints take ``core.int_dtype((2(m+n)+1)·max|c|)``, a bound on every reduced
-cost, as a potential is an alternating sum of at most m+n-1 costs.
+the order of the scalar formula, and picks the entering cell from that one
+array. The arrays are float64 in float mode; the scaled ints take
+``core.int_dtype((2(m+n)+1)·max|c|)``, a bound on every reduced cost, as a
+potential is an alternating sum of at most m+n-1 costs.
 
 Infinite costs ride along as lexicographic two-part values (inf-mass part,
 finite part); minimizing them first pushes all mass off infinite cells
@@ -68,7 +73,7 @@ from .core import (
 )
 from .errors import InfeasibleFiniteCost, InfeasibleInput
 
-_MAX_PIVOTS = 10_000_000  # safety net; Bland's rule terminates long before
+_MAX_PIVOTS = 10_000_000  # safety net; the pivot rule cannot cycle (module docstring)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,10 +146,12 @@ def _tree_masses(m: int, order, parent, mu, nu, z, neg_tol) -> dict:
 
 
 def solve_primal(instance: Instance, basis=None) -> OptimalPlanResult:
-    """Exact minimum-cost transport plan of an instance, by Bland's rule from
-    the northwest corner or, when given, from the spanning tree ``basis``
-    (cells (i, j); a wrong count, a cell off the grid or a cycle raises
-    InfeasibleInput, as does a tree whose masses are negative)."""
+    """Exact minimum-cost transport plan of an instance, by the network
+    simplex (the most negative reduced cost enters; Bland's rule after a
+    degenerate pivot, see the module docstring) from the northwest corner
+    or, when given, from the spanning tree ``basis`` (cells (i, j); a wrong
+    count, a cell off the grid or a cycle raises InfeasibleInput, as does a
+    tree whose masses are negative)."""
     m, n = instance.shape
     rational = instance.mode == RATIONAL
     # ints in rational mode: masses times L, costs times M (module docstring)
@@ -180,17 +187,23 @@ def solve_primal(instance: Instance, basis=None) -> OptimalPlanResult:
     for cell in mass:
         nonbasic[cell] = False
 
+    bland = walled
     for _ in range(_MAX_PIVOTS):
         # Reduced costs are lexicographic (wall, finite) pairs: the wall
         # part counts +inf cells, and the finite part counts them as z.
         p = np.array(pot, dtype=dtype)
-        enter = finite - p[:m, None] - p[None, m:] < -eps
+        reduced = finite - p[:m, None] - p[None, m:]
+        enter = reduced < -eps
         if walled:
             w = np.array(wall)
             r0 = infinite - w[:m, None] - w[None, m:]
             enter = (r0 < 0) | ((r0 == 0) & enter)
         enter &= nonbasic
-        k = int(enter.argmax())
+        # argmin takes the first cell in row-major order on ties
+        if bland:
+            k = int(enter.argmax())
+        else:
+            k = int(np.where(enter, reduced, z).argmin())
         if not enter.flat[k]:
             break
         entering = divmod(k, n)
@@ -207,6 +220,7 @@ def solve_primal(instance: Instance, basis=None) -> OptimalPlanResult:
         nonbasic[entering] = False
         nonbasic[leaving] = True
         _exchange(m, adj, cost, z, parent, pot, wall, entering, leaving)
+        bland = walled or theta == 0
     else:
         raise RuntimeError("network simplex exceeded the pivot safety bound")
 

@@ -1,5 +1,6 @@
 """Network simplex: exactness against the oracle, structural invariants."""
 
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -41,7 +42,8 @@ from otlab.core import (
     tree_adjacency,
     tree_potentials,
 )
-from otlab.fixtures import FIXTURE_NAMES
+from otlab import primal
+from otlab.fixtures import FIXTURE_NAMES, SPIKE
 from otlab.primal import (
     OptimalPlanResult,
     _basis_cycle,
@@ -561,8 +563,9 @@ def marginal_of(weights):
 
 def linprog_value(inst):
     """scipy's HiGHS optimum, with +inf cells pinned to zero mass. HiGHS's
-    default feasibility tolerance, 1e-7, is above the smallest masses drawn
-    here, and its presolve then calls a feasible instance infeasible."""
+    presolve calls a feasible instance infeasible when a mass drawn here is
+    below its feasibility tolerance: below the default 1e-7, and below even
+    the tightest it takes, 1e-10. So presolve is off."""
     scipy_opt = pytest.importorskip("scipy.optimize")
     m, n = inst.shape
     cells = [(i, j) for i in range(m) for j in range(n)]
@@ -573,13 +576,15 @@ def linprog_value(inst):
     b_eq = [float(w) for w in inst.mu.weights] + [float(w) for w in inst.nu.weights]
     bounds = [(0, None) if ok else (0, 0) for ok in finite]
     lp = scipy_opt.linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs",
-                           options={"primal_feasibility_tolerance": 1e-10})
+                           options={"primal_feasibility_tolerance": 1e-10, "presolve": False})
     assert lp.status == 0
     return lp.fun
 
 
 # four masses of 2e-8 to 5e-8, under HiGHS's default feasibility tolerance
 _TINY = 2147483947421012612
+# two row masses of 9.3e-11, under its tightest feasibility tolerance
+_D = 10737418237
 
 
 @settings(max_examples=80, deadline=None)
@@ -589,6 +594,11 @@ _TINY = 2147483947421012612
     [F(105226698703, _TINY), F(63000000441, _TINY), F(75161927645, _TINY),
      F(2147483662032385529, _TINY), F(42000000294, _TINY)],
     [F(8, 33), F(8, 33), F(5, 11), F(2, 33)],
+))
+@example(inst=make_instance(
+    [["inf", 0, "inf", "inf", "inf"], ["inf", 0, "inf", "inf", "inf"], ["inf", 0, 0, 0, 0]],
+    [F(1, _D), F(1, _D), F(_D - 2, _D)],
+    [0, F(1, 4), F(1, 4), F(1, 4), F(1, 4)],
 ))
 def test_integer_kernel_is_exact(inst):
     m, n = inst.shape
@@ -625,10 +635,14 @@ def certify_outcome(inst, optimum):
 # --- reference loop -------------------------------------------------------------
 
 
-def reference_solve(instance):
-    """The Bland simplex with a full tree walk (``core.tree_potentials``) and
-    a scalar scan of every cell per pivot: the reference for the kept tree
-    and the numpy pricing of solve_primal."""
+def reference_solve(instance, pivots):
+    """The simplex of solve_primal with a full tree walk
+    (``core.tree_potentials``) and a scalar scan of every cell per pivot:
+    the reference for the kept tree and the numpy pricing of solve_primal.
+    The most negative reduced cost enters, the first in row-major order on
+    ties; right after a degenerate pivot, and on every pivot of an instance
+    with +inf cells, Bland's first eligible cell enters instead. Each
+    (entering, leaving) pair is appended to ``pivots``."""
     m, n = instance.shape
     rational = instance.mode == RATIONAL
     mu, nu, cost, L, _ = scaled_data(instance)
@@ -636,10 +650,12 @@ def reference_solve(instance):
     mass = _northwest_basis(mu, nu)
     basis = set(mass)
     eps = 0 if rational else cost_tolerance(instance.cost) / 1000
+    walled = any(c == INF for row in cost for c in row)
+    bland = walled
     while True:
         pot, parent, wall = tree_potentials(m, n, basis, cost, z)
         psi = pot[m:]
-        entering = None
+        entering, best = None, -eps
         for i in range(m):
             for j in range(n):
                 if (i, j) in basis:
@@ -647,10 +663,12 @@ def reference_solve(instance):
                 c = cost[i][j]
                 inf = c == INF
                 r0 = inf - wall[i] - wall[m + j] if wall is not None else inf
-                if r0 < 0 or (not r0 and (z if inf else c) - pot[i] - psi[j] < -eps):
-                    entering = (i, j)
-                    break
-            if entering is not None:
+                r = (z if inf else c) - pot[i] - psi[j]
+                if r0 < 0 or (not r0 and r < best):
+                    entering, best = (i, j), r
+                    if bland:
+                        break
+            if bland and entering is not None:
                 break
         if entering is None:
             break
@@ -658,6 +676,7 @@ def reference_solve(instance):
         minus = cycle[1::2]
         theta = min(mass[cell] for cell in minus)
         leaving = min(cell for cell in minus if mass[cell] == theta)
+        pivots.append((entering, leaving))
         for cell in cycle[0::2]:
             mass[cell] = mass.get(cell, z) + theta
         for cell in minus:
@@ -665,6 +684,7 @@ def reference_solve(instance):
         basis.add(entering)
         basis.remove(leaving)
         del mass[leaving]
+        bland = walled or theta == 0
     crumb = tolerance(instance.mode)
     plan = plan_from_cells(
         (m, n),
@@ -689,12 +709,33 @@ def outcome(solve, inst):
     return res.plan.entries.tolist(), res.value, res.basis
 
 
+@contextmanager
+def recorded_pivots():
+    """A list that receives the (entering, leaving) pair of every pivot
+    solve_primal makes inside the block, in order."""
+    pivots = []
+    exchange = primal._exchange
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(primal, "_exchange", lambda *args: pivots.append(args[-2:]) or exchange(*args))
+        yield pivots
+
+
+def pivoted_outcomes(inst):
+    """The outcomes of solve_primal and of reference_solve on ``inst``, each
+    with the (entering, leaving) pairs of its pivots in order."""
+    with recorded_pivots() as ours:
+        solved = outcome(solve_primal, inst)
+    theirs = []
+    return (solved, ours), (outcome(lambda case: reference_solve(case, theirs), inst), theirs)
+
+
 @settings(max_examples=150, deadline=None)
 @given(inst=rational_instances(anywhere=True))
 def test_solve_primal_matches_the_reference_loop(inst):
     # walls, ties, zero masses and huge denominators, in both modes
     for case in (inst, convert_instance(inst, "float")):
-        assert outcome(solve_primal, case) == outcome(reference_solve, case)
+        ours, reference = pivoted_outcomes(case)
+        assert ours == reference
 
 
 def test_solve_primal_matches_the_reference_loop_on_fixtures():
@@ -704,7 +745,8 @@ def test_solve_primal_matches_the_reference_loop_on_fixtures():
         for size in (3, 7, 12):
             inst = generate_fixture(family, size, seed=size)
             for case in (inst, convert_instance(inst, "float")):
-                assert outcome(solve_primal, case) == outcome(reference_solve, case)
+                ours, reference = pivoted_outcomes(case)
+                assert ours == reference
 
 
 # (2(m+n)+1) * max|c| < 2**62 is the int64 pricing bound; at 2 x 2 the
@@ -726,4 +768,55 @@ def test_pricing_dtype_guard_keeps_the_reference_plan(cost, dtype):
     scaled = scaled_data(inst)[2]
     big = max(abs(c) for row in scaled for c in row)
     assert np.dtype(int_dtype((2 * (m + n) + 1) * big)) == dtype
-    assert outcome(solve_primal, inst) == outcome(reference_solve, inst)
+    ours, reference = pivoted_outcomes(inst)
+    assert ours == reference
+
+
+# --- pivot rule -----------------------------------------------------------------
+
+
+def test_the_most_negative_reduced_cost_takes_few_pivots():
+    # Bland's first eligible cell took 6,144 pivots to this optimum
+    with recorded_pivots() as pivots:
+        res = solve_primal(generate_fixture("random-uniform", 60, seed=1))
+    assert res.value == F(1441, 11592)
+    assert len(pivots) <= 600
+
+
+@st.composite
+def degenerate_instances(draw):
+    """Uniform marginals on both sides, some masses zero, and all-equal, 0/1
+    or discrete-metric-spike costs: most pivots of such an instance move no
+    mass, so the rule runs Bland's pivots between its most-negative ones."""
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 7))
+
+    def marginal(size):
+        zeros = draw(st.sets(st.integers(0, size - 1), max_size=size - 1))
+        return [0 if k in zeros else F(1, size - len(zeros)) for k in range(size)]
+
+    kind = draw(st.sampled_from(["equal", "binary", "spike"]))
+    if kind == "equal":
+        tie = F(draw(st.integers(-5, 5)), draw(st.integers(1, 3)))
+        cost = [[tie] * n for _ in range(m)]
+    elif kind == "binary":
+        cost = [[draw(st.integers(0, 1)) for _ in range(n)] for _ in range(m)]
+    else:
+        cost = [[0 if i == j else SPIKE for j in range(n)] for i in range(m)]
+    return make_instance(cost, marginal(m), marginal(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=degenerate_instances())
+def test_degenerate_instances_end_at_the_optimum_and_certify(inst):
+    m, n = inst.shape
+    with pytest.MonkeyPatch.context() as patch:
+        # far above the pivots these sizes need, so a cycling solve fails fast
+        patch.setattr(primal, "_MAX_PIVOTS", 1000)
+        value = solve_primal(inst).value
+        if m * n <= 16:
+            assert value == oracle_primal(inst).value
+        else:
+            assert abs(float(value) - linprog_value(inst)) <= 1e-6 * (1 + abs(float(value)))
+        for case in (inst, convert_instance(inst, "float")):
+            assert certify_instance(case).verdict

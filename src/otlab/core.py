@@ -31,10 +31,11 @@ A basis is always one spanning tree, hung from row 0; :func:`tree_potentials`
 refuses any other cell set before it walks. Its one dual, :func:`basis_dual`,
 serves the dual extraction and the oracle dual. One kernel,
 :func:`min_plus_arrays`, is the one three-index numpy pass, and it returns
-minima only. Through :func:`min_plus` it gives the c-transforms, the dual
-feasibility test and the induced pseudometrics (a max-plus product);
-directly, the Lipschitz envelope, the triangle law (``d <= d (x) d``, a
-min-plus square) and the min-plus powers of the cyclic-monotonicity check.
+minima only. Through :func:`cost_transforms` (potentials against a cost's
+cached ints) it gives the c-transforms, the dual feasibility test and the
+induced pseudometrics (a max-plus product); directly, the Lipschitz
+envelope, the triangle law (``d <= d (x) d``, a min-plus square) and the
+min-plus powers of the cyclic-monotonicity check.
 Rational data become exact ints in one place, :func:`scaled`; a cost and a
 marginal cache theirs (``scaled_view``), so the parts that instances share
 are scaled once, and one guard, :func:`int_dtype`, keeps the ints in int64
@@ -247,21 +248,24 @@ def _int_array(ints: list, k: int):
 _BLOCK = 1 << 14
 
 
-def min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The min-plus product of two matrices of one mode, frozen:
-    ``out[i, j] = min_k a[i, k] + b[k, j]``, ``+inf`` where every sum is.
-    Floats sum in float64. Rational operands sum as ints over their joint
-    denominator, ``+inf`` as ``s = 3 max|finite| + 1``, so any sum with an
-    ``s`` term tops every finite one."""
-    mode = mode_of(b)
+def cost_transforms(p: np.ndarray, cost: "CostMatrix", axis: int) -> np.ndarray:
+    """The transforms of finite potentials ``p`` (one per row), frozen:
+    ``out[r, b] = min_a c(a, b) - p[r, a]`` over the cost's rows (``axis=0``,
+    the c-transform) or columns (``axis=1``, cbar), ``+inf`` on an all-+inf
+    line. Floats sum in float64. Rational mode scales only ``p`` and reads
+    the cost's ``scaled_view``, both over ``E``, the lcm of their
+    denominators; ``+inf`` is ``s = 3 max|finite| + 1``, above every finite sum."""
+    mode, c = cost.mode, cost.entries
     if mode == RATIONAL:
-        (ints,), D = scaled([a.ravel().tolist() + b.ravel().tolist()])
-        ints, s = _int_array(ints, 3)
-        a, b = ints[:a.size].reshape(a.shape), ints[a.size:].reshape(b.shape)
-    out = min_plus_arrays(a, b)
+        (rows, D), (pot, Dp) = cost.scaled_view, scaled(p.tolist())
+        E = math.lcm(D, Dp)
+        flat = [v if type(v) is float else v * (E // D) for row in rows for v in row]
+        ints, s = _int_array(flat + [v * (E // Dp) for row in pot for v in row], 3)
+        c, p = ints[:len(flat)].reshape(c.shape), ints[len(flat):].reshape(p.shape)
+    out = min_plus_arrays(-p, c if axis == 0 else c.T)
     if mode == RATIONAL:
         finite = 2 * (s // 3)  # the largest finite sum, 2 max|finite|
-        out = [[INF if v > finite else Fraction(v, D) for v in row] for row in out.tolist()]
+        out = [[INF if v > finite else Fraction(v, E) for v in row] for row in out.tolist()]
     return frozen_array(out, mode)
 
 
@@ -659,7 +663,7 @@ class DualPotentials:
         if cost.shape != self.shape:
             raise DimensionMismatch(f"potentials {self.shape} vs cost {cost.shape}")
         pot = self._read(cost.mode)
-        (phi_c,) = min_plus(-pot.phi[None], cost.entries)
+        (phi_c,) = cost_transforms(pot.phi[None], cost, 0)
         return pot if np.all(pot.psi <= phi_c + cost_tolerance(cost)) else None
 
     def _read(self, mode: str) -> "DualPotentials":

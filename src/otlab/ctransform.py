@@ -16,9 +16,9 @@ matrices), and the normalized pair
 
 lands, for a bounded cost, in the boxes [-3 ||c||, ||c||] x [0, 2 ||c||] —
 which is what makes dual solutions of this canonical shape possible.
-``+inf`` cost cells are skipped by both transforms, which are one row of the
-min-plus product ``core.min_plus``; caller potentials are read in the
-cost's mode (``core.as_vector``), so the product never sees two modes.
+``+inf`` cost cells are skipped by both transforms, one row each of
+``core.cost_transforms``; caller potentials are read in the cost's mode
+(``core.as_vector``) before they are checked, so it never sees two modes.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from .core import (
     DualPotentials,
     as_vector,
     cost_tolerance,
+    cost_transforms,
     frozen_array,
     is_inf,
-    min_plus,
 )
 from .errors import DimensionMismatch, UnboundedTransform
 
@@ -40,16 +40,16 @@ OVER_X = "over-X"
 OVER_Y = "over-Y"
 
 
-def _transform(pot, rows: np.ndarray, mode: str, name: str, line: str):
-    """``out[b] = min_a rows[a, b] - pot[a]``: one row of ``core.min_plus``.
-    ``rows`` is the cost for the c-transform and its transpose for the
-    cbar-transform; ``pot`` is read in the cost's mode."""
-    raw = np.asarray(pot)
-    if raw.ndim != 1 or raw.shape[0] != len(rows):
-        raise DimensionMismatch(f"{name} has shape {raw.shape}, expected ({len(rows)},)")
-    if any(is_inf(x) or (isinstance(x, float) and x != x) for x in raw):
+def _transform(pot, cost: CostMatrix, axis: int, name: str, line: str):
+    """One row of ``core.cost_transforms`` (``axis`` 0: phi^c, 1: psi^cbar);
+    ``pot`` is read in the cost's mode first (a NaN or -inf is a BadNumber),
+    then must be finite."""
+    pot = as_vector(pot, cost.mode, name)
+    if pot.shape[0] != cost.shape[axis]:
+        raise DimensionMismatch(f"{name} has shape {pot.shape}, expected ({cost.shape[axis]},)")
+    if any(is_inf(x) for x in pot):
         raise UnboundedTransform(f"{name} must have finite entries")
-    (out,) = min_plus(-as_vector(pot, mode, name)[None], rows)
+    (out,) = cost_transforms(pot[None], cost, axis)
     for b, v in enumerate(out):
         if is_inf(v):
             raise UnboundedTransform(f"{line} {b} of the cost is entirely +inf")
@@ -59,12 +59,12 @@ def _transform(pot, rows: np.ndarray, mode: str, name: str, line: str):
 def c_transform(phi, cost: CostMatrix):
     """phi^c over Y. Columns that are entirely +inf admit no finite value
     and raise UnboundedTransform."""
-    return _transform(phi, cost.entries, cost.mode, "phi", "column")
+    return _transform(phi, cost, 0, "phi", "column")
 
 
 def cbar_transform(psi, cost: CostMatrix):
     """psi^cbar over X; the mirror of :func:`c_transform`."""
-    return _transform(psi, cost.entries.T, cost.mode, "psi", "row")
+    return _transform(psi, cost, 1, "psi", "row")
 
 
 def normalize_pair(phi, cost: CostMatrix) -> DualPotentials:
@@ -75,12 +75,9 @@ def normalize_pair(phi, cost: CostMatrix) -> DualPotentials:
     inside the [-3||c||, ||c||] x [0, 2||c||] boxes. An all-+inf row or
     column of the cost raises UnboundedTransform naming it."""
     psi = c_transform(phi, cost)
-    phi_cc = cbar_transform(psi, cost)
     shift = min(psi)
-    return DualPotentials(
-        phi=frozen_array(phi_cc + shift, cost.mode),
-        psi=frozen_array(psi - shift, cost.mode),
-    )
+    return DualPotentials(frozen_array(cbar_transform(psi, cost) + shift, cost.mode),
+                          frozen_array(psi - shift, cost.mode))
 
 
 def induced_pseudometric(cost: CostMatrix, axis: str) -> np.ndarray:
@@ -90,14 +87,14 @@ def induced_pseudometric(cost: CostMatrix, axis: str) -> np.ndarray:
     over-X entry (i, i') = max_j |c[i][j] - c[i'][j]|
     over-Y entry (j, j') = max_i |c[i][j] - c[i][j']|
 
-    One max-plus product: with ``low = min_plus(-c, c.T)``, entry (i, i') is
-    ``max(-low[i, i'], -low[i', i])``, exact as negation is, in both modes."""
+    One max-plus product: the cost's lines are potentials, so over X
+    ``low[i, i'] = min_j c[i'][j] - c[i][j]`` is the cbar-transform of row i
+    and entry (i, i') is ``max(-low[i, i'], -low[i', i])``, exact in both modes."""
     cost.require_bounded("the induced pseudometric")
     if axis not in (OVER_X, OVER_Y):
         raise ValueError(f"axis must be {OVER_X!r} or {OVER_Y!r}")
-    # rows of c are the points of the measured axis
-    c = cost.entries if axis == OVER_X else cost.entries.T
-    low = min_plus(-c, c.T)
+    lines, over = (cost.entries, 1) if axis == OVER_X else (cost.entries.T, 0)
+    low = cost_transforms(lines, cost, over)
     return frozen_array(np.maximum(0 - low, 0 - low.T), cost.mode)  # 0 - 0.0 is +0.0
 
 
@@ -106,6 +103,5 @@ def is_c_concave(phi, cost: CostMatrix) -> bool:
     within ``cost_tolerance(cost)``, which is 0 in rational mode. The double
     transform never falls below phi, so this is a one-sided check in exact
     arithmetic. phi is read in the cost's mode, as by :func:`c_transform`."""
-    phi_cc = cbar_transform(c_transform(phi, cost), cost)
     phi = as_vector(phi, cost.mode, "phi")
-    return max(abs(phi_cc - phi)) <= cost_tolerance(cost)
+    return max(abs(cbar_transform(c_transform(phi, cost), cost) - phi)) <= cost_tolerance(cost)

@@ -7,11 +7,14 @@ console script); a couple of smoke tests go through a real subprocess.
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import otlab
 from otlab.cli import main
+from otlab.serialize import load_instance
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -203,6 +206,28 @@ def test_float_northwest_round_off_is_not_a_crash(tmp_path, capsys, command, key
     code, out, err = run_cli([command, "--float", str(path)], capsys)
     assert (code, err) == (0, "")
     assert json.loads(out)[key] == value
+
+
+@pytest.mark.parametrize("command", [["solve", "--dual"], ["certify"]])
+def test_a_command_scales_the_cost_once(tmp_path, capsys, monkeypatch, command):
+    # the cost's scaled_view is the one call of core.scaled on its rows; the
+    # transforms and the feasibility test scale only the potentials
+    path = str(tmp_path / "inst.json")
+    run_cli(["gen", "random-uniform", "--size", "10", "--seed", "3", "-o", path], capsys)
+    scaled, calls = otlab.core.scaled, []
+
+    def spy(rows):
+        calls.append(Counter(v for row in rows for v in row))
+        return scaled(rows)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "otlab"]:
+        if getattr(module, "scaled", None) is scaled:
+            monkeypatch.setattr(module, "scaled", spy)
+    assert run_cli([*command, path], capsys)[0] == 0
+    cost = Counter(load_instance(path).cost.entries.flat)
+    # a call receives the cost's rows when every entry of the cost is among its values
+    assert [values for values in calls if not cost - values] == [cost]
+    assert len(calls) > 1  # the spy saw the other calls too
 
 
 # --- transform / envelope -------------------------------------------------------------
@@ -407,6 +432,12 @@ def test_bad_number_token_is_a_usage_error(fixture_file, capsys, args):
     code, out, err = run_cli(args + [str(fixture_file)], capsys)
     assert (code, out) == (1, "")
     assert err.startswith("otlab: error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [[], ["--float"]])
+def test_an_infinite_potential_has_no_transform(fixture_file, capsys, flags):
+    code, out, err = run_cli(["transform", *flags, "--phi=inf,0,1", str(fixture_file)], capsys)
+    assert (code, out, err) == (1, "", "otlab: error: phi must have finite entries\n")
 
 
 class JSONNumber(str):

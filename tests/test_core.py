@@ -41,10 +41,10 @@ from otlab.core import (
     as_matrix,
     convert_instance,
     cost_tolerance,
+    cost_transforms,
     int_dtype,
     is_inf,
     metric_violation,
-    min_plus,
     to_number,
     tree_potentials,
 )
@@ -640,71 +640,85 @@ def test_plan_cost_linear_in_plan():
     ) * plan_cost(p2, inst.cost)
 
 
-# --- min-plus product and dual feasibility ----------------------------------
+# --- the transforms and dual feasibility ------------------------------------
 
 
 def reference_min_plus(a, b):
     """The min-plus product of nested lists, one Python addition per entry:
     the reference for the numpy (float) and scaled-int (rational) sums of
-    ``core.min_plus``."""
+    ``core.cost_transforms``, whose ``out`` is ``reference_min_plus(-p, c)``."""
     cols = list(zip(*b))
     return [[min(map(add, row, col)) for col in cols] for row in a]
 
 
+def transforms_both_ways(p, rows, mode):
+    """``cost_transforms`` of ``p`` over the rows of the cost ``rows``
+    (axis 0), checked equal to the one over the columns of its transpose
+    (axis 1)."""
+    cost = CostMatrix(as_matrix(rows, mode))
+    out = cost_transforms(p, cost, 0)
+    mirror = cost_transforms(p, CostMatrix(as_matrix(cost.entries.T, mode)), 1)
+    assert mirror.tolist() == out.tolist() and not out.flags.writeable
+    return out
+
+
 def test_min_plus_takes_the_smallest_witness_and_keeps_inf_lines():
     for mode in ("rational", "float"):
-        a = as_matrix([[1, 0, 2], ["inf", "inf", 5]], mode)
-        b = as_matrix([[0, "inf"], [1, "inf"], [-1, "inf"]], mode)
-        out = min_plus(a, b)
+        p = as_matrix([[-1, 0, -2], [-10, -10, -5]], mode)
+        out = transforms_both_ways(p, [[0, "inf"], [1, "inf"], [-1, "inf"]], mode)
         assert out.tolist() == [[1, INF], [4, INF]]
         assert out.dtype == np.dtype(object if mode == "rational" else float)
         assert type(out.tolist()[0][0]) is (F if mode == "rational" else float)
 
 
 #: The largest finite |entry| whose +inf stand-in ``3 * big + 1`` keeps the
-#: rational min-plus sums in int64; one more goes to Python ints.
+#: rational transform sums in int64; one more goes to Python ints.
 MIN_PLUS_EDGE = (2**62 - 2) // 3
 
 
 @pytest.mark.parametrize("big, dtype", [(MIN_PLUS_EDGE, np.int64), (MIN_PLUS_EDGE + 1, object)])
 def test_min_plus_switches_dtype_at_the_int64_guard(big, dtype):
-    # +inf + +inf sums to 2 * (3 * big + 1): in int64 one more would wrap
-    # below every finite sum and win the minimum
+    # the stand-in s = 3 * big + 1 minus a potential -big sums to 4 * big + 1,
+    # which int64 holds while s is below 2**62
     assert int_dtype(3 * big + 1) == dtype
-    a = as_matrix([[big, -big, "inf"], ["inf", "inf", "inf"]], "rational")
-    b = as_matrix([["inf", big], [big, "inf"], ["inf", "inf"]], "rational")
-    out = min_plus(a, b)
-    assert out.tolist() == reference_min_plus(a.tolist(), b.tolist())
-    assert out.tolist() == [[0, 2 * big], [INF, INF]]
+    p = as_matrix([[-big, big, 0], [big, -big, -big]], "rational")
+    rows = [["inf", big, "inf"], [big, "inf", "inf"], ["inf", "inf", "inf"]]
+    out = transforms_both_ways(p, rows, "rational")
+    assert out.tolist() == reference_min_plus((-p).tolist(), as_matrix(rows, "rational").tolist())
+    assert out.tolist() == [[0, 2 * big, INF], [2 * big, 0, INF]]
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_min_plus_matches_the_list_reference(data):
-    m, k, n = (data.draw(st.integers(1, 4)) for _ in range(3))
-    den = st.sampled_from([1, 1, 2, 3, 7, 2**52, 2**66])
-    entry = st.one_of(
-        st.builds(F, st.integers(-3, 3), den),  # small values tie often
-        st.builds(F, st.integers(-10**20, 10**20), den),
-        st.just("inf"),
-        # near the int64 guard, on both sides of it
-        st.builds(lambda d, sign: sign * (MIN_PLUS_EDGE + d),
-                  st.integers(-2, 2), st.sampled_from([1, -1])),
-    )
+    r, k, n = (data.draw(st.integers(1, 4)) for _ in range(3))
+    near_edge = st.builds(lambda d, sign: sign * (MIN_PLUS_EDGE + d),
+                          st.integers(-2, 2), st.sampled_from([1, -1]))
 
-    def matrix(rows, cols):
-        out = [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
-        if data.draw(st.booleans()):  # an all-+inf line
-            out[data.draw(st.integers(0, rows - 1))] = ["inf"] * cols
-        return out
+    def finite(dens):
+        return st.one_of(
+            st.builds(F, st.integers(-3, 3), dens),  # small values tie often
+            st.builds(F, st.integers(-10**20, 10**20), dens),
+            near_edge,  # on both sides of the int64 guard
+        )
 
-    a, b = matrix(m, k), matrix(k, n)
-    if data.draw(st.booleans()):  # a level-0 operand: 0 * d with 0 * inf = 0
-        b = [[0] * n for _ in range(k)]
+    # the potentials' denominators mostly do not divide the cost's lcm
+    entry = st.one_of(finite(st.sampled_from([1, 1, 2, 3, 7, 2**52, 2**66])), st.just("inf"))
+    potential = finite(st.sampled_from([1, 5, 11, 3 * 2**40, 2**66]))
+    p = [[data.draw(potential) for _ in range(k)] for _ in range(r)]
+    rows = [[data.draw(entry) for _ in range(n)] for _ in range(k)]
+    if data.draw(st.booleans()):  # an all-+inf column
+        col = data.draw(st.integers(0, n - 1))
+        for row in rows:
+            row[col] = "inf"
+    if data.draw(st.booleans()):  # an all-+inf row
+        rows[data.draw(st.integers(0, k - 1))] = ["inf"] * n
+    if data.draw(st.booleans()):  # a zero cost
+        rows = [[0] * n for _ in range(k)]
     for mode in ("rational", "float"):
-        left, right = as_matrix(a, mode), as_matrix(b, mode)
-        out = min_plus(left, right)
-        ref_out = reference_min_plus(left.tolist(), right.tolist())
+        left, right = as_matrix(p, mode), as_matrix(rows, mode)
+        out = transforms_both_ways(left, rows, mode)
+        ref_out = reference_min_plus((-left).tolist(), right.tolist())
         assert out.tolist() == ref_out
         assert [type(v) for row in out.tolist() for v in row] == [
             type(v) for row in ref_out for v in row

@@ -143,6 +143,30 @@ def test_float_potential_on_a_rational_cost_is_a_bad_number():
     assert type(c_transform([0.0, 1.0], cost)[0]) is F
 
 
+#: Each spelling of a non-finite potential entry, with the error it gets
+#: once read in the cost's mode: +inf has no transform, NaN and -inf are no
+#: number of either mode, and a list is no number at all.
+NON_FINITE = [
+    pytest.param(token, UnboundedTransform, r"^(phi|psi) must have finite entries$", id=repr(token))
+    for token in ("inf", "+inf", "Infinity", " inf ", float("inf"))
+] + [
+    pytest.param(token, BadNumber, rf"^(phi|psi)\[0\]: bad number .*\(({reason})\)$", id=repr(token))
+    for token, reason in [("nan", "not a number"), ("NaN", "not a number"),
+                          (float("nan"), "not a number"), ("-inf", "negative infinity"),
+                          ("-Infinity", "negative infinity"), (float("-inf"), "negative infinity")]
+] + [pytest.param([1], BadNumber, r"^(phi|psi)\[0\]: bad number '\[1\]'", id="ragged")]
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("token, error, text", NON_FINITE)
+def test_a_potential_is_read_before_it_is_checked(mode, token, error, text):
+    cost = make_instance([[1, 2], [3, 4]], HALF, HALF, mode=mode).cost
+    pot = [token, [1, 2]] if isinstance(token, list) else [token, "0"]
+    for transform in (c_transform, cbar_transform, normalize_pair, is_c_concave):
+        with pytest.raises(error, match=text):
+            transform(pot, cost)
+
+
 def test_all_inf_column_rejected():
     cost = make_instance([["inf", 0], ["inf", 1]], HALF, HALF).cost
     with pytest.raises(UnboundedTransform):

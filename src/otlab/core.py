@@ -36,10 +36,10 @@ cached ints) it gives the c-transforms, the dual feasibility test and the
 induced pseudometrics (a max-plus product); directly, the Lipschitz
 envelope, the triangle law (``d <= d (x) d``, a min-plus square) and the
 min-plus powers of the cyclic-monotonicity check.
-Rational data become exact ints in one place, :func:`scaled`; a cost and a
-marginal cache theirs (``scaled_view``), so the parts that instances share
-are scaled once, and one guard, :func:`int_dtype`, keeps the ints in int64
-where every sum fits. One feasibility test reads a dual pair once. One check,
+Rational data become exact ints in one place, :func:`scaled`; a cost, a
+marginal and a metric cache theirs (``scaled_view``, from :func:`read_part`),
+and one guard, :func:`int_dtype`, keeps the ints in int64 where every sum
+fits. One feasibility test reads a dual pair once. One check,
 :func:`require_pseudometric`, words every metric-law error; it decides the
 triangle law at the float tolerance and the others exactly.
 """
@@ -53,6 +53,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, count, repeat
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -171,6 +172,37 @@ def require_list(values, name: str):
     if isinstance(values, (str, Mapping, numbers.Number)) or values is None:
         kind = "the string " if isinstance(values, str) else ""
         raise BadNumber(f"{name}: expected a list, got {kind}{values!r}")
+
+
+def read_part(cls, values, mode: str, name: str, *fields, vector: bool = False):
+    """``cls(*fields, array)`` of ``values`` read as by :func:`as_matrix` (a
+    ``vector``: :func:`as_vector`). A rational block of str tokens is read in
+    one pass, each distinct token by :func:`to_number` once and its cells
+    sharing the number, and the part holds the block's :func:`scaled` view,
+    one int per distinct token, as its ``scaled_view`` before its checks run.
+    Any other block (``True``, ``1`` and ``1.0`` hash alike), or a bad token,
+    is read cell by cell, so a bad cell raises as there."""
+    rows, memo, array = [values] if vector else values, {}, None
+    try:
+        if mode != RATIONAL or type(rows) is not list or not rows \
+                or any(type(r) is not list for r in rows) or len(set(map(len, rows))) > 1 \
+                or set(map(type, chain(*rows))) - {str}:
+            raise TypeError
+        # the flat position of each cell's token's first cell
+        first = np.fromiter(map(memo.setdefault, chain.from_iterable(rows), count()), np.intp)
+        numbers = list(map(to_number, memo, repeat(mode)))
+    except (TypeError, ValueError):
+        array = as_vector(values, mode, name) if vector else as_matrix(values, mode, name)
+    part = object.__new__(cls)
+    if array is None:
+        # each cell's key, the index of its token among the distinct ones
+        keys = np.searchsorted(np.fromiter(memo.values(), np.intp), first)
+        shape = (-1,) if vector else (len(rows), -1)
+        (ints,), D = scaled([numbers])
+        part.__dict__["scaled_view"] = np.fromiter(ints, object)[keys].reshape(shape).tolist(), D
+        array = frozen_array(np.fromiter(numbers, object)[keys].reshape(shape), mode)
+    part.__init__(*fields, array)
+    return part
 
 
 def as_numbers(values, mode: str, name: str) -> list:
@@ -396,18 +428,19 @@ def hang_subtree(m: int, adj, rows, z, root: int, above: int, parent, pot, wall)
     return nodes
 
 
-def _law_array(d: np.ndarray) -> np.ndarray:
+def _law_array(d: np.ndarray, view: Optional[tuple] = None) -> np.ndarray:
     """The entries of a square matrix as one numpy array on which every
-    metric law reads as on the entries: float64, or :func:`_int_array` with
-    ``+inf`` as ``s = 2 max|finite| + 1``, unlike every finite entry and,
-    once all are nonnegative, above every sum of two, while ``s + x >= s``."""
+    metric law reads as on the entries: float64, or :func:`_int_array` of its
+    :func:`scaled` ``view`` with ``+inf`` as ``s = 2 max|finite| + 1``, unlike
+    every finite entry and, once all are nonnegative, above every sum of
+    two, while ``s + x >= s``."""
     if mode_of(d) != RATIONAL:
         return np.asarray(d, dtype=np.float64)
-    (ints,), _ = scaled([d.ravel().tolist()])
-    return _int_array(ints, 2)[0].reshape(d.shape)
+    rows, _ = view or scaled(d.tolist())
+    return _int_array([v for row in rows for v in row], 2)[0].reshape(d.shape)
 
 
-def metric_violation(d: np.ndarray):
+def metric_violation(d: np.ndarray, view: Optional[tuple] = None):
     """The first failed pseudometric law of a square matrix, or None:
     ``("diagonal", (i,))``, ``("negative", (i, j))``, ``("asymmetry", (i, j))``
     or ``("triangle", (i, l, j))`` when d[i][j] > d[i][l] + d[l][j] + tol.
@@ -417,7 +450,7 @@ def metric_violation(d: np.ndarray):
     order, a triangle at its first l. The first three laws are exact; the
     float triangle allows ``tol = tolerance(FLOAT, largest finite d)``, so
     sums that round below a distance pass (``tol`` is 0 in rational mode)."""
-    a = _law_array(d)
+    a = _law_array(d, view)
     k = a.shape[0]
     if not k:
         return None
@@ -439,11 +472,12 @@ def metric_violation(d: np.ndarray):
     return "triangle", (i, int((a[i, j] > a[i] + a[:, j] + tol).argmax()), j)
 
 
-def require_pseudometric(d: np.ndarray, name: str):
+def require_pseudometric(d: np.ndarray, name: str, view: Optional[tuple] = None):
     """Raise MetricViolation naming ``name`` and the first failed law of
     :func:`metric_violation` (``"d_x is not a pseudometric: triangle at
-    (0, 1, 2)"``); the one place a metric-law error is worded."""
-    bad = metric_violation(d)
+    (0, 1, 2)"``), read on its scaled ``view`` when given; the one place a
+    metric-law error is worded."""
+    bad = metric_violation(d, view)
     if bad is not None:
         raise MetricViolation(f"{name} is not a pseudometric: {bad[0]} at {bad[1]}")
 
@@ -461,6 +495,7 @@ class FiniteSpace:
     pass :func:`require_pseudometric` as ``metric``: symmetric, nonnegative,
     zero on the diagonal and within the triangle inequality for every
     triple. Zero distance between distinct points is allowed (pseudometric).
+    A rational metric's laws and the envelope read its :attr:`scaled_view`.
     """
 
     labels: tuple
@@ -479,11 +514,16 @@ class FiniteSpace:
                 raise DimensionMismatch(
                     f"metric shape {d.shape} does not match {k} labels"
                 )
-            require_pseudometric(d, "metric")
+            require_pseudometric(d, "metric", self.scaled_view if mode_of(d) == RATIONAL else None)
 
     @property
     def size(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def scaled_view(self) -> tuple:
+        """The rational metric's :func:`scaled` rows ``(ints, D)``, cached or from its read."""
+        return scaled(self.metric.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -495,12 +535,9 @@ class CostMatrix:
     def __post_init__(self):
         if self.entries.ndim != 2:
             raise DimensionMismatch("cost must be a 2-d matrix")
-        for row in self.entries:
-            for v in row:
-                if isinstance(v, float) and math.isinf(v) and v < 0:
-                    raise InfiniteCostInBoundedMode("-inf cost entry")
-                if isinstance(v, float) and math.isnan(v):
-                    raise InfiniteCostInBoundedMode("NaN cost entry")
+        bad = [v for v in self.entries.ravel().tolist() if isinstance(v, float) and not v > -INF]
+        if bad:  # the first -inf or NaN in row-major order
+            raise InfiniteCostInBoundedMode(f"{'NaN' if bad[0] != bad[0] else '-inf'} cost entry")
 
     @property
     def shape(self):
@@ -524,7 +561,7 @@ class CostMatrix:
     @cached_property
     def scaled_view(self) -> tuple:
         """The rational entries as :func:`scaled` rows ``(ints, D)``, from
-        one pass on first use (or as :meth:`from_scaled` was given them)."""
+        one pass on first use (or as :func:`read_part` or :meth:`from_scaled` gave them)."""
         return scaled(self.entries.tolist())
 
     @classmethod
@@ -564,12 +601,12 @@ class Marginal:
                 raise NegativeMass("marginal entries must be finite")
             if not v >= 0:  # NaN fails every comparison
                 raise NegativeMass(f"negative mass {v}")
-        total = sum(w)
         if mode_of(w) == RATIONAL:
-            if total != 1:
-                raise MassNotOne(f"mass sums to {total}, expected 1")
-        elif abs(total - 1.0) > tolerance(FLOAT):
-            raise MassNotOne(f"mass sums to {float(total)}, expected 1 +/- {FLOAT_REL}")
+            ints, D = self.scaled_view
+            if sum(ints) != D:
+                raise MassNotOne(f"mass sums to {Fraction(sum(ints), D)}, expected 1")
+        elif abs(sum(w) - 1.0) > tolerance(FLOAT):
+            raise MassNotOne(f"mass sums to {float(sum(w))}, expected 1 +/- {FLOAT_REL}")
 
     @property
     def size(self) -> int:
@@ -581,8 +618,8 @@ class Marginal:
 
     @cached_property
     def scaled_view(self) -> tuple:
-        """The rational weights as one :func:`scaled` row ``(ints, D)``,
-        from one pass on first use."""
+        """The rational weights as one :func:`scaled` row ``(ints, D)``, from
+        one pass on first use (or as :func:`read_part` gave them)."""
         (ints,), D = scaled([self.weights.tolist()])
         return ints, D
 
@@ -726,9 +763,9 @@ def make_instance(
     anything :func:`to_number` reads. Labels default to ``x0, x1, ...`` and
     ``y0, y1, ...`` over the cost's rows and columns, read only once the
     cost and its first row are lists. The fields are built in a fixed order
-    (X, Y, cost, mu, nu), so the first bad one is the one reported; a
-    MetricViolation or DimensionMismatch of a space names it (``X.metric``,
-    ``Y.labels``)."""
+    (X, Y, cost, mu, nu), so the first bad one is the one reported; an error
+    of a space names it (``X.metric[0][1]``, ``Y.labels``). Each part is one
+    :func:`read_part`, which caches the read's ints as its ``scaled_view``."""
     if labels_x is None or labels_y is None:
         require_list(cost, "cost")
         if len(cost):
@@ -739,19 +776,19 @@ def make_instance(
         labels_y = [f"y{j}" for j in range(len(cost[0]) if len(cost) else 0)]
 
     def space(name, labels, metric):
-        if metric is not None:
-            metric = as_matrix(metric, mode, f"{name}.metric")
         try:
-            return FiniteSpace(tuple(labels), metric)
-        except (MetricViolation, DimensionMismatch) as exc:
+            if metric is None:
+                return FiniteSpace(tuple(labels))
+            return read_part(FiniteSpace, metric, mode, "metric", tuple(labels))
+        except (BadNumber, MetricViolation, DimensionMismatch) as exc:
             raise type(exc)(f"{name}.{exc}") from None
 
     return Instance(
         space("X", labels_x, metric_x),
         space("Y", labels_y, metric_y),
-        CostMatrix(as_matrix(cost, mode, "cost")),
-        Marginal(as_vector(mu, mode, "mu")),
-        Marginal(as_vector(nu, mode, "nu")),
+        read_part(CostMatrix, cost, mode, "cost"),
+        read_part(Marginal, mu, mode, "mu", vector=True),
+        read_part(Marginal, nu, mode, "nu", vector=True),
     )
 
 

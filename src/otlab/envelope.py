@@ -16,8 +16,8 @@ The sum metric separates, so the matrix is two min-plus products
 
     inner = min(c, n) (x) n d_Y,    c_n = n d_X (x) inner.
 
-Rational data run on ints. The cost (its cached ``scaled_view``) and the
-metrics are scaled once over a joint denominator D, and the levels join it:
+Rational data run on ints. The cost and the metrics (each part's cached
+``scaled_view``) join over one denominator D, and the levels join it:
 with Q the lcm of the levels' denominators, min(c, n), n d_X and n d_Y are
 ints over DQ, so every level matrix of a schedule is an int matrix over the
 one denominator DQ, built as a cost holding that view for the simplex, and
@@ -95,14 +95,15 @@ def _require_nonnegative(cost: CostMatrix):
 
 
 def _read_metrics(cost: CostMatrix, d_x, d_y) -> list:
-    """``d_x`` and ``d_y`` read as :func:`lipschitz_envelope` states."""
+    """``d_x`` and ``d_y`` as :func:`lipschitz_envelope` reads them: ``(d, scaled view)``."""
     read = []
     for name, d, k in zip(("d_x", "d_y"), (d_x, d_y), cost.shape):
         d = as_matrix(d, cost.mode, name)
         if d.shape != (k, k):
             raise DimensionMismatch(f"{name} has shape {d.shape}, expected ({k}, {k})")
-        require_pseudometric(d, name)
-        read.append(d)
+        view = scaled(d.tolist()) if cost.mode == RATIONAL else None
+        require_pseudometric(d, name, view)
+        read.append((d, view))
     return read
 
 
@@ -119,7 +120,7 @@ def lipschitz_envelope(cost: CostMatrix, d_x, d_y, n: Number) -> CostMatrix:
     except ValueError as exc:
         raise BadNumber(f"level n: {exc}") from None
     _require_level(n)
-    ((out, _),) = _level_costs(cost, *_read_metrics(cost, d_x, d_y), [n])
+    ((out, _),) = _level_costs(cost, _read_metrics(cost, d_x, d_y), [n])
     return out
 
 
@@ -128,21 +129,21 @@ def _require_level(n: Number):
         raise InfeasibleInput(f"the level n must be finite and nonnegative, got {n}")
 
 
-def _level_costs(cost: CostMatrix, dx: np.ndarray, dy: np.ndarray, levels: list) -> list:
-    """The envelope of a nonnegative cost at each level, on metrics and
-    finite nonnegative levels already read in its mode, as ``(matrix,
-    entries)`` pairs, ``entries`` one array: in rational mode the ints over
-    the one denominator of all the levels (module docstring), in
-    ``core.int_dtype`` of the level's largest product; else float64."""
+def _level_costs(cost: CostMatrix, metrics: list, levels: list) -> list:
+    """The envelope of a nonnegative cost at each level, on symmetric metrics
+    (:func:`_read_metrics` pairs) and finite nonnegative levels read in its
+    mode, as ``(matrix, entries)`` pairs, ``entries`` one array: in rational
+    mode the ints over the one denominator of all the levels (module
+    docstring), in ``core.int_dtype`` of the level's largest product; else float64."""
     rational = cost.mode == RATIONAL
     if rational:
-        views = [cost.scaled_view, scaled(dx.tolist()), scaled(dy.T.tolist())]
+        views = [cost.scaled_view] + [view for _, view in metrics]
         D = math.lcm(*(d for _, d in views))
         Q = math.lcm(*(n.denominator for n in levels))
         parts = [np.array(rows, dtype=object) * (D // d) for rows, d in views]
     else:
         D = Q = 1
-        parts = [cost.entries, dx, dy.T]
+        parts = [cost.entries] + [d for d, _ in metrics]
     walls = [a == INF for a in parts]
     c, x, y = (np.where(w, 0, a) for w, a in zip(walls, parts))
     if rational:
@@ -193,9 +194,9 @@ def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeS
         # toward +inf and never saturates
         limit_value, basis = INF, None
     limit_tol = cost_tolerance(instance.cost)
-    level_costs = _level_costs(
-        instance.cost, instance.space_x.metric, instance.space_y.metric, levels_in
-    )
+    metrics = [(s.metric, s.scaled_view if instance.mode == RATIONAL else None)
+               for s in (instance.space_x, instance.space_y)]
+    level_costs = _level_costs(instance.cost, metrics, levels_in)
     levels = []
     saturation = None
     for n, (cost_n, entries) in zip(levels_in, level_costs):
@@ -255,7 +256,7 @@ def saturation_index(cost: CostMatrix, d_x, d_y) -> Number:
     cost.require_bounded("the saturation index")
     _require_nonnegative(cost)
     levels = [zero(cost.mode), cost.sup_norm()]
-    for axis, d in zip((OVER_X, OVER_Y), _read_metrics(cost, d_x, d_y)):
+    for axis, (d, _) in zip((OVER_X, OVER_Y), _read_metrics(cost, d_x, d_y)):
         d_c = induced_pseudometric(cost, axis)
         stuck = (d == 0) & (d_c > 0)
         if stuck.any():

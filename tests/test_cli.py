@@ -14,6 +14,7 @@ import pytest
 
 import otlab
 from otlab.cli import main
+from otlab.core import scaled
 from otlab.serialize import load_instance
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -208,12 +209,9 @@ def test_float_northwest_round_off_is_not_a_crash(tmp_path, capsys, command, key
     assert json.loads(out)[key] == value
 
 
-@pytest.mark.parametrize("command", [["solve", "--dual"], ["certify"]])
-def test_a_command_scales_the_cost_once(tmp_path, capsys, monkeypatch, command):
-    # the cost's scaled_view is the one call of core.scaled on its rows; the
-    # transforms and the feasibility test scale only the potentials
-    path = str(tmp_path / "inst.json")
-    run_cli(["gen", "random-uniform", "--size", "10", "--seed", "3", "-o", path], capsys)
+@pytest.fixture
+def scaled_calls(monkeypatch):
+    """The entries (a Counter) of each call of core.scaled, from any otlab module."""
     scaled, calls = otlab.core.scaled, []
 
     def spy(rows):
@@ -223,11 +221,43 @@ def test_a_command_scales_the_cost_once(tmp_path, capsys, monkeypatch, command):
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "otlab"]:
         if getattr(module, "scaled", None) is scaled:
             monkeypatch.setattr(module, "scaled", spy)
+    return calls
+
+
+def receiving(calls, entries):
+    """The calls that received every one of ``entries`` (with multiplicity)."""
+    entries = Counter(entries)
+    return [values for values in calls if not entries - values]
+
+
+@pytest.mark.parametrize("command", [["solve", "--dual"], ["certify"]])
+def test_a_command_scales_the_cost_once(tmp_path, capsys, scaled_calls, command):
+    # the read hands the cost its scaled_view, built from its distinct
+    # tokens, so no call of core.scaled receives the cost's entries; the
+    # transforms and the feasibility test scale only the potentials
+    path = str(tmp_path / "inst.json")
+    run_cli(["gen", "random-uniform", "--size", "10", "--seed", "3", "-o", path], capsys)
+    cost = load_instance(path).cost
+    assert cost.scaled_view == scaled(cost.entries.tolist())  # the same ints and D
+    scaled_calls.clear()
     assert run_cli([*command, path], capsys)[0] == 0
-    cost = Counter(load_instance(path).cost.entries.flat)
-    # a call receives the cost's rows when every entry of the cost is among its values
-    assert [values for values in calls if not cost - values] == [cost]
-    assert len(calls) > 1  # the spy saw the other calls too
+    assert receiving(scaled_calls, cost.entries.flat) == []
+    assert len(scaled_calls) > 1  # the spy saw the other calls
+
+
+def test_envelope_scales_no_metric_again(tmp_path, capsys, scaled_calls):
+    # the read hands each metric its scaled_view, which the metric laws and
+    # the envelope levels read, so no call of core.scaled receives a metric's entries
+    path = str(tmp_path / "inst.json")
+    run_cli(["gen", "random-uniform", "--size", "10", "--seed", "3", "-o", path], capsys)
+    spaces = load_instance(path).space_x, load_instance(path).space_y
+    for space in spaces:
+        assert space.scaled_view == scaled(space.metric.tolist())
+    scaled_calls.clear()
+    assert run_cli(["envelope", "--levels", "1,2,4,8", path], capsys)[0] == 0
+    for space in spaces:
+        assert receiving(scaled_calls, space.metric.flat) == []
+    assert len(scaled_calls) > 1  # the spy saw the read's calls
 
 
 # --- transform / envelope -------------------------------------------------------------

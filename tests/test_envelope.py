@@ -173,7 +173,8 @@ def test_envelope_equals_the_direct_formula(inst, level):
 
 def test_a_level_past_the_int64_guard_runs_on_python_ints():
     dx, dy = metrics(HUGE)
-    ((out, ints),) = envelope._level_costs(HUGE.cost, dx, dy, [HUGE_LEVEL])
+    read = envelope._read_metrics(HUGE.cost, dx, dy)
+    ((out, ints),) = envelope._level_costs(HUGE.cost, read, [HUGE_LEVEL])
     assert ints.dtype == object
     assert out.entries.tolist() == direct_envelope(HUGE.cost, dx, dy, HUGE_LEVEL)
     ints, D = out.scaled_view

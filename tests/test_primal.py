@@ -29,6 +29,7 @@ from otlab import (
 )
 
 from otlab.core import (
+    FLOAT,
     INF,
     RATIONAL,
     basis_dual,
@@ -820,3 +821,53 @@ def test_degenerate_instances_end_at_the_optimum_and_certify(inst):
             assert abs(float(value) - linprog_value(inst)) <= 1e-6 * (1 + abs(float(value)))
         for case in (inst, convert_instance(inst, "float")):
             assert certify_instance(case).verdict
+
+
+# --- float answers checked by the exact simplex ---------------------------------
+
+
+def assert_the_float_basis_checks_out(inst):
+    """Solve ``inst`` in float mode, then warm-start the exact simplex from
+    the float basis: it takes 0 pivots to the exact optimum, or pivots from
+    a plan whose exact cost is within the float cost tolerance of the
+    optimum. The exact marginals may refuse the tree (InfeasibleInput), but
+    only by less than the float mass tolerance: float mode lost such a mass."""
+    try:
+        float_basis = solve_primal(convert_instance(inst, "float")).basis
+        cold = solve_primal(inst).value
+    except InfeasibleFiniteCost:
+        return
+    m, n = inst.shape
+    mu, nu, cost, L, M = scaled_data(inst)
+    parent = [-1] * (m + n)
+    order = hang_subtree(m, tree_adjacency(m, n, float_basis), cost, 0, 0, -1,
+                         parent, [0] * (m + n), None)
+    try:
+        start = primal._tree_masses(m, order, parent, mu, nu, 0, 0)
+    except InfeasibleInput:
+        primal._tree_masses(m, order, parent, mu, nu, 0, tolerance(FLOAT) * L)
+        with pytest.raises(InfeasibleInput, match="negative mass"):
+            solve_primal(inst, basis=float_basis)
+        return
+    with recorded_pivots() as pivots:
+        assert solve_primal(inst, basis=float_basis).value == cold
+    if pivots:
+        assert not any(x and cost[i][j] == INF for (i, j), x in start.items())
+        start_cost = F(sum(x * cost[i][j] for (i, j), x in start.items() if x), L * M)
+        assert abs(start_cost - cold) <= cost_tolerance(convert_instance(inst, "float").cost)
+
+
+def test_a_float_answer_checks_out_exactly_on_the_fixtures():
+    for family in FIXTURE_NAMES:
+        for size in (3, 7, 12):
+            assert_the_float_basis_checks_out(generate_fixture(family, size, seed=size))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=rational_instances(), exponent=st.integers(-12, 12))
+def test_a_float_answer_checks_out_exactly_at_any_cost_scale(inst, exponent):
+    # ties, zero masses, mixed and huge denominators and +inf walls, at cost
+    # scales from 1e-12 to 1e12
+    scale = F(10) ** exponent
+    cost = [[c if is_inf(c) else c * scale for c in row] for row in inst.cost.entries.tolist()]
+    assert_the_float_basis_checks_out(make_instance(cost, inst.mu.weights, inst.nu.weights))

@@ -1,9 +1,13 @@
 """Wire formats: instance round-trips, scalar encodings, certificate layout."""
 
 import json
+import re
 from fractions import Fraction as F
+from functools import cached_property
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from otlab import (
     OTLabError,
@@ -15,7 +19,8 @@ from otlab import (
     solve_dual,
     solve_primal,
 )
-from otlab.core import INF
+from otlab.core import INF, read_part, require_list, scaled, to_number
+from otlab.errors import BadNumber, DimensionMismatch
 from otlab.serialize import (
     certificate_to_dict,
     dump_json,
@@ -128,3 +133,139 @@ def test_failing_certificate_payload():
     assert payload["verdict"] == "fail"
     assert payload["gap"] == "1/2"
     assert payload["slackness"]
+
+
+# --- the block reader against a per-token reference -----------------------------
+
+# spellings of one number, valid in both modes ("inf" a cost wall)
+GOOD = ["3/7", "2/4", "+3", "-0/5", " 7/2 ", "1_0", "0.5", "1e3", "٣", "inf", "+inf"]
+BAD = ["nan", "-inf", "1/0", "abc", "1/-2"]
+# JSON numbers beside the strings; True beside 1, and a nested list
+OTHER = [1, 0, 1.0, 2.5, True, [1]]
+
+
+def reference_read(values, mode, name, vector):
+    """``values`` read cell by cell, by to_number alone, with the errors of
+    the reader: the reference for the memoised one."""
+    def row(cells, where):
+        require_list(cells, where)
+        out = []
+        for k, v in enumerate(cells):
+            try:
+                out.append(to_number(v, mode))
+            except ValueError as exc:
+                raise BadNumber(f"{where}[{k}]: {exc}") from None
+        return out
+
+    if vector:
+        return row(values, name)
+    require_list(values, name)
+    rows = [row(cells, f"{name}[{i}]") for i, cells in enumerate(values)]
+    if len({len(r) for r in rows}) > 1:
+        raise DimensionMismatch(f"{name}: rows have unequal lengths")
+    return rows
+
+
+class Held:
+    """A part that holds the array read_part hands it and, as the parts do,
+    scales it on first use unless it was handed its scaled_view."""
+
+    def __init__(self, array):
+        self.array = array
+
+    @cached_property
+    def scaled_view(self):
+        if self.array.ndim == 1:
+            (ints,), D = scaled([self.array.tolist()])
+            return ints, D
+        return scaled(self.array.tolist())
+
+
+def typed(cells):
+    return [typed(v) if isinstance(v, list) else (type(v), v) for v in cells]
+
+
+@st.composite
+def blocks(draw, vector):
+    token = st.sampled_from(GOOD)
+    if draw(st.booleans()):  # most blocks mix in bad tokens and JSON numbers
+        token = st.sampled_from(GOOD * 3 + BAD + OTHER)
+    if vector:
+        return draw(st.lists(token, max_size=6))
+    n = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(token, min_size=n, max_size=n), max_size=4))
+    if rows and draw(st.integers(0, 4)) == 0:  # a ragged row, a string or an object row
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.sampled_from(
+            [[], ["1"] * (n + 1), "1/2", {"1": 2}]))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(["cost", "mu", "nu", "metric"]).flatmap(
+           lambda name: blocks(name in ("mu", "nu")).map(lambda values: (name, values))),
+       mode=st.sampled_from(["rational", "float"]))
+@example(case=("mu", [1, True]), mode="rational")  # equal hashes, one bad
+@example(case=("cost", [["2/4", 1.0], [1, True]]), mode="float")
+def test_the_block_reader_matches_a_per_token_reference(case, mode):
+    name, values = case
+    vector = name in ("mu", "nu")
+    try:
+        expected = reference_read(values, mode, name, vector)
+    except OTLabError as exc:
+        with pytest.raises(type(exc)) as raised:
+            read_part(Held, values, mode, name, vector=vector)
+        assert str(raised.value) == str(exc)
+        return
+    part = read_part(Held, values, mode, name, vector=vector)
+    tokens = [values] if vector else values
+    # a rational block of str tokens hands its part the view; no other does
+    handed = mode == "rational" and bool(tokens) and all(
+        type(row) is list and all(type(v) is str for v in row) for row in tokens)
+    assert ("scaled_view" in vars(part)) == handed
+    assert not part.array.flags.writeable
+    assert typed(part.array.tolist()) == typed(expected)
+    if mode == "float":
+        return
+    ints, D = scaled([expected] if vector else expected)
+    view = (ints[0] if vector else ints), D
+    assert part.scaled_view == view
+    assert typed(part.scaled_view[0]) == typed(view[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), bad=st.sets(st.sampled_from(["X", "Y", "cost", "mu", "nu"])))
+def test_a_loaded_instance_names_its_first_bad_cell_in_field_order(data, bad):
+    # X, Y, cost, mu, nu: the first field holding a bad token names its first
+    # bad cell; with none, every part holds the scaled view of its entries
+    one, zero = st.sampled_from(["1", "2/2", "+1", " 1 ", "1e0"]), st.sampled_from(["0", "-0/5"])
+    metric = [[data.draw(zero if i == j else one) for j in range(3)] for i in range(3)]
+    fields = {
+        "X": [row[:] for row in metric],
+        "Y": [row[:] for row in metric],
+        "cost": [[data.draw(st.sampled_from(GOOD)) for _ in range(3)] for _ in range(3)],
+        "mu": [data.draw(st.sampled_from(["1/3", "2/6", " 1/3 "])) for _ in range(3)],
+        "nu": ["1/2", "1/4", "1/4"],
+    }
+    for field in bad:
+        block = fields[field]
+        cells = [block] if field in ("mu", "nu") else block
+        i = data.draw(st.integers(0, len(cells) - 1))
+        cells[i][data.draw(st.integers(0, 2))] = data.draw(st.sampled_from(BAD))
+    payload = {"X": {"labels": ["a", "b", "c"], "metric": fields["X"]},
+               "Y": {"labels": ["a", "b", "c"], "metric": fields["Y"]},
+               "cost": fields["cost"], "mu": fields["mu"], "nu": fields["nu"]}
+    first = next((f for f in ["X", "Y", "cost", "mu", "nu"] if f in bad), None)
+    if first is None:
+        inst = instance_from_dict(payload)
+        parts = [inst.space_x.metric, inst.space_y.metric, inst.cost.entries]
+        for part, entries in zip([inst.space_x, inst.space_y, inst.cost], parts):
+            assert part.scaled_view == scaled(entries.tolist())
+        for marginal in (inst.mu, inst.nu):
+            (ints,), D = scaled([marginal.weights.tolist()])
+            assert marginal.scaled_view == (ints, D)
+        return
+    name = {"X": "X.metric", "Y": "Y.metric"}.get(first, first)
+    with pytest.raises(BadNumber) as expected:
+        reference_read(fields[first], "rational", name, first in ("mu", "nu"))
+    with pytest.raises(BadNumber, match=re.escape(str(expected.value))):
+        instance_from_dict(payload)

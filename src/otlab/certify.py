@@ -40,11 +40,15 @@ zeros in rational mode; in float mode ``core.tolerance`` for masses and
 The marginal law is decided in one place, :func:`check_marginals`, by one
 pass over the plan's nonzero cells (``TransportPlan.cells``). A certificate
 runs it once and tests dual feasibility once; the gap and the slackness
-report compute on the pair as that test reads it, in the cost's mode.
+report compute on the pair as that test reads it, in the cost's mode. All
+of them compute on the ``scaled_view`` ints of the plan, the pair, the cost
+and the marginals (floats over 1 in float mode), and report
+``core.unscale`` of them: ``Fraction(int, D)`` in rational mode.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,13 +64,13 @@ from .core import (
     RATIONAL,
     TransportPlan,
     cost_tolerance,
-    dual_value,
     int_dtype,
     is_inf,
     min_plus_arrays,
-    plan_cost,
+    scaled_dual_value,
+    scaled_plan_cost,
     tolerance,
-    zero,
+    unscale,
 )
 from .dual import solve_dual
 from .errors import DimensionMismatch, InfeasibleArguments
@@ -131,29 +135,38 @@ class DualityCertificate:
 def duality_gap(plan: TransportPlan, pot: DualPotentials, instance: Instance) -> Number:
     """plan_cost - dual_value for a feasible pair; always >= 0."""
     _lawful_marginals(plan, instance)
-    pot = pot.require_feasible_for(instance.cost)
-    return plan_cost(plan, instance.cost) - dual_value(pot, instance.mu, instance.nu)
+    return _gap(plan, pot.require_feasible_for(instance.cost), instance)
+
+
+def _gap(plan: TransportPlan, pot: DualPotentials, instance: Instance) -> Number:
+    """plan_cost - dual_value of a read pair, on the scaled ints of both."""
+    (P, D), (V, E) = scaled_plan_cost(plan, instance.cost), \
+        scaled_dual_value(pot, instance.mu, instance.nu)
+    return unscale(P if is_inf(P) else P * E - V * D, D * E, instance.mode)
 
 
 def check_marginals(plan: TransportPlan, mu: Marginal, nu: Marginal) -> MarginalReport:
     """The marginal law in one pass over ``plan.cells``: row and column sums
-    against same-shaped marginals, reported against ``tolerance(mode)``."""
+    against same-shaped marginals, reported against ``tolerance(mode)``, on
+    the ``scaled_view`` ints of the plan and the marginals: a line sum
+    ``s / D`` against a weight ``w / L`` deviates by ``|s L - w D| / (D L)``."""
     if plan.shape != (mu.size, nu.size):
         raise DimensionMismatch(f"plan {plan.shape} vs marginals ({mu.size}, {nu.size})")
-    rows, cols = [zero(plan.mode)] * mu.size, [zero(plan.mode)] * nu.size
-    for (i, j), mass in plan.cells:
-        rows[i] += mass
-        cols[j] += mass
-    tol = tolerance(plan.mode)
-    lines = [("row", rows, mu.weights), ("column", cols, nu.weights)]
-    devs = [[abs(s - w) for s, w in zip(sums, weights)] for _, sums, weights in lines]
-    breach = next(
-        (f"{kind} {k} sums to {sums[k]}, expected {weights[k]}"
-         for (kind, sums, weights), dev in zip(lines, devs)
-         for k, d in enumerate(dev) if d > tol),
-        None,
-    )
-    return MarginalReport(max(devs[0]), max(devs[1]), tol, breach)
+    mode, (masses, D) = plan.mode, plan.scaled_view
+    z = 0 if mode == RATIONAL else 0.0
+    rows, cols = [z] * mu.size, [z] * nu.size
+    for ((i, j), _), x in zip(plan.cells, masses):
+        rows[i] += x
+        cols[j] += x
+    tol, devs, breach = tolerance(mode), [], None
+    for kind, sums, part in (("row", rows, mu), ("column", cols, nu)):
+        weights, L = part.scaled_view
+        dev = [abs(s * L - w * D) for s, w in zip(sums, weights)]
+        k = next((k for k, d in enumerate(dev) if d > tol * D * L), None)
+        if breach is None and k is not None:
+            breach = f"{kind} {k} sums to {unscale(sums[k], D, mode)}, expected {part.weights[k]}"
+        devs.append(unscale(max(dev), D * L, mode))
+    return MarginalReport(devs[0], devs[1], tol, breach)
 
 
 def _lawful_marginals(plan: TransportPlan, instance: Instance) -> MarginalReport:
@@ -177,15 +190,21 @@ def check_slackness(plan: TransportPlan, pot: DualPotentials, cost: CostMatrix) 
 
 
 def _slack_violations(plan: TransportPlan, pot: DualPotentials, cost: CostMatrix) -> tuple:
-    """The slackness report of a pair from ``require_feasible_for``."""
-    tol, mass_tol = cost_tolerance(cost), tolerance(plan.mode)
+    """The slackness report of a pair from ``require_feasible_for``, on the
+    ``scaled_view`` ints of the plan, the pair and the cost: a slack over
+    ``E``, the lcm of the pair's and the cost's denominators."""
+    (masses, Dp), (phi, psi, D), (rows, M) = plan.scaled_view, pot.scaled_view, cost.scaled_view
+    E = math.lcm(D, M)
+    f, g = E // M, E // D
+    tol, mass_tol = cost_tolerance(cost) * E, tolerance(plan.mode) * Dp
     violations = []
-    for (i, j), mass in plan.cells:
-        if mass <= mass_tol:  # off the support
+    for ((i, j), mass), x in zip(plan.cells, masses):
+        if x <= mass_tol:  # off the support
             continue
-        c = cost.entries[i, j]
-        slack = c - pot.phi[i] - pot.psi[j] if not is_inf(c) else c
+        c = rows[i][j]
+        slack = c * f - phi[i] * g - psi[j] * g if not is_inf(c) else c
         if slack > tol:  # an infinite slack always exceeds it
+            slack = unscale(slack, E, cost.mode)
             violations.append(SlacknessViolation(cell=(i, j), mass=mass, slack=slack))
     return tuple(violations)
 
@@ -266,7 +285,7 @@ def build_certificate(
     marginals = _lawful_marginals(plan, instance)
     pot = pot.require_feasible_for(instance.cost)
     return DualityCertificate(
-        gap=plan_cost(plan, instance.cost) - dual_value(pot, instance.mu, instance.nu),
+        gap=_gap(plan, pot, instance),
         marginals=marginals,
         slackness=_slack_violations(plan, pot, instance.cost),
         cyclic=check_cyclic_monotonicity(plan, instance.cost),

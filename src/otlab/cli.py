@@ -30,7 +30,7 @@ from .core import (
     convert_instance,
     dual_value,
 )
-from .ctransform import c_transform, cbar_transform, normalize_pair
+from .ctransform import _transform_chain
 from .dual import solve_dual
 from .envelope import envelope_schedule
 from .errors import OTLabError
@@ -138,9 +138,7 @@ def cmd_transform(args) -> int:
     instance = _load(args)
     tokens = [tok.strip() for tok in args.phi.split(",")]
     phi = as_vector(tokens, instance.mode, "--phi")
-    psi = c_transform(phi, instance.cost)
-    phi_cc = cbar_transform(psi, instance.cost)
-    normalized = normalize_pair(phi, instance.cost)
+    psi, phi_cc, normalized = _transform_chain(phi, instance.cost)
     payload = {
         "mode": instance.mode,
         "phi": format_vector(phi, instance.mode),

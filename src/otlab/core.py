@@ -36,10 +36,20 @@ cached ints) it gives the c-transforms, the dual feasibility test and the
 induced pseudometrics (a max-plus product); directly, the Lipschitz
 envelope, the triangle law (``d <= d (x) d``, a min-plus square) and the
 min-plus powers of the cyclic-monotonicity check.
-Rational data become exact ints in one place, :func:`scaled`; a cost, a
-marginal and a metric cache theirs (``scaled_view``, from :func:`read_part`),
-and one guard, :func:`int_dtype`, keeps the ints in int64 where every sum
-fits. One feasibility test reads a dual pair once. One check,
+Rational data become exact ints in one place, :func:`scaled`, and every
+part and result holds them as its ``scaled_view``, ``(ints, D)`` over one
+denominator: a cost, a marginal and a metric (from :func:`read_part`, or
+:meth:`CostMatrix.from_scaled`), a :class:`TransportPlan`'s cell masses
+(from :func:`plan_from_cells`, as ``solve_primal`` gives them) and a
+:class:`DualPotentials` pair (from :meth:`DualPotentials.from_scaled`, as
+:func:`basis_dual` and the normalization give it), each computed once on
+first read for a part or result a caller builds from ``Fraction``s. The
+dual, the value functionals and the certificate compute on these views,
+and :func:`unscale` makes the ``Fraction``s of what they report; in float
+mode a view is the floats over ``D = 1``, so one formula serves both modes.
+One guard, :func:`int_dtype`, keeps the ints of every numpy array in int64
+where every sum fits. One feasibility test reads a dual pair once, and its
+phi^c (:meth:`DualPotentials.phi_c`) also serves the normalization. One check,
 :func:`require_pseudometric`, words every metric-law error; it decides the
 triangle law at the float tolerance and the others exactly.
 """
@@ -54,6 +64,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, count, repeat
+from operator import mul
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -262,6 +273,30 @@ def scaled(rows) -> tuple:
             for row in rows], D
 
 
+def scaled_array(arr: np.ndarray) -> tuple:
+    """A frozen vector or matrix as exact numbers over one denominator,
+    ``(values, D)``: in rational mode the ints of :func:`scaled` (one row
+    for a vector), in float mode the array itself over ``D = 1``, so that
+    one formula on ``(values, D)`` serves both modes."""
+    if mode_of(arr) != RATIONAL:
+        return arr, 1
+    if arr.ndim == 1:
+        (ints,), D = scaled([arr.tolist()])
+        return ints, D
+    return scaled(arr.tolist())
+
+
+def unscale(v, D: int, mode: str) -> Number:
+    """The number ``v / D`` of a scaled value: ``Fraction(v, D)`` in
+    rational mode, and ``v`` itself for a float (``D = 1``) or ``+inf``."""
+    return v if mode != RATIONAL or type(v) is float else Fraction(v, D)
+
+
+def unscaled(values, D: int, mode: str) -> np.ndarray:
+    """The frozen vector of ``values / D`` (:func:`unscale`)."""
+    return frozen_array([unscale(v, D, mode) for v in values], mode)
+
+
 def int_dtype(bound: int):
     """int64 when ints within ``bound`` and the sum of any two fit in it;
     else Python ints in an object array."""
@@ -280,25 +315,35 @@ def _int_array(ints: list, k: int):
 _BLOCK = 1 << 14
 
 
-def cost_transforms(p: np.ndarray, cost: "CostMatrix", axis: int) -> np.ndarray:
-    """The transforms of finite potentials ``p`` (one per row), frozen:
-    ``out[r, b] = min_a c(a, b) - p[r, a]`` over the cost's rows (``axis=0``,
-    the c-transform) or columns (``axis=1``, cbar), ``+inf`` on an all-+inf
-    line. Floats sum in float64. Rational mode scales only ``p`` and reads
-    the cost's ``scaled_view``, both over ``E``, the lcm of their
-    denominators; ``+inf`` is ``s = 3 max|finite| + 1``, above every finite sum."""
-    mode, c = cost.mode, cost.entries
-    if mode == RATIONAL:
-        (rows, D), (pot, Dp) = cost.scaled_view, scaled(p.tolist())
-        E = math.lcm(D, Dp)
-        flat = [v if type(v) is float else v * (E // D) for row in rows for v in row]
-        ints, s = _int_array(flat + [v * (E // Dp) for row in pot for v in row], 3)
-        c, p = ints[:len(flat)].reshape(c.shape), ints[len(flat):].reshape(p.shape)
-    out = min_plus_arrays(-p, c if axis == 0 else c.T)
-    if mode == RATIONAL:
+def cost_transforms(p: tuple, cost: "CostMatrix", axis: int) -> tuple:
+    """The transforms of finite potentials ``p = (rows, D)``, one per row,
+    a scaled view (ints over ``D``, or floats over ``D = 1``, as
+    :func:`scaled_array` gives): ``out[r, b] = min_a c(a, b) - p[r, a]``
+    over the cost's rows (``axis=0``, the c-transform) or columns
+    (``axis=1``, cbar), as the scaled view ``(out, E)``, ``INF`` on an
+    all-+inf line. Floats sum in float64. Rational mode reads the cost's
+    ints (its :attr:`~CostMatrix.int_view` array) and scales only ``p``,
+    both over ``E``, the lcm of their denominators; ``+inf`` is
+    ``s = 3 max|finite| + 1``, above every finite sum, and the sums take
+    ``int_dtype(s)``."""
+    pot, D = p
+    rational = cost.mode == RATIONAL
+    if rational:
+        ints, wall, big, M = cost.int_view
+        E = math.lcm(M, D)
+        k = E // M if big else 1  # a cost of zeros stays zeros, in any dtype
+        pot = [[v * (E // D) for v in row] for row in pot]
+        s = 3 * max([big * k] + [abs(v) for row in pot for v in row]) + 1
+        dtype = int_dtype(s)
+        c = np.where(wall, s, ints.astype(dtype) * k)
+        pot = np.array(pot, dtype=dtype).reshape(len(pot), cost.shape[axis])
+    else:
+        c, pot, E = cost.entries, np.asarray(pot, dtype=np.float64), 1
+    out = min_plus_arrays(-pot, c if axis == 0 else c.T)
+    if rational:
         finite = 2 * (s // 3)  # the largest finite sum, 2 max|finite|
-        out = [[INF if v > finite else Fraction(v, E) for v in row] for row in out.tolist()]
-    return frozen_array(out, mode)
+        out = [[INF if v > finite else v for v in row] for row in out.tolist()]
+    return out, E
 
 
 def min_plus_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -362,8 +407,9 @@ def require_spanning_tree(m: int, n: int, cells):
 
 def basis_dual(cells, cost: "CostMatrix") -> Optional["DualPotentials"]:
     """The dual of a spanning-tree basis: its potentials tight on every
-    finite basic cell (:func:`tree_potentials`, phi[0] = 0) when they are
-    feasible for ``cost``, which certifies the basis optimal; else None.
+    finite basic cell (:func:`tree_potentials` on the cost's ``scaled_view``,
+    phi[0] = 0) when they are feasible for ``cost``, which certifies the
+    basis optimal; else None. The pair holds its ints as its ``scaled_view``.
 
     When the basis holds zero-mass +inf cells (see primal), the walk also
     gives the wall potentials, those of the 0/1 +inf indicator; ``(wall,
@@ -372,21 +418,29 @@ def basis_dual(cells, cost: "CostMatrix") -> Optional["DualPotentials"]:
     finite feasible potentials: every finite cell has ``wall[i] + wall[m+j]
     <= 0`` at the optimum, so a large enough ``t`` covers the cells with a
     negative wall part, and it costs nothing, since the plan puts no mass on
-    +inf cells."""
+    +inf cells. In rational mode ``t = a / b`` and the lifted potentials are
+    the ints ``pot * b + a * wall`` over ``M * b``."""
     m, n = cost.shape
-    rows = cost.entries.tolist()
-    pot, _, wall = tree_potentials(m, n, cells, rows, zero(cost.mode))
+    rational = cost.mode == RATIONAL
+    rows, D = cost.scaled_view
+    pot, _, wall = tree_potentials(m, n, cells, rows, 0 if rational else 0.0)
     if wall is not None:
-        # the smallest lift t >= 0 that leaves no finite cell with slack
-        # c - P + t * -W below 0, where W and P are its wall and pot sums
-        t = max([0] + [
-            (pot[i] + pot[m + j] - c) / -(wall[i] + wall[m + j])
-            for i, row in enumerate(rows) for j, c in enumerate(row)
-            if not is_inf(c) and wall[i] + wall[m + j] < 0
-        ])
-        if t > 0:
-            pot = [p + t * w for p, w in zip(pot, wall)]
-    pot = DualPotentials(frozen_array(pot[:m], cost.mode), frozen_array(pot[m:], cost.mode))
+        # the smallest lift t = a / b >= 0 that leaves no finite cell with
+        # slack c - P + t * -W below 0, where W and P are its wall and pot
+        # sums; float mode takes each quotient itself, over b = 1
+        a, b = 0, 1
+        for i, row in enumerate(rows):
+            for j, c in enumerate(row):
+                w = wall[i] + wall[m + j]
+                if w < 0 and not is_inf(c):
+                    x, y = pot[i] + pot[m + j] - c, -w
+                    if not rational:
+                        x, y = x / y, 1
+                    if x * b > a * y:
+                        a, b = x, y
+        if a > 0:
+            pot, D = [p * b + a * w for p, w in zip(pot, wall)], D * b
+    pot = DualPotentials.from_scaled(pot[:m], pot[m:], D, cost.mode)
     return pot if pot.is_feasible_for(cost) else None
 
 
@@ -560,9 +614,23 @@ class CostMatrix:
 
     @cached_property
     def scaled_view(self) -> tuple:
-        """The rational entries as :func:`scaled` rows ``(ints, D)``, from
-        one pass on first use (or as :func:`read_part` or :meth:`from_scaled` gave them)."""
-        return scaled(self.entries.tolist())
+        """The entries as :func:`scaled_array` rows ``(ints, D)`` (float
+        mode: the entries over 1), from one pass on first use (or as
+        :func:`read_part` or :meth:`from_scaled` gave them)."""
+        return scaled_array(self.entries)
+
+    @cached_property
+    def int_view(self) -> tuple:
+        """``(ints, wall, big, D)``: the rational :attr:`scaled_view` as one
+        array in ``int_dtype(big)``, 0 on the ``+inf`` cells, the ``+inf``
+        mask, ``big`` the largest finite ``|int|``, and ``D``; built once, for
+        :func:`cost_transforms`."""
+        rows, D = self.scaled_view
+        view = np.array(rows, dtype=object).reshape(self.shape)
+        wall = view == INF
+        ints = np.where(wall, 0, view)
+        big = max(ints.max(initial=0), -ints.min(initial=0))
+        return ints.astype(int_dtype(big)), wall, big, D
 
     @classmethod
     def from_scaled(cls, ints: list, D: int) -> "CostMatrix":
@@ -618,10 +686,10 @@ class Marginal:
 
     @cached_property
     def scaled_view(self) -> tuple:
-        """The rational weights as one :func:`scaled` row ``(ints, D)``, from
-        one pass on first use (or as :func:`read_part` gave them)."""
-        (ints,), D = scaled([self.weights.tolist()])
-        return ints, D
+        """The weights as one :func:`scaled_array` row ``(ints, D)`` (float
+        mode: the weights over 1), from one pass on first use (or as
+        :func:`read_part` gave them)."""
+        return scaled_array(self.weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -631,7 +699,8 @@ class TransportPlan:
     One scan of the entries collects ``cells``, the ``((i, j), mass)`` pairs
     of the nonzero entries in row-major order, and checks them; every reader
     of plan mass (:func:`plan_cost`, :meth:`support`, the certificate's
-    marginal law and slackness report) reads them, not the m x n entries."""
+    marginal law and slackness report) reads them, not the m x n entries,
+    and computes on their masses as :attr:`scaled_view` ints."""
 
     entries: np.ndarray
     cells: tuple = field(init=False, repr=False)
@@ -656,15 +725,31 @@ class TransportPlan:
     def mode(self) -> str:
         return mode_of(self.entries)
 
+    @cached_property
+    def scaled_view(self) -> tuple:
+        """The masses of :attr:`cells`, in their order, as ints over one
+        denominator ``(ints, D)`` (float mode: the masses over 1), as
+        :func:`plan_from_cells` gave them or from one :func:`scaled` pass
+        on first use."""
+        masses = [mass for _, mass in self.cells]
+        if self.mode != RATIONAL:
+            return masses, 1
+        (ints,), D = scaled([masses])
+        return ints, D
+
     def support(self):
         """Cells carrying mass above ``tolerance(mode)``."""
-        tol = tolerance(self.mode)
-        return tuple(cell for cell, mass in self.cells if mass > tol)
+        masses, D = self.scaled_view
+        tol = tolerance(self.mode) * D
+        return tuple(cell for (cell, _), x in zip(self.cells, masses) if x > tol)
 
 
 @dataclass(frozen=True, eq=False)
 class DualPotentials:
-    """A pair (phi over X, psi over Y) of finite potential vectors."""
+    """A pair (phi over X, psi over Y) of finite potential vectors.
+
+    Its readers compute on :attr:`scaled_view`, the pair as ints over one
+    denominator, after reading it in the cost's mode (:meth:`_read`)."""
 
     phi: np.ndarray
     psi: np.ndarray
@@ -676,9 +761,40 @@ class DualPotentials:
             if isinstance(v, float) and not math.isfinite(v):
                 raise InfeasiblePotentials(f"non-finite potential entry {v!r}")
 
+    @classmethod
+    def from_scaled(cls, phi: list, psi: list, D: int, mode: str) -> "DualPotentials":
+        """The pair ``phi / D, psi / D`` in ``mode`` (float mode: the floats,
+        ``D = 1``), holding the scaled values as its :attr:`scaled_view`."""
+        pot = cls(unscaled(phi, D, mode), unscaled(psi, D, mode))
+        pot.__dict__["scaled_view"] = phi, psi, D
+        return pot
+
+    @cached_property
+    def scaled_view(self) -> tuple:
+        """``(phi, psi, D)``: the pair as ints over one denominator (float
+        mode: the floats over 1), as :meth:`from_scaled` gave them or from
+        one :func:`scaled` pass on first use, of a pair in its mode
+        (:meth:`_in_mode`)."""
+        if mode_of(self.phi) != RATIONAL:
+            return self.phi, self.psi, 1
+        (phi, psi), D = scaled([self.phi.tolist(), self.psi.tolist()])
+        return phi, psi, D
+
     @property
     def shape(self):
         return (self.phi.shape[0], self.psi.shape[0])
+
+    def phi_c(self, cost: CostMatrix) -> tuple:
+        """``(phi^c, E)``, the c-transform of phi (:func:`cost_transforms`)
+        as one scaled row over ``E``, ``+inf`` on an all-+inf column, of a
+        pair read in the cost's mode: computed once per pair and cost, so
+        that the feasibility test and the normalization share it."""
+        memo = self.__dict__.get("_phi_c")
+        if memo is None or memo[0] is not cost:
+            phi, _, D = self.scaled_view
+            (row,), E = cost_transforms(([phi], D), cost, 0)
+            memo = self.__dict__["_phi_c"] = cost, row, E
+        return memo[1], memo[2]
 
     def is_feasible_for(self, cost: CostMatrix) -> bool:
         """phi + psi <= c + ``cost_tolerance(cost)`` on finite cells, read as
@@ -696,17 +812,33 @@ class DualPotentials:
 
     def _feasible_read(self, cost: CostMatrix) -> Optional["DualPotentials"]:
         """The one feasibility test: the pair read once in the cost's mode
-        (:meth:`_read`), if it passes :meth:`is_feasible_for`; else None."""
+        (:meth:`_read`), if it passes :meth:`is_feasible_for` on its
+        :attr:`scaled_view` and :meth:`phi_c`; else None."""
         if cost.shape != self.shape:
             raise DimensionMismatch(f"potentials {self.shape} vs cost {cost.shape}")
         pot = self._read(cost.mode)
-        (phi_c,) = cost_transforms(pot.phi[None], cost, 0)
-        return pot if np.all(pot.psi <= phi_c + cost_tolerance(cost)) else None
+        _, psi, D = pot.scaled_view
+        phi_c, E = pot.phi_c(cost)
+        f, tol = E // D, cost_tolerance(cost) * E
+        return pot if all(q * f <= v + tol for q, v in zip(psi, phi_c)) else None
+
+    def _in_mode(self, mode: str) -> bool:
+        """Whether the pair reads as itself in ``mode``: read-only arrays (so
+        that a cached :attr:`scaled_view` stays true) of float64, or of
+        ``Fraction``s only, the numbers ``to_number`` returns as they are."""
+        arrays = (self.phi, self.psi)
+        if any(a.flags.writeable for a in arrays):
+            return False
+        if mode != RATIONAL:
+            return all(a.dtype == np.float64 for a in arrays)
+        return set(map(type, self.phi.tolist() + self.psi.tolist())) <= {Fraction}
 
     def _read(self, mode: str) -> "DualPotentials":
-        """The pair by ``as_vector``: a bad entry is a BadNumber (``psi[0]: ...``)."""
-        phi, psi = as_vector(self.phi, mode, "phi"), as_vector(self.psi, mode, "psi")
-        return DualPotentials(phi, psi)
+        """The pair by ``as_vector``: a bad entry is a BadNumber (``psi[0]: ...``).
+        A pair already in ``mode`` (:meth:`_in_mode`) reads as itself."""
+        if self._in_mode(mode):
+            return self
+        return DualPotentials(as_vector(self.phi, mode, "phi"), as_vector(self.psi, mode, "psi"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -832,32 +964,53 @@ def scaled_data(instance: Instance):
 # ---------------------------------------------------------------------------
 
 
+def scaled_plan_cost(plan: TransportPlan, cost: CostMatrix) -> tuple:
+    """:func:`plan_cost` as ``(total, D)``, summed on the ``scaled_view``
+    ints of the plan and the cost (float mode: the floats over 1)."""
+    if plan.shape != cost.shape:
+        raise DimensionMismatch(f"plan {plan.shape} vs cost {cost.shape}")
+    (masses, D), (rows, M) = plan.scaled_view, cost.scaled_view
+    total = 0 if plan.mode == RATIONAL else 0.0
+    for ((i, j), _), x in zip(plan.cells, masses):
+        c = rows[i][j]
+        if is_inf(c):
+            return INF, 1
+        total += x * c
+    return total, D * M
+
+
 def plan_cost(plan: TransportPlan, cost: CostMatrix) -> Number:
     """Total transport cost sum_ij plan[i][j] * c[i][j].
 
     Returns +inf when positive mass sits on an infinite-cost cell; zero mass
     on such a cell contributes nothing (0 * inf = 0 convention).
     """
-    if plan.shape != cost.shape:
-        raise DimensionMismatch(f"plan {plan.shape} vs cost {cost.shape}")
-    total = zero(plan.mode)
-    for (i, j), mass in plan.cells:
-        c = cost.entries[i, j]
-        if is_inf(c):
-            return INF
-        total += mass * c
-    return total
+    return unscale(*scaled_plan_cost(plan, cost), plan.mode)
 
 
-def dual_value(pot: DualPotentials, mu: Marginal, nu: Marginal) -> Number:
-    """Dual objective sum_i phi[i] mu[i] + sum_j psi[j] nu[j]."""
+def _require_dual_shape(pot: DualPotentials, mu: Marginal, nu: Marginal):
     if pot.shape != (mu.size, nu.size):
         raise DimensionMismatch(
             f"potentials {pot.shape} vs marginals ({mu.size}, {nu.size})"
         )
-    return sum(pot.phi[i] * mu.weights[i] for i in range(mu.size)) + sum(
-        pot.psi[j] * nu.weights[j] for j in range(nu.size)
-    )
+
+
+def scaled_dual_value(pot: DualPotentials, mu: Marginal, nu: Marginal) -> tuple:
+    """:func:`dual_value` of a pair in the marginals' mode as ``(total, D)``,
+    summed on the ``scaled_view`` ints of the pair and the marginals."""
+    _require_dual_shape(pot, mu, nu)
+    (phi, psi, D), (a, L), (b, K) = pot.scaled_view, mu.scaled_view, nu.scaled_view
+    return sum(map(mul, phi, a)) * K + sum(map(mul, psi, b)) * L, D * L * K
+
+
+def dual_value(pot: DualPotentials, mu: Marginal, nu: Marginal) -> Number:
+    """Dual objective sum_i phi[i] mu[i] + sum_j psi[j] nu[j]. A pair of
+    another mode than the marginals' is summed as its entries multiply with
+    the weights (a float pair on rational marginals gives a float)."""
+    if pot._in_mode(mu.mode):
+        return unscale(*scaled_dual_value(pot, mu, nu), mu.mode)
+    _require_dual_shape(pot, mu, nu)
+    return sum(map(mul, pot.phi, mu.weights)) + sum(map(mul, pot.psi, nu.weights))
 
 
 def product_plan(mu: Marginal, nu: Marginal) -> TransportPlan:
@@ -868,10 +1021,17 @@ def product_plan(mu: Marginal, nu: Marginal) -> TransportPlan:
     )
 
 
-def plan_from_cells(shape, masses: dict, mode: str) -> TransportPlan:
-    """The plan with the ``{(i, j): mass}`` entries and zero elsewhere."""
+def plan_from_cells(shape, masses: dict, mode: str, D: Optional[int] = None) -> TransportPlan:
+    """The plan with the ``{(i, j): mass}`` entries and zero elsewhere. With
+    ``D``, the masses are ints over ``D`` (float mode: floats, ``D = 1``),
+    which the plan holds as its ``scaled_view``."""
     m, n = shape
     z = zero(mode)
-    return TransportPlan(frozen_array(
-        [[masses.get((i, j), z) for j in range(n)] for i in range(m)], mode
+    values = masses if D is None or mode != RATIONAL else {
+        cell: Fraction(x, D) for cell, x in masses.items()}
+    plan = TransportPlan(frozen_array(
+        [[values.get((i, j), z) for j in range(n)] for i in range(m)], mode
     ))
+    if D is not None:
+        plan.__dict__["scaled_view"] = [masses[cell] for cell, _ in plan.cells], D
+    return plan

@@ -6,6 +6,12 @@ cell, phi[0] = 0, lifted along the +inf cells when the basis holds any),
 then push the pair through the transform normalization. The result is
 feasible, attains the primal value exactly, and has the canonical form:
 phi* is c-concave and psi* is a shift of (phi*)^c.
+
+In rational mode both steps compute on ints over one denominator: the
+basis walk on the cost's ``scaled_view``, and two transforms, phi^c (which
+the extraction's feasibility test computes and the normalization reuses)
+and its cbar-transform. The pairs hold their ints (``scaled_view``) beside
+the ``Fraction``s of their public ``phi`` and ``psi``.
 """
 
 from __future__ import annotations
@@ -34,9 +40,9 @@ def solve_dual(
             f"primal result {result.plan.shape} vs instance {instance.shape}"
         )
     # the extraction has just tested this pair for feasibility, and the
-    # normalization's output is feasible by construction
-    raw = extract_dual_from_basis(result, instance.cost)
-    return normalize_pair(raw.phi, instance.cost)
+    # normalization reuses the phi^c of that test; its output is feasible
+    # by construction
+    return normalize_pair(extract_dual_from_basis(result, instance.cost), instance.cost)
 
 
 def improve_dual(pot: DualPotentials, cost: CostMatrix) -> DualPotentials:
@@ -45,7 +51,7 @@ def improve_dual(pot: DualPotentials, cost: CostMatrix) -> DualPotentials:
 
     Never decreases the dual value (phi^{c cbar} >= phi and psi <= phi^c for
     a feasible pair) and is idempotent on already-canonical pairs."""
-    return normalize_pair(pot.require_feasible_for(cost).phi, cost)
+    return normalize_pair(pot.require_feasible_for(cost), cost)
 
 
 def extract_dual_from_basis(result: OptimalPlanResult, cost: CostMatrix) -> DualPotentials:

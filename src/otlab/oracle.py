@@ -32,7 +32,6 @@ feasibility test) are shared with the simplex; its solving logic is not.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from typing import Optional
 
 from .core import (
@@ -44,6 +43,7 @@ from .core import (
     plan_from_cells,
     scaled_data,
     tolerance,
+    unscale,
 )
 from .errors import BadNumber, BudgetExceeded, NoFeasibleTreeDual
 from .primal import OptimalPlanResult
@@ -189,16 +189,11 @@ def oracle_primal(instance: Instance, budget: Optional[int] = None) -> OptimalPl
     if best is None:
         raise NoFeasibleTreeDual("no feasible tree found; enumeration bug")
     edges, tree_masses, total = best
-    m, n = instance.shape
     rational = instance.mode == RATIONAL
-    masses = {
-        cell: Fraction(x, L) if rational else max(x, 0.0)
-        for cell, x in zip(edges, tree_masses)
-    }
-    value = Fraction(total, L * M) if rational else total
+    masses = {cell: x if rational else max(x, 0.0) for cell, x in zip(edges, tree_masses)}
     return OptimalPlanResult(
-        plan=plan_from_cells((m, n), masses, instance.mode),
-        value=value,
+        plan=plan_from_cells(instance.shape, masses, instance.mode, L),
+        value=unscale(total, L * M, instance.mode),
         basis=tuple(sorted(edges)),
     )
 

@@ -24,10 +24,11 @@ parts' cached ``scaled_view``: masses times the LCM L of the marginal
 denominators, costs times a common denominator M of theirs) and the
 simplex runs on Python ints. Positive scaling keeps the order of the
 reduced costs and every mass comparison, so the pivot sequence, the basis
-and the plan are exactly those of the same simplex on Fractions;
-masses are mapped back to ``Fraction(x, L)`` at the end and the value is
-``Fraction(sum x * c, L * M)`` of the scaled ints. Float instances run the
-same loop on floats with a scale-aware tolerance.
+and the plan are exactly those of the same simplex on Fractions; the plan
+keeps its masses, ints over L, as its ``scaled_view`` (``Fraction(x, L)``
+only for its entries), and the value is ``Fraction(sum x * c, L * M)`` of
+the scaled ints. Float instances run the same loop on floats with a
+scale-aware tolerance.
 
 The basis tree is walked once, from row 0 (``core.hang_subtree``, the walk
 of ``core.tree_potentials``), and then kept: a pivot drops the leaving
@@ -52,8 +53,6 @@ included, so its lexicographic potentials are those the simplex stopped at.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
 import numpy as np
 
 from .core import (
@@ -70,6 +69,7 @@ from .core import (
     scaled_data,
     tolerance,
     tree_adjacency,
+    unscale,
 )
 from .errors import InfeasibleFiniteCost, InfeasibleInput
 
@@ -228,20 +228,17 @@ def solve_primal(instance: Instance, basis=None) -> OptimalPlanResult:
     # strand a crumb that small on a +inf cell; it is dropped, not charged.
     crumb = tolerance(instance.mode)
     basis = tuple(sorted(mass))
-    kept = [(cell, mass[cell]) for cell in basis
-            if mass[cell] > (crumb if cost[cell[0]][cell[1]] == INF else 0)]
+    kept = {cell: mass[cell] for cell in basis
+            if mass[cell] > (crumb if cost[cell[0]][cell[1]] == INF else 0)}
     total = z  # summed in row-major order, as plan_cost sums a plan
-    for (i, j), x in kept:
+    for (i, j), x in kept.items():
         if cost[i][j] == INF:
             raise InfeasibleFiniteCost(
                 "every feasible plan places mass on an infinite-cost cell"
             )
         total += x * cost[i][j]
-    plan = plan_from_cells(
-        (m, n), {cell: Fraction(x, L) if rational else x for cell, x in kept}, instance.mode
-    )
-    value = Fraction(total, L * M) if rational else total
-    return OptimalPlanResult(plan=plan, value=value, basis=basis)
+    plan = plan_from_cells((m, n), kept, instance.mode, L)
+    return OptimalPlanResult(plan=plan, value=unscale(total, L * M, instance.mode), basis=basis)
 
 
 def _basis_cycle(m, parent, entering):

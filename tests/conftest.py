@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
-from otlab import make_instance
+from otlab import Marginal, as_vector, make_instance, northwest_corner
 
 
 def random_rational_instance(rng, size_lo=1, size_hi=4, with_metrics=False,
@@ -42,6 +43,50 @@ def random_potential(rng, size, max_num=10, max_den=4):
         Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
         for _ in range(size)
     ]
+
+
+# Distinct primes: an instance mixing them has a denominator LCM above 2**64.
+DENOMINATORS = [1, 2, 3, 7, 2**31 - 1, 2**61 - 1, 10**9 + 7]
+
+
+@st.composite
+def rational_instances(draw, anywhere=False):
+    """Rational instances with mixed and huge denominators, zero masses,
+    optionally all-equal costs, and optionally +inf walls that keep the
+    northwest-corner plan finite (so a finite optimum exists). With
+    ``anywhere`` the walls may also sit on that plan's support, so the
+    simplex first pivots mass off them, or finds no finite plan."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    den = st.sampled_from(DENOMINATORS)
+
+    def marginal(size):
+        raw = [Fraction(draw(st.integers(0, 9)), draw(den)) for _ in range(size)]
+        if not any(raw):
+            raw[draw(st.integers(0, size - 1))] = Fraction(1)
+        total = sum(raw)
+        return [w / total for w in raw]
+
+    mu, nu = marginal(m), marginal(n)
+    if draw(st.booleans()):
+        tie = Fraction(draw(st.integers(-20, 50)), draw(den))
+        cost = [[tie] * n for _ in range(m)]
+    else:
+        cost = [[Fraction(draw(st.integers(-20, 50)), draw(den)) for _ in range(n)]
+                for _ in range(m)]
+    if draw(st.booleans()):
+        keep = () if anywhere else set(
+            northwest_corner(marginal_of(mu), marginal_of(nu)).support()
+        )
+        for i in range(m):
+            for j in range(n):
+                if (i, j) not in keep and draw(st.integers(0, 2)) == 0:
+                    cost[i][j] = "inf"
+    return make_instance(cost, mu, nu)
+
+
+def marginal_of(weights):
+    return Marginal(as_vector(weights, "rational"))
 
 
 @pytest.fixture

@@ -39,6 +39,8 @@ from otlab import (
     solve_dual,
     solve_primal,
 )
+from otlab.dual import extract_dual_from_basis
+from otlab.errors import UnboundedTransform
 from otlab.core import (
     INF,
     CostMatrix,
@@ -50,7 +52,7 @@ from otlab.core import (
     zero,
 )
 
-from conftest import random_rational_instance
+from conftest import DENOMINATORS, rational_instances, random_rational_instance
 
 HALF = [F(1, 2), F(1, 2)]
 
@@ -711,3 +713,89 @@ def test_zero_gap_implies_clean_slackness_and_cyclic(rng):
             assert check_slackness(res.plan, out, inst.cost) == ()
             report = check_cyclic_monotonicity(res.plan, inst.cost, k_max=4)
             assert all(v is None for v in report.values())
+
+
+# --- the int path against the Fraction pipeline ------------------------------------
+
+
+def reference_certificate(inst, plan, pot):
+    """build_certificate's report but the cyclic one by Fraction arithmetic
+    on the public arrays, in its order of checks: ``(gap, max row and
+    column deviations, slackness as (cell, mass, slack))``, or the error
+    ``(type, text)`` it raises first."""
+    m, n = inst.shape
+    c = inst.cost.entries
+    *devs, breach = dense_marginal_law(plan, inst.mu, inst.nu)
+    if breach is not None:
+        return InfeasibleArguments, f"plan violates the marginal law: {breach}"
+    try:
+        phi, psi = as_vector(pot.phi, "rational", "phi"), as_vector(pot.psi, "rational", "psi")
+    except BadNumber as exc:
+        return BadNumber, str(exc)
+    if not all(is_inf(c[i, j]) or phi[i] + psi[j] <= c[i, j] for i in range(m) for j in range(n)):
+        return InfeasiblePotentials, "potentials violate phi + psi <= c"
+    dual = sum(phi[i] * inst.mu.weights[i] for i in range(m)) + sum(
+        psi[j] * inst.nu.weights[j] for j in range(n))
+    slack = [((i, j), plan.entries[i, j], INF if is_inf(c[i, j]) else c[i, j] - phi[i] - psi[j])
+             for i in range(m) for j in range(n) if plan.entries[i, j] > 0]
+    return dense_plan_cost(plan, inst.cost) - dual, *devs, [s for s in slack if s[2] > 0]
+
+
+def certificate_outcome(inst, plan, pot):
+    """What build_certificate gives, as reference_certificate words it, and
+    its cyclic report; every reported value is a Fraction or +inf."""
+    try:
+        cert = build_certificate(inst, plan, pot)
+    except (BadNumber, InfeasibleArguments, InfeasiblePotentials) as exc:
+        return (type(exc), str(exc)), None
+    report = cert.marginals
+    assert (report.breach, report.tol, cert.tol) == (None, 0, 0)
+    slack = [(v.cell, v.mass, v.slack) for v in cert.slackness]
+    values = [cert.gap, report.max_row_deviation, report.max_col_deviation]
+    values += [x for v in slack for x in v[1:]]
+    assert all(type(v) is F or v == INF for v in values)
+    assert cert.verdict == (cert.gap == 0 and not slack and not any(cert.cyclic.values()))
+    return (*values[:3], slack), cert.cyclic
+
+
+def cyclic_fields(report):
+    return {k: v and (v.k, v.cells, v.baseline, v.permuted) for k, v in report.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=rational_instances(anywhere=True), data=st.data())
+def test_the_int_certificate_matches_the_fraction_pipeline(inst, data):
+    # the solved pair and plan, then pairs and plans a caller builds from
+    # Fractions (strings and floats among them), feasible and not
+    try:
+        res = solve_primal(inst)
+        solved = solve_dual(inst, res)
+    except (InfeasibleFiniteCost, UnboundedTransform):
+        return
+    m, n = inst.shape
+    rebuilt = TransportPlan(as_matrix(res.plan.entries.tolist(), "rational"))
+    plans = [res.plan, rebuilt, product_plan(inst.mu, inst.nu),
+             northwest_corner(inst.mu, inst.nu)]
+    if m > 1:  # one more unit of mass in column 0 breaks the law
+        moved = [list(row) for row in res.plan.entries.tolist()]
+        moved[0][0], moved[1][0] = moved[0][0] + F(1, 7), moved[1][0] + F(6, 7)
+        plans.append(TransportPlan(as_matrix(moved, "rational")))
+    phi, psi = list(solved.phi), list(solved.psi)
+    j = data.draw(st.integers(0, n - 1))
+    lowered = psi[:j] + [psi[j] - data.draw(st.sampled_from([F(1, 3), F(2**70, 7)]))] + psi[j + 1:]
+    raised = psi[:j] + [psi[j] + F(1, data.draw(st.sampled_from(DENOMINATORS)))] + psi[j + 1:]
+    pairs = [solved, extract_dual_from_basis(res, inst.cost), pot(phi, lowered), pot(phi, raised),
+             DualPotentials(np.array([str(v) for v in phi], dtype=object),
+                            np.array([str(v) for v in psi], dtype=object)),
+             DualPotentials(np.zeros(m), np.full(n, -100.0)),
+             DualPotentials(np.full(m, 0.5), np.zeros(n))]
+    for plan in plans:
+        for pair in pairs:
+            got, cyclic = certificate_outcome(inst, plan, pair)
+            assert got == reference_certificate(inst, plan, pair)
+            if cyclic is not None:
+                assert cyclic_fields(cyclic) == cyclic_fields(check_cyclic_monotonicity(
+                    TransportPlan(as_matrix(plan.entries.tolist(), "rational")), inst.cost))
+                assert duality_gap(plan, pair, inst) == got[0]
+                assert [(v.cell, v.mass, v.slack) for v in check_slackness(
+                    plan, pair, inst.cost)] == got[3]

@@ -8,6 +8,7 @@ import json
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -258,6 +259,70 @@ def test_envelope_scales_no_metric_again(tmp_path, capsys, scaled_calls):
     for space in spaces:
         assert receiving(scaled_calls, space.metric.flat) == []
     assert len(scaled_calls) > 1  # the spy saw the read's calls
+
+
+#: Fraction arithmetic and comparisons, by special method
+FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                "__truediv__", "__rtruediv__", "__neg__", "__abs__",
+                "__eq__", "__lt__", "__le__", "__gt__", "__ge__")
+
+
+@pytest.fixture
+def exact_work(monkeypatch):
+    """``(ops, transforms)``: a Counter of the Fraction operations
+    (``FRACTION_OPS``) made while ``solve_dual`` or ``build_certificate``
+    runs, and a list with one entry per ``core.cost_transforms`` call,
+    through any otlab module alias."""
+    ops, transforms, inside = Counter(), [], []
+
+    def spying(name, method):
+        def spy(self, *args):
+            if inside:
+                ops[name] += 1
+            return method(self, *args)
+        return spy
+
+    for name in FRACTION_OPS:
+        monkeypatch.setattr(Fraction, name, spying(name, getattr(Fraction, name)))
+
+    def entered(function):
+        def wrapper(*args):
+            inside.append(function)
+            try:
+                return function(*args)
+            finally:
+                inside.pop()
+        return wrapper
+
+    def counted(function):
+        def wrapper(*args):
+            transforms.append(args[2])
+            return function(*args)
+        return wrapper
+
+    originals = [(otlab.dual.solve_dual, entered), (otlab.certify.build_certificate, entered),
+                 (otlab.core.cost_transforms, counted)]
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "otlab"]:
+        for attr, value in list(vars(module).items()):
+            for original, wrap in originals:
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrap(original))
+    return ops, transforms
+
+
+@pytest.mark.parametrize("command, transforms", [
+    (["solve", "--dual"], 2),  # phi^c, shared by the basis pair's test and the normalization; cbar
+    (["certify"], 3),  # and the certificate's own feasibility test
+    (["transform", "--phi=" + ",".join(f"{i}/{i + 2}" for i in range(10))], 2),
+])
+def test_the_dual_and_the_certificate_compute_on_ints(tmp_path, capsys, exact_work,
+                                                      command, transforms):
+    path = str(tmp_path / "inst.json")
+    run_cli(["gen", "random-uniform", "--size", "10", "--seed", "3", "-o", path], capsys)
+    ops, calls = exact_work
+    assert run_cli([*command, path], capsys)[0] == 0
+    assert ops == Counter()
+    assert len(calls) == transforms
 
 
 # --- transform / envelope -------------------------------------------------------------

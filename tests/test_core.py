@@ -42,11 +42,14 @@ from otlab.core import (
     convert_instance,
     cost_tolerance,
     cost_transforms,
+    frozen_array,
     int_dtype,
     is_inf,
     metric_violation,
+    scaled_array,
     to_number,
     tree_potentials,
+    unscale,
 )
 
 HALF = [F(1, 2), F(1, 2)]
@@ -544,6 +547,24 @@ def test_dual_value_examples():
     assert dual_value(shifted, inst.mu, inst.nu) == 0
 
 
+def test_dual_value_of_a_pair_in_another_mode_multiplies_its_entries():
+    # a pair not in the marginals' mode is not read in it: a float pair on
+    # rational marginals sums to a float, non-integral entries included
+    inst = make_instance([[0, 1], [1, 0]], HALF, [F(1, 4), F(3, 4)])
+    floats = DualPotentials(as_vector([0.5, 1.0], "float"), as_vector([0.25, 2.0], "float"))
+    value = dual_value(floats, inst.mu, inst.nu)
+    assert type(value) is float and value == 0.5 * 0.5 + 1.0 * 0.5 + 0.25 * 0.25 + 2.0 * 0.75
+    ints = DualPotentials(np.array([0, 1], dtype=object), np.array([2, 0], dtype=object))
+    value = dual_value(ints, inst.mu, inst.nu)
+    assert type(value) is F and value == F(1, 2) + F(1, 2)
+    fractions = DualPotentials(as_vector([F(1, 3), 0], "rational"), as_vector([0, 1], "rational"))
+    floated = convert_instance(inst, "float")
+    value = dual_value(fractions, floated.mu, floated.nu)
+    assert isinstance(value, float) and value == F(1, 3) * 0.5 + 0.75
+    with pytest.raises(DimensionMismatch, match=r"^potentials \(2, 1\) vs marginals \(2, 2\)$"):
+        dual_value(DualPotentials(floats.phi, floats.psi[:1]), inst.mu, inst.nu)
+
+
 @given(
     a=st.fractions(min_value=-5, max_value=5, max_denominator=8),
     phi=st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=8), min_size=2, max_size=2),
@@ -654,12 +675,13 @@ def reference_min_plus(a, b):
 def transforms_both_ways(p, rows, mode):
     """``cost_transforms`` of ``p`` over the rows of the cost ``rows``
     (axis 0), checked equal to the one over the columns of its transpose
-    (axis 1)."""
+    (axis 1), as the frozen matrix of the numbers of its scaled view."""
     cost = CostMatrix(as_matrix(rows, mode))
-    out = cost_transforms(p, cost, 0)
-    mirror = cost_transforms(p, CostMatrix(as_matrix(cost.entries.T, mode)), 1)
-    assert mirror.tolist() == out.tolist() and not out.flags.writeable
-    return out
+    view = scaled_array(p)
+    out, E = cost_transforms(view, cost, 0)
+    mirror = cost_transforms(view, CostMatrix(as_matrix(cost.entries.T, mode)), 1)
+    assert (np.asarray(mirror[0]).tolist(), mirror[1]) == (np.asarray(out).tolist(), E)
+    return frozen_array([[unscale(v, E, mode) for v in row] for row in out], mode)
 
 
 def test_min_plus_takes_the_smallest_witness_and_keeps_inf_lines():
@@ -758,6 +780,19 @@ def test_is_feasible_for_matches_the_cellwise_definition(data):
     as_float = CostMatrix(as_matrix(cost_rows, "float"))
     pot_float = DualPotentials(as_vector(phi, "float"), as_vector(psi, "float"))
     assert pot_float.is_feasible_for(as_float) == expected
+
+
+def test_a_pair_of_writable_arrays_is_read_afresh():
+    # only read-only arrays read as themselves and keep their scaled view:
+    # a caller's writable arrays may change between two tests
+    cost = CostMatrix(as_matrix([[0, 1], [1, 0]], "rational"))
+    phi, psi = np.array([F(0), F(0)], dtype=object), np.array([F(0), F(0)], dtype=object)
+    pot = DualPotentials(phi, psi)
+    assert pot.is_feasible_for(cost)
+    psi[1] = F(2)
+    assert not pot.is_feasible_for(cost)
+    frozen = DualPotentials(as_vector([0, 0], "float"), as_vector([0, 1], "float"))
+    assert frozen._read("float") is frozen and pot._read("rational") is not pot
 
 
 def test_is_feasible_for_skips_infinite_cells_and_checks_shape():

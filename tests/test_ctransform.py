@@ -1,5 +1,6 @@
 """Transform calculus: definitions, bound boxes, Lipschitz laws."""
 
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from otlab import (
     BadNumber,
+    DimensionMismatch,
     DualPotentials,
     UnboundedTransform,
     as_vector,
@@ -115,6 +117,22 @@ def test_normalize_pair_bound_boxes(rng):
         pot = normalize_pair(vec(random_potential(rng, 5)), cost)
         assert all(0 <= v <= 2 for v in pot.psi)
         assert all(-3 <= v <= 1 for v in pot.phi)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_normalize_pair_reads_a_pair_by_its_phi_and_checks_its_shape(mode):
+    # a pair normalizes as its phi does, whatever its psi; a pair whose shape
+    # is not the cost's is refused before any transform runs
+    inst = make_instance([[0, 2, 1], [2, 1, 3]], HALF, [F(1, 3)] * 3, mode)
+    phi = as_vector([0, 1], mode)
+    out = normalize_pair(DualPotentials(phi, as_vector([-5, 0, 7], mode)), inst.cost)
+    ref = normalize_pair(phi, inst.cost)
+    assert (out.phi.tolist(), out.psi.tolist()) == (ref.phi.tolist(), ref.psi.tolist())
+    for phi, psi in (([0], [0, 0, 0]), ([0, 0, 0], [0, 0, 0]), ([0, 0], [0])):
+        bad = DualPotentials(as_vector(phi, mode), as_vector(psi, mode))
+        with pytest.raises(DimensionMismatch, match=rf"^potentials {re.escape(str(bad.shape))} "
+                                                    r"vs cost \(2, 3\)$"):
+            normalize_pair(bad, inst.cost)
 
 
 def test_unbounded_cost_normalizes():

@@ -1,13 +1,16 @@
 """Dual extraction, improvement, and the canonical solution shape."""
 
+import re
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from otlab import (
+    BadNumber,
     DualPotentials,
     InfeasibleFiniteCost,
     InfeasibleInput,
@@ -29,9 +32,9 @@ from otlab import (
     solve_primal,
 )
 from otlab.primal import OptimalPlanResult, _northwest_basis
-from otlab.core import TransportPlan, as_matrix, cost_tolerance, is_inf
+from otlab.core import INF, TransportPlan, as_matrix, basis_dual, cost_tolerance, is_inf
 
-from conftest import random_rational_instance
+from conftest import DENOMINATORS, rational_instances, random_rational_instance
 
 HALF = [F(1, 2), F(1, 2)]
 
@@ -420,3 +423,138 @@ def test_solve_dual_canonical_form(rng):
         transformed = c_transform(out.phi, inst.cost)
         diffs = {transformed[j] - out.psi[j] for j in range(inst.shape[1])}
         assert len(diffs) == 1  # psi* is a constant shift of (phi*)^c
+
+
+# --- the int path against the Fraction pipeline ------------------------------------
+
+
+def reference_basis_dual(inst, basis):
+    """The basis dual by Fraction arithmetic on the cost's entries: the tree
+    walk from row 0, the lift along the +inf wall potentials by the largest
+    quotient, and the feasibility test cell by cell; None when infeasible."""
+    m, n = inst.shape
+    c = inst.cost.entries
+    adj = [[] for _ in range(m + n)]
+    for i, j in basis:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    pot, wall, seen, stack = [F(0)] * (m + n), [0] * (m + n), {0}, [0]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+                i, j = (u, v - m) if u < m else (v, u - m)
+                pot[v] = (0 if is_inf(c[i, j]) else c[i, j]) - pot[u]
+                wall[v] = is_inf(c[i, j]) - wall[u]
+    t = max([F(0)] + [
+        (pot[i] + pot[m + j] - c[i, j]) / -(wall[i] + wall[m + j])
+        for i in range(m) for j in range(n)
+        if not is_inf(c[i, j]) and wall[i] + wall[m + j] < 0
+    ])
+    pot = [p + t * w for p, w in zip(pot, wall)]
+    phi, psi = pot[:m], pot[m:]
+    feasible = all(is_inf(c[i, j]) or phi[i] + psi[j] <= c[i, j]
+                   for i in range(m) for j in range(n))
+    return (phi, psi) if feasible else None
+
+
+def reference_transform(p, cost, axis):
+    """phi^c (axis 0) or psi^cbar (axis 1) by Fraction minima, +inf on an
+    all-+inf line."""
+    c = cost.entries if axis == 0 else cost.entries.T
+    return [min((c[a, b] - p[a] for a in range(c.shape[0]) if not is_inf(c[a, b])), default=INF)
+            for b in range(c.shape[1])]
+
+
+def reference_normalized(phi, cost):
+    """(phi^{c cbar} + m, phi^c - m) by Fraction arithmetic, or the text of
+    the UnboundedTransform that an all-+inf column, then row, raises."""
+    psi = reference_transform(phi, cost, 0)
+    phi_cc = reference_transform(psi, cost, 1) if INF not in psi else []
+    for line, values in (("column", psi), ("row", phi_cc)):
+        if INF in values:
+            return f"{line} {values.index(INF)} of the cost is entirely +inf"
+    shift = min(psi)
+    return [v + shift for v in phi_cc], [v - shift for v in psi]
+
+
+def assert_pair(out, expected):
+    assert (out.phi.tolist(), out.psi.tolist()) == tuple(expected)
+    assert {type(v) for v in out.phi.tolist() + out.psi.tolist()} == {F}
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=rational_instances(anywhere=True), data=st.data())
+def test_the_int_dual_matches_the_fraction_pipeline(inst, data):
+    # walls, ties, zero masses and denominators past the int64 guard; the
+    # solved basis, then pairs a caller builds from Fractions
+    try:
+        res = solve_primal(inst)
+    except InfeasibleFiniteCost:
+        return
+    raw = extract_dual_from_basis(res, inst.cost)
+    assert_pair(raw, reference_basis_dual(inst, res.basis))
+    expected = reference_normalized(list(raw.phi), inst.cost)
+    if isinstance(expected, str):
+        with pytest.raises(UnboundedTransform, match=f"^{re.escape(expected)}$"):
+            solve_dual(inst, res)
+        return
+    assert_pair(solve_dual(inst, res), expected)
+
+    m, n = inst.shape
+    value = st.builds(F, st.integers(-60, 60), st.sampled_from(DENOMINATORS))
+    phi = data.draw(st.lists(value, min_size=m, max_size=m))
+    tight = reference_transform(phi, inst.cost, 0)
+    # every column has a finite cell, as the normalization just showed
+    psi = [v - data.draw(st.sampled_from([0, 0, F(1, 3), 2**40])) for v in tight]
+    assert_pair(improve_dual(pot(phi, psi), inst.cost), reference_normalized(phi, inst.cost))
+    j = data.draw(st.integers(0, n - 1))
+    psi[j] = tight[j] + F(1, data.draw(st.sampled_from(DENOMINATORS)))
+    with pytest.raises(InfeasiblePotentials, match=r"^potentials violate phi \+ psi <= c$"):
+        improve_dual(pot(phi, psi), inst.cost)
+    floats = DualPotentials(np.array([0.5] * m), np.zeros(n))
+    with pytest.raises(BadNumber, match=r"^phi\[0\]: bad number '0\.5' \(non-integral float"):
+        improve_dual(floats, inst.cost)
+
+
+@st.composite
+def walled_trees(draw):
+    """A rational cost, about half of it +inf, and a random spanning tree of
+    its cells: lifts along wall sums below -1 arise, as in no simplex basis
+    drawn above."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    value = st.builds(F, st.integers(-20, 20), st.sampled_from(DENOMINATORS))
+    rows = [[draw(st.one_of(value, st.just("inf"))) for _ in range(n)] for _ in range(m)]
+    inst = make_instance(rows, [F(1, m)] * m, [F(1, n)] * n)
+    joined, cells = [0], []
+    waiting = draw(st.permutations(range(1, m + n)))
+    while waiting:  # join each node to a joined node of the other side
+        v = next(v for v in waiting if any((u < m) != (v < m) for u in joined))
+        u = draw(st.sampled_from([u for u in joined if (u < m) != (v < m)]))
+        cells.append((min(u, v), max(u, v) - m))
+        joined.append(v)
+        waiting.remove(v)
+    return inst, cells
+
+
+#: A tree whose lift is t = 3/2 over the wall sum -2 of cell (1, 1): the
+#: pair is phi = (0, -1/2, 1/2), psi = (3/2, 1/2, 1), over twice the cost's D.
+LIFT_BY_HALVES = (
+    make_instance([["inf", 10, 1], [1, 0, 10], ["inf", 1, "inf"]], [F(1, 3)] * 3, [F(1, 3)] * 3),
+    [(0, 0), (0, 2), (1, 0), (2, 1), (2, 2)],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=walled_trees())
+@example(case=LIFT_BY_HALVES)
+def test_a_basis_dual_matches_the_fraction_walk_on_any_tree(case):
+    inst, cells = case
+    pot = basis_dual(cells, inst.cost)
+    expected = reference_basis_dual(inst, cells)
+    if expected is None:
+        assert pot is None
+    else:
+        assert_pair(pot, expected)

@@ -53,7 +53,7 @@ from otlab.primal import (
     _tree_masses,
 )
 
-from conftest import random_marginal, random_rational_instance
+from conftest import rational_instances, random_marginal, random_rational_instance
 
 HALF = [F(1, 2), F(1, 2)]
 
@@ -517,50 +517,6 @@ def test_float_round_off_crumb_on_a_wall_is_not_charged():
 
 
 # --- integer kernel properties -------------------------------------------------
-
-# Distinct primes: an instance mixing them has a denominator LCM above 2**64.
-DENOMINATORS = [1, 2, 3, 7, 2**31 - 1, 2**61 - 1, 10**9 + 7]
-
-
-@st.composite
-def rational_instances(draw, anywhere=False):
-    """Rational instances with mixed and huge denominators, zero masses,
-    optionally all-equal costs, and optionally +inf walls that keep the
-    northwest-corner plan finite (so a finite optimum exists). With
-    ``anywhere`` the walls may also sit on that plan's support, so the
-    simplex first pivots mass off them, or finds no finite plan."""
-    m = draw(st.integers(1, 5))
-    n = draw(st.integers(1, 5))
-    den = st.sampled_from(DENOMINATORS)
-
-    def marginal(size):
-        raw = [F(draw(st.integers(0, 9)), draw(den)) for _ in range(size)]
-        if not any(raw):
-            raw[draw(st.integers(0, size - 1))] = F(1)
-        total = sum(raw)
-        return [w / total for w in raw]
-
-    mu, nu = marginal(m), marginal(n)
-    if draw(st.booleans()):
-        tie = F(draw(st.integers(-20, 50)), draw(den))
-        cost = [[tie] * n for _ in range(m)]
-    else:
-        cost = [[F(draw(st.integers(-20, 50)), draw(den)) for _ in range(n)]
-                for _ in range(m)]
-    if draw(st.booleans()):
-        keep = () if anywhere else set(
-            northwest_corner(marginal_of(mu), marginal_of(nu)).support()
-        )
-        for i in range(m):
-            for j in range(n):
-                if (i, j) not in keep and draw(st.integers(0, 2)) == 0:
-                    cost[i][j] = "inf"
-    return make_instance(cost, mu, nu)
-
-
-def marginal_of(weights):
-    return Marginal(as_vector(weights, "rational"))
-
 
 def linprog_value(inst):
     """scipy's HiGHS optimum, with +inf cells pinned to zero mass. HiGHS's

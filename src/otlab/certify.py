@@ -38,12 +38,13 @@ Tolerances come from the one policy in core and are never passed in: exact
 zeros in rational mode; in float mode ``core.tolerance`` for masses and
 ``core.cost_tolerance`` for cost-valued quantities. The report prints them.
 The marginal law is decided in one place, :func:`check_marginals`, by one
-pass over the plan's nonzero cells (``TransportPlan.cells``). A certificate
+pass over the plan's nonzero cells (its ``scaled_view``). A certificate
 runs it once and tests dual feasibility once; the gap and the slackness
 report compute on the pair as that test reads it, in the cost's mode. All
 of them compute on the ``scaled_view`` ints of the plan, the pair, the cost
 and the marginals (floats over 1 in float mode), and report
-``core.unscale`` of them: ``Fraction(int, D)`` in rational mode.
+``core.unscale`` of them: ``Fraction(int, D)`` in rational mode, built only
+for the scalars a report holds.
 """
 
 from __future__ import annotations
@@ -146,16 +147,16 @@ def _gap(plan: TransportPlan, pot: DualPotentials, instance: Instance) -> Number
 
 
 def check_marginals(plan: TransportPlan, mu: Marginal, nu: Marginal) -> MarginalReport:
-    """The marginal law in one pass over ``plan.cells``: row and column sums
+    """The marginal law in one pass over the plan's nonzero cells: row and column sums
     against same-shaped marginals, reported against ``tolerance(mode)``, on
     the ``scaled_view`` ints of the plan and the marginals: a line sum
     ``s / D`` against a weight ``w / L`` deviates by ``|s L - w D| / (D L)``."""
     if plan.shape != (mu.size, nu.size):
         raise DimensionMismatch(f"plan {plan.shape} vs marginals ({mu.size}, {nu.size})")
-    mode, (masses, D) = plan.mode, plan.scaled_view
+    mode, (cells, masses, D) = plan.mode, plan.scaled_view
     z = 0 if mode == RATIONAL else 0.0
     rows, cols = [z] * mu.size, [z] * nu.size
-    for ((i, j), _), x in zip(plan.cells, masses):
+    for (i, j), x in zip(cells, masses):
         rows[i] += x
         cols[j] += x
     tol, devs, breach = tolerance(mode), [], None
@@ -164,7 +165,8 @@ def check_marginals(plan: TransportPlan, mu: Marginal, nu: Marginal) -> Marginal
         dev = [abs(s * L - w * D) for s, w in zip(sums, weights)]
         k = next((k for k, d in enumerate(dev) if d > tol * D * L), None)
         if breach is None and k is not None:
-            breach = f"{kind} {k} sums to {unscale(sums[k], D, mode)}, expected {part.weights[k]}"
+            breach = (f"{kind} {k} sums to {unscale(sums[k], D, mode)}, "
+                      f"expected {unscale(weights[k], L, mode)}")
         devs.append(unscale(max(dev), D * L, mode))
     return MarginalReport(devs[0], devs[1], tol, breach)
 
@@ -193,19 +195,21 @@ def _slack_violations(plan: TransportPlan, pot: DualPotentials, cost: CostMatrix
     """The slackness report of a pair from ``require_feasible_for``, on the
     ``scaled_view`` ints of the plan, the pair and the cost: a slack over
     ``E``, the lcm of the pair's and the cost's denominators."""
-    (masses, Dp), (phi, psi, D), (rows, M) = plan.scaled_view, pot.scaled_view, cost.scaled_view
+    (cells, masses, Dp), (phi, psi, D), (rows, M) = plan.scaled_view, pot.scaled_view, \
+        cost.scaled_view
     E = math.lcm(D, M)
     f, g = E // M, E // D
     tol, mass_tol = cost_tolerance(cost) * E, tolerance(plan.mode) * Dp
     violations = []
-    for ((i, j), mass), x in zip(plan.cells, masses):
+    for (i, j), x in zip(cells, masses):
         if x <= mass_tol:  # off the support
             continue
         c = rows[i][j]
         slack = c * f - phi[i] * g - psi[j] * g if not is_inf(c) else c
         if slack > tol:  # an infinite slack always exceeds it
             slack = unscale(slack, E, cost.mode)
-            violations.append(SlacknessViolation(cell=(i, j), mass=mass, slack=slack))
+            violations.append(SlacknessViolation(cell=(i, j), mass=unscale(x, Dp, plan.mode),
+                                                 slack=slack))
     return tuple(violations)
 
 
@@ -240,11 +244,13 @@ def check_cyclic_monotonicity(plan: TransportPlan, cost: CostMatrix, k_max: int 
             walk = _walk(powers, a, c, h)[:-1] + _walk(powers, c, a, k - h)[:-1]
             ring = tuple(support[x] for t, x in enumerate(walk) if x != walk[t - 1])
             after = ring[1:] + ring[:1]
+            rows, M = cost.scaled_view
             report[k] = CyclicViolation(
                 k=k,
                 cells=ring,
-                baseline=sum(cost.entries[i, j] for i, j in ring),
-                permuted=sum(cost.entries[i, j] for (i, _), (_, j) in zip(ring, after)),
+                baseline=unscale(sum(rows[i][j] for i, j in ring), M, cost.mode),
+                permuted=unscale(sum(rows[i][j] for (i, _), (_, j) in zip(ring, after)),
+                                 M, cost.mode),
             )
     return report
 

@@ -5,51 +5,48 @@ optional metrics), a cost matrix over their product, and two probability
 marginals. Everything downstream (solvers, transforms, certificates,
 envelopes) consumes these types.
 
-Two arithmetic modes coexist and are carried by array dtype:
-
-* ``"rational"`` — entries are ``fractions.Fraction`` (or ints) held in
-  ``dtype=object`` arrays; every identity is checked with exact equality.
-* ``"float"`` — entries are ``float64``; checks use tolerances relative to
-  the size of what is compared (:func:`tolerance`, :func:`cost_tolerance`,
-  whose cost scale ``CostMatrix.scale`` is scanned once per cost).
-
-Infinite costs are represented by the genuine ``math.inf`` marker, never a
-large sentinel value. Wherever a plan mass of zero meets an infinite cost
+Two arithmetic modes coexist: ``"rational"``, where every identity is
+checked with exact equality, and ``"float"`` (``float64``), where checks
+use tolerances relative to the size of what is compared (:func:`tolerance`,
+:func:`cost_tolerance`, whose cost scale ``CostMatrix.scale`` is scanned
+once per cost). Infinite costs are the genuine ``math.inf`` marker, never a
+large sentinel value; wherever a plan mass of zero meets an infinite cost
 the product contributes zero (the lower-integral convention 0 * inf = 0).
 
-All containers are frozen dataclasses over read-only numpy arrays
-(:func:`frozen_array`) that check their invariants at construction, so a
-built object is valid, immutable and safe to share across threads. An
-:class:`Instance` checks that its parts agree in shape and mode, and takes
-its mode from the cost; :func:`make_instance` builds one from raw values.
-A :class:`TransportPlan` collects its nonzero cells in the one scan that
-checks its entries, and every reader of plan mass reads those. One tree
-walk, :func:`hang_subtree`, gives the tight potentials of a basis: whole,
-through :func:`tree_potentials`, and one moved subtree per simplex pivot;
-read in reverse, its walk order gives a warm-start basis its masses.
-A basis is always one spanning tree, hung from row 0; :func:`tree_potentials`
-refuses any other cell set before it walks. Its one dual, :func:`basis_dual`,
-serves the dual extraction and the oracle dual. One kernel,
-:func:`min_plus_arrays`, is the one three-index numpy pass, and it returns
-minima only. Through :func:`cost_transforms` (potentials against a cost's
-cached ints) it gives the c-transforms, the dual feasibility test and the
-induced pseudometrics (a max-plus product); directly, the Lipschitz
-envelope, the triangle law (``d <= d (x) d``, a min-plus square) and the
-min-plus powers of the cyclic-monotonicity check.
-Rational data become exact ints in one place, :func:`scaled`, and every
-part and result holds them as its ``scaled_view``, ``(ints, D)`` over one
-denominator: a cost, a marginal and a metric (from :func:`read_part`, or
-:meth:`CostMatrix.from_scaled`), a :class:`TransportPlan`'s cell masses
-(from :func:`plan_from_cells`, as ``solve_primal`` gives them) and a
-:class:`DualPotentials` pair (from :meth:`DualPotentials.from_scaled`, as
-:func:`basis_dual` and the normalization give it), each computed once on
-first read for a part or result a caller builds from ``Fraction``s. The
-dual, the value functionals and the certificate compute on these views,
-and :func:`unscale` makes the ``Fraction``s of what they report; in float
-mode a view is the floats over ``D = 1``, so one formula serves both modes.
-One guard, :func:`int_dtype`, keeps the ints of every numpy array in int64
-where every sum fits. One feasibility test reads a dual pair once, and its
-phi^c (:meth:`DualPotentials.phi_c`) also serves the normalization. One check,
+The data of every part and result is its ``scaled_view``: its numbers as
+ints over one denominator, ``(ints, D)``, ``+inf`` kept, in rational mode,
+and the floats over ``D = 1`` in float mode, so one formula serves both. A
+loaded cost, marginal and metric (:func:`read_part` reads each distinct
+token straight to its ints), an envelope level (:meth:`CostMatrix.from_scaled`),
+a solved plan (:func:`plan_from_cells`: its nonzero cells and their masses)
+and a dual pair (:meth:`DualPotentials.from_scaled`) hold only the view and
+check their laws on it. Their public arrays (``entries``, ``weights``,
+``metric``, ``phi``, ``psi`` and a plan's ``cells``) are derived from it on
+first read, as read-only ``Fraction`` arrays; a part a caller builds from
+such arrays holds them and derives its view once. The solvers, the
+transforms, the value functionals, the certificate and the output read the
+views, so a command builds ``Fraction``s only for the scalars it reports
+(:func:`unscale`). One guard, :func:`int_dtype`, keeps the ints of every
+numpy array in int64 where every sum fits.
+
+All containers are frozen dataclasses that check their invariants at
+construction, so a built object is valid, immutable and safe to share
+across threads. An :class:`Instance` checks that its parts agree in shape
+and mode, and takes its mode from the cost; :func:`make_instance` builds
+one from raw values. One tree walk, :func:`hang_subtree`, gives the tight
+potentials of a basis: whole, through :func:`tree_potentials`, and one
+moved subtree per simplex pivot; read in reverse, its walk order gives a
+warm-start basis its masses. A basis is always one spanning tree, hung from
+row 0; :func:`tree_potentials` refuses any other cell set before it walks.
+Its one dual, :func:`basis_dual`, serves the dual extraction and the oracle
+dual. One kernel, :func:`min_plus_arrays`, is the one three-index numpy
+pass, and it returns minima only. Through :func:`cost_transforms`
+(potentials against a cost's cached ints) it gives the c-transforms, the
+dual feasibility test and the induced pseudometrics (a max-plus product);
+directly, the Lipschitz envelope, the triangle law (``d <= d (x) d``, a
+min-plus square) and the min-plus powers of the cyclic-monotonicity check.
+One feasibility test reads a dual pair once, and its phi^c
+(:meth:`DualPotentials.phi_c`) also serves the normalization. One check,
 :func:`require_pseudometric`, words every metric-law error; it decides the
 triangle law at the float tolerance and the others exactly.
 """
@@ -60,10 +57,10 @@ import math
 import numbers
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, count, repeat
+from itertools import chain
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -102,7 +99,8 @@ _FLOAT_WORDS = {"inf", "+inf", "Infinity", "-inf", "-Infinity", "nan", "NaN"}
 
 #: The "p/q" and integer tokens that ``Fraction(str)`` reads as
 #: ``Fraction(int(p), int(q))``: ASCII digits, an optional sign, a nonzero
-#: denominator and optional ASCII whitespace around the whole token.
+#: denominator and optional ASCII whitespace around the whole token; the
+#: reader parses them itself (:func:`_token_ratio`).
 _INT_TOKEN = re.compile(r"\s*([+-]?)([0-9]+)(?:/(0*[1-9][0-9]*))?\s*", re.ASCII)
 
 _BAD_NUMBER_REASONS = {
@@ -119,25 +117,13 @@ def to_number(x, mode: str) -> Number:
     range, NaN, -inf, a bool) raises ValueError naming the token; a NaN or
     -inf string gives the same reason as the float it spells.
 
-    A string reads as ``Fraction(str)`` reads it. The common ``[+-]p[/q]``
-    tokens of ASCII digits (``_INT_TOKEN``) are parsed by ``int()`` into
-    the same value; every other token (zero denominators, underscores,
-    non-ASCII digits or spaces, decimals, exponents) goes to
-    ``Fraction(str)`` itself, so the accepted set and the error texts are
-    those of ``Fraction``. A Fraction in rational mode, and a finite float
-    in float mode, is returned as it is."""
+    A string reads as ``Fraction(str)`` reads it, so the accepted set and
+    the error texts are those of ``Fraction``. A Fraction in rational mode,
+    and a finite float in float mode, is returned as it is."""
     try:
         value = x
         if isinstance(x, str):
-            token = _INT_TOKEN.fullmatch(x)
-            if token is not None:
-                sign, p, q = token.groups()
-                p = int(p)
-                value = Fraction(-p if sign == "-" else p, int(q) if q else 1)
-            elif x.strip() in _FLOAT_WORDS:
-                value = float(x)
-            else:
-                value = Fraction(x)
+            value = float(x) if x.strip() in _FLOAT_WORDS else Fraction(x)
         if type(value) is Fraction and mode == RATIONAL:
             return value
         if type(value) is float and mode == FLOAT and math.isfinite(value):
@@ -164,6 +150,21 @@ def to_number(x, mode: str) -> Number:
     raise ValueError(f"unknown arithmetic mode {mode!r}")
 
 
+def _token_ratio(token: str) -> tuple:
+    """A rational token as the reduced ints ``(p, q)``, ``q > 0``, of the
+    number ``Fraction(token)`` reads (``+inf`` as ``(INF, 1)``): an
+    ``_INT_TOKEN`` by ``int()`` and ``math.gcd``, any other by
+    :func:`to_number`, which raises ValueError on a bad one."""
+    match = _INT_TOKEN.fullmatch(token)
+    if match is None:
+        v = to_number(token, RATIONAL)
+        return (v, 1) if is_inf(v) else (v.numerator, v.denominator)
+    sign, p, q = match.groups()
+    p, q = int(p), int(q or 1)
+    g = math.gcd(p, q)
+    return (-p if sign == "-" else p) // g, q // g
+
+
 def zero(mode: str) -> Number:
     return Fraction(0) if mode == RATIONAL else 0.0
 
@@ -187,33 +188,28 @@ def require_list(values, name: str):
 
 def read_part(cls, values, mode: str, name: str, *fields, vector: bool = False):
     """``cls(*fields, array)`` of ``values`` read as by :func:`as_matrix` (a
-    ``vector``: :func:`as_vector`). A rational block of str tokens is read in
-    one pass, each distinct token by :func:`to_number` once and its cells
-    sharing the number, and the part holds the block's :func:`scaled` view,
-    one int per distinct token, as its ``scaled_view`` before its checks run.
-    Any other block (``True``, ``1`` and ``1.0`` hash alike), or a bad token,
-    is read cell by cell, so a bad cell raises as there."""
-    rows, memo, array = [values] if vector else values, {}, None
+    ``vector``: :func:`as_vector`). A rational block of str tokens is read
+    with each distinct token once into its reduced ints
+    (:func:`_token_ratio`), its cells sharing them, into the block's scaled
+    view ``(ints, D)`` over the lcm ``D`` of their denominators, and the
+    part is ``cls.from_scaled(*fields, ints, D)``: it holds that view and
+    no ``Fraction``. Any other block (``True``, ``1`` and ``1.0`` hash
+    alike), or one with a bad token, is read cell by cell, so a bad cell
+    raises as there."""
+    rows = [values] if vector else values
     try:
         if mode != RATIONAL or type(rows) is not list or not rows \
                 or any(type(r) is not list for r in rows) or len(set(map(len, rows))) > 1 \
                 or set(map(type, chain(*rows))) - {str}:
             raise TypeError
-        # the flat position of each cell's token's first cell
-        first = np.fromiter(map(memo.setdefault, chain.from_iterable(rows), count()), np.intp)
-        numbers = list(map(to_number, memo, repeat(mode)))
+        ratios = {token: _token_ratio(token) for token in set(chain.from_iterable(rows))}
     except (TypeError, ValueError):
-        array = as_vector(values, mode, name) if vector else as_matrix(values, mode, name)
-    part = object.__new__(cls)
-    if array is None:
-        # each cell's key, the index of its token among the distinct ones
-        keys = np.searchsorted(np.fromiter(memo.values(), np.intp), first)
-        shape = (-1,) if vector else (len(rows), -1)
-        (ints,), D = scaled([numbers])
-        part.__dict__["scaled_view"] = np.fromiter(ints, object)[keys].reshape(shape).tolist(), D
-        array = frozen_array(np.fromiter(numbers, object)[keys].reshape(shape), mode)
-    part.__init__(*fields, array)
-    return part
+        read = as_vector if vector else as_matrix
+        return cls(*fields, read(values, mode, name))
+    D = math.lcm(*(q for _, q in ratios.values()))
+    ints = {token: p if type(p) is float else p * (D // q) for token, (p, q) in ratios.items()}
+    view = [[ints[token] for token in row] for row in rows]
+    return cls.from_scaled(*fields, view[0] if vector else view, D)
 
 
 def as_numbers(values, mode: str, name: str) -> list:
@@ -482,19 +478,20 @@ def hang_subtree(m: int, adj, rows, z, root: int, above: int, parent, pot, wall)
     return nodes
 
 
-def _law_array(d: np.ndarray, view: Optional[tuple] = None) -> np.ndarray:
+def _law_array(d: Optional[np.ndarray], view: Optional[tuple] = None) -> np.ndarray:
     """The entries of a square matrix as one numpy array on which every
-    metric law reads as on the entries: float64, or :func:`_int_array` of its
-    :func:`scaled` ``view`` with ``+inf`` as ``s = 2 max|finite| + 1``, unlike
-    every finite entry and, once all are nonnegative, above every sum of
-    two, while ``s + x >= s``."""
-    if mode_of(d) != RATIONAL:
-        return np.asarray(d, dtype=np.float64)
-    rows, _ = view or scaled(d.tolist())
-    return _int_array([v for row in rows for v in row], 2)[0].reshape(d.shape)
+    metric law reads as on the entries, from its :func:`scaled_array`
+    ``view`` (``d`` may then be None): float64, or :func:`_int_array` of the
+    ints with ``+inf`` as ``s = 2 max|finite| + 1``, unlike every finite
+    entry and, once all are nonnegative, above every sum of two, while
+    ``s + x >= s``."""
+    rows, _ = view or scaled_array(d)
+    if isinstance(rows, np.ndarray):  # float mode: the floats themselves
+        return np.asarray(rows, dtype=np.float64)
+    return _int_array([v for row in rows for v in row], 2)[0].reshape(len(rows), len(rows))
 
 
-def metric_violation(d: np.ndarray, view: Optional[tuple] = None):
+def metric_violation(d: Optional[np.ndarray], view: Optional[tuple] = None):
     """The first failed pseudometric law of a square matrix, or None:
     ``("diagonal", (i,))``, ``("negative", (i, j))``, ``("asymmetry", (i, j))``
     or ``("triangle", (i, l, j))`` when d[i][j] > d[i][l] + d[l][j] + tol.
@@ -516,7 +513,7 @@ def metric_violation(d: np.ndarray, view: Optional[tuple] = None):
         if a[i, i] != 0:
             return "diagonal", (i,)
         return ("negative" if a[i, j] < 0 else "asymmetry"), (i, j)
-    tol = 0 if mode_of(d) == RATIONAL else tolerance(FLOAT, a[np.isfinite(a)].max())
+    tol = 0 if a.dtype != np.float64 else tolerance(FLOAT, a[np.isfinite(a)].max())
     # l = i gives (d (x) d)[i, j] <= d[i, j], so only a shorter two-step path fails
     over = a > min_plus_arrays(a, a) + tol
     first = int(over.argmax())
@@ -526,11 +523,11 @@ def metric_violation(d: np.ndarray, view: Optional[tuple] = None):
     return "triangle", (i, int((a[i, j] > a[i] + a[:, j] + tol).argmax()), j)
 
 
-def require_pseudometric(d: np.ndarray, name: str, view: Optional[tuple] = None):
+def require_pseudometric(d: Optional[np.ndarray], name: str, view: Optional[tuple] = None):
     """Raise MetricViolation naming ``name`` and the first failed law of
     :func:`metric_violation` (``"d_x is not a pseudometric: triangle at
-    (0, 1, 2)"``), read on its scaled ``view`` when given; the one place a
-    metric-law error is worded."""
+    (0, 1, 2)"``), read on its scaled ``view`` when given (and ``d`` not
+    read); the one place a metric-law error is worded."""
     bad = metric_violation(d, view)
     if bad is not None:
         raise MetricViolation(f"{name} is not a pseudometric: {bad[0]} at {bad[1]}")
@@ -541,6 +538,37 @@ def require_pseudometric(d: np.ndarray, name: str, view: Optional[tuple] = None)
 # ---------------------------------------------------------------------------
 
 
+class _Derived(cached_property):
+    """A dataclass field that a part built by its constructor holds as given,
+    and that a part built from its view (:func:`_holding`) derives by
+    ``derive`` on first read. On the class it reads as ``default``, or, with
+    none, raises AttributeError, so that the field has no default."""
+
+    def __init__(self, derive, default=MISSING):
+        super().__init__(derive)
+        self.default = default
+
+    def __get__(self, part, owner=None):
+        if part is not None:
+            return super().__get__(part, owner)
+        if self.default is MISSING:
+            raise AttributeError(self.attrname)
+        return self.default
+
+
+def _holding(cls, **stored):
+    """A ``cls`` built, without its constructor, holding ``stored`` (its
+    ``scaled_view``, ``mode`` and ``shape`` or ``size``) only."""
+    part = object.__new__(cls)
+    part.__dict__.update(stored)
+    return part
+
+
+def _unscaled_rows(rows, D: int) -> np.ndarray:
+    """The frozen rational matrix of scaled ``rows`` over ``D`` (:func:`unscale`)."""
+    return frozen_array([[unscale(v, D, RATIONAL) for v in row] for row in rows], RATIONAL)
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteSpace:
     """A finite ground space: distinct point labels plus an optional metric.
@@ -549,11 +577,11 @@ class FiniteSpace:
     pass :func:`require_pseudometric` as ``metric``: symmetric, nonnegative,
     zero on the diagonal and within the triangle inequality for every
     triple. Zero distance between distinct points is allowed (pseudometric).
-    A rational metric's laws and the envelope read its :attr:`scaled_view`.
+    The metric's laws and the envelope read its :attr:`scaled_view`.
     """
 
     labels: tuple
-    metric: Optional[np.ndarray] = None
+    metric: Optional[np.ndarray] = _Derived(lambda space: _unscaled_rows(*space.scaled_view), None)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
@@ -561,62 +589,85 @@ class FiniteSpace:
             raise DimensionMismatch("labels must name at least one point")
         if len(set(self.labels)) != len(self.labels):
             raise MetricViolation("labels must be distinct")
-        if self.metric is not None:
-            d = self.metric
+        if self.mode is not None:
             k = len(self.labels)
-            if d.shape != (k, k):
-                raise DimensionMismatch(
-                    f"metric shape {d.shape} does not match {k} labels"
-                )
-            require_pseudometric(d, "metric", self.scaled_view if mode_of(d) == RATIONAL else None)
+            held = self.__dict__.get("metric")  # none yet when built from the view
+            shape = held.shape if held is not None else np.shape(self.scaled_view[0])
+            if shape != (k, k):
+                raise DimensionMismatch(f"metric shape {shape} does not match {k} labels")
+            require_pseudometric(None, "metric", self.scaled_view)
+
+    @classmethod
+    def from_scaled(cls, labels, ints: list, D: int) -> "FiniteSpace":
+        """The space whose rational metric is the int rows ``ints / D``
+        (``+inf`` markers kept), held as its :attr:`scaled_view`."""
+        space = _holding(cls, labels=labels, scaled_view=(ints, D), mode=RATIONAL)
+        space.__post_init__()
+        return space
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
     @cached_property
+    def mode(self) -> Optional[str]:
+        """The metric's arithmetic mode; None without a metric."""
+        return None if self.metric is None else mode_of(self.metric)
+
+    @cached_property
     def scaled_view(self) -> tuple:
-        """The rational metric's :func:`scaled` rows ``(ints, D)``, cached or from its read."""
-        return scaled(self.metric.tolist())
+        """The metric as :func:`scaled_array` rows ``(ints, D)`` (float mode:
+        the metric over 1), stored (:meth:`from_scaled`) or from one pass."""
+        return scaled_array(self.metric)
 
 
 @dataclass(frozen=True, eq=False)
 class CostMatrix:
     """Cost entries over X x Y; each entry finite or +inf, never -inf."""
 
-    entries: np.ndarray
+    entries: np.ndarray = _Derived(lambda cost: _unscaled_rows(*cost.scaled_view))
 
     def __post_init__(self):
-        if self.entries.ndim != 2:
+        e = self.entries
+        if e.ndim != 2:
             raise DimensionMismatch("cost must be a 2-d matrix")
-        bad = [v for v in self.entries.ravel().tolist() if isinstance(v, float) and not v > -INF]
-        if bad:  # the first -inf or NaN in row-major order
-            raise InfiniteCostInBoundedMode(f"{'NaN' if bad[0] != bad[0] else '-inf'} cost entry")
+        # the floats of an object array are its only infinite markers
+        flat = e.ravel() if e.dtype == np.float64 else np.array(
+            [v if isinstance(v, float) else 0.0 for v in e.flat], dtype=np.float64)
+        bad = ~(flat > -INF)
+        if bad.any():  # the first -inf or NaN in row-major order
+            v = flat[bad.argmax()]
+            raise InfiniteCostInBoundedMode(f"{'NaN' if v != v else '-inf'} cost entry")
 
-    @property
+    @cached_property
     def shape(self):
         return self.entries.shape
 
     @property
     def is_bounded(self) -> bool:
-        return not any(is_inf(v) for v in self.entries.flat)
+        if self.mode != RATIONAL:
+            return not np.isinf(self.entries).any()
+        return INF not in chain.from_iterable(self.scaled_view[0])
 
     @cached_property
     def scale(self) -> float:
         """The largest finite |c[i][j]| as a float (0.0 when none is
         finite), from one scan on first use."""
-        vals = [abs(v) for v in self.entries.flat if not is_inf(v)]
-        return float(max(vals)) if vals else 0.0
+        if self.mode != RATIONAL:
+            finite = self.entries[np.isfinite(self.entries)]
+            return float(np.abs(finite).max()) if finite.size else 0.0
+        rows, D = self.scaled_view
+        return max((abs(v) for row in rows for v in row if type(v) is not float), default=0) / D
 
-    @property
+    @cached_property
     def mode(self) -> str:
         return mode_of(self.entries)
 
     @cached_property
     def scaled_view(self) -> tuple:
         """The entries as :func:`scaled_array` rows ``(ints, D)`` (float
-        mode: the entries over 1), from one pass on first use (or as
-        :func:`read_part` or :meth:`from_scaled` gave them)."""
+        mode: the entries over 1), stored (:meth:`from_scaled`) or from one
+        pass on first use."""
         return scaled_array(self.entries)
 
     @cached_property
@@ -635,13 +686,9 @@ class CostMatrix:
     @classmethod
     def from_scaled(cls, ints: list, D: int) -> "CostMatrix":
         """The rational cost ``ints / D`` (int rows, ``+inf`` markers kept),
-        built holding ``(ints, D)`` as its :attr:`scaled_view`: any common
-        denominator ``D`` serves the readers of the view, not only the lcm."""
-        cost = cls(frozen_array(
-            [[v if type(v) is float else Fraction(v, D) for v in row] for row in ints], RATIONAL
-        ))
-        cost.__dict__["scaled_view"] = (ints, D)
-        return cost
+        held as its :attr:`scaled_view`: any common denominator ``D`` serves
+        the readers of the view, not only the lcm."""
+        return _holding(cls, scaled_view=(ints, D), mode=RATIONAL, shape=(len(ints), len(ints[0])))
 
     def require_bounded(self, what: str):
         """Raise InfiniteCostInBoundedMode, worded here only, unless :attr:`is_bounded`."""
@@ -656,39 +703,46 @@ class CostMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Marginal:
-    """A probability vector: nonnegative weights summing to one."""
+    """A probability vector: nonnegative weights summing to one, checked on
+    its :attr:`scaled_view`."""
 
-    weights: np.ndarray
+    weights: np.ndarray = _Derived(lambda mu: unscaled(*mu.scaled_view, RATIONAL))
 
     def __post_init__(self):
-        w = self.weights
-        if w.ndim != 1 or w.shape[0] == 0:
+        if ("weights" in self.__dict__ and self.weights.ndim != 1) or not self.size:
             raise DimensionMismatch("marginal must be a nonempty vector")
-        for v in w:
+        ints, D = self.scaled_view
+        for v in ints:
             if is_inf(v):
                 raise NegativeMass("marginal entries must be finite")
             if not v >= 0:  # NaN fails every comparison
-                raise NegativeMass(f"negative mass {v}")
-        if mode_of(w) == RATIONAL:
-            ints, D = self.scaled_view
+                raise NegativeMass(f"negative mass {unscale(v, D, self.mode)}")
+        if self.mode == RATIONAL:
             if sum(ints) != D:
                 raise MassNotOne(f"mass sums to {Fraction(sum(ints), D)}, expected 1")
-        elif abs(sum(w) - 1.0) > tolerance(FLOAT):
-            raise MassNotOne(f"mass sums to {float(sum(w))}, expected 1 +/- {FLOAT_REL}")
+        elif abs(sum(ints) - 1.0) > tolerance(FLOAT):
+            raise MassNotOne(f"mass sums to {float(sum(ints))}, expected 1 +/- {FLOAT_REL}")
 
-    @property
+    @classmethod
+    def from_scaled(cls, ints: list, D: int) -> "Marginal":
+        """The rational marginal ``ints / D``, held as its :attr:`scaled_view`."""
+        mu = _holding(cls, scaled_view=(ints, D), mode=RATIONAL, size=len(ints))
+        mu.__post_init__()
+        return mu
+
+    @cached_property
     def size(self) -> int:
         return self.weights.shape[0]
 
-    @property
+    @cached_property
     def mode(self) -> str:
         return mode_of(self.weights)
 
     @cached_property
     def scaled_view(self) -> tuple:
         """The weights as one :func:`scaled_array` row ``(ints, D)`` (float
-        mode: the weights over 1), from one pass on first use (or as
-        :func:`read_part` gave them)."""
+        mode: the weights over 1), stored (:meth:`from_scaled`) or from one
+        pass on first use."""
         return scaled_array(self.weights)
 
 
@@ -696,52 +750,63 @@ class Marginal:
 class TransportPlan:
     """Nonnegative joint mass matrix; the discrete transport plan.
 
-    One scan of the entries collects ``cells``, the ``((i, j), mass)`` pairs
-    of the nonzero entries in row-major order, and checks them; every reader
-    of plan mass (:func:`plan_cost`, :meth:`support`, the certificate's
-    marginal law and slackness report) reads them, not the m x n entries,
-    and computes on their masses as :attr:`scaled_view` ints."""
+    Its :attr:`scaled_view` holds ``cells``, its nonzero cells in row-major
+    order, and their masses as ints over one denominator; every reader of
+    plan mass (:func:`plan_cost`, :meth:`support`, the certificate's
+    marginal law and slackness report) reads that, not the m x n entries.
+    A plan of :func:`plan_from_cells` holds only the view, from which
+    ``entries`` and :attr:`cells` are derived on first read; a plan built
+    from its entries collects :attr:`cells` in the one scan that checks them."""
 
-    entries: np.ndarray
-    cells: tuple = field(init=False, repr=False)
+    entries: np.ndarray = _Derived(lambda plan: _dense(plan.shape, dict(plan.cells), plan.mode))
 
     def __post_init__(self):
         if self.entries.ndim != 2:
             raise DimensionMismatch("plan must be a 2-d matrix")
-        cells = tuple(((i, j), v) for i, row in enumerate(self.entries.tolist())
-                      for j, v in enumerate(row) if v)  # 0 and -0.0 carry no mass
-        for _, v in cells:
+        object.__setattr__(self, "cells", tuple(
+            ((i, j), v) for i, row in enumerate(self.entries.tolist())
+            for j, v in enumerate(row) if v))  # 0 and -0.0 carry no mass
+        self._check()
+
+    def _check(self):
+        _, masses, D = self.scaled_view
+        for v in masses:
             if is_inf(v):
                 raise NegativeMass("plan entries must be finite")
             if not v > 0:  # NaN fails every comparison
-                raise NegativeMass(f"negative plan mass {v}")
-        object.__setattr__(self, "cells", cells)
+                raise NegativeMass(f"negative plan mass {unscale(v, D, self.mode)}")
 
-    @property
+    @cached_property
+    def cells(self) -> tuple:
+        """The ``((i, j), mass)`` pairs of the nonzero entries, in row-major order."""
+        cells, masses, D = self.scaled_view
+        return tuple(zip(cells, (unscale(x, D, self.mode) for x in masses)))
+
+    @cached_property
     def shape(self):
         return self.entries.shape
 
-    @property
+    @cached_property
     def mode(self) -> str:
         return mode_of(self.entries)
 
     @cached_property
     def scaled_view(self) -> tuple:
-        """The masses of :attr:`cells`, in their order, as ints over one
-        denominator ``(ints, D)`` (float mode: the masses over 1), as
-        :func:`plan_from_cells` gave them or from one :func:`scaled` pass
-        on first use."""
-        masses = [mass for _, mass in self.cells]
+        """``(cells, masses, D)``: the nonzero cells in row-major order and
+        their masses as ints over one denominator ``D`` (float mode: the
+        masses over 1), stored (:func:`plan_from_cells`) or from one
+        :func:`scaled` pass over :attr:`cells` on first use."""
+        cells, masses = tuple(zip(*self.cells)) or ((), ())
         if self.mode != RATIONAL:
-            return masses, 1
+            return cells, masses, 1
         (ints,), D = scaled([masses])
-        return ints, D
+        return cells, ints, D
 
     def support(self):
         """Cells carrying mass above ``tolerance(mode)``."""
-        masses, D = self.scaled_view
+        cells, masses, D = self.scaled_view
         tol = tolerance(self.mode) * D
-        return tuple(cell for (cell, _), x in zip(self.cells, masses) if x > tol)
+        return tuple(cell for cell, x in zip(cells, masses) if x > tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -749,10 +814,12 @@ class DualPotentials:
     """A pair (phi over X, psi over Y) of finite potential vectors.
 
     Its readers compute on :attr:`scaled_view`, the pair as ints over one
-    denominator, after reading it in the cost's mode (:meth:`_read`)."""
+    denominator, after reading it in the cost's mode (:meth:`_read`). A pair
+    of :meth:`from_scaled` holds only that view and derives ``phi`` and
+    ``psi`` from it on first read."""
 
-    phi: np.ndarray
-    psi: np.ndarray
+    phi: np.ndarray = _Derived(lambda pot: unscaled(*pot.scaled_view[::2], pot.mode))
+    psi: np.ndarray = _Derived(lambda pot: unscaled(*pot.scaled_view[1:], pot.mode))
 
     def __post_init__(self):
         if self.phi.ndim != 1 or self.psi.ndim != 1:
@@ -764,23 +831,25 @@ class DualPotentials:
     @classmethod
     def from_scaled(cls, phi: list, psi: list, D: int, mode: str) -> "DualPotentials":
         """The pair ``phi / D, psi / D`` in ``mode`` (float mode: the floats,
-        ``D = 1``), holding the scaled values as its :attr:`scaled_view`."""
-        pot = cls(unscaled(phi, D, mode), unscaled(psi, D, mode))
-        pot.__dict__["scaled_view"] = phi, psi, D
-        return pot
+        ``D = 1``), held as its :attr:`scaled_view`."""
+        return _holding(cls, scaled_view=(phi, psi, D), mode=mode, shape=(len(phi), len(psi)))
+
+    @cached_property
+    def mode(self) -> str:
+        return mode_of(self.phi)
 
     @cached_property
     def scaled_view(self) -> tuple:
         """``(phi, psi, D)``: the pair as ints over one denominator (float
-        mode: the floats over 1), as :meth:`from_scaled` gave them or from
-        one :func:`scaled` pass on first use, of a pair in its mode
+        mode: the floats over 1), stored (:meth:`from_scaled`) or from one
+        :func:`scaled` pass on first use, of a pair in its mode
         (:meth:`_in_mode`)."""
-        if mode_of(self.phi) != RATIONAL:
+        if self.mode != RATIONAL:
             return self.phi, self.psi, 1
         (phi, psi), D = scaled([self.phi.tolist(), self.psi.tolist()])
         return phi, psi, D
 
-    @property
+    @cached_property
     def shape(self):
         return (self.phi.shape[0], self.psi.shape[0])
 
@@ -826,6 +895,8 @@ class DualPotentials:
         """Whether the pair reads as itself in ``mode``: read-only arrays (so
         that a cached :attr:`scaled_view` stays true) of float64, or of
         ``Fraction``s only, the numbers ``to_number`` returns as they are."""
+        if "phi" not in self.__dict__:  # a pair of from_scaled: its arrays are its mode's
+            return mode == self.mode
         arrays = (self.phi, self.psi)
         if any(a.flags.writeable for a in arrays):
             return False
@@ -864,12 +935,11 @@ class Instance:
             raise DimensionMismatch(f"mu has {self.mu.size} entries, X has {m}")
         if self.nu.size != n:
             raise DimensionMismatch(f"nu has {self.nu.size} entries, Y has {n}")
-        arrays = [self.mu.weights, self.nu.weights]
-        arrays += [s.metric for s in (self.space_x, self.space_y) if s.metric is not None]
-        for arr in arrays:
-            if mode_of(arr) != self.mode:
+        for part, name in ((self.mu, "weights"), (self.nu, "weights"),
+                           (self.space_x, "metric"), (self.space_y, "metric")):
+            if part.mode not in (None, self.mode):
                 raise ValueError(
-                    f"array dtype {arr.dtype} does not match mode {self.mode!r}"
+                    f"array dtype {getattr(part, name).dtype} does not match mode {self.mode!r}"
                 )
 
     @property
@@ -969,9 +1039,9 @@ def scaled_plan_cost(plan: TransportPlan, cost: CostMatrix) -> tuple:
     ints of the plan and the cost (float mode: the floats over 1)."""
     if plan.shape != cost.shape:
         raise DimensionMismatch(f"plan {plan.shape} vs cost {cost.shape}")
-    (masses, D), (rows, M) = plan.scaled_view, cost.scaled_view
+    (cells, masses, D), (rows, M) = plan.scaled_view, cost.scaled_view
     total = 0 if plan.mode == RATIONAL else 0.0
-    for ((i, j), _), x in zip(plan.cells, masses):
+    for (i, j), x in zip(cells, masses):
         c = rows[i][j]
         if is_inf(c):
             return INF, 1
@@ -1021,17 +1091,21 @@ def product_plan(mu: Marginal, nu: Marginal) -> TransportPlan:
     )
 
 
+def _dense(shape, masses: dict, mode: str) -> np.ndarray:
+    """The frozen matrix with the ``{(i, j): mass}`` entries and zero elsewhere."""
+    z = zero(mode)
+    return frozen_array([[masses.get((i, j), z) for j in range(shape[1])]
+                         for i in range(shape[0])], mode)
+
+
 def plan_from_cells(shape, masses: dict, mode: str, D: Optional[int] = None) -> TransportPlan:
     """The plan with the ``{(i, j): mass}`` entries and zero elsewhere. With
     ``D``, the masses are ints over ``D`` (float mode: floats, ``D = 1``),
-    which the plan holds as its ``scaled_view``."""
-    m, n = shape
-    z = zero(mode)
-    values = masses if D is None or mode != RATIONAL else {
-        cell: Fraction(x, D) for cell, x in masses.items()}
-    plan = TransportPlan(frozen_array(
-        [[values.get((i, j), z) for j in range(n)] for i in range(m)], mode
-    ))
-    if D is not None:
-        plan.__dict__["scaled_view"] = [masses[cell] for cell, _ in plan.cells], D
+    and the plan holds only its :attr:`~TransportPlan.scaled_view`."""
+    if D is None:
+        return TransportPlan(_dense(shape, masses, mode))
+    cells = tuple(sorted(cell for cell, x in masses.items() if x))
+    plan = _holding(TransportPlan, scaled_view=(cells, [masses[cell] for cell in cells], D),
+                    mode=mode, shape=tuple(shape))
+    plan._check()
     return plan

@@ -20,8 +20,9 @@ which is what makes dual solutions of this canonical shape possible.
 ``core.cost_transforms``; caller potentials are read in the cost's mode
 (``core.as_vector``) before they are checked, so it never sees two modes.
 The transforms and the normalization compute on scaled rows ``(ints, D)``
-(``core.scaled_array``), and ``Fraction``s are built for their results
-only; normalizing a pair reuses the phi^c of its feasibility test.
+(``core.scaled_array``), and ``Fraction``s are built for the public
+arrays of their results only (a normalized pair holds its ints); normalizing
+a pair reuses the phi^c of its feasibility test.
 """
 
 from __future__ import annotations
@@ -148,6 +149,9 @@ def is_c_concave(phi, cost: CostMatrix) -> bool:
     """Whether phi is fixed by the double transform: ||phi^{c cbar} - phi||
     within ``cost_tolerance(cost)``, which is 0 in rational mode. The double
     transform never falls below phi, so this is a one-sided check in exact
-    arithmetic. phi is read in the cost's mode, as by :func:`c_transform`."""
-    phi = as_vector(phi, cost.mode, "phi")
-    return max(abs(cbar_transform(c_transform(phi, cost), cost) - phi)) <= cost_tolerance(cost)
+    arithmetic. phi is read in the cost's mode, as by :func:`c_transform`,
+    and compared on the scaled rows: ``|a / E - b / D| <= tol`` as
+    ``|a D - b E| <= tol D E``."""
+    row, D = _potential(phi, cost, 0, "phi")
+    cc, E = _transform(_transform((row, D), cost, 0), cost, 1)
+    return max(abs(a * D - b * E) for a, b in zip(cc, row)) <= cost_tolerance(cost) * D * E

@@ -10,8 +10,8 @@ phi* is c-concave and psi* is a shift of (phi*)^c.
 In rational mode both steps compute on ints over one denominator: the
 basis walk on the cost's ``scaled_view``, and two transforms, phi^c (which
 the extraction's feasibility test computes and the normalization reuses)
-and its cbar-transform. The pairs hold their ints (``scaled_view``) beside
-the ``Fraction``s of their public ``phi`` and ``psi``.
+and its cbar-transform. The pairs hold only their ints (``scaled_view``);
+their public ``phi`` and ``psi`` are derived on first read.
 """
 
 from __future__ import annotations

@@ -54,7 +54,7 @@ from .core import (
     is_inf,
     min_plus_arrays,
     require_pseudometric,
-    scaled,
+    scaled_array,
     to_number,
     zero,
 )
@@ -89,19 +89,20 @@ class EnvelopeSchedule:
 
 
 def _require_nonnegative(cost: CostMatrix):
-    for v in cost.entries.flat:
-        if not is_inf(v) and v < 0:
-            raise InfeasibleInput("the envelope requires a nonnegative cost")
+    rows, _ = cost.scaled_view
+    if any(v < 0 for row in rows for v in row):  # +inf is not below 0
+        raise InfeasibleInput("the envelope requires a nonnegative cost")
 
 
 def _read_metrics(cost: CostMatrix, d_x, d_y) -> list:
-    """``d_x`` and ``d_y`` as :func:`lipschitz_envelope` reads them: ``(d, scaled view)``."""
+    """``d_x`` and ``d_y`` as :func:`lipschitz_envelope` reads them: ``(d,
+    core.scaled_array(d))``."""
     read = []
     for name, d, k in zip(("d_x", "d_y"), (d_x, d_y), cost.shape):
         d = as_matrix(d, cost.mode, name)
         if d.shape != (k, k):
             raise DimensionMismatch(f"{name} has shape {d.shape}, expected ({k}, {k})")
-        view = scaled(d.tolist()) if cost.mode == RATIONAL else None
+        view = scaled_array(d)
         require_pseudometric(d, name, view)
         read.append((d, view))
     return read
@@ -131,19 +132,17 @@ def _require_level(n: Number):
 
 def _level_costs(cost: CostMatrix, metrics: list, levels: list) -> list:
     """The envelope of a nonnegative cost at each level, on symmetric metrics
-    (:func:`_read_metrics` pairs) and finite nonnegative levels read in its
-    mode, as ``(matrix, entries)`` pairs, ``entries`` one array: in rational
-    mode the ints over the one denominator of all the levels (module
-    docstring), in ``core.int_dtype`` of the level's largest product; else float64."""
+    (:func:`_read_metrics` pairs, of which it reads the scaled views) and
+    finite nonnegative levels read in its mode, as ``(matrix, entries)``
+    pairs, ``entries`` one array: in rational mode the ints over the one
+    denominator of all the levels (module docstring), in ``core.int_dtype``
+    of the level's largest product; else float64."""
     rational = cost.mode == RATIONAL
-    if rational:
-        views = [cost.scaled_view] + [view for _, view in metrics]
-        D = math.lcm(*(d for _, d in views))
-        Q = math.lcm(*(n.denominator for n in levels))
-        parts = [np.array(rows, dtype=object) * (D // d) for rows, d in views]
-    else:
-        D = Q = 1
-        parts = [cost.entries] + [d for d, _ in metrics]
+    views = [cost.scaled_view] + [view for _, view in metrics]
+    D = math.lcm(*(d for _, d in views))  # 1 in float mode
+    Q = math.lcm(*(n.denominator for n in levels)) if rational else 1
+    parts = [np.array(rows, dtype=object if rational else np.float64) * (D // d)
+             for rows, d in views]
     walls = [a == INF for a in parts]
     c, x, y = (np.where(w, 0, a) for w, a in zip(walls, parts))
     if rational:
@@ -174,7 +173,7 @@ def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeS
     are exact in rational mode; in float mode a level allows the larger cost
     tolerance of c and of its envelope matrix (above c only where c is +inf).
     """
-    if instance.space_x.metric is None or instance.space_y.metric is None:
+    if instance.space_x.mode is None or instance.space_y.mode is None:
         raise MissingMetric(
             "the envelope needs metrics on both spaces; refusing to default "
             "to the discrete metric silently"
@@ -194,8 +193,7 @@ def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeS
         # toward +inf and never saturates
         limit_value, basis = INF, None
     limit_tol = cost_tolerance(instance.cost)
-    metrics = [(s.metric, s.scaled_view if instance.mode == RATIONAL else None)
-               for s in (instance.space_x, instance.space_y)]
+    metrics = [(None, s.scaled_view) for s in (instance.space_x, instance.space_y)]
     level_costs = _level_costs(instance.cost, metrics, levels_in)
     levels = []
     saturation = None

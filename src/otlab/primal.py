@@ -25,10 +25,10 @@ denominators, costs times a common denominator M of theirs) and the
 simplex runs on Python ints. Positive scaling keeps the order of the
 reduced costs and every mass comparison, so the pivot sequence, the basis
 and the plan are exactly those of the same simplex on Fractions; the plan
-keeps its masses, ints over L, as its ``scaled_view`` (``Fraction(x, L)``
-only for its entries), and the value is ``Fraction(sum x * c, L * M)`` of
-the scaled ints. Float instances run the same loop on floats with a
-scale-aware tolerance.
+holds only its nonzero cells and their masses, ints over L, as its
+``scaled_view`` (``core.plan_from_cells``), and the value, its one
+``Fraction``, is ``Fraction(sum x * c, L * M)`` of the scaled ints. Float
+instances run the same loop on floats with a scale-aware tolerance.
 
 The basis tree is walked once, from row 0 (``core.hang_subtree``, the walk
 of ``core.tree_potentials``), and then kept: a pivot drops the leaving

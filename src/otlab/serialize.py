@@ -42,16 +42,20 @@ from .errors import OTLabError
 from .primal import OptimalPlanResult
 
 
-def format_scalar(value, mode: str):
-    """Mode-aware JSON scalar: "p/q" strings in rational mode, numbers in
-    float mode, "inf" for the infinity marker."""
+def format_scalar(value, mode: str, D: int = 1):
+    """Mode-aware JSON scalar of ``value / D`` (a scaled value over its
+    denominator ``D``; 1 in float mode): "p/q" strings in lowest terms in
+    rational mode, with no ``Fraction`` built, numbers in float mode, "inf"
+    for the infinity marker."""
     if is_inf(value):
         return "inf"
-    if mode == RATIONAL:
-        if not isinstance(value, (int, Fraction)):
-            value = Fraction(value)
-        return f"{value.numerator}/{value.denominator}"
-    return float(value)
+    if mode != RATIONAL:
+        return float(value)
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    p, q = value.numerator, value.denominator * D
+    g = math.gcd(p, q)
+    return f"{p // g}/{q // g}"
 
 
 def format_vector(values, mode: str):
@@ -67,7 +71,7 @@ def instance_to_dict(instance: Instance) -> dict:
 
     def space_dict(space: FiniteSpace):
         d = {"labels": list(space.labels)}
-        if space.metric is not None:
+        if space.mode is not None:
             d["metric"] = format_matrix(space.metric, mode)
         return d
 
@@ -142,15 +146,20 @@ def result_to_dict(
     pot: Optional[DualPotentials] = None,
     dual_val=None,
 ) -> dict:
+    (m, n), (cells, masses, D) = result.plan.shape, result.plan.scaled_view
+    plan = [[format_scalar(0, mode)] * n for _ in range(m)]
+    for (i, j), x in zip(cells, masses):
+        plan[i][j] = format_scalar(x, mode, D)
     out = {
         "mode": mode,
         "value": format_scalar(result.value, mode),
-        "plan": format_matrix(result.plan.entries, mode),
+        "plan": plan,
         "basis": [list(cell) for cell in result.basis],
     }
     if pot is not None:
-        out["phi"] = format_vector(pot.phi, mode)
-        out["psi"] = format_vector(pot.psi, mode)
+        phi, psi, D = pot.scaled_view
+        out["phi"] = [format_scalar(v, mode, D) for v in phi]
+        out["psi"] = [format_scalar(v, mode, D) for v in psi]
         out["dual_value"] = format_scalar(dual_val, mode)
     return out
 

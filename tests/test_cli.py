@@ -15,7 +15,7 @@ import pytest
 
 import otlab
 from otlab.cli import main
-from otlab.core import scaled
+from otlab.core import CostMatrix, FiniteSpace, scaled
 from otlab.serialize import load_instance
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -243,7 +243,9 @@ def test_a_command_scales_the_cost_once(tmp_path, capsys, scaled_calls, command)
     scaled_calls.clear()
     assert run_cli([*command, path], capsys)[0] == 0
     assert receiving(scaled_calls, cost.entries.flat) == []
-    assert len(scaled_calls) > 1  # the spy saw the other calls
+    # the spy sees a cost that is scaled: one built from its Fraction entries
+    assert CostMatrix(cost.entries).scaled_view == cost.scaled_view
+    assert receiving(scaled_calls, cost.entries.flat) != []
 
 
 def test_envelope_scales_no_metric_again(tmp_path, capsys, scaled_calls):
@@ -258,7 +260,10 @@ def test_envelope_scales_no_metric_again(tmp_path, capsys, scaled_calls):
     assert run_cli(["envelope", "--levels", "1,2,4,8", path], capsys)[0] == 0
     for space in spaces:
         assert receiving(scaled_calls, space.metric.flat) == []
-    assert len(scaled_calls) > 1  # the spy saw the read's calls
+    # the spy sees a metric that is scaled: one built from its Fraction entries
+    for space in spaces:
+        assert FiniteSpace(space.labels, space.metric).scaled_view == space.scaled_view
+        assert receiving(scaled_calls, space.metric.flat) != []
 
 
 #: Fraction arithmetic and comparisons, by special method
@@ -323,6 +328,75 @@ def test_the_dual_and_the_certificate_compute_on_ints(tmp_path, capsys, exact_wo
     assert run_cli([*command, path], capsys)[0] == 0
     assert ops == Counter()
     assert len(calls) == transforms
+
+
+@pytest.mark.parametrize("fixture, size, seed", [("random-uniform", 10, 3),
+                                                 ("discrete-metric-spike", 6, 2)])
+@pytest.mark.parametrize("command, built", [
+    (["solve", "--dual"], {"random-uniform": 2, "discrete-metric-spike": 2}),
+    (["certify"], {"random-uniform": 4, "discrete-metric-spike": 4}),
+    (["envelope", "--levels", "1,2,4,8"], {"random-uniform": 22, "discrete-metric-spike": 18}),
+])
+def test_a_command_builds_fractions_for_its_scalar_results_only(
+        tmp_path, capsys, monkeypatch, fixture, size, seed, command, built):
+    # the parts hold their scaled ints from the load to the output, so the
+    # Fractions a command builds are its public scalars: solve --dual its
+    # value and dual value; certify the plan value, the gap and the two
+    # marginal deviations; envelope its 4 levels, the limit and 4 level
+    # values, and the sums its value-chain laws compare (tol is the int 0)
+    path = str(tmp_path / "inst.json")
+    run_cli(["gen", fixture, "--size", str(size), "--seed", str(seed), "-o", path], capsys)
+    new, count = Fraction.__new__, []
+
+    def counting(cls, *args, **kwargs):
+        count.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert run_cli([*command, path], capsys)[0] == 0
+    monkeypatch.undo()
+    assert len(count) == built[fixture]
+
+
+#: a valid instance of tokens, and one bad field per case with its error text,
+#: the same in both modes: the int reader falls back to the per-cell one
+TOKENS = {"X": {"labels": ["a", "b"], "metric": [["0", "1"], ["1", "0"]]},
+          "Y": {"labels": ["c", "d"], "metric": [["0", "2/1"], ["2", "0"]]},
+          "cost": [["1/2", "inf"], ["3", "0"]], "mu": ["1/3", "2/3"], "nu": ["1/2", "1/2"]}
+BAD_TOKENS = {
+    "bad token": ("cost", [["1/2", "3/x"], ["3", "0"]],
+                  "cost[0][1]: bad number '3/x' (Invalid literal for Fraction: '3/x')"),
+    "zero denominator": ("cost", [["1/2", "inf"], ["3", "1/0"]],
+                         "cost[1][1]: bad number '1/0' (zero denominator)"),
+    "-inf": ("cost", [["-inf", "inf"], ["3", "0"]],
+             "cost[0][0]: bad number '-inf' (negative infinity)"),
+    "NaN": ("nu", ["1/2", "nan"], "nu[1]: bad number 'nan' (not a number)"),
+    "bool": ("mu", [True, "2/3"], "mu[0]: bad number 'True' (not a number)"),
+    "negative mass": ("mu", ["-1/3", "4/3"], {"rational": "negative mass -1/3",
+                                              "float": "negative mass -0.3333333333333333"}),
+    "mass not one": ("nu", ["1/2", "1/3"], {"rational": "mass sums to 5/6, expected 1",
+                                            "float": "mass sums to 0.8333333333333333, "
+                                                     "expected 1 +/- 1e-09"}),
+    "metric law": ("Y", {"labels": ["c", "d"], "metric": [["0", "4/2"], ["3", "0"]]},
+                   "Y.metric is not a pseudometric: asymmetry at (0, 1)"),
+    "ragged rows": ("cost", [["1/2", "inf"], ["0"]], "cost: rows have unequal lengths"),
+    "non-lowest terms": ("mu", ["-2/6", " +8/6 "], {"rational": "negative mass -1/3",
+                                                    "float": "negative mass -0.3333333333333333"}),
+}
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("case", sorted(BAD_TOKENS))
+def test_a_bad_token_gives_the_error_of_the_per_cell_reader(tmp_path, capsys, case, mode):
+    key, value, text = BAD_TOKENS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**TOKENS, key: value, "mode": mode}), encoding="utf-8")
+    code, out, err = run_cli(["solve", str(path)], capsys)
+    text = text[mode] if isinstance(text, dict) else text
+    assert (code, out, err) == (1, "", f"otlab: error: {text}\n")
+    # the valid instance solves in both modes
+    path.write_text(json.dumps({**TOKENS, "mode": mode}), encoding="utf-8")
+    assert run_cli(["solve", str(path)], capsys)[0] == 0
 
 
 # --- transform / envelope -------------------------------------------------------------

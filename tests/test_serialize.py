@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from otlab import (
     OTLabError,
+    TransportPlan,
     build_certificate,
     instance_from_dict,
     instance_to_dict,
@@ -19,7 +20,7 @@ from otlab import (
     solve_dual,
     solve_primal,
 )
-from otlab.core import INF, read_part, require_list, scaled, to_number
+from otlab.core import INF, frozen_array, read_part, require_list, scaled, to_number
 from otlab.errors import BadNumber, DimensionMismatch
 from otlab.serialize import (
     certificate_to_dict,
@@ -28,6 +29,8 @@ from otlab.serialize import (
     load_instance,
     result_to_dict,
 )
+
+from conftest import DENOMINATORS, rational_instances
 
 HALF = [F(1, 2), F(1, 2)]
 
@@ -167,11 +170,29 @@ def reference_read(values, mode, name, vector):
 
 
 class Held:
-    """A part that holds the array read_part hands it and, as the parts do,
-    scales it on first use unless it was handed its scaled_view."""
+    """A part that, as the parts do, holds the array read_part hands it and
+    scales it on first use, or holds the scaled view read_part hands its
+    ``from_scaled`` and derives the array from it on first use."""
 
     def __init__(self, array):
         self.array = array
+
+    @classmethod
+    def from_scaled(cls, ints, D):
+        part = cls.__new__(cls)
+        part.__dict__["scaled_view"] = ints, D
+        return part
+
+    @cached_property
+    def array(self):
+        ints, D = self.scaled_view
+
+        def number(v):
+            return v if type(v) is float else F(v, D)
+
+        rows = [[number(v) for v in row] for row in ints] if all(
+            type(row) is list for row in ints) else [number(v) for v in ints]
+        return frozen_array(rows, "rational")
 
     @cached_property
     def scaled_view(self):
@@ -269,3 +290,85 @@ def test_a_loaded_instance_names_its_first_bad_cell_in_field_order(data, bad):
         reference_read(fields[first], "rational", name, first in ("mu", "nu"))
     with pytest.raises(BadNumber, match=re.escape(str(expected.value))):
         instance_from_dict(payload)
+
+
+# --- the parts hold their scaled ints; the Fraction arrays are derived ------------
+
+
+def respelled(draw, v):
+    """A token of the rational ``v``: ``p/q``, ``kp/kq`` (not in lowest
+    terms), with a sign, surrounding spaces or as an integer when ``q = 1``."""
+    if v == INF:
+        return draw(st.sampled_from(["inf", "+inf", " inf "]))
+    k = draw(st.sampled_from([1, 1, 2, 6, 2**61 - 1]))
+    p, q = v.numerator * k, v.denominator * k
+    sign = draw(st.sampled_from(["", "+"])) if p >= 0 else ""
+    token = f"{sign}{p}" if q == 1 and draw(st.booleans()) else f"{sign}{p}/{q}"
+    return " " * draw(st.integers(0, 1)) + token + " " * draw(st.integers(0, 1))
+
+
+def a_fraction_array(array, values):
+    """``array`` is read-only, of dtype object, holds ``Fraction``s (and
+    ``+inf`` markers) only and equals ``values``, cell for cell."""
+    assert not array.flags.writeable
+    assert array.dtype == object
+    assert {type(v) for v in array.flat} <= {F, float}
+    assert all(type(v) is F or v == INF for v in array.flat)
+    assert array.tolist() == values
+
+
+def spelled(draw, values):
+    """Nested lists of rationals as lists of :func:`respelled` tokens."""
+    return [spelled(draw, v) if isinstance(v, list) else respelled(draw, v) for v in values]
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=rational_instances(), data=st.data())
+def test_a_loaded_part_derives_the_fraction_arrays_of_its_tokens(inst, data):
+    # the drawn instance holds the Fraction arrays that make_instance reads
+    # cell by cell; written as respelled tokens and loaded, every part holds
+    # only its scaled view, and derives the same arrays from it on first read
+    m, n = inst.shape
+    points = [F(data.draw(st.integers(0, 40)), data.draw(st.sampled_from(DENOMINATORS)))
+              for _ in range(m)]
+    values = {
+        "X": [[abs(a - b) for b in points] for a in points],
+        "Y": [[F(0) if i == j else INF for j in range(n)] for i in range(n)],
+        "cost": inst.cost.entries.tolist(),
+        "mu": inst.mu.weights.tolist(),
+        "nu": inst.nu.weights.tolist(),
+    }
+    loaded = instance_from_dict({
+        "X": {"labels": list(inst.space_x.labels), "metric": spelled(data.draw, values["X"])},
+        "Y": {"labels": list(inst.space_y.labels), "metric": spelled(data.draw, values["Y"])},
+        **{key: spelled(data.draw, values[key]) for key in ("cost", "mu", "nu")},
+    })
+    parts = {"X": (loaded.space_x, "metric"), "Y": (loaded.space_y, "metric"),
+             "cost": (loaded.cost, "entries"), "mu": (loaded.mu, "weights"),
+             "nu": (loaded.nu, "weights")}
+    for key, (part, name) in parts.items():
+        assert name not in vars(part)  # the read holds the view only
+        a_fraction_array(getattr(part, name), values[key])
+        vector = key in ("mu", "nu")
+        ints, D = scaled([values[key]] if vector else values[key])
+        assert part.scaled_view == (ints[0] if vector else ints, D)
+    try:  # no finite plan, or an all-+inf line of the cost
+        result = solve_primal(loaded)
+        pot = solve_dual(loaded, result)
+    except OTLabError:
+        return
+    plan, (cells, masses, D) = result.plan, result.plan.scaled_view
+    assert "entries" not in vars(plan) and "phi" not in vars(pot)
+    dense = [[F(0)] * n for _ in range(m)]
+    for (i, j), x in zip(cells, masses):
+        dense[i][j] = F(x, D)
+    a_fraction_array(plan.entries, dense)
+    assert plan.cells == TransportPlan(frozen_array(dense, "rational")).cells
+    assert {type(mass) for _, mass in plan.cells} <= {F}
+    phi, psi, E = pot.scaled_view
+    a_fraction_array(pot.phi, [F(v, E) for v in phi])
+    a_fraction_array(pot.psi, [F(v, E) for v in psi])
+    # the plan and the pair of the instance built from the Fractions themselves
+    again = solve_primal(inst)
+    assert again.plan.entries.tolist() == dense
+    assert solve_dual(inst, again).phi.tolist() == pot.phi.tolist()

@@ -16,18 +16,21 @@ the product contributes zero (the lower-integral convention 0 * inf = 0).
 The data of every part and result is its ``scaled_view``: its numbers as
 ints over one denominator, ``(ints, D)``, ``+inf`` kept, in rational mode,
 and the floats over ``D = 1`` in float mode, so one formula serves both. A
-loaded cost, marginal and metric (:func:`read_part` reads each distinct
-token straight to its ints), an envelope level (:meth:`CostMatrix.from_scaled`),
+loaded rational cost, marginal and metric (:func:`read_part` reads each
+distinct token straight to its ints), an envelope level (:meth:`CostMatrix.from_scaled`),
 a solved plan (:func:`plan_from_cells`: its nonzero cells and their masses)
 and a dual pair (:meth:`DualPotentials.from_scaled`) hold only the view and
 check their laws on it. Their public arrays (``entries``, ``weights``,
 ``metric``, ``phi``, ``psi`` and a plan's ``cells``) are derived from it on
 first read, as read-only ``Fraction`` arrays; a part a caller builds from
-such arrays holds them and derives its view once. The solvers, the
-transforms, the value functionals, the certificate and the output read the
-views, so a command builds ``Fraction``s only for the scalars it reports
-(:func:`unscale`). One guard, :func:`int_dtype`, keeps the ints of every
-numpy array in int64 where every sum fits.
+such arrays holds them and derives its view once. A loaded float block of
+finite floats is one float64 array from one numpy pass (:func:`read_part`),
+and a float instance converted from a rational one is read from its views
+(:func:`convert_instance`). The solvers, the transforms, the value
+functionals, the certificate and the output read the views, so a command
+builds ``Fraction``s only for the scalars it reports (:func:`unscale`).
+One guard, :func:`int_dtype`, keeps the ints of every numpy array in int64
+where every sum fits.
 
 All containers are frozen dataclasses that check their invariants at
 construction, so a built object is valid, immutable and safe to share
@@ -188,28 +191,46 @@ def require_list(values, name: str):
 
 def read_part(cls, values, mode: str, name: str, *fields, vector: bool = False):
     """``cls(*fields, array)`` of ``values`` read as by :func:`as_matrix` (a
-    ``vector``: :func:`as_vector`). A rational block of str tokens is read
-    with each distinct token once into its reduced ints
-    (:func:`_token_ratio`), its cells sharing them, into the block's scaled
-    view ``(ints, D)`` over the lcm ``D`` of their denominators, and the
-    part is ``cls.from_scaled(*fields, ints, D)``: it holds that view and
-    no ``Fraction``. Any other block (``True``, ``1`` and ``1.0`` hash
-    alike), or one with a bad token, is read cell by cell, so a bad cell
+    ``vector``: :func:`as_vector`). Two kinds of non-empty rectangular
+    block (a list of equal-length lists; a ``vector``: a plain list) skip
+    the per-cell read:
+
+    - a float block whose cells are all ``float`` is read by one
+      ``np.array(values, dtype=np.float64)``, kept only if every entry is
+      finite, and frozen: the part is ``cls(*fields, array)``;
+    - a rational block of str tokens is read with each distinct token once
+      into its reduced ints (:func:`_token_ratio`), its cells sharing them,
+      into the block's scaled view ``(ints, D)`` over the lcm ``D`` of their
+      denominators, and the part is ``cls.from_scaled(*fields, ints, D)``:
+      it holds that view and no ``Fraction``.
+
+    Any other block (an int, a bool, a string or a NaN or infinite float
+    among floats; ``True``, ``1`` and ``1.0`` hash alike among tokens), or
+    a rational one with a bad token, is read cell by cell, so a bad cell
     raises as there."""
     rows = [values] if vector else values
-    try:
-        if mode != RATIONAL or type(rows) is not list or not rows \
-                or any(type(r) is not list for r in rows) or len(set(map(len, rows))) > 1 \
-                or set(map(type, chain(*rows))) - {str}:
-            raise TypeError
-        ratios = {token: _token_ratio(token) for token in set(chain.from_iterable(rows))}
-    except (TypeError, ValueError):
-        read = as_vector if vector else as_matrix
-        return cls(*fields, read(values, mode, name))
-    D = math.lcm(*(q for _, q in ratios.values()))
-    ints = {token: p if type(p) is float else p * (D // q) for token, (p, q) in ratios.items()}
-    view = [[ints[token] for token in row] for row in rows]
-    return cls.from_scaled(*fields, view[0] if vector else view, D)
+    kinds = None
+    if type(rows) is list and rows and all(type(r) is list for r in rows) \
+            and len(set(map(len, rows))) == 1:
+        kinds = set(map(type, chain.from_iterable(rows)))
+    if mode == FLOAT and kinds == {float}:
+        arr = np.array(values, dtype=np.float64)
+        if np.isfinite(arr).all():
+            arr.setflags(write=False)
+            return cls(*fields, arr)
+    elif mode == RATIONAL and kinds is not None and kinds <= {str}:
+        try:
+            ratios = {token: _token_ratio(token) for token in set(chain.from_iterable(rows))}
+        except ValueError:
+            pass
+        else:
+            D = math.lcm(*(q for _, q in ratios.values()))
+            ints = {token: p if type(p) is float else p * (D // q)
+                    for token, (p, q) in ratios.items()}
+            view = [[ints[token] for token in row] for row in rows]
+            return cls.from_scaled(*fields, view[0] if vector else view, D)
+    read = as_vector if vector else as_matrix
+    return cls(*fields, read(values, mode, name))
 
 
 def as_numbers(values, mode: str, name: str) -> list:
@@ -226,12 +247,16 @@ def as_numbers(values, mode: str, name: str) -> list:
 
 
 def as_vector(values: Sequence, mode: str, name: str = "values") -> np.ndarray:
-    """A frozen vector in ``mode``; ``name`` labels a bad entry's error."""
+    """A frozen vector in ``mode``, read entry by entry by :func:`to_number`
+    (as :func:`as_matrix`); ``name`` labels a bad entry's error."""
     return frozen_array(as_numbers(values, mode, name), mode)
 
 
 def as_matrix(rows: Sequence[Sequence], mode: str, name: str = "values") -> np.ndarray:
-    """A frozen matrix in ``mode``; ``name`` labels a bad cell's error."""
+    """A frozen matrix in ``mode``, read cell by cell by :func:`to_number`;
+    ``name`` labels a bad cell's error. It defines what a block reads as:
+    :func:`read_part`'s one-pass reads of a float or a rational block give
+    the same numbers, and leave every other block, and every error, to it."""
     require_list(rows, name)
     converted = [as_numbers(row, mode, f"{name}[{i}]") for i, row in enumerate(rows)]
     if len({len(r) for r in converted}) > 1:
@@ -704,7 +729,9 @@ class CostMatrix:
 @dataclass(frozen=True, eq=False)
 class Marginal:
     """A probability vector: nonnegative weights summing to one, checked on
-    its :attr:`scaled_view`."""
+    its :attr:`scaled_view`: a rational one entry by entry, a float one by
+    numpy masks over its float64 array; either way the first entry that is
+    infinite, negative or NaN is the one reported."""
 
     weights: np.ndarray = _Derived(lambda mu: unscaled(*mu.scaled_view, RATIONAL))
 
@@ -712,11 +739,16 @@ class Marginal:
         if ("weights" in self.__dict__ and self.weights.ndim != 1) or not self.size:
             raise DimensionMismatch("marginal must be a nonempty vector")
         ints, D = self.scaled_view
-        for v in ints:
-            if is_inf(v):
+        # NaN fails every comparison, so both tests below catch it
+        if self.mode == RATIONAL:
+            bad = next((v for v in ints if is_inf(v) or not v >= 0), None)
+        else:
+            mask = ~(ints >= 0) | (ints == INF)
+            bad = ints[mask.argmax()] if mask.any() else None
+        if bad is not None:
+            if is_inf(bad):
                 raise NegativeMass("marginal entries must be finite")
-            if not v >= 0:  # NaN fails every comparison
-                raise NegativeMass(f"negative mass {unscale(v, D, self.mode)}")
+            raise NegativeMass(f"negative mass {unscale(bad, D, self.mode)}")
         if self.mode == RATIONAL:
             if sum(ints) != D:
                 raise MassNotOne(f"mass sums to {Fraction(sum(ints), D)}, expected 1")
@@ -995,12 +1027,26 @@ def make_instance(
 
 
 def convert_instance(instance: Instance, mode: str) -> Instance:
-    """The instance in ``mode`` by :func:`to_number`: to float, a Fraction
-    rounds to the nearest float; to rational, a float converts exactly, so
+    """The instance in ``mode``. To float, each number is ``v / D`` of its
+    part's ``scaled_view`` ints, the nearest float, as ``float(Fraction(v,
+    D))`` rounds (``+inf`` kept), and the float blocks are read by
+    :func:`read_part`; a number beyond the float range sends the instance
+    through :func:`to_number`, which reports it as a BadNumber naming its
+    cell. To rational, a float converts exactly by :func:`to_number`, so
     any float but an integral one or ``+inf`` is a BadNumber naming its cell."""
     if mode == instance.mode:
         return instance
     x, y = instance.space_x, instance.space_y
+    if mode == FLOAT:
+        try:
+            cost, mu, nu, metric_x, metric_y = (
+                None if part.mode is None else _float_rows(*part.scaled_view)
+                for part in (instance.cost, instance.mu, instance.nu, x, y))
+        except OverflowError:
+            pass
+        else:
+            return make_instance(cost, mu, nu, FLOAT, metric_x=metric_x, metric_y=metric_y,
+                                 labels_x=x.labels, labels_y=y.labels)
     return make_instance(
         instance.cost.entries,
         instance.mu.weights,
@@ -1011,6 +1057,14 @@ def convert_instance(instance: Instance, mode: str) -> Instance:
         labels_x=x.labels,
         labels_y=y.labels,
     )
+
+
+def _float_rows(values: list, D: int) -> list:
+    """A scaled row, or rows, of ints over ``D`` (``+inf`` kept) as the
+    floats ``v / D``: int true division rounds correctly, and raises
+    OverflowError beyond the float range."""
+    return [_float_rows(v, D) if type(v) is list else v if type(v) is float else v / D
+            for v in values]
 
 
 def scaled_data(instance: Instance):

@@ -12,9 +12,12 @@ Instance schema::
     }
 
 Rational scalars travel as "p/q" strings (integers as "p/1"); float-mode
-scalars as JSON numbers. A JSON number beyond the float range is read like
-the same token written as a string: exact in rational mode, a bad number in
-float mode. Certificates serialize with the layout
+scalars as JSON numbers. A float block of finite JSON numbers (no int, no
+string, no NaN or Infinity literal) is read in one numpy pass; any other
+is read cell by cell, to the same numbers and errors (``core.read_part``).
+A JSON number beyond the float range is read like the same token written
+as a string: exact in rational mode, a bad number in float mode.
+Certificates serialize with the layout
 ``{"gap", "marginals", "slackness", "cyclic", "tolerances", "verdict"}``.
 Key order is fixed so identical inputs produce byte-identical output.
 """

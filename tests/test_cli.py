@@ -336,6 +336,7 @@ def test_the_dual_and_the_certificate_compute_on_ints(tmp_path, capsys, exact_wo
     (["solve", "--dual"], {"random-uniform": 2, "discrete-metric-spike": 2}),
     (["certify"], {"random-uniform": 4, "discrete-metric-spike": 4}),
     (["envelope", "--levels", "1,2,4,8"], {"random-uniform": 22, "discrete-metric-spike": 18}),
+    (["solve", "--dual", "--float"], {"random-uniform": 0, "discrete-metric-spike": 0}),
 ])
 def test_a_command_builds_fractions_for_its_scalar_results_only(
         tmp_path, capsys, monkeypatch, fixture, size, seed, command, built):
@@ -343,7 +344,8 @@ def test_a_command_builds_fractions_for_its_scalar_results_only(
     # Fractions a command builds are its public scalars: solve --dual its
     # value and dual value; certify the plan value, the gap and the two
     # marginal deviations; envelope its 4 levels, the limit and 4 level
-    # values, and the sums its value-chain laws compare (tol is the int 0)
+    # values, and the sums its value-chain laws compare (tol is the int 0);
+    # --float converts from the views, so a float command builds none
     path = str(tmp_path / "inst.json")
     run_cli(["gen", fixture, "--size", str(size), "--seed", str(seed), "-o", path], capsys)
     new, count = Fraction.__new__, []

@@ -820,10 +820,10 @@ def test_a_float_answer_checks_out_exactly_on_the_fixtures():
 
 
 @settings(max_examples=150, deadline=None)
-@given(inst=rational_instances(), exponent=st.integers(-12, 12))
+@given(inst=rational_instances(), exponent=st.integers(-200, 300))
 def test_a_float_answer_checks_out_exactly_at_any_cost_scale(inst, exponent):
     # ties, zero masses, mixed and huge denominators and +inf walls, at cost
-    # scales from 1e-12 to 1e12
+    # scales from 1e-200 to 1e300
     scale = F(10) ** exponent
     cost = [[c if is_inf(c) else c * scale for c in row] for row in inst.cost.entries.tolist()]
     assert_the_float_basis_checks_out(make_instance(cost, inst.mu.weights, inst.nu.weights))

@@ -5,6 +5,7 @@ import re
 from fractions import Fraction as F
 from functools import cached_property
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,8 @@ from otlab import (
     OTLabError,
     TransportPlan,
     build_certificate,
+    convert_instance,
+    generate_fixture,
     instance_from_dict,
     instance_to_dict,
     make_instance,
@@ -20,12 +23,15 @@ from otlab import (
     solve_dual,
     solve_primal,
 )
+from otlab import core
 from otlab.core import INF, frozen_array, read_part, require_list, scaled, to_number
 from otlab.errors import BadNumber, DimensionMismatch
 from otlab.serialize import (
+    _json_float,
     certificate_to_dict,
     dump_json,
     format_scalar,
+    instance_to_dict,
     load_instance,
     result_to_dict,
 )
@@ -290,6 +296,144 @@ def test_a_loaded_instance_names_its_first_bad_cell_in_field_order(data, bad):
         reference_read(fields[first], "rational", name, first in ("mu", "nu"))
     with pytest.raises(BadNumber, match=re.escape(str(expected.value))):
         instance_from_dict(payload)
+
+
+# --- float blocks are read in one numpy pass ---------------------------------------
+
+
+class Fields:
+    """A part that records the fields and the array read_part hands it."""
+
+    def __init__(self, *args):
+        *self.fields, self.array = args
+
+
+class CountedReads:
+    """A context in which every ``core.to_number`` call is counted in ``calls``."""
+
+    def __enter__(self):
+        self.calls, read = [], core.to_number
+        self.patch = pytest.MonkeyPatch()
+        self.patch.setattr(core, "to_number", lambda x, mode: self.calls.append(x) or read(x, mode))
+        return self
+
+    def __exit__(self, *exc):
+        self.patch.undo()
+
+
+# the signed zero, the least subnormal and the largest float among any finite ones
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGES)
+
+
+def outcome(read, values, vector):
+    """The array of a read, or the type and text of its error."""
+    try:
+        return read(values, vector)
+    except OTLabError as exc:
+        return type(exc), str(exc)
+
+
+def per_cell(values, vector):
+    rows = reference_read(values, "float", "cost", vector)
+    return frozen_array(rows if rows or vector else np.empty((0, 0)), "float")
+
+
+def by_read_part(values, vector):
+    part = read_part(Fields, values, "float", "cost", "labels", ("a",), vector=vector)
+    assert part.fields == ["labels", ("a",)]
+    return part.array
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), vector=st.booleans())
+def test_a_float_block_is_one_array_bit_for_bit_equal_to_the_per_cell_read(data, vector):
+    if vector:
+        values = data.draw(st.lists(FINITE, min_size=1, max_size=6))
+    else:
+        n = data.draw(st.integers(1, 5))
+        values = data.draw(st.lists(st.lists(FINITE, min_size=n, max_size=n),
+                                    min_size=1, max_size=5))
+    expected = per_cell(values, vector)
+    with CountedReads() as reads:
+        array = by_read_part(values, vector)
+    assert reads.calls == []
+    assert array.dtype == expected.dtype == np.float64
+    assert array.shape == expected.shape == np.shape(values)
+    assert not array.flags.writeable
+    assert array.tobytes() == expected.tobytes()  # -0.0 and the subnormals too
+
+
+#: JSON cells that send a float block to the per-cell read: not a float, or
+#: not a finite one (1e400 reaches the reader as its token)
+FALLBACK_CELLS = ["1", "true", '"inf"', '"1/2"', "NaN", "Infinity", "-Infinity", "1e400",
+                  "[0.5]", "null"]
+#: JSON blocks that go there by their shape, as (text, vector)
+FALLBACK = [
+    *((f"[[0.25, 0.5], [{cell}, 0.0]]", False) for cell in FALLBACK_CELLS),
+    *((f"[0.25, {cell}]", True) for cell in FALLBACK_CELLS),
+    *((text, False) for text in ["[[0.25, 0.5], [0.75]]", "[[0.25, 0.5], []]", "[[]]", "[]",
+                                 "[0.25, 0.5]", "null", "0.5", '"0.5"']),
+    *((text, True) for text in ["[]", "[[0.25, 0.5]]", "null", "0.5"]),
+]
+
+
+@pytest.mark.parametrize("text, vector", FALLBACK)
+def test_a_float_block_the_array_read_cannot_take_is_read_cell_by_cell(text, vector):
+    values = json.loads(text, parse_float=_json_float)
+    expected = outcome(per_cell, values, vector)
+    with CountedReads() as reads:
+        got = outcome(by_read_part, values, vector)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert len(reads.calls) == expected.size  # each cell read by to_number
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert not got.flags.writeable and got.tobytes() == expected.tobytes()
+
+
+def test_a_float_file_loads_without_a_per_cell_read(tmp_path):
+    path = tmp_path / "float.json"
+    inst = generate_fixture("random-uniform", 14, seed=3, mode="float")
+    path.write_text(dump_json(instance_to_dict(inst)), encoding="utf-8")
+    with CountedReads() as reads:
+        loaded = load_instance(str(path))
+    assert reads.calls == []
+    for part, name in [(loaded.cost, "entries"), (loaded.mu, "weights"), (loaded.nu, "weights"),
+                       (loaded.space_x, "metric"), (loaded.space_y, "metric")]:
+        assert getattr(part, name).dtype == np.float64
+    # a wall is a token, read cell by cell; the finite blocks keep the array read
+    data = instance_to_dict(inst)
+    data["cost"][2][5] = "inf"
+    path.write_text(dump_json(data), encoding="utf-8")
+    with CountedReads() as reads:
+        walled = load_instance(str(path))
+    assert len(reads.calls) == 14 * 14
+    assert walled.cost.entries[2, 5] == INF and not walled.cost.is_bounded
+    expected = inst.cost.entries.copy()
+    expected[2, 5] = INF
+    assert walled.cost.entries.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=rational_instances())
+@example(inst=generate_fixture("discrete-metric-spike", 6, seed=2))
+def test_a_float_conversion_rounds_each_number_as_its_fraction_does(inst):
+    # v / D of the views: the floats of to_number; only a walled cost, not
+    # finite, is read again cell by cell
+    with CountedReads() as reads:
+        floated = convert_instance(inst, "float")
+    assert len(reads.calls) == (0 if inst.cost.is_bounded else inst.cost.entries.size)
+    for rational, converted in [
+            (inst.cost.entries, floated.cost.entries), (inst.mu.weights, floated.mu.weights),
+            (inst.nu.weights, floated.nu.weights), (inst.space_x.metric, floated.space_x.metric),
+            (inst.space_y.metric, floated.space_y.metric)]:
+        if rational is None:
+            assert converted is None
+            continue
+        expected = frozen_array([to_number(v, "float") for v in rational.flat], "float")
+        assert not converted.flags.writeable and converted.shape == rational.shape
+        assert converted.tobytes() == expected.tobytes()
 
 
 # --- the parts hold their scaled ints; the Fraction arrays are derived ------------

@@ -22,17 +22,17 @@ the cost tolerance (0 in rational mode). That is read off the min-plus
 powers P_t of the weight matrix (``core.min_plus_arrays``): a closed walk
 of k arcs runs k//2 arcs out to some cell and the rest back, so each k is
 one look at P_(k//2) + P_(k - k//2)^T, and k_max = 4 takes one product.
-The weights are the cost's ``scaled_view`` ints in rational mode (any
-common denominator scales every weight, G and H alike) and float64 in float
-mode, where a walk of k arcs rounds by about 2k^2 ulps of the cost
-scale, far below tol.
+The weights are one gather of the cost's cached ``int_view`` at the
+support's cells: ints in rational mode (any common denominator scales every
+weight, G and H alike), float64 in float mode, where a walk of k arcs
+rounds by about 2k^2 ulps of the cost scale, far below tol.
 
 ``+inf`` keeps its extended-real meaning. A reordering that costs ``+inf``
 never violates, and a cell of infinite own cost against a finite
 reordering always does. So an arc with infinite c(x_a, y_b) weighs H and
 one out of an infinite own cost (c(x_a, y_b) finite) weighs -G, where G
 tops k_max finite arcs plus tol and H tops k_max arcs of -G and finite
-ones (``core._int_array`` does the same; ``core.int_dtype`` guards the sums).
+ones (``core.int_dtype`` guards the sums).
 
 Tolerances come from the one policy in core and are never passed in: exact
 zeros in rational mode; in float mode ``core.tolerance`` for masses and
@@ -56,7 +56,6 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    INF,
     CostMatrix,
     DualPotentials,
     Instance,
@@ -257,19 +256,18 @@ def check_cyclic_monotonicity(plan: TransportPlan, cost: CostMatrix, k_max: int 
 
 def _arc_weights(support, cost: CostMatrix, k_max: int) -> np.ndarray:
     """The support digraph's weights c(x_a, y_b) - c(x_a, y_a), 0 on the
-    diagonal, with ``+inf`` encoded by G and H (module docstring): the
-    cost's cached ``scaled_view`` ints in ``int_dtype`` of every walk's sum,
-    or float64."""
-    rows = cost.scaled_view[0] if cost.mode == RATIONAL else cost.entries.tolist()
-    big = max((abs(v) for row in rows for v in row if v != INF), default=0)
+    diagonal, with ``+inf`` encoded by G and H (module docstring): a gather
+    of the cost's cached ``int_view`` at the support's rows and columns, in
+    ``int_dtype`` of every walk's sum, or float64."""
+    a, wall, big, _ = cost.int_view
     G = 2 * k_max * big + 1  # tops k_max - 1 finite arcs, of at most 2 big, plus tol
     H = k_max * (G + 2 * big) + 1
-    w = []
-    for a, (i, j) in enumerate(support):
-        row, own = rows[i], rows[i][j]
-        w.append([H if row[b] == INF else -G if own == INF else row[b] - own for _, b in support])
-        w[a][a] = 0
-    return np.array(w, dtype=int_dtype(k_max * H) if cost.mode == RATIONAL else np.float64)
+    cells = np.ix_(*np.array(support).T)  # [a, b] -> (x_a, y_b)
+    c = a[cells].astype(int_dtype(k_max * H) if cost.mode == RATIONAL else np.float64)
+    inf = wall[cells]
+    w = np.where(inf, H, np.where(inf.diagonal()[:, None], -G, c - c.diagonal()[:, None]))
+    np.fill_diagonal(w, 0)
+    return w
 
 
 def _walk(powers, a: int, b: int, t: int) -> list:

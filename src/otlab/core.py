@@ -17,19 +17,22 @@ The data of every part and result is its ``scaled_view``: its numbers as
 ints over one denominator, ``(ints, D)``, ``+inf`` kept, in rational mode,
 and the floats over ``D = 1`` in float mode, so one formula serves both. A
 loaded rational cost, marginal and metric (:func:`read_part` reads each
-distinct token straight to its ints), an envelope level (:meth:`CostMatrix.from_scaled`),
+distinct token straight to its ints), an envelope level (:meth:`CostMatrix.from_array`),
 a solved plan (:func:`plan_from_cells`: its nonzero cells and their masses)
 and a dual pair (:meth:`DualPotentials.from_scaled`) hold only the view and
 check their laws on it. Their public arrays (``entries``, ``weights``,
 ``metric``, ``phi``, ``psi`` and a plan's ``cells``) are derived from it on
 first read, as read-only ``Fraction`` arrays; a part a caller builds from
 such arrays holds them and derives its view once. A loaded float block of
-finite floats is one float64 array from one numpy pass (:func:`read_part`),
-and a float instance converted from a rational one is read from its views
-(:func:`convert_instance`). The solvers, the transforms, the value
+floats (``+inf`` walls too) is one float64 array from one numpy pass
+(:func:`read_part`), and a float instance converted from a rational one is
+read from its views (:func:`convert_instance`). The solvers, the transforms, the value
 functionals, the certificate and the output read the views, so a command
 builds ``Fraction``s only for the scalars it reports (:func:`unscale`).
-One guard, :func:`int_dtype`, keeps the ints of every numpy array in int64
+A matrix's one array form is :func:`array_view` of its view (0 on the
+``+inf`` walls, the wall mask, the largest finite ``|entry|``), cached as a
+cost's and a metric's ``int_view``, which every array reader reads. One
+guard, :func:`int_dtype`, keeps the ints of every numpy array in int64
 where every sum fits.
 
 All containers are frozen dataclasses that check their invariants at
@@ -196,15 +199,15 @@ def read_part(cls, values, mode: str, name: str, *fields, vector: bool = False):
     the per-cell read:
 
     - a float block whose cells are all ``float`` is read by one
-      ``np.array(values, dtype=np.float64)``, kept only if every entry is
-      finite, and frozen: the part is ``cls(*fields, array)``;
+      ``np.array(values, dtype=np.float64)``, kept unless an entry is NaN
+      or ``-inf``, and frozen: the part is ``cls(*fields, array)``;
     - a rational block of str tokens is read with each distinct token once
       into its reduced ints (:func:`_token_ratio`), its cells sharing them,
       into the block's scaled view ``(ints, D)`` over the lcm ``D`` of their
       denominators, and the part is ``cls.from_scaled(*fields, ints, D)``:
       it holds that view and no ``Fraction``.
 
-    Any other block (an int, a bool, a string or a NaN or infinite float
+    Any other block (an int, a bool, a string or a NaN or ``-inf`` float
     among floats; ``True``, ``1`` and ``1.0`` hash alike among tokens), or
     a rational one with a bad token, is read cell by cell, so a bad cell
     raises as there."""
@@ -215,7 +218,7 @@ def read_part(cls, values, mode: str, name: str, *fields, vector: bool = False):
         kinds = set(map(type, chain.from_iterable(rows)))
     if mode == FLOAT and kinds == {float}:
         arr = np.array(values, dtype=np.float64)
-        if np.isfinite(arr).all():
+        if (arr > -INF).all():
             arr.setflags(write=False)
             return cls(*fields, arr)
     elif mode == RATIONAL and kinds is not None and kinds <= {str}:
@@ -324,12 +327,24 @@ def int_dtype(bound: int):
     return np.int64 if bound < 2**62 else object
 
 
-def _int_array(ints: list, k: int):
-    """``(array, s)``: a row of :func:`scaled` in ``int_dtype(s)``, with
-    ``+inf`` as ``s = k max|finite| + 1`` and ``-inf`` as ``-s``."""
-    s = k * max((abs(v) for v in ints if type(v) is not float), default=0) + 1
-    return np.array([(s if v > 0 else -s) if type(v) is float else v for v in ints],
-                    dtype=int_dtype(s)), s
+def array_view(rows, D: int, shape) -> tuple:
+    """The one array form of a matrix's scaled view ``(rows, D)``
+    (:func:`scaled_array`): ``(a, wall, big, D)``, ``a`` the entries with 0 on
+    the ``+inf`` cells in ``int_dtype(big)`` (float mode: float64, ``D = 1``),
+    ``wall`` the ``+inf`` mask and ``big`` the largest finite ``|entry|``."""
+    if isinstance(rows, np.ndarray):  # float mode: the floats themselves
+        wall = rows == INF
+        a = np.where(wall, 0.0, rows)
+        return a, wall, np.abs(a).max(initial=0.0), D
+    try:  # no wall, and every int within int64
+        a, wall = np.array(rows, dtype=np.int64).reshape(shape), np.zeros(shape, dtype=bool)
+        big = max(int(a.max(initial=0)), -int(a.min(initial=0)))
+    except (OverflowError, ValueError):  # a +inf wall, or an int beyond int64
+        view = np.array(rows, dtype=object).reshape(shape)
+        wall = view == INF
+        a = np.where(wall, 0, view)
+        big = max(a.max(initial=0), -a.min(initial=0))  # Python ints
+    return a.astype(int_dtype(big), copy=False), wall, big, D
 
 
 #: Cells of one block of rows of the min-plus sums: memory stays that of the operands.
@@ -503,30 +518,29 @@ def hang_subtree(m: int, adj, rows, z, root: int, above: int, parent, pot, wall)
     return nodes
 
 
-def _law_array(d: Optional[np.ndarray], view: Optional[tuple] = None) -> np.ndarray:
-    """The entries of a square matrix as one numpy array on which every
-    metric law reads as on the entries, from its :func:`scaled_array`
-    ``view`` (``d`` may then be None): float64, or :func:`_int_array` of the
-    ints with ``+inf`` as ``s = 2 max|finite| + 1``, unlike every finite
-    entry and, once all are nonnegative, above every sum of two, while
-    ``s + x >= s``."""
-    rows, _ = view or scaled_array(d)
-    if isinstance(rows, np.ndarray):  # float mode: the floats themselves
-        return np.asarray(rows, dtype=np.float64)
-    return _int_array([v for row in rows for v in row], 2)[0].reshape(len(rows), len(rows))
+def _law_array(view: tuple) -> np.ndarray:
+    """A square matrix's :func:`array_view` with its walls put back, as
+    ``+inf`` in float64 or as ``s = 2 big + 1`` in ``int_dtype(s)``: unlike
+    every finite entry and, once all are nonnegative, above every sum of
+    two, while ``s + x >= s``, so every metric law reads as on the entries."""
+    a, wall, big, _ = view
+    if a.dtype == np.float64:
+        return np.where(wall, INF, a)
+    return np.where(wall, 2 * big + 1, a.astype(int_dtype(2 * big + 1)))
 
 
 def metric_violation(d: Optional[np.ndarray], view: Optional[tuple] = None):
-    """The first failed pseudometric law of a square matrix, or None:
-    ``("diagonal", (i,))``, ``("negative", (i, j))``, ``("asymmetry", (i, j))``
-    or ``("triangle", (i, l, j))`` when d[i][j] > d[i][l] + d[l][j] + tol.
-    The laws are read on :func:`_law_array`: the diagonal, sign and symmetry
-    by numpy masks, then the triangle law as the min-plus square, failing
-    where ``d > d (x) d + tol``; each at its first cell (i, j) in row-major
-    order, a triangle at its first l. The first three laws are exact; the
-    float triangle allows ``tol = tolerance(FLOAT, largest finite d)``, so
-    sums that round below a distance pass (``tol`` is 0 in rational mode)."""
-    a = _law_array(d, view)
+    """The first failed pseudometric law of a square matrix ``d`` (or its
+    :func:`array_view` ``view``), or None: ``("diagonal", (i,))``, ``("negative",
+    (i, j))``, ``("asymmetry", (i, j))`` or ``("triangle", (i, l, j))`` when
+    d[i][j] > d[i][l] + d[l][j] + tol. The laws are read on :func:`_law_array`:
+    the diagonal, sign and symmetry by numpy masks, then the triangle law as
+    the min-plus square, failing where ``d > d (x) d + tol``; each at its
+    first cell (i, j) in row-major order, a triangle at its first l. The
+    first three laws are exact; the float triangle allows ``tol =
+    tolerance(FLOAT, largest finite d)``, so sums that round below a distance
+    pass (``tol`` is 0 in rational mode)."""
+    a = _law_array(view or array_view(*scaled_array(d), d.shape))
     k = a.shape[0]
     if not k:
         return None
@@ -551,8 +565,8 @@ def metric_violation(d: Optional[np.ndarray], view: Optional[tuple] = None):
 def require_pseudometric(d: Optional[np.ndarray], name: str, view: Optional[tuple] = None):
     """Raise MetricViolation naming ``name`` and the first failed law of
     :func:`metric_violation` (``"d_x is not a pseudometric: triangle at
-    (0, 1, 2)"``), read on its scaled ``view`` when given (and ``d`` not
-    read); the one place a metric-law error is worded."""
+    (0, 1, 2)"``), read on its :func:`array_view` ``view`` when given (and
+    ``d`` not read); the one place a metric-law error is worded."""
     bad = metric_violation(d, view)
     if bad is not None:
         raise MetricViolation(f"{name} is not a pseudometric: {bad[0]} at {bad[1]}")
@@ -602,7 +616,7 @@ class FiniteSpace:
     pass :func:`require_pseudometric` as ``metric``: symmetric, nonnegative,
     zero on the diagonal and within the triangle inequality for every
     triple. Zero distance between distinct points is allowed (pseudometric).
-    The metric's laws and the envelope read its :attr:`scaled_view`.
+    The metric's laws and the envelope read its :attr:`int_view`.
     """
 
     labels: tuple
@@ -620,7 +634,7 @@ class FiniteSpace:
             shape = held.shape if held is not None else np.shape(self.scaled_view[0])
             if shape != (k, k):
                 raise DimensionMismatch(f"metric shape {shape} does not match {k} labels")
-            require_pseudometric(None, "metric", self.scaled_view)
+            require_pseudometric(None, "metric", self.int_view)
 
     @classmethod
     def from_scaled(cls, labels, ints: list, D: int) -> "FiniteSpace":
@@ -644,6 +658,11 @@ class FiniteSpace:
         """The metric as :func:`scaled_array` rows ``(ints, D)`` (float mode:
         the metric over 1), stored (:meth:`from_scaled`) or from one pass."""
         return scaled_array(self.metric)
+
+    @cached_property
+    def int_view(self) -> tuple:
+        """The metric's :func:`array_view`, built once."""
+        return array_view(*self.scaled_view, (self.size, self.size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -670,19 +689,13 @@ class CostMatrix:
 
     @property
     def is_bounded(self) -> bool:
-        if self.mode != RATIONAL:
-            return not np.isinf(self.entries).any()
-        return INF not in chain.from_iterable(self.scaled_view[0])
+        return not self.int_view[1].any()
 
     @cached_property
     def scale(self) -> float:
         """The largest finite |c[i][j]| as a float (0.0 when none is
-        finite), from one scan on first use."""
-        if self.mode != RATIONAL:
-            finite = self.entries[np.isfinite(self.entries)]
-            return float(np.abs(finite).max()) if finite.size else 0.0
-        rows, D = self.scaled_view
-        return max((abs(v) for row in rows for v in row if type(v) is not float), default=0) / D
+        finite), read off :attr:`int_view` on first use."""
+        return float(self.int_view[2] / self.int_view[3])
 
     @cached_property
     def mode(self) -> str:
@@ -697,16 +710,8 @@ class CostMatrix:
 
     @cached_property
     def int_view(self) -> tuple:
-        """``(ints, wall, big, D)``: the rational :attr:`scaled_view` as one
-        array in ``int_dtype(big)``, 0 on the ``+inf`` cells, the ``+inf``
-        mask, ``big`` the largest finite ``|int|``, and ``D``; built once, for
-        :func:`cost_transforms`."""
-        rows, D = self.scaled_view
-        view = np.array(rows, dtype=object).reshape(self.shape)
-        wall = view == INF
-        ints = np.where(wall, 0, view)
-        big = max(ints.max(initial=0), -ints.min(initial=0))
-        return ints.astype(int_dtype(big)), wall, big, D
+        """The entries' :func:`array_view`, built once (held by a :meth:`from_array` level)."""
+        return array_view(*self.scaled_view, self.shape)
 
     @classmethod
     def from_scaled(cls, ints: list, D: int) -> "CostMatrix":
@@ -714,6 +719,13 @@ class CostMatrix:
         held as its :attr:`scaled_view`: any common denominator ``D`` serves
         the readers of the view, not only the lcm."""
         return _holding(cls, scaled_view=(ints, D), mode=RATIONAL, shape=(len(ints), len(ints[0])))
+
+    @classmethod
+    def from_array(cls, a: np.ndarray, D: int) -> "CostMatrix":
+        """The finite rational cost ``a / D`` of an int array (an envelope
+        level), holding ``a`` as its :attr:`int_view`: no reader converts it again."""
+        return _holding(cls, scaled_view=(a.tolist(), D), mode=RATIONAL, shape=a.shape,
+                        int_view=(a, np.zeros(a.shape, dtype=bool), int(abs(a).max()), D))
 
     def require_bounded(self, what: str):
         """Raise InfiniteCostInBoundedMode, worded here only, unless :attr:`is_bounded`."""
@@ -723,7 +735,7 @@ class CostMatrix:
     def sup_norm(self) -> Number:
         """max |c[i][j]| over all entries; requires a bounded matrix."""
         self.require_bounded("the sup norm")
-        return max(abs(v) for v in self.entries.flat)
+        return unscale(*self.int_view[2:], self.mode)
 
 
 @dataclass(frozen=True, eq=False)

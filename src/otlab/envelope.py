@@ -17,11 +17,11 @@ The sum metric separates, so the matrix is two min-plus products
     inner = min(c, n) (x) n d_Y,    c_n = n d_X (x) inner.
 
 Rational data run on ints. The cost and the metrics (each part's cached
-``scaled_view``) join over one denominator D, and the levels join it:
-with Q the lcm of the levels' denominators, min(c, n), n d_X and n d_Y are
-ints over DQ, so every level matrix of a schedule is an int matrix over the
-one denominator DQ, built as a cost holding that view for the simplex, and
-the monotone law between two levels is one int comparison. A +inf distance
+``int_view``) join over one denominator D, and the levels join it: with Q
+the lcm of the levels' denominators, min(c, n), n d_X and n d_Y are ints
+over DQ, so every level of a schedule is an int array over DQ, which its
+cost holds as its ``int_view`` for the simplex (``CostMatrix.from_array``),
+and the monotone law between two levels is one int comparison. A +inf distance
 becomes n + 1: every level entry is at most n (the diagonal terms give
 min(c, n)), so no sum through it is a minimum, and at level 0 the matrix is
 0, as 0 * inf = 0 wants. Float data run the same products in float64.
@@ -47,6 +47,7 @@ from .core import (
     Instance,
     Number,
     as_matrix,
+    array_view,
     as_numbers,
     cost_tolerance,
     frozen_array,
@@ -89,20 +90,19 @@ class EnvelopeSchedule:
 
 
 def _require_nonnegative(cost: CostMatrix):
-    rows, _ = cost.scaled_view
-    if any(v < 0 for row in rows for v in row):  # +inf is not below 0
+    if (cost.int_view[0] < 0).any():  # 0 on the +inf walls
         raise InfeasibleInput("the envelope requires a nonnegative cost")
 
 
 def _read_metrics(cost: CostMatrix, d_x, d_y) -> list:
     """``d_x`` and ``d_y`` as :func:`lipschitz_envelope` reads them: ``(d,
-    core.scaled_array(d))``."""
+    view)``, ``view`` the ``core.array_view`` of ``d``."""
     read = []
     for name, d, k in zip(("d_x", "d_y"), (d_x, d_y), cost.shape):
         d = as_matrix(d, cost.mode, name)
         if d.shape != (k, k):
             raise DimensionMismatch(f"{name} has shape {d.shape}, expected ({k}, {k})")
-        view = scaled_array(d)
+        view = array_view(*scaled_array(d), d.shape)
         require_pseudometric(d, name, view)
         read.append((d, view))
     return read
@@ -132,34 +132,31 @@ def _require_level(n: Number):
 
 def _level_costs(cost: CostMatrix, metrics: list, levels: list) -> list:
     """The envelope of a nonnegative cost at each level, on symmetric metrics
-    (:func:`_read_metrics` pairs, of which it reads the scaled views) and
+    (:func:`_read_metrics` pairs, of which it reads the array views) and
     finite nonnegative levels read in its mode, as ``(matrix, entries)``
-    pairs, ``entries`` one array: in rational mode the ints over the one
-    denominator of all the levels (module docstring), in ``core.int_dtype``
-    of the level's largest product; else float64."""
+    pairs, ``entries`` one array: float64, or the ints over the one
+    denominator of all the levels (module docstring) in ``core.int_dtype`` of
+    the level's largest product, which the matrix holds as its ``int_view``."""
     rational = cost.mode == RATIONAL
-    views = [cost.scaled_view] + [view for _, view in metrics]
-    D = math.lcm(*(d for _, d in views))  # 1 in float mode
+    views = [cost.int_view] + [view for _, view in metrics]
+    D = math.lcm(*(d for *_, d in views))  # 1 in float mode
     Q = math.lcm(*(n.denominator for n in levels)) if rational else 1
-    parts = [np.array(rows, dtype=object if rational else np.float64) * (D // d)
-             for rows, d in views]
-    walls = [a == INF for a in parts]
-    c, x, y = (np.where(w, 0, a) for w, a in zip(walls, parts))
-    if rational:
-        c_max, d_max = c.max(), max(x.max(), y.max())
+    # a part over D is its ints times D // d; a part of zeros stays zeros, in any dtype
+    (c, wc, c_max, fc), (x, wx, x_max, fx), (y, wy, y_max, fy) = (
+        (a, wall, big * (D // d), D // d if big else 1) for a, wall, big, d in views)
     out = []
     for n in levels:
         P = n.numerator * (Q // n.denominator) if rational else n  # n Q
         top = P * D  # n over the denominator D Q
-        dtype = int_dtype(max(top + 1, P * d_max, Q * c_max)) if rational else np.float64
+        dtype = int_dtype(max(top + 1, P * max(x_max, y_max), Q * c_max)) if rational \
+            else np.float64
         # inner[k, j] = min_l min(c[k, l], n) + n * d_Y[j, l]
-        trunc = np.where(walls[0], top, np.minimum(c.astype(dtype) * Q, top))
-        nx, ny = (np.where(w, top + 1, a.astype(dtype) * P) for w, a in zip(walls[1:], (x, y)))
+        trunc = np.where(wc, top, np.minimum(c.astype(dtype) * (Q * fc), top))
+        nx, ny = (np.where(w, top + 1, a.astype(dtype) * (P * f))
+                  for a, w, f in ((x, wx, fx), (y, wy, fy)))
         entries = min_plus_arrays(nx, min_plus_arrays(trunc, ny))
-        if rational:
-            out.append((CostMatrix.from_scaled(entries.tolist(), D * Q), entries))
-        else:
-            out.append((CostMatrix(frozen_array(entries, cost.mode)), entries))
+        out.append((CostMatrix.from_array(entries, D * Q) if rational
+                    else CostMatrix(frozen_array(entries, cost.mode)), entries))
     return out
 
 
@@ -193,7 +190,7 @@ def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeS
         # toward +inf and never saturates
         limit_value, basis = INF, None
     limit_tol = cost_tolerance(instance.cost)
-    metrics = [(None, s.scaled_view) for s in (instance.space_x, instance.space_y)]
+    metrics = [(None, s.int_view) for s in (instance.space_x, instance.space_y)]
     level_costs = _level_costs(instance.cost, metrics, levels_in)
     levels = []
     saturation = None

@@ -28,8 +28,8 @@ and the plan are exactly those of the same simplex on Fractions; the plan
 holds only its nonzero cells and their masses, ints over L, as its
 ``scaled_view`` (``core.plan_from_cells``), and the value, its one
 ``Fraction``, is ``Fraction(sum x * c, L * M)`` of the scaled ints. Float
-instances run the same loop on floats with a scale-aware tolerance; their
-priced cost and wall mask are numpy masks of the cost's own float64 array.
+instances run the same loop on floats with a scale-aware tolerance; in both
+modes the priced cost and its walls are the cost's ``int_view``.
 
 The basis tree is walked once, from row 0 (``core.hang_subtree``, the walk
 of ``core.tree_potentials``), and then kept: a pivot drops the leaving
@@ -168,18 +168,10 @@ def solve_primal(instance: Instance, basis=None) -> OptimalPlanResult:
     # a thousandth of the dual check's tolerance, so near-ties still pivot
     eps = 0 if rational else cost_tolerance(instance.cost) / 1000
 
-    if rational:
-        walled = any(c == INF for row in cost for c in row)
-        big = max((abs(c) for row in cost for c in row if c != INF), default=0)
-        dtype = int_dtype((2 * (m + n) + 1) * big)
-        finite = np.array([[z if c == INF else c for c in row] for row in cost], dtype=dtype)
-        if walled:
-            infinite = np.array([[c == INF for c in row] for row in cost], dtype=np.int64)
-    else:  # the cost's own float64 array, whose only infinities are +inf walls
-        dtype, entries = np.float64, instance.cost.entries
-        infinite = np.isinf(entries)
-        walled = bool(infinite.any())
-        finite = np.where(infinite, z, entries)
+    # the cost's array, 0 on its +inf walls, in a dtype that holds every reduced cost
+    finite, infinite, big, _ = instance.cost.int_view
+    dtype = int_dtype((2 * (m + n) + 1) * big) if rational else np.float64
+    finite, walled = finite.astype(dtype, copy=False), bool(infinite.any())
 
     # The first basis is a spanning tree; hang it from row 0 once.
     adj = tree_adjacency(m, n, basis)

@@ -266,6 +266,28 @@ def test_envelope_scales_no_metric_again(tmp_path, capsys, scaled_calls):
         assert receiving(scaled_calls, space.metric.flat) != []
 
 
+@pytest.mark.parametrize("command", [["solve", "--dual"], ["certify"],
+                                     ["envelope", "--levels", "1,2,4,8"]])
+def test_a_command_builds_each_array_view_once(tmp_path, capsys, monkeypatch, command):
+    # the two metrics at load (their laws) and the cost once; an envelope
+    # level holds the array it was computed as, so it builds none
+    path = str(tmp_path / "inst.json")
+    run_cli(["gen", "random-uniform", "--size", "10", "--seed", "3", "-o", path], capsys)
+    inst = load_instance(path)
+    array_view, calls = otlab.core.array_view, []
+
+    def spy(rows, D, shape):
+        calls.append((rows, D))
+        return array_view(rows, D, shape)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "otlab"]:
+        if getattr(module, "array_view", None) is array_view:
+            monkeypatch.setattr(module, "array_view", spy)
+    assert run_cli([*command, path], capsys)[0] == 0
+    views = [inst.space_x.scaled_view, inst.space_y.scaled_view, inst.cost.scaled_view]
+    assert sorted(calls) == sorted(views)
+
+
 #: Fraction arithmetic and comparisons, by special method
 FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                 "__truediv__", "__rtruediv__", "__neg__", "__abs__",

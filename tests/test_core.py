@@ -38,6 +38,7 @@ from otlab.core import (
     FiniteSpace,
     Instance,
     _law_array,
+    array_view,
     as_matrix,
     convert_instance,
     cost_tolerance,
@@ -230,6 +231,11 @@ def test_metric_violation_matches_entrywise_reference(data):
         assert metric_violation(d) == reference_metric_violation(d)
 
 
+def law_array(d):
+    """The metric laws' array of a frozen matrix, read off its array view."""
+    return _law_array(array_view(*scaled_array(d), d.shape))
+
+
 @pytest.mark.parametrize("big, dtype", [(INT64_EDGE, np.int64), (INT64_EDGE + 1, object)])
 def test_metric_law_array_switches_dtype_at_the_int64_guard(big, dtype):
     # +inf stands in as 2 * big + 1: an overflowing sum of two of them would
@@ -237,12 +243,47 @@ def test_metric_law_array_switches_dtype_at_the_int64_guard(big, dtype):
     assert int_dtype(2 * big + 1) == dtype
     rows = [[0, big, "inf"], [big, 0, "inf"], ["inf", "inf", 0]]
     d = as_matrix(rows, "rational")
-    assert _law_array(d).dtype == dtype
+    assert law_array(d).dtype == dtype
     assert metric_violation(d) is None
     bad = as_matrix([[0, big, 1, "inf"], [big, 0, 1, "inf"], [1, 1, 0, "inf"],
                      ["inf", "inf", "inf", 0]], "rational")
-    assert _law_array(bad).dtype == dtype
+    assert law_array(bad).dtype == dtype
     assert metric_violation(bad) == reference_metric_violation(bad) == ("triangle", (0, 2, 1))
+
+
+#: A rational entry for array_view: a wall, a zero, a small signed ratio, or
+#: a signed int beside the int64 guard (largest entries below 2**62 keep
+#: int64) or beside int64's own range
+VIEW_ENTRY = st.one_of(
+    st.just("inf"), st.just(F(0)),
+    st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3])),
+    st.builds(lambda sign, e, d: sign * (2**e + d),
+              st.sampled_from([1, -1]), st.sampled_from([62, 63]), st.integers(-2, 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(["rational", "float"]))
+def test_array_view_reads_the_scaled_view_in_both_modes(data, mode):
+    m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    cells = data.draw(st.lists(st.lists(VIEW_ENTRY, min_size=n, max_size=n),
+                               min_size=m, max_size=m))
+    if mode == "float" and data.draw(st.booleans()):
+        cells[0][0] = -0.0  # a signed zero is kept, not a wall
+    rows, D = scaled_array(as_matrix(cells, mode))
+    a, wall, big, E = array_view(rows, D, (m, n))
+    flat = [v for row in (rows.tolist() if mode == "float" else rows) for v in row]
+    finite = [v for v in flat if v != INF]
+    assert E == D
+    assert wall.dtype == bool and wall.ravel().tolist() == [v == INF for v in flat]
+    assert big == max(map(abs, finite), default=0)
+    assert type(big) is (np.float64 if mode == "float" else int)
+    assert a.dtype == (np.float64 if mode == "float" else int_dtype(big))
+    assert a.shape == wall.shape == (m, n)
+    expected = [0 if v == INF else v for v in flat]
+    if mode == "float":  # bit for bit, -0.0 included
+        assert a.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+    else:
+        assert a.ravel().tolist() == expected
 
 
 def test_metric_violation_finds_a_late_row_across_triangle_blocks():

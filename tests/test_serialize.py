@@ -365,9 +365,8 @@ def test_a_float_block_is_one_array_bit_for_bit_equal_to_the_per_cell_read(data,
 
 
 #: JSON cells that send a float block to the per-cell read: not a float, or
-#: not a finite one (1e400 reaches the reader as its token)
-FALLBACK_CELLS = ["1", "true", '"inf"', '"1/2"', "NaN", "Infinity", "-Infinity", "1e400",
-                  "[0.5]", "null"]
+#: NaN or -inf (1e400 reaches the reader as its token)
+FALLBACK_CELLS = ["1", "true", '"inf"', '"1/2"', "NaN", "-Infinity", "1e400", "[0.5]", "null"]
 #: JSON blocks that go there by their shape, as (text, vector)
 FALLBACK = [
     *((f"[[0.25, 0.5], [{cell}, 0.0]]", False) for cell in FALLBACK_CELLS),
@@ -390,6 +389,19 @@ def test_a_float_block_the_array_read_cannot_take_is_read_cell_by_cell(text, vec
         assert len(reads.calls) == expected.size  # each cell read by to_number
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert not got.flags.writeable and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("text, vector", [("[[0.25, 0.5], [Infinity, 0.0]]", False),
+                                          ("[0.25, Infinity]", True)])
+def test_a_float_block_with_a_wall_keeps_the_array_read(text, vector):
+    # +inf is a float the per-cell read returns as it is: the array holds it
+    values = json.loads(text, parse_float=_json_float)
+    expected = per_cell(values, vector)
+    with CountedReads() as reads:
+        got = by_read_part(values, vector)
+    assert reads.calls == []
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert not got.flags.writeable and got.tobytes() == expected.tobytes()
 
 
 def test_a_float_file_loads_without_a_per_cell_read(tmp_path):
@@ -419,11 +431,11 @@ def test_a_float_file_loads_without_a_per_cell_read(tmp_path):
 @given(inst=rational_instances())
 @example(inst=generate_fixture("discrete-metric-spike", 6, seed=2))
 def test_a_float_conversion_rounds_each_number_as_its_fraction_does(inst):
-    # v / D of the views: the floats of to_number; only a walled cost, not
-    # finite, is read again cell by cell
+    # v / D of the views: the floats of to_number, +inf walls kept; no
+    # block, a walled cost included, is read again cell by cell
     with CountedReads() as reads:
         floated = convert_instance(inst, "float")
-    assert len(reads.calls) == (0 if inst.cost.is_bounded else inst.cost.entries.size)
+    assert len(reads.calls) == 0
     for rational, converted in [
             (inst.cost.entries, floated.cost.entries), (inst.mu.weights, floated.mu.weights),
             (inst.nu.weights, floated.nu.weights), (inst.space_x.metric, floated.space_x.metric),

@@ -73,7 +73,7 @@ from .errors import (
 )
 from .fixtures import generate_fixture
 from .oracle import oracle_dual, oracle_primal
-from .primal import OptimalPlanResult, northwest_corner, solve_primal
+from .primal import OptimalPlanResult, SolveStats, northwest_corner, solve_primal
 from .serialize import instance_from_dict, instance_to_dict, load_instance
 
 __version__ = "0.1.0"

@@ -2,12 +2,15 @@
 
 Subcommands::
 
-    solve [--dual] [--float] <instance.json>
+    solve [--dual] [--stats] [--float] <instance.json>
     certify [--float] <instance.json>
     transform --phi=<v1,v2,...> [--float] <instance.json>
     envelope --levels <n1,n2,...> [--float] <instance.json>
     oracle [--float] <instance.json>
     gen <fixture> [--size N] [--seed S] [--float] [-o FILE]
+
+``solve --stats`` writes the simplex's record (pivots, degenerate pivots,
+warm start) as one JSON line on stderr; stdout is the same without it.
 
 Exit status: 0 on success (and on a passing certificate), 2 when a
 certificate fails, 1 on any input or usage error. Errors print a message on
@@ -18,7 +21,9 @@ the instance and switches every check to tolerance-based comparison.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
+import json
 import sys
 
 from .certify import certify_instance
@@ -75,6 +80,8 @@ def _build_parser() -> _Parser:
     p_solve = add("solve", "solve the primal problem exactly")
     p_solve.add_argument("--dual", action="store_true",
                          help="also produce canonical dual potentials")
+    p_solve.add_argument("--stats", action="store_true",
+                         help="write the simplex's pivot counts as JSON to stderr")
 
     add("certify", "solve and certify every duality identity")
 
@@ -124,6 +131,8 @@ def cmd_solve(args) -> int:
     else:
         payload = result_to_dict(result, instance.mode)
     _emit(dump_json(payload))
+    if args.stats:
+        sys.stderr.write(json.dumps(dataclasses.asdict(result.stats)) + "\n")
     return 0
 
 

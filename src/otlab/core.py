@@ -103,6 +103,9 @@ def is_inf(x) -> bool:
 #: -Infinity and NaN among them); every other string is read by Fraction.
 _FLOAT_WORDS = {"inf", "+inf", "Infinity", "-inf", "-Infinity", "nan", "NaN"}
 
+#: The wall tokens a float block's array read takes as ``+inf`` (:func:`read_part`).
+_WALL_TOKENS = {"inf", "+inf"}
+
 #: The "p/q" and integer tokens that ``Fraction(str)`` reads as
 #: ``Fraction(int(p), int(q))``: ASCII digits, an optional sign, a nonzero
 #: denominator and optional ASCII whitespace around the whole token; the
@@ -198,7 +201,8 @@ def read_part(cls, values, mode: str, name: str, *fields, vector: bool = False):
     block (a list of equal-length lists; a ``vector``: a plain list) skip
     the per-cell read:
 
-    - a float block whose cells are all ``float`` is read by one
+    - a float block whose cells are all ``float`` or the wall tokens
+      ``"inf"`` and ``"+inf"`` (read as ``+inf``) is read by one
       ``np.array(values, dtype=np.float64)``, kept unless an entry is NaN
       or ``-inf``, and frozen: the part is ``cls(*fields, array)``;
     - a rational block of str tokens is read with each distinct token once
@@ -207,8 +211,8 @@ def read_part(cls, values, mode: str, name: str, *fields, vector: bool = False):
       denominators, and the part is ``cls.from_scaled(*fields, ints, D)``:
       it holds that view and no ``Fraction``.
 
-    Any other block (an int, a bool, a string or a NaN or ``-inf`` float
-    among floats; ``True``, ``1`` and ``1.0`` hash alike among tokens), or
+    Any other block (an int, a bool, any other string or a NaN or ``-inf``
+    float among floats; ``True``, ``1`` and ``1.0`` hash alike among tokens), or
     a rational one with a bad token, is read cell by cell, so a bad cell
     raises as there."""
     rows = [values] if vector else values
@@ -216,8 +220,12 @@ def read_part(cls, values, mode: str, name: str, *fields, vector: bool = False):
     if type(rows) is list and rows and all(type(r) is list for r in rows) \
             and len(set(map(len, rows))) == 1:
         kinds = set(map(type, chain.from_iterable(rows)))
+    cells = rows
+    if mode == FLOAT and kinds is not None and str in kinds and kinds <= {float, str}:
+        cells = [[INF if v in _WALL_TOKENS else v for v in row] for row in rows]
+        kinds = set(map(type, chain.from_iterable(cells)))
     if mode == FLOAT and kinds == {float}:
-        arr = np.array(values, dtype=np.float64)
+        arr = np.array(cells[0] if vector else cells, dtype=np.float64)
         if (arr > -INF).all():
             arr.setflags(write=False)
             return cls(*fields, arr)
@@ -489,16 +497,20 @@ def tree_adjacency(m: int, n: int, cells) -> list:
     return adj
 
 
-def hang_subtree(m: int, adj, rows, z, root: int, above: int, parent, pot, wall):
+def hang_subtree(m: int, adj, rows, z, root: int, above: int, parent, pot, wall, depth=None):
     """Hang the tree that ``root`` reaches without passing ``above`` under
     ``above`` (-1 makes ``root`` an anchor at potential ``z``), writing the
-    ``parent``, ``pot`` and, unless None, ``wall`` entries of its nodes in
-    place by the walk of :func:`tree_potentials`, and return the nodes it
-    hung in walk order, each after its parent. A potential depends only on
-    the path to the anchor, so after a basis exchange re-hanging the cut-off
-    subtree under the entering cell gives exactly the values of a fresh
-    walk."""
+    ``parent``, ``pot`` and, unless None, ``wall`` and ``depth`` entries of
+    its nodes in place by the walk of :func:`tree_potentials`, and return
+    the nodes it hung in walk order, each after its parent. A node's depth
+    is the length of its path to the anchor (0 there), kept beside its
+    parent link so that two nodes meet by climbing only to where their paths
+    join. A potential and a depth depend only on the path to the anchor, so
+    after a basis exchange re-hanging the cut-off subtree under the entering
+    cell gives exactly the values of a fresh walk."""
     parent[root] = above
+    if depth is not None:
+        depth[root] = depth[above] + 1 if above >= 0 else 0
     nodes = [root]
     for v in nodes:
         u = parent[v]
@@ -515,6 +527,9 @@ def hang_subtree(m: int, adj, rows, z, root: int, above: int, parent, pot, wall)
             if w != u:
                 parent[w] = v
                 nodes.append(w)
+    if depth is not None:
+        for v in nodes[1:]:
+            depth[v] = depth[parent[v]] + 1
     return nodes
 
 

@@ -35,25 +35,43 @@ The basis tree is walked once, from row 0 (``core.hang_subtree``, the walk
 of ``core.tree_potentials``), and then kept: a pivot drops the leaving
 cell, adds the entering one and re-hangs only the subtree the leaving cell
 cuts off, under the entering cell's endpoint outside it. A potential is the
-alternating cost sum on the path to row 0, so the kept parent links and
-potentials are exactly those of a fresh walk, in float mode bit for bit.
-Each pivot then prices every cell in one numpy pass, ``c - phi - psi`` in
-the order of the scalar formula, and picks the entering cell from that one
-array. The arrays are float64 in float mode; the scaled ints take
+alternating cost sum on the path to row 0 and a depth its length, so the
+kept parent links, depths and potentials are exactly those of a fresh walk,
+in float mode bit for bit. The entering cell's cycle climbs from its row and
+its column, the deeper first, only until the two meet, and the exchange
+tells the cut-off side by depth: both take time in the cycle's length, not
+in the depth of the tree (the depth index of Ahuja, Magnanti and Orlin,
+*Network Flows*, section 11.3).
+
+Each pivot prices one held array, ``priced``: the cost's ``int_view`` with
+every basic cell set to a value H above every reduced cost, so that no
+basic cell enters and no mask is needed. The entering cell takes H and the
+leaving cell its cost back, two writes per pivot. Pricing is three passes
+over the m·n cells: ``priced - phi - psi`` by two subtractions into one
+buffer, in the order of the scalar formula, then one ``argmin`` (under
+Bland's rule one ``argmax`` of ``< -eps``). The arrays are float64 in float
+mode, with H = +inf; the scaled ints take
 ``core.int_dtype((2(m+n)+1)·max|c|)``, a bound on every reduced cost, as a
-potential is an alternating sum of at most m+n-1 costs.
+potential is an alternating sum of at most m+n-1 costs, and H is that bound
+plus 1, which the dtype still holds with every reduced cost of a basic
+cell. A degenerate pivot (theta = 0) moves no mass and skips the mass
+updates. The result's ``stats`` (:class:`SolveStats`) counts the pivots
+and the degenerate ones, kept in locals and published once.
 
 Infinite costs ride along as lexicographic two-part values (inf-mass part,
 finite part); minimizing them first pushes all mass off infinite cells
 whenever a finite-cost plan exists, and raises InfeasibleFiniteCost when it
 does not. This keeps +inf symbolic instead of smuggling in a big numeric
-sentinel. The reported basis is the whole final tree, zero-mass +inf cells
-included, so its lexicographic potentials are those the simplex stopped at.
+sentinel for it (H above marks basic cells only). The reported basis is the
+whole final tree, zero-mass +inf cells included, so its lexicographic
+potentials are those the simplex stopped at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 
 from .core import (
@@ -77,6 +95,17 @@ from .errors import InfeasibleFiniteCost, InfeasibleInput
 _MAX_PIVOTS = 10_000_000  # safety net; the pivot rule cannot cycle (module docstring)
 
 
+@dataclass(frozen=True)
+class SolveStats:
+    """What one simplex solve did: its ``pivots``, the ``degenerate`` ones
+    among them (theta = 0, no mass moved), and whether it was ``warm``
+    (started from a given basis rather than the northwest corner)."""
+
+    pivots: int
+    degenerate: int
+    warm: bool
+
+
 @dataclass(frozen=True, eq=False)
 class OptimalPlanResult:
     """An optimal plan, its exact value, and the supporting basis cells.
@@ -84,12 +113,14 @@ class OptimalPlanResult:
     The basis is always a spanning tree of the bipartite graph: m+n-1
     acyclic cells, sorted, containing every positive-mass cell. Zero-mass
     basic cells are included, +inf ones too (always zero-mass at a finite
-    optimum).
+    optimum). ``stats`` is the :class:`SolveStats` of the simplex solve
+    that found it, None for a result built otherwise.
     """
 
     plan: TransportPlan
     value: object
     basis: tuple
+    stats: Optional[SolveStats] = None
 
 
 def northwest_corner(mu: Marginal, nu: Marginal) -> TransportPlan:
@@ -159,6 +190,7 @@ def solve_primal(instance: Instance, basis=None) -> OptimalPlanResult:
     mu, nu, cost, L, M = scaled_data(instance)
     z = 0 if rational else 0.0
 
+    warm = basis is not None
     if basis is None:
         basis = mass = _northwest_basis(mu, nu)  # its keys are the basis
     else:
@@ -168,56 +200,69 @@ def solve_primal(instance: Instance, basis=None) -> OptimalPlanResult:
     # a thousandth of the dual check's tolerance, so near-ties still pivot
     eps = 0 if rational else cost_tolerance(instance.cost) / 1000
 
-    # the cost's array, 0 on its +inf walls, in a dtype that holds every reduced cost
+    # The cost's array, 0 on its +inf walls, in a dtype that holds every
+    # reduced cost; H is above every one of them (module docstring).
     finite, infinite, big, _ = instance.cost.int_view
-    dtype = int_dtype((2 * (m + n) + 1) * big) if rational else np.float64
-    finite, walled = finite.astype(dtype, copy=False), bool(infinite.any())
+    if rational:
+        bound = (2 * (m + n) + 1) * big
+        dtype, high = int_dtype(bound), bound + 1
+    else:
+        dtype, high = np.float64, INF
+    walled = bool(infinite.any())
 
     # The first basis is a spanning tree; hang it from row 0 once.
     adj = tree_adjacency(m, n, basis)
-    parent, pot = [-1] * (m + n), [z] * (m + n)
+    parent, pot, depth = [-1] * (m + n), [z] * (m + n), [0] * (m + n)
     wall = [0] * (m + n) if walled else None
-    order = hang_subtree(m, adj, cost, z, 0, -1, parent, pot, wall)
+    order = hang_subtree(m, adj, cost, z, 0, -1, parent, pot, wall, depth)
     if mass is None:
         mass = _tree_masses(m, order, parent, mu, nu, z, tolerance(instance.mode))
 
-    nonbasic = np.ones((m, n), dtype=bool)
+    # the priced cost: H on every basic cell, so only nonbasic cells enter
+    priced = finite.astype(dtype)
     for cell in mass:
-        nonbasic[cell] = False
+        priced[cell] = high
+    reduced = np.empty((m, n), dtype=dtype)
 
     bland = walled
-    for _ in range(_MAX_PIVOTS):
+    degenerate = 0
+    for pivots in range(_MAX_PIVOTS):
         # Reduced costs are lexicographic (wall, finite) pairs: the wall
         # part counts +inf cells, and the finite part counts them as z.
         p = np.array(pot, dtype=dtype)
-        reduced = finite - p[:m, None] - p[None, m:]
-        enter = reduced < -eps
-        if walled:
-            w = np.array(wall)
-            r0 = infinite - w[:m, None] - w[None, m:]
-            enter = (r0 < 0) | ((r0 == 0) & enter)
-        enter &= nonbasic
-        # argmin takes the first cell in row-major order on ties
-        if bland:
+        np.subtract(priced, p[:m, None], out=reduced)
+        np.subtract(reduced, p[None, m:], out=reduced)
+        # argmin and argmax take the first cell in row-major order on ties
+        if bland:  # always on a walled instance
+            enter = reduced < -eps
+            if walled:
+                w = np.array(wall)
+                r0 = infinite - w[:m, None] - w[None, m:]
+                enter = (r0 < 0) | ((r0 == 0) & enter)
             k = int(enter.argmax())
+            if not enter.flat[k]:
+                break
         else:
-            k = int(np.where(enter, reduced, z).argmin())
-        if not enter.flat[k]:
-            break
+            k = int(reduced.argmin())
+            if not reduced.flat[k] < -eps:
+                break
         entering = divmod(k, n)
-        cycle = _basis_cycle(m, parent, entering)
+        cycle = _basis_cycle(m, parent, depth, entering)
         # Alternate signs around the cycle, + on the entering cell.
         minus = cycle[1::2]
         theta = min(mass[cell] for cell in minus)
         leaving = min(cell for cell in minus if mass[cell] == theta)
-        for cell in cycle[0::2]:
-            mass[cell] = mass.get(cell, z) + theta
-        for cell in minus:
-            mass[cell] = mass[cell] - theta
+        if theta == 0:  # a degenerate pivot moves no mass
+            degenerate += 1
+            mass[entering] = z
+        else:
+            for cell in cycle[0::2]:
+                mass[cell] = mass.get(cell, z) + theta
+            for cell in minus:
+                mass[cell] = mass[cell] - theta
         del mass[leaving]
-        nonbasic[entering] = False
-        nonbasic[leaving] = True
-        _exchange(m, adj, cost, z, parent, pot, wall, entering, leaving)
+        priced[entering], priced[leaving] = high, finite[leaving]
+        _exchange(m, adj, cost, z, parent, pot, wall, depth, entering, leaving)
         bland = walled or theta == 0
     else:
         raise RuntimeError("network simplex exceeded the pivot safety bound")
@@ -236,31 +281,40 @@ def solve_primal(instance: Instance, basis=None) -> OptimalPlanResult:
             )
         total += x * cost[i][j]
     plan = plan_from_cells((m, n), kept, instance.mode, L)
-    return OptimalPlanResult(plan=plan, value=unscale(total, L * M, instance.mode), basis=basis)
+    return OptimalPlanResult(plan=plan, value=unscale(total, L * M, instance.mode), basis=basis,
+                             stats=SolveStats(pivots, degenerate, warm))
 
 
-def _basis_cycle(m, parent, entering):
+def _basis_cycle(m, parent, depth, entering):
     """The cycle the entering cell closes in the basis tree with these
-    parent links: the entering cell, then the tree path from its row to its
-    column, found where the two walks toward the anchor meet."""
+    parent links and depths: the entering cell, then the tree path from its
+    row to its column, found by climbing from both ends, the deeper first,
+    until they meet."""
     i0, j0 = entering
-    up = [i0]
-    while parent[up[-1]] >= 0:
-        up.append(parent[up[-1]])
-    index = {node: k for k, node in enumerate(up)}
-    down = [m + j0]
-    while down[-1] not in index:
-        down.append(parent[down[-1]])
-    path = up[: index[down[-1]] + 1] + down[-2::-1]
+    up, down = [i0], [m + j0]
+    a, b = i0, m + j0
+    while depth[a] > depth[b]:
+        a = parent[a]
+        up.append(a)
+    while depth[b] > depth[a]:
+        b = parent[b]
+        down.append(b)
+    while a != b:
+        a, b = parent[a], parent[b]
+        up.append(a)
+        down.append(b)
+    path = up + down[-2::-1]
     return [entering] + [
         (a, b - m) if a < m else (b, a - m) for a, b in zip(path, path[1:])
     ]
 
 
-def _exchange(m, adj, rows, z, parent, pot, wall, entering, leaving):
+def _exchange(m, adj, rows, z, parent, pot, wall, depth, entering, leaving):
     """Swap the leaving cell for the entering one in the basis tree and
     re-hang the subtree the leaving cell cuts off from the anchor under the
-    entering cell's endpoint outside it (``core.hang_subtree``)."""
+    entering cell's endpoint outside it (``core.hang_subtree``). The row of
+    the entering cell lies in that subtree when climbing from it to the cut
+    node's depth reaches the cut node."""
     i, j = leaving
     cut = i if parent[i] == m + j else m + j
     adj[i].remove(m + j)
@@ -269,8 +323,7 @@ def _exchange(m, adj, rows, z, parent, pot, wall, entering, leaving):
     adj[i0].append(m + j0)
     adj[m + j0].append(i0)
     v = i0
-    while v >= 0 and v != cut:
+    while depth[v] > depth[cut]:
         v = parent[v]
     inner, outer = (i0, m + j0) if v == cut else (m + j0, i0)
-    hang_subtree(m, adj, rows, z, inner, outer, parent, pot, wall)
-
+    hang_subtree(m, adj, rows, z, inner, outer, parent, pot, wall, depth)

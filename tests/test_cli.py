@@ -127,6 +127,24 @@ def test_oracle_on_an_infinite_cost_is_a_one_line_error(fixture_file, capsys, fl
     assert err == "otlab: error: the oracle requires a bounded cost\n"
 
 
+@pytest.mark.parametrize("flags, pivots", [([], 502), (["--float"], 354)])
+def test_solve_stats_is_one_json_line_on_stderr(tmp_path, capsys, flags, pivots):
+    # random-uniform n=60 seed 1 takes 502 pivots exact and 354 in float mode;
+    # stdout is byte-identical with and without the flag
+    path = tmp_path / "inst.json"
+    run_cli(["gen", "random-uniform", "--size", "60", "--seed", "1", "-o", str(path)], capsys)
+    for command in (["solve"], ["solve", "--dual"]):
+        code, out, err = run_cli([*command, *flags, str(path)], capsys)
+        assert (code, err) == (0, "")
+        code, with_stats, err = run_cli([*command, "--stats", *flags, str(path)], capsys)
+        assert code == 0 and with_stats == out
+        assert err.endswith("\n") and err.count("\n") == 1
+        stats = json.loads(err)
+        assert list(stats) == ["pivots", "degenerate", "warm"]
+        assert stats["pivots"] == pivots and 0 <= stats["degenerate"] < pivots
+        assert stats["warm"] is False
+
+
 def test_solve_missing_file(capsys):
     code, _, err = run_cli(["solve", "missing.json"], capsys)
     assert code == 1

@@ -47,6 +47,7 @@ from otlab import primal
 from otlab.fixtures import FIXTURE_NAMES, SPIKE
 from otlab.primal import (
     OptimalPlanResult,
+    SolveStats,
     _basis_cycle,
     _exchange,
     _northwest_basis,
@@ -258,13 +259,24 @@ def trees_with_an_entering_cell(draw):
     return m, n, tree, draw(st.sampled_from(outside))
 
 
+def path_lengths(parent):
+    """Each node's count of parent links up to the anchor (parent -1)."""
+    def length(v):
+        k = 0
+        while parent[v] >= 0:
+            v, k = parent[v], k + 1
+        return k
+
+    return [length(v) for v in range(len(parent))]
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=trees_with_an_entering_cell())
 def test_parent_link_cycle_matches_tree_search(case):
     m, n, tree, entering = case
     zeros = [[0] * n for _ in range(m)]
     _, parent, _ = tree_potentials(m, n, tree, zeros, 0)
-    cycle = _basis_cycle(m, parent, entering)
+    cycle = _basis_cycle(m, parent, path_lengths(parent), entering)
     reference = _dfs_basis_cycle(m, n, tree, entering)
     assert (set(cycle[0::2]), set(cycle[1::2])) == (
         set(reference[0::2]), set(reference[1::2])
@@ -295,19 +307,21 @@ def trees_with_swaps(draw):
 def test_rehang_matches_a_fresh_walk_after_every_swap(case):
     # the simplex keeps its tree and re-hangs one subtree per pivot; after
     # each exchange, parent links, potentials and wall potentials equal
-    # those of a fresh walk anchored at row 0, floats bit for bit
+    # those of a fresh walk anchored at row 0, floats bit for bit, and each
+    # node's depth is its path length to row 0
     m, n, tree, rows, z, swaps = case
     size = m + n
     basis = set(tree)
     adj = tree_adjacency(m, n, basis)
-    parent, pot = [-1] * size, [z] * size
+    parent, pot, depth = [-1] * size, [z] * size, [None] * size
     walled = any(INF in row for row in rows)
     wall = [0] * size if walled else None
-    hang_subtree(m, adj, rows, z, 0, -1, parent, pot, wall)
+    hang_subtree(m, adj, rows, z, 0, -1, parent, pot, wall, depth)
 
     def assert_fresh():
         fresh_pot, fresh_parent, fresh_wall = tree_potentials(m, n, basis, rows, z)
         assert parent == fresh_parent
+        assert depth == path_lengths(parent)
         assert [type(p) for p in pot] == [type(p) for p in fresh_pot]
         assert pot == fresh_pot
         if walled:
@@ -317,11 +331,11 @@ def test_rehang_matches_a_fresh_walk_after_every_swap(case):
     for a, b in swaps:
         outside = sorted({(i, j) for i in range(m) for j in range(n)} - basis)
         entering = outside[a % len(outside)]
-        cycle = _basis_cycle(m, parent, entering)
+        cycle = _basis_cycle(m, parent, depth, entering)
         leaving = cycle[1 + b % (len(cycle) - 1)]
         basis.add(entering)
         basis.remove(leaving)
-        _exchange(m, adj, rows, z, parent, pot, wall, entering, leaving)
+        _exchange(m, adj, rows, z, parent, pot, wall, depth, entering, leaving)
         assert_fresh()
 
 
@@ -599,7 +613,8 @@ def reference_solve(instance, pivots):
     The most negative reduced cost enters, the first in row-major order on
     ties; right after a degenerate pivot, and on every pivot of an instance
     with +inf cells, Bland's first eligible cell enters instead. Each
-    (entering, leaving) pair is appended to ``pivots``."""
+    (entering, leaving) pair is appended to ``pivots``, and the result's
+    stats count them and the degenerate ones."""
     m, n = instance.shape
     rational = instance.mode == RATIONAL
     mu, nu, cost, L, _ = scaled_data(instance)
@@ -609,6 +624,7 @@ def reference_solve(instance, pivots):
     eps = 0 if rational else cost_tolerance(instance.cost) / 1000
     walled = any(c == INF for row in cost for c in row)
     bland = walled
+    count = degenerate = 0
     while True:
         pot, parent, wall = tree_potentials(m, n, basis, cost, z)
         psi = pot[m:]
@@ -629,11 +645,13 @@ def reference_solve(instance, pivots):
                 break
         if entering is None:
             break
-        cycle = _basis_cycle(m, parent, entering)
+        cycle = _basis_cycle(m, parent, path_lengths(parent), entering)
         minus = cycle[1::2]
         theta = min(mass[cell] for cell in minus)
         leaving = min(cell for cell in minus if mass[cell] == theta)
         pivots.append((entering, leaving))
+        count += 1
+        degenerate += theta == 0
         for cell in cycle[0::2]:
             mass[cell] = mass.get(cell, z) + theta
         for cell in minus:
@@ -654,7 +672,8 @@ def reference_solve(instance, pivots):
         raise InfeasibleFiniteCost(
             "every feasible plan places mass on an infinite-cost cell"
         )
-    return OptimalPlanResult(plan=plan, value=value, basis=tuple(sorted(basis)))
+    return OptimalPlanResult(plan=plan, value=value, basis=tuple(sorted(basis)),
+                             stats=SolveStats(count, degenerate, False))
 
 
 def outcome(solve, inst):
@@ -706,6 +725,18 @@ def test_solve_primal_matches_the_reference_loop_on_fixtures():
                 assert ours == reference
 
 
+def test_the_stats_count_the_pivots_of_the_reference_loop():
+    # pivots and degenerate (theta = 0) pivots as the reference loop counts
+    # them; a warm start from the optimal basis pivots no more
+    for family in FIXTURE_NAMES:
+        for size in (3, 7, 12):
+            inst = generate_fixture(family, size, seed=size)
+            for case in (inst, convert_instance(inst, "float")):
+                res = solve_primal(case)
+                assert res.stats == reference_solve(case, []).stats
+                assert solve_primal(case, basis=res.basis).stats == SolveStats(0, 0, True)
+
+
 # (2(m+n)+1) * max|c| < 2**62 is the int64 pricing bound; at 2 x 2 the
 # factor is 9, so BOUND is the largest scaled cost that prices in int64
 BOUND = (2**62 - 1) // 9
@@ -716,6 +747,8 @@ BOUND = (2**62 - 1) // 9
     ([[-BOUND, 0], [1, BOUND]], "int64"),
     ([[BOUND + 1, 0], [0, BOUND]], "object"),
     ([[0, -BOUND - 1], [3, 1]], "object"),
+    # a +inf wall: the priced basic cells' 9 * BOUND + 1 still fits in int64
+    ([[BOUND, "inf"], [0, BOUND]], "int64"),
     # denominators 2**52 and 2**66 scale the cost 1 to 2**66
     ([[F(1, 2**52), F(3, 2**66)], [F(5, 2**66), 1]], "object"),
 ])
@@ -723,7 +756,7 @@ def test_pricing_dtype_guard_keeps_the_reference_plan(cost, dtype):
     inst = make_instance(cost, [F(1, 3), F(2, 3)], [F(1, 2), F(1, 2)])
     m, n = inst.shape
     scaled = scaled_data(inst)[2]
-    big = max(abs(c) for row in scaled for c in row)
+    big = max(abs(c) for row in scaled for c in row if c != INF)
     assert np.dtype(int_dtype((2 * (m + n) + 1) * big)) == dtype
     ours, reference = pivoted_outcomes(inst)
     assert ours == reference

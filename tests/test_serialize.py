@@ -364,9 +364,10 @@ def test_a_float_block_is_one_array_bit_for_bit_equal_to_the_per_cell_read(data,
     assert array.tobytes() == expected.tobytes()  # -0.0 and the subnormals too
 
 
-#: JSON cells that send a float block to the per-cell read: not a float, or
+#: JSON cells that send a float block to the per-cell read: not a float nor
+#: the exact wall token "inf" or "+inf" ("inf " reads as +inf only there), or
 #: NaN or -inf (1e400 reaches the reader as its token)
-FALLBACK_CELLS = ["1", "true", '"inf"', '"1/2"', "NaN", "-Infinity", "1e400", "[0.5]", "null"]
+FALLBACK_CELLS = ["1", "true", '"inf "', '"1/2"', "NaN", "-Infinity", "1e400", "[0.5]", "null"]
 #: JSON blocks that go there by their shape, as (text, vector)
 FALLBACK = [
     *((f"[[0.25, 0.5], [{cell}, 0.0]]", False) for cell in FALLBACK_CELLS),
@@ -392,9 +393,12 @@ def test_a_float_block_the_array_read_cannot_take_is_read_cell_by_cell(text, vec
 
 
 @pytest.mark.parametrize("text, vector", [("[[0.25, 0.5], [Infinity, 0.0]]", False),
-                                          ("[0.25, Infinity]", True)])
+                                          ("[0.25, Infinity]", True),
+                                          ('[[0.25, 0.5], ["inf", 0.0]]', False),
+                                          ('["+inf", 0.25]', True)])
 def test_a_float_block_with_a_wall_keeps_the_array_read(text, vector):
-    # +inf is a float the per-cell read returns as it is: the array holds it
+    # +inf is a float the per-cell read returns as it is, and the tokens
+    # "inf" and "+inf" read as it: the array holds it
     values = json.loads(text, parse_float=_json_float)
     expected = per_cell(values, vector)
     with CountedReads() as reads:
@@ -414,13 +418,13 @@ def test_a_float_file_loads_without_a_per_cell_read(tmp_path):
     for part, name in [(loaded.cost, "entries"), (loaded.mu, "weights"), (loaded.nu, "weights"),
                        (loaded.space_x, "metric"), (loaded.space_y, "metric")]:
         assert getattr(part, name).dtype == np.float64
-    # a wall is a token, read cell by cell; the finite blocks keep the array read
+    # a wall is the token "inf", read as +inf within the array read
     data = instance_to_dict(inst)
     data["cost"][2][5] = "inf"
     path.write_text(dump_json(data), encoding="utf-8")
     with CountedReads() as reads:
         walled = load_instance(str(path))
-    assert len(reads.calls) == 14 * 14
+    assert reads.calls == []
     assert walled.cost.entries[2, 5] == INF and not walled.cost.is_bounded
     expected = inst.cost.entries.copy()
     expected[2, 5] = INF

@@ -747,10 +747,10 @@ BOUND = (2**62 - 1) // 9
     ([[-BOUND, 0], [1, BOUND]], "int64"),
     ([[BOUND + 1, 0], [0, BOUND]], "object"),
     ([[0, -BOUND - 1], [3, 1]], "object"),
-    # a +inf wall: the priced basic cells' 9 * BOUND + 1 still fits in int64
-    ([[BOUND, "inf"], [0, BOUND]], "int64"),
     # denominators 2**52 and 2**66 scale the cost 1 to 2**66
     ([[F(1, 2**52), F(3, 2**66)], [F(5, 2**66), 1]], "object"),
+    # a +inf wall: the priced basic cells' 9 * BOUND + 1 still fits in int64
+    ([[BOUND, "inf"], [0, BOUND]], "int64"),
 ])
 def test_pricing_dtype_guard_keeps_the_reference_plan(cost, dtype):
     inst = make_instance(cost, [F(1, 3), F(2, 3)], [F(1, 2), F(1, 2)])

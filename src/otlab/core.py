@@ -419,7 +419,8 @@ def tree_potentials(m: int, n: int, cells, rows, z):
     size = m + n
     wall = [0] * size if any(rows[i][j] == INF for i, j in cells) else None
     parent, pot = [-1] * size, [z] * size
-    hang_subtree(m, tree_adjacency(m, n, cells), rows, z, 0, -1, parent, pot, wall)
+    hang_subtree(m, tree_adjacency(m, n, cells), rows, z, 0, -1, parent, pot, wall,
+                 [0] * size)
     return pot, parent, wall
 
 
@@ -497,20 +498,19 @@ def tree_adjacency(m: int, n: int, cells) -> list:
     return adj
 
 
-def hang_subtree(m: int, adj, rows, z, root: int, above: int, parent, pot, wall, depth=None):
+def hang_subtree(m: int, adj, rows, z, root: int, above: int, parent, pot, wall, depth):
     """Hang the tree that ``root`` reaches without passing ``above`` under
     ``above`` (-1 makes ``root`` an anchor at potential ``z``), writing the
-    ``parent``, ``pot`` and, unless None, ``wall`` and ``depth`` entries of
-    its nodes in place by the walk of :func:`tree_potentials`, and return
-    the nodes it hung in walk order, each after its parent. A node's depth
-    is the length of its path to the anchor (0 there), kept beside its
-    parent link so that two nodes meet by climbing only to where their paths
-    join. A potential and a depth depend only on the path to the anchor, so
-    after a basis exchange re-hanging the cut-off subtree under the entering
-    cell gives exactly the values of a fresh walk."""
+    ``parent``, ``pot``, ``depth`` and, unless None, ``wall`` entries of its
+    nodes in place by the walk of :func:`tree_potentials`, and return the
+    nodes it hung in walk order, each after its parent. A node's depth is
+    the length of its path to the anchor (0 there), kept beside its parent
+    link so that two nodes meet by climbing only to where their paths join.
+    A potential and a depth depend only on the path to the anchor, so after
+    a basis exchange re-hanging the cut-off subtree under the entering cell
+    gives exactly the values of a fresh walk."""
     parent[root] = above
-    if depth is not None:
-        depth[root] = depth[above] + 1 if above >= 0 else 0
+    depth[root] = depth[above] + 1 if above >= 0 else 0
     nodes = [root]
     for v in nodes:
         u = parent[v]
@@ -526,10 +526,8 @@ def hang_subtree(m: int, adj, rows, z, root: int, above: int, parent, pot, wall,
         for w in adj[v]:
             if w != u:
                 parent[w] = v
+                depth[w] = depth[v] + 1
                 nodes.append(w)
-    if depth is not None:
-        for v in nodes[1:]:
-            depth[v] = depth[parent[v]] + 1
     return nodes
 
 

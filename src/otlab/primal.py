@@ -219,7 +219,8 @@ def solve_primal(instance: Instance, basis=None) -> OptimalPlanResult:
         mass = _tree_masses(m, order, parent, mu, nu, z, tolerance(instance.mode))
 
     # the priced cost: H on every basic cell, so only nonbasic cells enter
-    priced = finite.astype(dtype)
+    finite = finite.astype(dtype, copy=False)
+    priced = finite.copy()
     for cell in mass:
         priced[cell] = high
     reduced = np.empty((m, n), dtype=dtype)

@@ -463,7 +463,7 @@ def tree_masses_outcome(m, n, tree, mu, nu, mode):
     parent = [-1] * (m + n)
     zeros = [[z] * n for _ in range(m)]
     order = hang_subtree(m, tree_adjacency(m, n, tree), zeros, z, 0, -1, parent,
-                         [z] * (m + n), None)
+                         [z] * (m + n), None, [0] * (m + n))
     assert sorted(order) == list(range(m + n))
     assert all(order.index(parent[v]) < k for k, v in enumerate(order) if k)
     tol = tolerance(mode)
@@ -751,6 +751,9 @@ BOUND = (2**62 - 1) // 9
     ([[F(1, 2**52), F(3, 2**66)], [F(5, 2**66), 1]], "object"),
     # a +inf wall: the priced basic cells' 9 * BOUND + 1 still fits in int64
     ([[BOUND, "inf"], [0, BOUND]], "int64"),
+    # the first pivot hands a cell back to ``priced``, which must stay
+    # Python ints: 4 * (2**62 - 1) is outside int64
+    ([[2**62 - 1, 1 - 2**62], [1 - 2**62, 2**62 - 1]], "object"),
 ])
 def test_pricing_dtype_guard_keeps_the_reference_plan(cost, dtype):
     inst = make_instance(cost, [F(1, 3), F(2, 3)], [F(1, 2), F(1, 2)])
@@ -830,7 +833,7 @@ def assert_the_float_basis_checks_out(inst):
     mu, nu, cost, L, M = scaled_data(inst)
     parent = [-1] * (m + n)
     order = hang_subtree(m, tree_adjacency(m, n, float_basis), cost, 0, 0, -1,
-                         parent, [0] * (m + n), None)
+                         parent, [0] * (m + n), None, [0] * (m + n))
     try:
         start = primal._tree_masses(m, order, parent, mu, nu, 0, 0)
     except InfeasibleInput:

@@ -10,7 +10,7 @@ made of degenerate pivots only, so every pivot on it would be Bland's,
 which never cycles (Bland 1977): the solver terminates and is fully
 deterministic.
 
-The first basis is the northwest corner, or a spanning tree the caller
+The first basis is the least-cost start, or a spanning tree the caller
 gives (``solve_primal(instance, basis=...)``), such as the optimal basis of
 another cost on the same marginals: the masses of a tree depend on the
 marginals only, so that tree's plan is feasible here too. Its masses come
@@ -18,6 +18,14 @@ from the walk that hangs it from row 0: visited in reverse, each node sends
 its remaining balance across the cell to its parent, exact on the scaled
 ints; a tree whose masses are negative beyond ``tolerance(mode)`` is
 refused, naming the cell.
+
+The least-cost (matrix-minimum) start walks the cells by cost, the +inf
+walls last and ties in row-major order: one stable ``np.lexsort`` of the
+cost's ``int_view``, exact on its ints. A cell whose row and column are
+both open takes the least of their rests and closes one of the two, so
+the start is m+n-1 cells forming a spanning tree, its masses exact ints in
+rational mode (Bazaraa, Jarvis and Sherali, *Linear Programming and Network
+Flows*, ch. 10). The northwest corner is the same walk in row-major order.
 
 Rational data are scaled to integers once (``core.scaled_data`` over the
 parts' cached ``scaled_view``: masses times the LCM L of the marginal
@@ -70,6 +78,7 @@ potentials are those the simplex stopped at.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -77,6 +86,7 @@ import numpy as np
 from .core import (
     INF,
     RATIONAL,
+    CostMatrix,
     Instance,
     Marginal,
     TransportPlan,
@@ -99,7 +109,7 @@ _MAX_PIVOTS = 10_000_000  # safety net; the pivot rule cannot cycle (module docs
 class SolveStats:
     """What one simplex solve did: its ``pivots``, the ``degenerate`` ones
     among them (theta = 0, no mass moved), and whether it was ``warm``
-    (started from a given basis rather than the northwest corner)."""
+    (started from a given basis rather than the least-cost start)."""
 
     pivots: int
     degenerate: int
@@ -131,27 +141,48 @@ def northwest_corner(mu: Marginal, nu: Marginal) -> TransportPlan:
 
 
 def _northwest_basis(mu, nu) -> dict:
-    """Northwest-corner basis as {cell: mass}, in the order cells are placed."""
+    """Northwest-corner basis: :func:`_greedy_basis` over the cells in row-major order."""
+    return _greedy_basis(mu, nu, product(range(len(mu)), range(len(nu))))
+
+
+def _least_cost_basis(mu, nu, cost: CostMatrix) -> dict:
+    """Least-cost basis: :func:`_greedy_basis` over the cells by cost, the
+    ``+inf`` walls last and ties in row-major order (one stable
+    ``np.lexsort`` of the cost's ``int_view``: exact on its ints)."""
+    finite, infinite = cost.int_view[:2]
+    rows, cols = np.divmod(np.lexsort((finite.ravel(), infinite.ravel())), len(nu))
+    return _greedy_basis(mu, nu, zip(rows.tolist(), cols.tolist()))
+
+
+def _greedy_basis(mu, nu, order) -> dict:
+    """The basis a greedy walk over the cells in ``order`` places, as
+    {cell: mass} in the order cells are placed. A cell whose row and column
+    are both open takes the least of their rests and closes one of them,
+    so the basis is a spanning tree with m+n-1 cells: its row when the row's
+    rest is 0 and another row is open, or when no other column is open;
+    else its column, so ties park a zero-mass basic cell. What float
+    round-off leaves in a line it closes is dropped, so the walk always
+    ends on the cell of the last open row and column."""
     m, n = len(mu), len(nu)
-    rem_mu = list(mu)
-    rem_nu = list(nu)
+    rest_mu, rest_nu = list(mu), list(nu)
+    open_mu, open_nu = [True] * m, [True] * n
+    rows, cols = m, n  # how many rows and columns are open
     mass = {}
-    i = j = 0
-    while True:
-        x = min(rem_mu[i], rem_nu[j])
+    for i, j in order:
+        if not (open_mu[i] and open_nu[j]):
+            continue
+        x = min(rest_mu[i], rest_nu[j])
         mass[(i, j)] = x
-        rem_mu[i] -= x
-        rem_nu[j] -= x
-        if i == m - 1 and j == n - 1:
+        if rows == 1 and cols == 1:
             return mass
-        # Advance exactly one axis per step so the basis stays a tree with
-        # m+n-1 cells; ties park a zero-mass basic cell on the next step.
-        # The last column and the last row absorb what float round-off
-        # leaves over, so the walk never leaves the matrix.
-        if i < m - 1 and (rem_mu[i] == 0 or j == n - 1):
-            i += 1
+        rest_mu[i] -= x
+        rest_nu[j] -= x
+        if rows > 1 and (rest_mu[i] == 0 or cols == 1):
+            open_mu[i] = False
+            rows -= 1
         else:
-            j += 1
+            open_nu[j] = False
+            cols -= 1
 
 
 def _tree_masses(m: int, order, parent, mu, nu, z, neg_tol) -> dict:
@@ -180,10 +211,11 @@ def _tree_masses(m: int, order, parent, mu, nu, z, neg_tol) -> dict:
 def solve_primal(instance: Instance, basis=None) -> OptimalPlanResult:
     """Exact minimum-cost transport plan of an instance, by the network
     simplex (the most negative reduced cost enters; Bland's rule after a
-    degenerate pivot, see the module docstring) from the northwest corner
-    or, when given, from the spanning tree ``basis`` (cells (i, j); a wrong
-    count, a cell off the grid or a cycle raises InfeasibleInput, as does a
-    tree whose masses are negative)."""
+    degenerate pivot, see the module docstring) from the least-cost start
+    (cells by cost, +inf walls last, ties in row-major order) or, when
+    given, from the spanning tree ``basis`` (cells (i, j); a wrong count, a
+    cell off the grid or a cycle raises InfeasibleInput, as does a tree
+    whose masses are negative)."""
     m, n = instance.shape
     rational = instance.mode == RATIONAL
     # ints in rational mode: masses times L, costs times M (module docstring)
@@ -192,7 +224,7 @@ def solve_primal(instance: Instance, basis=None) -> OptimalPlanResult:
 
     warm = basis is not None
     if basis is None:
-        basis = mass = _northwest_basis(mu, nu)  # its keys are the basis
+        basis = mass = _least_cost_basis(mu, nu, instance.cost)  # its keys are the basis
     else:
         require_spanning_tree(m, n, basis)
         mass = None

@@ -127,9 +127,10 @@ def test_oracle_on_an_infinite_cost_is_a_one_line_error(fixture_file, capsys, fl
     assert err == "otlab: error: the oracle requires a bounded cost\n"
 
 
-@pytest.mark.parametrize("flags, pivots", [([], 502), (["--float"], 354)])
+@pytest.mark.parametrize("flags, pivots", [([], 109), (["--float"], 104)])
 def test_solve_stats_is_one_json_line_on_stderr(tmp_path, capsys, flags, pivots):
-    # random-uniform n=60 seed 1 takes 502 pivots exact and 354 in float mode;
+    # random-uniform n=60 seed 1 takes 109 pivots exact and 104 in float mode
+    # from the least-cost start (502 and 354 from the northwest corner);
     # stdout is byte-identical with and without the flag
     path = tmp_path / "inst.json"
     run_cli(["gen", "random-uniform", "--size", "60", "--seed", "1", "-o", str(path)], capsys)
@@ -213,12 +214,34 @@ def test_float_certify_decides_a_size_45_support_in_polynomial_time(tmp_path, ca
     "command, key, value", [("solve", "mode", "float"), ("certify", "verdict", "pass")]
 )
 def test_float_northwest_round_off_is_not_a_crash(tmp_path, capsys, command, key, value):
-    # float marginals whose rounded row sums outlast the last column
+    # float marginals whose rounded row sums outlast the last column of the
+    # northwest corner (the least-cost start of this cost closes no row
+    # with a rest; the next test walks the northwest order)
+    assert_float_round_off_is_not_a_crash(
+        tmp_path, capsys, command, key, value, lambda i, j: (i * j) % 5)
+
+
+@pytest.mark.parametrize(
+    "command, key, value", [("solve", "mode", "float"), ("certify", "verdict", "pass")]
+)
+def test_float_round_off_of_a_northwest_order_start_is_not_a_crash(
+        tmp_path, capsys, command, key, value):
+    # a cost that grows in row-major order, so the least-cost start walks the
+    # cells in the northwest order, and its last column gets a row whose
+    # rounded rest outlasts it
+    assert_float_round_off_is_not_a_crash(
+        tmp_path, capsys, command, key, value, lambda i, j: 3 * i + j)
+
+
+def assert_float_round_off_is_not_a_crash(tmp_path, capsys, command, key, value, cost):
+    """Run ``command --float`` on a 7 x 3 instance with ``cost(i, j)`` and float
+    marginals whose rounded row sums outlast the columns: it exits 0, says
+    nothing on stderr, and its output has ``value`` at ``key``."""
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({
         "X": {"labels": [f"x{i}" for i in range(7)]},
         "Y": {"labels": ["y0", "y1", "y2"]},
-        "cost": [[str((i * j) % 5) for j in range(3)] for i in range(7)],
+        "cost": [[str(cost(i, j)) for j in range(3)] for i in range(7)],
         "mu": ["7/25", "4/25", "1/25", "7/25", "5/25", "1/25", "0"],
         "nu": ["7/14", "4/14", "3/14"],
         "mode": "rational",

@@ -17,15 +17,20 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from otlab import convert_instance, solve_primal
 from otlab.cli import main
+from otlab.core import is_inf
 from otlab.fixtures import FIXTURE_NAMES
+from otlab.serialize import instance_from_dict
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
+# Row 1 reaches column 0 only, and row 0 every other column: the plan is
+# three cells, and the fourth basic cell is a wall.
 WALLED = {
     "X": {"labels": ["x0", "x1"]},
     "Y": {"labels": ["y0", "y1", "y2"]},
-    "cost": [["19/4", "13/3", "15/4"], ["7/3", "inf", "inf"]],
+    "cost": [["inf", "13/3", "15/4"], ["7/3", "inf", "inf"]],
     "mu": ["1/2", "1/2"],
     "nu": ["1/2", "5/16", "3/16"],
 }
@@ -66,6 +71,14 @@ def compute_digests(workdir):
             key = " ".join([name, "walled-2x3", *flags])
             digests[key] = _digest(commands(2)[name] + flags + [str(path)])
     return digests
+
+
+def test_the_walled_basis_holds_a_zero_mass_wall():
+    inst = instance_from_dict(WALLED)
+    for case in (inst, convert_instance(inst, "float")):
+        res = solve_primal(case)
+        walls = [cell for cell in res.basis if is_inf(case.cost.entries[cell])]
+        assert walls and all(res.plan.entries[cell] == 0 for cell in walls)
 
 
 def test_cli_output_matches_the_golden_digests(tmp_path):

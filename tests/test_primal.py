@@ -38,6 +38,7 @@ from otlab.core import (
     int_dtype,
     is_inf,
     plan_from_cells,
+    require_spanning_tree,
     scaled_data,
     tolerance,
     tree_adjacency,
@@ -50,6 +51,7 @@ from otlab.primal import (
     SolveStats,
     _basis_cycle,
     _exchange,
+    _least_cost_basis,
     _northwest_basis,
     _tree_masses,
 )
@@ -104,6 +106,61 @@ def test_northwest_float_round_off_stays_in_the_matrix():
         mode="float",
     )
     assert check_marginals(solve_primal(inst).plan, inst.mu, inst.nu).passed
+
+
+# --- least-cost start ------------------------------------------------------------
+
+
+def naive_least_cost_basis(mu, nu, cost):
+    """The least-cost start by its definition: again and again the cheapest
+    cell whose row and column are both open (+inf walls last, the first in
+    row-major order on ties) takes the least of their rests and closes a
+    line by the rule of the walk (``primal._greedy_basis``)."""
+    rest_mu, rest_nu = list(mu), list(nu)
+    rows, cols = set(range(len(mu))), set(range(len(nu)))
+    mass = {}
+    while True:
+        i, j = min(((i, j) for i in rows for j in cols),
+                   key=lambda c: (cost[c[0]][c[1]] == INF, cost[c[0]][c[1]], c))
+        x = min(rest_mu[i], rest_nu[j])
+        mass[(i, j)] = x
+        if len(rows) == len(cols) == 1:
+            return mass
+        rest_mu[i] -= x
+        rest_nu[j] -= x
+        if len(rows) > 1 and (rest_mu[i] == 0 or len(cols) == 1):
+            rows.remove(i)
+        else:
+            cols.remove(j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=rational_instances(anywhere=True))
+def test_the_least_cost_start_is_a_feasible_spanning_tree(inst):
+    # walls anywhere, ties, zero masses and huge denominators, in both modes
+    m, n = inst.shape
+    for case in (inst, convert_instance(inst, "float")):
+        mu, nu, cost = scaled_data(case)[:3]
+        start = _least_cost_basis(mu, nu, case.cost)
+        assert list(start.items()) == list(naive_least_cost_basis(mu, nu, cost).items())
+        require_spanning_tree(m, n, start)
+        assert all(x >= 0 for x in start.values())
+        if case.mode == RATIONAL:
+            assert [sum(x for (i, _), x in start.items() if i == r) for r in range(m)] == mu
+            assert [sum(x for (_, j), x in start.items() if j == c) for c in range(n)] == nu
+        # the same optimum as the simplex from the northwest tree
+        northwest = tuple(_northwest_basis(mu, nu))
+        try:
+            cold = solve_primal(case).value
+        except InfeasibleFiniteCost:
+            with pytest.raises(InfeasibleFiniteCost):
+                solve_primal(case, basis=northwest)
+            continue
+        warm = solve_primal(case, basis=northwest).value
+        if case.mode == RATIONAL:
+            assert warm == cold
+        else:
+            assert abs(warm - cold) <= cost_tolerance(case.cost)
 
 
 # --- solve_primal -------------------------------------------------------------
@@ -505,19 +562,22 @@ def test_float_mode_matches_rational(rng):
 
 
 def test_float_pricing_pivots_on_a_near_tie():
-    # the northwest basis prices the off-diagonal cell at -1e-10 * ||c||,
-    # far below the dual feasibility tolerance; float pricing still takes it
+    # the start (the diagonal and a zero-mass (1, 0)) prices the
+    # off-diagonal cell at -1e-10 * ||c||, far below the dual feasibility
+    # tolerance; float pricing still takes it
     inst = make_instance([[1, 1], [1, 1 + F(1, 10**10)]], HALF, HALF)
     approx = solve_primal(convert_instance(inst, "float"))
     assert solve_primal(inst).plan.entries.tolist() == [[0, F(1, 2)], [F(1, 2), 0]]
     assert approx.plan.entries.tolist() == [[0.0, 0.5], [0.5, 0.0]]
     assert approx.value == 1.0
+    assert approx.stats.pivots == 1
 
 
 def test_float_round_off_crumb_on_a_wall_is_not_charged():
     # as floats, mu sums to 1 with x1's 4e-19 rounded away, so the northwest
-    # corner leaves a 1e-19 crumb on the +inf cell (0, 4); it is round-off
-    # of the marginals, not mass on a wall
+    # corner left a 1e-19 crumb on the +inf cell (0, 4); it is round-off
+    # of the marginals, not mass on a wall (the least-cost start puts that
+    # crumb on the finite cell (1, 4); the next test puts one on a wall)
     big = 2**61 - 1
     inst = make_instance(
         [[0, 0, 0, 0, "inf"], ["inf", "inf", "inf", 0, 0]],
@@ -527,6 +587,25 @@ def test_float_round_off_crumb_on_a_wall_is_not_charged():
     approx = convert_instance(inst, "float")
     assert solve_primal(inst).value == 0
     assert solve_primal(approx).value == 0.0
+    assert certify_instance(approx).verdict
+
+
+def test_float_round_off_crumb_of_the_start_on_a_wall_is_not_charged():
+    # as floats, row 0 outlasts columns 0 and 1 and column 2 outlasts rows 1
+    # and 2, each by round-off, so the least-cost start closes with a crumb
+    # on the +inf cell (0, 2), and no pivot can move it
+    inst = make_instance(
+        [[0, 0, "inf"], ["inf", "inf", 0], ["inf", "inf", 0]],
+        [F(23, 132), F(1, 6), F(29, 44)],
+        [F(1, 12), F(1, 11), F(109, 132)],
+    )
+    approx = convert_instance(inst, "float")
+    mu, nu = scaled_data(approx)[:2]
+    assert 0 < _least_cost_basis(mu, nu, approx.cost)[(0, 2)] <= tolerance(FLOAT)
+    assert solve_primal(inst).value == 0
+    res = solve_primal(approx)
+    assert (res.value, res.stats.pivots, res.plan.entries[0, 2]) == (0.0, 0, 0.0)
+    assert (0, 2) in res.basis
     assert certify_instance(approx).verdict
 
 
@@ -606,20 +685,22 @@ def certify_outcome(inst, optimum):
 # --- reference loop -------------------------------------------------------------
 
 
-def reference_solve(instance, pivots):
+def reference_solve(instance, pivots, start=None):
     """The simplex of solve_primal with a full tree walk
     (``core.tree_potentials``) and a scalar scan of every cell per pivot:
     the reference for the kept tree and the numpy pricing of solve_primal.
-    The most negative reduced cost enters, the first in row-major order on
-    ties; right after a degenerate pivot, and on every pivot of an instance
-    with +inf cells, Bland's first eligible cell enters instead. Each
-    (entering, leaving) pair is appended to ``pivots``, and the result's
-    stats count them and the degenerate ones."""
+    It starts from the least-cost start of solve_primal, or from ``start``,
+    a basis as {cell: scaled mass}. The most negative reduced cost enters,
+    the first in row-major order on ties; right after a degenerate pivot,
+    and on every pivot of an instance with +inf cells, Bland's first
+    eligible cell enters instead. Each (entering, leaving) pair is appended
+    to ``pivots``, and the result's stats count them and the degenerate
+    ones."""
     m, n = instance.shape
     rational = instance.mode == RATIONAL
     mu, nu, cost, L, _ = scaled_data(instance)
     z = 0 if rational else 0.0
-    mass = _northwest_basis(mu, nu)
+    mass = dict(start) if start else _least_cost_basis(mu, nu, instance.cost)
     basis = set(mass)
     eps = 0 if rational else cost_tolerance(instance.cost) / 1000
     walled = any(c == INF for row in cost for c in row)
@@ -696,13 +777,15 @@ def recorded_pivots():
         yield pivots
 
 
-def pivoted_outcomes(inst):
+def pivoted_outcomes(inst, start=None):
     """The outcomes of solve_primal and of reference_solve on ``inst``, each
-    with the (entering, leaving) pairs of its pivots in order."""
+    with the (entering, leaving) pairs of its pivots in order; both start
+    cold, or from the basis ``start`` ({cell: scaled mass}), which
+    solve_primal takes as ``basis``."""
     with recorded_pivots() as ours:
-        solved = outcome(solve_primal, inst)
+        solved = outcome(lambda case: solve_primal(case, basis=start and tuple(start)), inst)
     theirs = []
-    return (solved, ours), (outcome(lambda case: reference_solve(case, theirs), inst), theirs)
+    return (solved, ours), (outcome(lambda case: reference_solve(case, theirs, start), inst), theirs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -758,18 +841,26 @@ BOUND = (2**62 - 1) // 9
 def test_pricing_dtype_guard_keeps_the_reference_plan(cost, dtype):
     inst = make_instance(cost, [F(1, 3), F(2, 3)], [F(1, 2), F(1, 2)])
     m, n = inst.shape
-    scaled = scaled_data(inst)[2]
+    mu, nu, scaled = scaled_data(inst)[:3]
     big = max(abs(c) for row in scaled for c in row if c != INF)
     assert np.dtype(int_dtype((2 * (m + n) + 1) * big)) == dtype
-    ours, reference = pivoted_outcomes(inst)
-    assert ours == reference
+    cold, reference = pivoted_outcomes(inst)
+    assert cold == reference
+    # The least-cost start pivots only on the wall case; from the northwest
+    # tree the others pivot, so that a pivot writes ``priced`` in the
+    # guarded dtype, all but [[-BOUND, 0], [1, BOUND]], whose tree is optimal.
+    northwest, reference = pivoted_outcomes(inst, _northwest_basis(mu, nu))
+    assert northwest == reference
+    assert cold[1] or northwest[1] or cost[0][0] == -BOUND
 
 
 # --- pivot rule -----------------------------------------------------------------
 
 
 def test_the_most_negative_reduced_cost_takes_few_pivots():
-    # Bland's first eligible cell took 6,144 pivots to this optimum
+    # from the northwest corner, Bland's first eligible cell took 6,144
+    # pivots to this optimum and this rule 502; from the least-cost start
+    # this rule takes 109
     with recorded_pivots() as pivots:
         res = solve_primal(generate_fixture("random-uniform", 60, seed=1))
     assert res.value == F(1441, 11592)

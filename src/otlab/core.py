@@ -755,8 +755,8 @@ class CostMatrix:
 class Marginal:
     """A probability vector: nonnegative weights summing to one, checked on
     its :attr:`scaled_view`: a rational one entry by entry, a float one by
-    numpy masks over its float64 array; either way the first entry that is
-    infinite, negative or NaN is the one reported."""
+    numpy masks over its float64 array; the first entry that is infinite,
+    negative or NaN is reported as ``marginal[k]`` (``mu[k]`` by :func:`make_instance`)."""
 
     weights: np.ndarray = _Derived(lambda mu: unscaled(*mu.scaled_view, RATIONAL))
 
@@ -766,19 +766,20 @@ class Marginal:
         ints, D = self.scaled_view
         # NaN fails every comparison, so both tests below catch it
         if self.mode == RATIONAL:
-            bad = next((v for v in ints if is_inf(v) or not v >= 0), None)
+            k = next((k for k, v in enumerate(ints) if is_inf(v) or not v >= 0), None)
         else:
             mask = ~(ints >= 0) | (ints == INF)
-            bad = ints[mask.argmax()] if mask.any() else None
-        if bad is not None:
-            if is_inf(bad):
-                raise NegativeMass("marginal entries must be finite")
-            raise NegativeMass(f"negative mass {unscale(bad, D, self.mode)}")
+            k = int(mask.argmax()) if mask.any() else None
+        if k is not None:
+            bad = ints[k]
+            raise NegativeMass(f"marginal[{k}]: " + (
+                "infinite mass" if is_inf(bad) else f"negative mass {unscale(bad, D, self.mode)}"))
         if self.mode == RATIONAL:
             if sum(ints) != D:
-                raise MassNotOne(f"mass sums to {Fraction(sum(ints), D)}, expected 1")
+                raise MassNotOne(f"marginal: mass sums to {Fraction(sum(ints), D)}, expected 1")
         elif abs(sum(ints) - 1.0) > tolerance(FLOAT):
-            raise MassNotOne(f"mass sums to {float(sum(ints))}, expected 1 +/- {FLOAT_REL}")
+            raise MassNotOne(
+                f"marginal: mass sums to {float(sum(ints))}, expected 1 +/- {FLOAT_REL}")
 
     @classmethod
     def from_scaled(cls, ints: list, D: int) -> "Marginal":
@@ -1023,8 +1024,8 @@ def make_instance(
     ``y0, y1, ...`` over the cost's rows and columns, read only once the
     cost and its first row are lists. The fields are built in a fixed order
     (X, Y, cost, mu, nu), so the first bad one is the one reported; an error
-    of a space names it (``X.metric[0][1]``, ``Y.labels``). Each part is one
-    :func:`read_part`, which caches the read's ints as its ``scaled_view``."""
+    names its part (``X.metric[0][1]``, ``Y.labels``, ``mu[0]``, ``nu``). Each
+    part is one :func:`read_part`, which caches the read's ints as its ``scaled_view``."""
     if labels_x is None or labels_y is None:
         require_list(cost, "cost")
         if len(cost):
@@ -1042,12 +1043,18 @@ def make_instance(
         except (BadNumber, MetricViolation, DimensionMismatch) as exc:
             raise type(exc)(f"{name}.{exc}") from None
 
+    def marginal(name, values):
+        try:
+            return read_part(Marginal, values, mode, name, vector=True)
+        except (NegativeMass, MassNotOne) as exc:
+            raise type(exc)(name + str(exc).removeprefix("marginal")) from None
+
     return Instance(
         space("X", labels_x, metric_x),
         space("Y", labels_y, metric_y),
         read_part(CostMatrix, cost, mode, "cost"),
-        read_part(Marginal, mu, mode, "mu", vector=True),
-        read_part(Marginal, nu, mode, "nu", vector=True),
+        marginal("mu", mu),
+        marginal("nu", nu),
     )
 
 

@@ -121,8 +121,7 @@ def lipschitz_envelope(cost: CostMatrix, d_x, d_y, n: Number) -> CostMatrix:
     except ValueError as exc:
         raise BadNumber(f"level n: {exc}") from None
     _require_level(n)
-    ((out, _),) = _level_costs(cost, _read_metrics(cost, d_x, d_y), [n])
-    return out
+    return _level_costs(cost, _read_metrics(cost, d_x, d_y), [n])[0]
 
 
 def _require_level(n: Number):
@@ -133,10 +132,10 @@ def _require_level(n: Number):
 def _level_costs(cost: CostMatrix, metrics: list, levels: list) -> list:
     """The envelope of a nonnegative cost at each level, on symmetric metrics
     (:func:`_read_metrics` pairs, of which it reads the array views) and
-    finite nonnegative levels read in its mode, as ``(matrix, entries)``
-    pairs, ``entries`` one array: float64, or the ints over the one
-    denominator of all the levels (module docstring) in ``core.int_dtype`` of
-    the level's largest product, which the matrix holds as its ``int_view``."""
+    finite nonnegative levels read in its mode, one ``CostMatrix`` each: a
+    rational level holds as its ``int_view`` its ints over the one denominator
+    of all the levels (module docstring), in ``core.int_dtype`` of the level's
+    largest product, and a finite float level's ``int_view`` is its entries."""
     rational = cost.mode == RATIONAL
     views = [cost.int_view] + [view for _, view in metrics]
     D = math.lcm(*(d for *_, d in views))  # 1 in float mode
@@ -155,8 +154,8 @@ def _level_costs(cost: CostMatrix, metrics: list, levels: list) -> list:
         nx, ny = (np.where(w, top + 1, a.astype(dtype) * (P * f))
                   for a, w, f in ((x, wx, fx), (y, wy, fy)))
         entries = min_plus_arrays(nx, min_plus_arrays(trunc, ny))
-        out.append((CostMatrix.from_array(entries, D * Q) if rational
-                    else CostMatrix(frozen_array(entries, cost.mode)), entries))
+        out.append(CostMatrix.from_array(entries, D * Q) if rational
+                   else CostMatrix(frozen_array(entries, cost.mode)))
     return out
 
 
@@ -191,17 +190,16 @@ def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeS
         limit_value, basis = INF, None
     limit_tol = cost_tolerance(instance.cost)
     metrics = [(None, s.int_view) for s in (instance.space_x, instance.space_y)]
-    level_costs = _level_costs(instance.cost, metrics, levels_in)
     levels = []
     saturation = None
-    for n, (cost_n, entries) in zip(levels_in, level_costs):
+    for n, cost_n in zip(levels_in, _level_costs(instance.cost, metrics, levels_in)):
         # each level starts from the optimal basis of the solve before it
         result = solve_primal(replace(instance, cost=cost_n), basis=basis)
         value_n, basis = result.value, result.basis
         tol = max(limit_tol, cost_tolerance(cost_n))
         if levels:
             previous = levels[-1]
-            _assert_entrywise_le(previous_entries, entries, tol)
+            _assert_entrywise_le(previous.cost.int_view[0], cost_n.int_view[0], tol)
             if value_n < previous.value - tol:
                 raise EnvelopeLawViolation(
                     f"value chain must be nondecreasing in n: level {n} gives "
@@ -215,7 +213,6 @@ def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeS
         if saturation is None and abs(value_n - limit_value) <= tol:
             saturation = n
         levels.append(EnvelopeLevel(n=n, cost=cost_n, value=value_n))
-        previous_entries = entries
 
     return EnvelopeSchedule(
         levels=tuple(levels), limit_value=limit_value, saturation_level=saturation
@@ -224,7 +221,7 @@ def envelope_schedule(instance: Instance, n_list: Sequence[Number]) -> EnvelopeS
 
 def _assert_entrywise_le(a: np.ndarray, b: np.ndarray, tol: Number):
     """Raise EnvelopeLawViolation at the first cell in row-major order where
-    ``a > b + tol``: two level arrays of :func:`_level_costs`."""
+    ``a > b + tol``: the ``int_view`` arrays of two :func:`_level_costs` levels."""
     over = a > b + tol
     first = int(over.argmax())
     if over.flat[first]:

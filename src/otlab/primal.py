@@ -3,12 +3,11 @@
 The basis is a spanning tree of the bipartite supply-demand graph. The
 cell with the most negative reduced cost enters (the first in row-major
 order on ties), and the smallest cell among tied leavers leaves. Right after
-a degenerate pivot (one that moves no mass), and on every pivot of an
-instance with +inf cells, Bland's rule picks instead: the first cell in
-row-major order with a negative reduced cost enters. A cycle of bases is
-made of degenerate pivots only, so every pivot on it would be Bland's,
-which never cycles (Bland 1977): the solver terminates and is fully
-deterministic.
+a degenerate pivot (one that moves no mass), Bland's rule picks instead:
+the first cell in row-major order with a negative reduced cost enters. A
+cycle of bases is made of degenerate pivots only, so every pivot on it
+would be Bland's, which never cycles (Bland 1977): the solver terminates
+and is fully deterministic.
 
 The first basis is the least-cost start, or a spanning tree the caller
 gives (``solve_primal(instance, basis=...)``), such as the optimal basis of
@@ -68,11 +67,13 @@ and the degenerate ones, kept in locals and published once.
 
 Infinite costs ride along as lexicographic two-part values (inf-mass part,
 finite part); minimizing them first pushes all mass off infinite cells
-whenever a finite-cost plan exists, and raises InfeasibleFiniteCost when it
-does not. This keeps +inf symbolic instead of smuggling in a big numeric
-sentinel for it (H above marks basic cells only). The reported basis is the
-whole final tree, zero-mass +inf cells included, so its lexicographic
-potentials are those the simplex stopped at.
+whenever a finite-cost plan exists, and raises InfeasibleFiniteCost naming
+the first +inf cell of the plan when it does not. The wall part ``r0`` (a
+cell's +inf count less its row's and column's wall potentials) is folded
+into the buffer: H where ``r0 > 0`` (never enters), -H where ``r0 < 0``
+(enters first), so +inf stays symbolic and one rule prices every instance.
+The reported basis is the whole final tree, zero-mass +inf cells included,
+so its lexicographic potentials are those the simplex stopped at.
 """
 
 from __future__ import annotations
@@ -210,12 +211,12 @@ def _tree_masses(m: int, order, parent, mu, nu, z, neg_tol) -> dict:
 
 def solve_primal(instance: Instance, basis=None) -> OptimalPlanResult:
     """Exact minimum-cost transport plan of an instance, by the network
-    simplex (the most negative reduced cost enters; Bland's rule after a
-    degenerate pivot, see the module docstring) from the least-cost start
-    (cells by cost, +inf walls last, ties in row-major order) or, when
-    given, from the spanning tree ``basis`` (cells (i, j); a wrong count, a
-    cell off the grid or a cycle raises InfeasibleInput, as does a tree
-    whose masses are negative)."""
+    simplex (the most negative reduced cost, its +inf wall part folded in,
+    enters; Bland's rule after a degenerate pivot, see the module docstring)
+    from the least-cost start (cells by cost, +inf walls last, ties in
+    row-major order) or, when given, from the spanning tree ``basis`` (cells
+    (i, j); a wrong count, a cell off the grid or a cycle raises
+    InfeasibleInput, as does a tree whose masses are negative)."""
     m, n = instance.shape
     rational = instance.mode == RATIONAL
     # ints in rational mode: masses times L, costs times M (module docstring)
@@ -257,28 +258,23 @@ def solve_primal(instance: Instance, basis=None) -> OptimalPlanResult:
         priced[cell] = high
     reduced = np.empty((m, n), dtype=dtype)
 
-    bland = walled
+    bland = False
     degenerate = 0
     for pivots in range(_MAX_PIVOTS):
-        # Reduced costs are lexicographic (wall, finite) pairs: the wall
-        # part counts +inf cells, and the finite part counts them as z.
+        # The finite part of the reduced costs, +inf cells counted as z; the
+        # wall part r0 of a walled instance is folded in (module docstring).
         p = np.array(pot, dtype=dtype)
         np.subtract(priced, p[:m, None], out=reduced)
         np.subtract(reduced, p[None, m:], out=reduced)
+        if walled:
+            w = np.array(wall)
+            r0 = infinite - w[:m, None] - w[None, m:]
+            reduced[r0 > 0] = high
+            reduced[r0 < 0] = -high
         # argmin and argmax take the first cell in row-major order on ties
-        if bland:  # always on a walled instance
-            enter = reduced < -eps
-            if walled:
-                w = np.array(wall)
-                r0 = infinite - w[:m, None] - w[None, m:]
-                enter = (r0 < 0) | ((r0 == 0) & enter)
-            k = int(enter.argmax())
-            if not enter.flat[k]:
-                break
-        else:
-            k = int(reduced.argmin())
-            if not reduced.flat[k] < -eps:
-                break
+        k = int((reduced < -eps).argmax() if bland else reduced.argmin())
+        if not reduced.flat[k] < -eps:
+            break
         entering = divmod(k, n)
         cycle = _basis_cycle(m, parent, depth, entering)
         # Alternate signs around the cycle, + on the entering cell.
@@ -296,7 +292,7 @@ def solve_primal(instance: Instance, basis=None) -> OptimalPlanResult:
         del mass[leaving]
         priced[entering], priced[leaving] = high, finite[leaving]
         _exchange(m, adj, cost, z, parent, pot, wall, depth, entering, leaving)
-        bland = walled or theta == 0
+        bland = theta == 0
     else:
         raise RuntimeError("network simplex exceeded the pivot safety bound")
 
@@ -309,9 +305,8 @@ def solve_primal(instance: Instance, basis=None) -> OptimalPlanResult:
     total = z  # summed in row-major order, as plan_cost sums a plan
     for (i, j), x in kept.items():
         if cost[i][j] == INF:
-            raise InfeasibleFiniteCost(
-                "every feasible plan places mass on an infinite-cost cell"
-            )
+            raise InfeasibleFiniteCost("every feasible plan places mass on an infinite-cost "
+                                       f"cell; the solved plan places mass on cost[{i}][{j}]")
         total += x * cost[i][j]
     plan = plan_from_cells((m, n), kept, instance.mode, L)
     return OptimalPlanResult(plan=plan, value=unscale(total, L * M, instance.mode), basis=basis,

@@ -5,6 +5,7 @@ console script); a couple of smoke tests go through a real subprocess.
 """
 
 import json
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -144,6 +145,24 @@ def test_solve_stats_is_one_json_line_on_stderr(tmp_path, capsys, flags, pivots)
         assert list(stats) == ["pivots", "degenerate", "warm"]
         assert stats["pivots"] == pivots and 0 <= stats["degenerate"] < pivots
         assert stats["warm"] is False
+
+
+@pytest.mark.parametrize("flags, pivots", [([], 253), (["--float"], 268)])
+def test_solve_stats_on_the_walled_instance(tmp_path, capsys, flags, pivots):
+    # random-uniform n=100 seed 1 with 300 seeded +inf cells: the wall part
+    # folded into the reduced costs keeps the most negative entering rule
+    # (2,186 and 1,932 pivots with Bland's rule on every pivot)
+    path = tmp_path / "walled.json"
+    run_cli(["gen", "random-uniform", "--size", "100", "--seed", "1", "-o", str(path)], capsys)
+    data = json.loads(path.read_text())
+    for cell in random.Random(1).sample(range(100 * 100), 300):
+        data["cost"][cell // 100][cell % 100] = "inf"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["solve", "--stats", *flags, str(path)], capsys)
+    assert code == 0
+    assert json.loads(err)["pivots"] == pivots
+    if not flags:
+        assert json.loads(out)["value"] == "19309/430992"
 
 
 def test_solve_missing_file(capsys):
@@ -437,16 +456,17 @@ BAD_TOKENS = {
              "cost[0][0]: bad number '-inf' (negative infinity)"),
     "NaN": ("nu", ["1/2", "nan"], "nu[1]: bad number 'nan' (not a number)"),
     "bool": ("mu", [True, "2/3"], "mu[0]: bad number 'True' (not a number)"),
-    "negative mass": ("mu", ["-1/3", "4/3"], {"rational": "negative mass -1/3",
-                                              "float": "negative mass -0.3333333333333333"}),
-    "mass not one": ("nu", ["1/2", "1/3"], {"rational": "mass sums to 5/6, expected 1",
-                                            "float": "mass sums to 0.8333333333333333, "
+    "negative mass": ("mu", ["-1/3", "4/3"], {"rational": "mu[0]: negative mass -1/3",
+                                              "float": "mu[0]: negative mass -0.3333333333333333"}),
+    "infinite mass": ("mu", ["1/3", "inf"], "mu[1]: infinite mass"),
+    "mass not one": ("nu", ["1/2", "1/3"], {"rational": "nu: mass sums to 5/6, expected 1",
+                                            "float": "nu: mass sums to 0.8333333333333333, "
                                                      "expected 1 +/- 1e-09"}),
     "metric law": ("Y", {"labels": ["c", "d"], "metric": [["0", "4/2"], ["3", "0"]]},
                    "Y.metric is not a pseudometric: asymmetry at (0, 1)"),
     "ragged rows": ("cost", [["1/2", "inf"], ["0"]], "cost: rows have unequal lengths"),
-    "non-lowest terms": ("mu", ["-2/6", " +8/6 "], {"rational": "negative mass -1/3",
-                                                    "float": "negative mass -0.3333333333333333"}),
+    "non-lowest terms": ("mu", ["-2/6", " +8/6 "], {"rational": "mu[0]: negative mass -1/3",
+                                                    "float": "mu[0]: negative mass -0.3333333333333333"}),
 }
 
 
@@ -764,7 +784,7 @@ def test_float_mass_not_one_prints_a_plain_float(fixture_file, capsys):
     fixture_file.write_text(json.dumps(data))
     code, out, err = run_cli(["solve", str(fixture_file)], capsys)
     assert (code, out) == (1, "")
-    assert err == "otlab: error: mass sums to 1.1, expected 1 +/- 1e-09\n"
+    assert err == "otlab: error: mu: mass sums to 1.1, expected 1 +/- 1e-09\n"
 
 
 @pytest.mark.parametrize("flags", [[], ["--float"]])

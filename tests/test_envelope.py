@@ -174,8 +174,8 @@ def test_envelope_equals_the_direct_formula(inst, level):
 def test_a_level_past_the_int64_guard_runs_on_python_ints():
     dx, dy = metrics(HUGE)
     read = envelope._read_metrics(HUGE.cost, dx, dy)
-    ((out, ints),) = envelope._level_costs(HUGE.cost, read, [HUGE_LEVEL])
-    assert ints.dtype == object
+    (out,) = envelope._level_costs(HUGE.cost, read, [HUGE_LEVEL])
+    assert out.int_view[0].dtype == object
     assert out.entries.tolist() == direct_envelope(HUGE.cost, dx, dy, HUGE_LEVEL)
     ints, D = out.scaled_view
     assert [[F(v, D) for v in row] for row in ints] == out.entries.tolist()

@@ -427,10 +427,15 @@ def test_zero_mass_points_are_kept():
 
 
 def test_infeasible_finite_cost_raises():
-    with pytest.raises(InfeasibleFiniteCost):
-        solve_primal(make_instance([["inf"]], [1], [1]))
-    with pytest.raises(InfeasibleFiniteCost):
-        solve_primal(make_instance([[0, "inf"], ["inf", 0]], [1, 0], [0, 1]))
+    # the error names the first +inf cell of the solved plan
+    lead = "every feasible plan places mass on an infinite-cost cell; the solved plan places mass"
+    for mode in ("rational", "float"):
+        for cost, mu, nu, cell in (([["inf"]], [1], [1], (0, 0)),
+                                   ([[0, "inf"], ["inf", 0]], [1, 0], [0, 1], (0, 1)),
+                                   ([[0, "inf"], ["inf", "inf"]], [0, 1], [0, 1], (1, 1))):
+            with pytest.raises(InfeasibleFiniteCost) as raised:
+                solve_primal(make_instance(cost, mu, nu, mode))
+            assert str(raised.value) == f"{lead} on cost[{cell[0]}][{cell[1]}]"
 
 
 def test_inf_cells_avoided_when_possible():
@@ -692,10 +697,11 @@ def reference_solve(instance, pivots, start=None):
     It starts from the least-cost start of solve_primal, or from ``start``,
     a basis as {cell: scaled mass}. The most negative reduced cost enters,
     the first in row-major order on ties; right after a degenerate pivot,
-    and on every pivot of an instance with +inf cells, Bland's first
-    eligible cell enters instead. Each (entering, leaving) pair is appended
-    to ``pivots``, and the result's stats count them and the degenerate
-    ones."""
+    Bland's first eligible cell enters instead. A reduced cost is a
+    (wall, finite) pair: a cell whose wall part is above 0 never enters, and
+    the first cell whose wall part is below 0 enters before any other.
+    Each (entering, leaving) pair is appended to ``pivots``, and the
+    result's stats count them and the degenerate ones."""
     m, n = instance.shape
     rational = instance.mode == RATIONAL
     mu, nu, cost, L, _ = scaled_data(instance)
@@ -703,13 +709,11 @@ def reference_solve(instance, pivots, start=None):
     mass = dict(start) if start else _least_cost_basis(mu, nu, instance.cost)
     basis = set(mass)
     eps = 0 if rational else cost_tolerance(instance.cost) / 1000
-    walled = any(c == INF for row in cost for c in row)
-    bland = walled
+    bland = False
     count = degenerate = 0
     while True:
         pot, parent, wall = tree_potentials(m, n, basis, cost, z)
-        psi = pot[m:]
-        entering, best = None, -eps
+        below, eligible = [], []  # cells whose wall part is below 0; every cell that may enter
         for i in range(m):
             for j in range(n):
                 if (i, j) in basis:
@@ -717,15 +721,20 @@ def reference_solve(instance, pivots, start=None):
                 c = cost[i][j]
                 inf = c == INF
                 r0 = inf - wall[i] - wall[m + j] if wall is not None else inf
-                r = (z if inf else c) - pot[i] - psi[j]
-                if r0 < 0 or (not r0 and r < best):
-                    entering, best = (i, j), r
-                    if bland:
-                        break
-            if bland and entering is not None:
-                break
-        if entering is None:
+                r = (z if inf else c) - pot[i] - pot[m + j]
+                if r0 < 0:
+                    below.append((i, j))
+                    eligible.append((r, (i, j)))
+                elif r0 == 0 and r < -eps:
+                    eligible.append((r, (i, j)))
+        if not eligible:
             break
+        if bland:
+            entering = eligible[0][1]
+        elif below:
+            entering = below[0]
+        else:
+            entering = min(eligible)[1]
         cycle = _basis_cycle(m, parent, path_lengths(parent), entering)
         minus = cycle[1::2]
         theta = min(mass[cell] for cell in minus)
@@ -740,7 +749,7 @@ def reference_solve(instance, pivots, start=None):
         basis.add(entering)
         basis.remove(leaving)
         del mass[leaving]
-        bland = walled or theta == 0
+        bland = theta == 0
     crumb = tolerance(instance.mode)
     plan = plan_from_cells(
         (m, n),
@@ -797,15 +806,26 @@ def test_solve_primal_matches_the_reference_loop(inst):
         assert ours == reference
 
 
+# The least-cost start puts mass on the walls (0, 1) and (0, 2), so the first
+# two pivots enter the first cell whose wall part is below 0 and the third the
+# most negative finite part; entering Bland's first eligible cell on every
+# pivot gives another sequence.
+WALLED = make_instance([["9", "inf", "inf", "5"], ["4", "7", "5", "1"], ["2", "8", "6", "6"]],
+                       ["1/4", "1/2", "1/4"], ["1/8", "1/8", "1/4", "1/2"])
+
+
 def test_solve_primal_matches_the_reference_loop_on_fixtures():
     from otlab.fixtures import generate_fixture
 
-    for family in ("indicator", "random-uniform", "separable", "discrete-metric-spike"):
-        for size in (3, 7, 12):
-            inst = generate_fixture(family, size, seed=size)
-            for case in (inst, convert_instance(inst, "float")):
-                ours, reference = pivoted_outcomes(case)
-                assert ours == reference
+    insts = [generate_fixture(family, size, seed=size)
+             for family in ("indicator", "random-uniform", "separable", "discrete-metric-spike")
+             for size in (3, 7, 12)]
+    for inst in insts + [WALLED]:
+        for case in (inst, convert_instance(inst, "float")):
+            ours, reference = pivoted_outcomes(case)
+            assert ours == reference
+            if inst is WALLED:
+                assert len(ours[1]) == 3
 
 
 def test_the_stats_count_the_pivots_of_the_reference_loop():

@@ -39,22 +39,22 @@ All containers are frozen dataclasses that check their invariants at
 construction, so a built object is valid, immutable and safe to share
 across threads. An :class:`Instance` checks that its parts agree in shape
 and mode, and takes its mode from the cost; :func:`make_instance` builds
-one from raw values. One tree walk, :func:`hang_subtree`, gives the tight
-potentials of a basis: whole, through :func:`tree_potentials`, and one
-moved subtree per simplex pivot; read in reverse, its walk order gives a
-warm-start basis its masses. A basis is always one spanning tree, hung from
-row 0; :func:`tree_potentials` refuses any other cell set before it walks.
-Its one dual, :func:`basis_dual`, serves the dual extraction and the oracle
-dual. One kernel, :func:`min_plus_arrays`, is the one three-index numpy
-pass, and it returns minima only. Through :func:`cost_transforms`
-(potentials against a cost's cached ints) it gives the c-transforms, the
-dual feasibility test and the induced pseudometrics (a max-plus product);
-directly, the Lipschitz envelope, the triangle law (``d <= d (x) d``, a
-min-plus square) and the min-plus powers of the cyclic-monotonicity check.
-One feasibility test reads a dual pair once, and its phi^c
-(:meth:`DualPotentials.phi_c`) also serves the normalization. One check,
-:func:`require_pseudometric`, words every metric-law error; it decides the
-triangle law at the float tolerance and the others exactly.
+one from raw values. One setup, :func:`tree_potentials`, hangs every basis
+from row 0, for the simplex and for its one dual, :func:`basis_dual` (the
+dual extraction and the oracle dual): it refuses any cell set but a
+spanning tree, makes the one wall test and walks the tree by
+:func:`hang_subtree`, which a pivot reruns on the one subtree it moves;
+read in reverse, the walk order gives a warm-start basis its masses. One
+kernel, :func:`min_plus_arrays`, is the one three-index numpy pass, and it
+returns minima only. Through :func:`cost_transforms` (potentials against a
+cost's cached ints) it gives the c-transforms, the dual feasibility test
+and the induced pseudometrics (a max-plus product); directly, the
+Lipschitz envelope, the triangle law (``d <= d (x) d``, a min-plus square)
+and the min-plus powers of the cyclic-monotonicity check. One feasibility
+test reads a dual pair once, and its phi^c (:meth:`DualPotentials.phi_c`)
+also serves the normalization. One check, :func:`require_pseudometric`,
+words every metric-law error; it decides the triangle law at the float
+tolerance and the others exactly.
 """
 
 from __future__ import annotations
@@ -403,25 +403,28 @@ def min_plus_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def tree_potentials(m: int, n: int, cells, rows, z):
-    """One walk of the spanning tree a basis forms, giving its tight
-    potentials: ``pot[i] + pot[m + j] = rows[i][j]`` on every cell, where
-    the nodes are the rows ``0..m-1`` and then the columns ``m..m+n-1``.
-
-    The tree hangs from row 0 at potential ``z``; a potential is the
-    alternating cost sum on the path to row 0, whatever the walk order.
-    Returns ``(pot, parent, wall)`` by node: potentials with ``+inf`` cells
-    counted as ``z``, the parent link toward row 0 (-1 there), and, only
-    when some cell is ``+inf``, the potentials of the 0/1 ``+inf``
-    indicator (else None), so that ``(wall, pot)`` are the lexicographic
-    potentials of the cost. Cells that are not a spanning tree
+    """The one setup of every basis, for the simplex and the basis dual: one
+    walk of the spanning tree the cells form, hung from row 0 at potential
+    ``z``; the nodes are the rows ``0..m-1``, then the columns ``m..m+n-1``.
+    Returns ``(pot, parent, wall, depth, adj, order)`` by node: the tight
+    potentials, ``pot[i] + pot[m + j] = rows[i][j]`` on every cell with
+    ``+inf`` counted as ``z`` (the alternating cost sum on the path to row
+    0); the parent link toward row 0 (-1 there); only when some cell is
+    ``+inf``, the potentials of the 0/1 ``+inf`` indicator (else None), so
+    that ``(wall, pot)`` are the lexicographic potentials of the cost; the
+    path length to row 0; the neighbour lists of the cells; and the walk
+    order, row 0 first and each node after its parent
+    (:func:`hang_subtree`). Cells that are not a spanning tree
     (:func:`require_spanning_tree`) raise InfeasibleInput before the walk."""
     require_spanning_tree(m, n, cells)
     size = m + n
     wall = [0] * size if any(rows[i][j] == INF for i, j in cells) else None
-    parent, pot = [-1] * size, [z] * size
-    hang_subtree(m, tree_adjacency(m, n, cells), rows, z, 0, -1, parent, pot, wall,
-                 [0] * size)
-    return pot, parent, wall
+    parent, pot, depth, adj = [-1] * size, [z] * size, [0] * size, [[] for _ in range(size)]
+    for i, j in cells:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    order = hang_subtree(m, adj, rows, z, 0, -1, parent, pot, wall, depth)
+    return pot, parent, wall, depth, adj, order
 
 
 def require_spanning_tree(m: int, n: int, cells):
@@ -468,7 +471,7 @@ def basis_dual(cells, cost: "CostMatrix") -> Optional["DualPotentials"]:
     m, n = cost.shape
     rational = cost.mode == RATIONAL
     rows, D = cost.scaled_view
-    pot, _, wall = tree_potentials(m, n, cells, rows, 0 if rational else 0.0)
+    pot, _, wall = tree_potentials(m, n, cells, rows, 0 if rational else 0.0)[:3]
     if wall is not None:
         # the smallest lift t = a / b >= 0 that leaves no finite cell with
         # slack c - P + t * -W below 0, where W and P are its wall and pot
@@ -487,15 +490,6 @@ def basis_dual(cells, cost: "CostMatrix") -> Optional["DualPotentials"]:
             pot, D = [p * b + a * w for p, w in zip(pot, wall)], D * b
     pot = DualPotentials.from_scaled(pot[:m], pot[m:], D, cost.mode)
     return pot if pot.is_feasible_for(cost) else None
-
-
-def tree_adjacency(m: int, n: int, cells) -> list:
-    """Neighbour lists of the nodes (rows, then columns) of a cell set."""
-    adj = [[] for _ in range(m + n)]
-    for i, j in cells:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-    return adj
 
 
 def hang_subtree(m: int, adj, rows, z, root: int, above: int, parent, pot, wall, depth):

@@ -90,8 +90,11 @@ class EnvelopeSchedule:
 
 
 def _require_nonnegative(cost: CostMatrix):
-    if (cost.int_view[0] < 0).any():  # 0 on the +inf walls
-        raise InfeasibleInput("the envelope requires a nonnegative cost")
+    negative = cost.int_view[0] < 0  # 0 on the +inf walls
+    if negative.any():
+        i, j = np.unravel_index(negative.argmax(), negative.shape)
+        raise InfeasibleInput("the envelope requires a nonnegative cost; "
+                              f"cost[{i}][{j}] is {cost.entries[i, j]}")
 
 
 def _read_metrics(cost: CostMatrix, d_x, d_y) -> list:

@@ -33,13 +33,13 @@ simplex runs on Python ints. Positive scaling keeps the order of the
 reduced costs and every mass comparison, so the pivot sequence, the basis
 and the plan are exactly those of the same simplex on Fractions; the plan
 holds only its nonzero cells and their masses, ints over L, as its
-``scaled_view`` (``core.plan_from_cells``), and the value, its one
-``Fraction``, is ``Fraction(sum x * c, L * M)`` of the scaled ints. Float
+``scaled_view`` (``core.plan_from_cells``), and its value is the sum the
+certificate's gap reads, ``core.scaled_plan_cost``, over L * M. Float
 instances run the same loop on floats with a scale-aware tolerance; in both
 modes the priced cost and its walls are the cost's ``int_view``.
 
-The basis tree is walked once, from row 0 (``core.hang_subtree``, the walk
-of ``core.tree_potentials``), and then kept: a pivot drops the leaving
+The first basis is hung from row 0 by ``core.tree_potentials``, the one
+setup of every basis, and its tree is then kept: a pivot drops the leaving
 cell, adds the entering one and re-hangs only the subtree the leaving cell
 cuts off, under the entering cell's endpoint outside it. A potential is the
 alternating cost sum on the path to row 0 and a depth its length, so the
@@ -68,10 +68,13 @@ and the degenerate ones, kept in locals and published once.
 Infinite costs ride along as lexicographic two-part values (inf-mass part,
 finite part); minimizing them first pushes all mass off infinite cells
 whenever a finite-cost plan exists, and raises InfeasibleFiniteCost naming
-the first +inf cell of the plan when it does not. The wall part ``r0`` (a
-cell's +inf count less its row's and column's wall potentials) is folded
-into the buffer: H where ``r0 > 0`` (never enters), -H where ``r0 < 0``
-(enters first), so +inf stays symbolic and one rule prices every instance.
+the first +inf cell of the plan when it does not. While the tree holds a
++inf cell, the wall part ``r0`` (a cell's +inf count less its row's and
+column's wall potentials) is folded into the buffer: H where ``r0 > 0``
+(never enters), -H where ``r0 < 0`` (enters first), so +inf stays symbolic
+and one rule prices every instance. While it holds none, every wall
+potential is 0 (``core.tree_potentials`` gives none) and every wall has
+``r0 = 1``: ``priced`` holds H on it, as on a basic cell, so none enters.
 The reported basis is the whole final tree, zero-mass +inf cells included,
 so its lexicographic potentials are those the simplex stopped at.
 """
@@ -95,10 +98,10 @@ from .core import (
     hang_subtree,
     int_dtype,
     plan_from_cells,
-    require_spanning_tree,
     scaled_data,
+    scaled_plan_cost,
     tolerance,
-    tree_adjacency,
+    tree_potentials,
     unscale,
 )
 from .errors import InfeasibleFiniteCost, InfeasibleInput
@@ -189,7 +192,7 @@ def _greedy_basis(mu, nu, order) -> dict:
 def _tree_masses(m: int, order, parent, mu, nu, z, neg_tol) -> dict:
     """The basic solution of a spanning tree as {cell: mass}: the masses on
     its cells that meet the marginals. ``order`` and ``parent`` are the walk
-    that hangs the tree (``core.hang_subtree``); visited in reverse, each
+    that hangs the tree (``core.tree_potentials``); visited in reverse, each
     node sends its remaining balance to its parent, and the root keeps what
     round-off leaves over. A mass below ``-neg_tol`` raises InfeasibleInput
     naming its cell; one in ``[-neg_tol, 0)`` (float round-off) is ``z``."""
@@ -211,24 +214,27 @@ def _tree_masses(m: int, order, parent, mu, nu, z, neg_tol) -> dict:
 
 def solve_primal(instance: Instance, basis=None) -> OptimalPlanResult:
     """Exact minimum-cost transport plan of an instance, by the network
-    simplex (the most negative reduced cost, its +inf wall part folded in,
-    enters; Bland's rule after a degenerate pivot, see the module docstring)
-    from the least-cost start (cells by cost, +inf walls last, ties in
-    row-major order) or, when given, from the spanning tree ``basis`` (cells
-    (i, j); a wrong count, a cell off the grid or a cycle raises
-    InfeasibleInput, as does a tree whose masses are negative)."""
+    simplex (the most negative reduced cost enters, its +inf wall part
+    folded in while the tree holds a wall; Bland's rule after a degenerate
+    pivot, see the module docstring) from the least-cost start (cells by
+    cost, +inf walls last, ties in row-major order) or, when given, from the
+    spanning tree ``basis`` (cells (i, j); ``core.tree_potentials`` hangs
+    either, and a wrong count, a cell off the grid, a cycle or negative
+    masses raise InfeasibleInput). The value is ``core.scaled_plan_cost`` of
+    the plan; InfeasibleFiniteCost names the first +inf cell it keeps."""
     m, n = instance.shape
     rational = instance.mode == RATIONAL
     # ints in rational mode: masses times L, costs times M (module docstring)
-    mu, nu, cost, L, M = scaled_data(instance)
+    mu, nu, cost, L, _ = scaled_data(instance)
     z = 0 if rational else 0.0
 
     warm = basis is not None
-    if basis is None:
-        basis = mass = _least_cost_basis(mu, nu, instance.cost)  # its keys are the basis
-    else:
-        require_spanning_tree(m, n, basis)
-        mass = None
+    if not warm:
+        basis = _least_cost_basis(mu, nu, instance.cost)  # {cell: mass}
+    # The first basis hung from row 0; its wall potentials exist only while
+    # the tree holds a +inf cell (module docstring).
+    pot, parent, wall, depth, adj, order = tree_potentials(m, n, basis, cost, z)
+    mass = _tree_masses(m, order, parent, mu, nu, z, tolerance(instance.mode)) if warm else basis
 
     # a thousandth of the dual check's tolerance, so near-ties still pivot
     eps = 0 if rational else cost_tolerance(instance.cost) / 1000
@@ -241,19 +247,13 @@ def solve_primal(instance: Instance, basis=None) -> OptimalPlanResult:
         dtype, high = int_dtype(bound), bound + 1
     else:
         dtype, high = np.float64, INF
-    walled = bool(infinite.any())
 
-    # The first basis is a spanning tree; hang it from row 0 once.
-    adj = tree_adjacency(m, n, basis)
-    parent, pot, depth = [-1] * (m + n), [z] * (m + n), [0] * (m + n)
-    wall = [0] * (m + n) if walled else None
-    order = hang_subtree(m, adj, cost, z, 0, -1, parent, pot, wall, depth)
-    if mass is None:
-        mass = _tree_masses(m, order, parent, mu, nu, z, tolerance(instance.mode))
-
-    # the priced cost: H on every basic cell, so only nonbasic cells enter
+    # the priced cost: H on every basic cell, so only nonbasic cells enter,
+    # and on every wall while the tree holds none, so no wall enters
     finite = finite.astype(dtype, copy=False)
     priced = finite.copy()
+    if wall is None:
+        priced[infinite] = high
     for cell in mass:
         priced[cell] = high
     reduced = np.empty((m, n), dtype=dtype)
@@ -262,11 +262,11 @@ def solve_primal(instance: Instance, basis=None) -> OptimalPlanResult:
     degenerate = 0
     for pivots in range(_MAX_PIVOTS):
         # The finite part of the reduced costs, +inf cells counted as z; the
-        # wall part r0 of a walled instance is folded in (module docstring).
+        # wall part r0 of a tree holding a wall is folded in (module docstring).
         p = np.array(pot, dtype=dtype)
         np.subtract(priced, p[:m, None], out=reduced)
         np.subtract(reduced, p[None, m:], out=reduced)
-        if walled:
+        if wall is not None:
             w = np.array(wall)
             r0 = infinite - w[:m, None] - w[None, m:]
             reduced[r0 > 0] = high
@@ -302,14 +302,13 @@ def solve_primal(instance: Instance, basis=None) -> OptimalPlanResult:
     basis = tuple(sorted(mass))
     kept = {cell: mass[cell] for cell in basis
             if mass[cell] > (crumb if cost[cell[0]][cell[1]] == INF else 0)}
-    total = z  # summed in row-major order, as plan_cost sums a plan
-    for (i, j), x in kept.items():
-        if cost[i][j] == INF:
-            raise InfeasibleFiniteCost("every feasible plan places mass on an infinite-cost "
-                                       f"cell; the solved plan places mass on cost[{i}][{j}]")
-        total += x * cost[i][j]
     plan = plan_from_cells((m, n), kept, instance.mode, L)
-    return OptimalPlanResult(plan=plan, value=unscale(total, L * M, instance.mode), basis=basis,
+    total, D = scaled_plan_cost(plan, instance.cost)
+    if total == INF:
+        first = next((i, j) for i, j in kept if cost[i][j] == INF)
+        raise InfeasibleFiniteCost("every feasible plan places mass on an infinite-cost "
+                                   "cell; the solved plan places mass on cost[%d][%d]" % first)
+    return OptimalPlanResult(plan=plan, value=unscale(total, D, instance.mode), basis=basis,
                              stats=SolveStats(pivots, degenerate, warm))
 
 

@@ -72,12 +72,6 @@ def test_gen_round_trips_through_validation(tmp_path, capsys):
         assert instance_to_dict(inst) == instance_to_dict(generate_fixture(name, 3, 5))
 
 
-def test_gen_unknown_fixture(capsys):
-    code, _, err = run_cli(["gen", "mystery"], capsys)
-    assert code == 1
-    assert "unknown fixture" in err
-
-
 @pytest.mark.parametrize("name,size,match", [
     ("bogus", 2, "^unknown fixture 'bogus'; choose one of "),
     ("indicator", 0, "^fixture size must be at least 1$"),
@@ -484,6 +478,69 @@ def test_a_bad_token_gives_the_error_of_the_per_cell_reader(tmp_path, capsys, ca
     assert run_cli(["solve", str(path)], capsys)[0] == 0
 
 
+FINITE = {"cost": [["1/2", "1"], ["3", "0"]]}
+# Every other error the CLI prints, one row each: the command, then the
+# instance file as TOKENS with these keys replaced (None drops a key), or the
+# file's text, or None for a command that reads no file; then stderr.
+CLI_ERRORS = {
+    "gen unknown fixture": (["gen", "mystery"], None,
+                            "unknown fixture 'mystery'; choose one of discrete-metric-spike, "
+                            "indicator, random-uniform, separable"),
+    "gen size 0": (["gen", "random-uniform", "--size", "0"], None,
+                   "fixture size must be at least 1"),
+    "transform wrong phi length": (["transform", "--phi=0"], FINITE,
+                                   "phi has shape (1,), expected (2,)"),
+    "transform bad phi token": (["transform", "--phi=0,x"], FINITE,
+                                "--phi[1]: bad number 'x' (Invalid literal for Fraction: 'x')"),
+    "transform all-+inf column": (["transform", "--phi=0,0"],
+                                  {"cost": [["1/2", "inf"], ["3", "inf"]]},
+                                  "column 1 of the cost is entirely +inf"),
+    "envelope bad level": (["envelope", "--levels", "1,x"], FINITE,
+                           "levels[1]: bad number 'x' (Invalid literal for Fraction: 'x')"),
+    "envelope non-increasing levels": (["envelope", "--levels", "2,1"], FINITE,
+                                       "levels must be nonempty and strictly increasing"),
+    "envelope no metric": (["envelope", "--levels", "1,2"],
+                           {**FINITE, "X": {"labels": ["a", "b"]}},
+                           "the envelope needs metrics on both spaces; refusing to default to "
+                           "the discrete metric silently"),
+    "envelope negative cost": (["envelope", "--levels", "1,2"],
+                               {"cost": [["1/2", "inf"], ["-1", "0"]]},
+                               "the envelope requires a nonnegative cost; cost[1][0] is -1"),
+    "envelope negative float cost": (["envelope", "--float", "--levels", "1,2"],
+                                     {"cost": [["1/2", "inf"], ["0", "-3/2"]]},
+                                     "the envelope requires a nonnegative cost; "
+                                     "cost[1][1] is -1.5"),
+    "oracle over budget": (["oracle"], {"X": {"labels": list("abcde")},
+                                        "Y": {"labels": list("fghi")}, "cost": [["1"] * 4] * 5,
+                                        "mu": ["1/5"] * 5, "nu": ["1/4"] * 4},
+                           "5x4 instance exceeds the oracle budget of 16 cells"),
+    "oracle walled cost": (["oracle"], {}, "the oracle requires a bounded cost"),
+    "invalid JSON": (["solve"], "{", "{path} is not valid JSON: Expecting property name enclosed "
+                                     "in double quotes: line 1 column 2 (char 1)"),
+    "missing key": (["solve"], {"nu": None}, "instance JSON is missing key 'nu'"),
+    "non-string label": (["solve"], {"X": {"labels": ["a", 1]}},
+                         "X.labels[1]: expected a string, got 1"),
+    "unknown mode": (["solve"], {"mode": "decimal"}, "unknown mode 'decimal'"),
+    "mu of the wrong length": (["solve"], {"mu": ["1"]}, "mu has 1 entries, X has 2"),
+    "non-square metric": (["solve"], {"X": {"labels": ["a", "b"], "metric": [["0", "1"]]}},
+                          "X.metric shape (1, 2) does not match 2 labels"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_ERRORS))
+def test_a_cli_error_is_one_exact_line(tmp_path, capsys, case):
+    args, data, text = CLI_ERRORS[case]
+    path = tmp_path / "bad.json"
+    if data is not None:
+        if not isinstance(data, str):
+            data = json.dumps({key: value for key, value in {**TOKENS, **data}.items()
+                               if value is not None})
+        path.write_text(data, encoding="utf-8")
+        args = args + [str(path)]
+    code, out, err = run_cli(args, capsys)
+    assert (code, out, err) == (1, "", f"otlab: error: {text.format(path=path)}\n")
+
+
 # --- transform / envelope -------------------------------------------------------------
 
 
@@ -538,14 +595,6 @@ def test_infinite_envelope_level_is_named(tmp_path, capsys, flags):
     code, out, err = run_cli(["envelope", "--levels", "1,inf", *flags, str(path)], capsys)
     assert (code, out) == (1, "")
     assert err == "otlab: error: the level n must be finite and nonnegative, got inf\n"
-
-
-def test_decreasing_envelope_levels_are_a_one_line_error(tmp_path, capsys):
-    path = tmp_path / "inst.json"
-    run_cli(["gen", "random-uniform", "--size", "3", "--seed", "0", "-o", str(path)], capsys)
-    code, out, err = run_cli(["envelope", "--levels", "2,1", str(path)], capsys)
-    assert (code, out) == (1, "")
-    assert err == "otlab: error: levels must be nonempty and strictly increasing\n"
 
 
 @pytest.mark.parametrize("flags", [[], ["--float"]])

@@ -870,6 +870,23 @@ def test_tree_potentials_refuses_a_cell_set_that_is_not_a_spanning_tree(cells, m
         tree_potentials(2, 3, cells, rows, F(0))
 
 
+def assert_the_kept_tree(m, n, cells, parent, depth, adj, order):
+    """The depths, neighbour lists and walk order the simplex keeps: each
+    depth is its node's path length to row 0, each node's neighbours are
+    those its cells join, and the walk visits every node once, row 0 first
+    and each node after its parent."""
+    for v in range(m + n):
+        k, u = 0, v
+        while parent[u] >= 0:
+            k, u = k + 1, parent[u]
+        assert depth[v] == k
+    assert [sorted(a) for a in adj] == [
+        sorted([m + j for i, j in cells if i == v] if v < m else
+               [i for i, j in cells if m + j == v]) for v in range(m + n)]
+    assert order[0] == 0 and sorted(order) == list(range(m + n))
+    assert all(order.index(parent[v]) < k for k, v in enumerate(order) if k)
+
+
 def test_tree_potentials_hang_a_spanning_tree_from_row_0():
     # rows 0..2 are nodes 0..2, columns 0..3 are nodes 3..6
     m, n = 3, 4
@@ -879,25 +896,27 @@ def test_tree_potentials_hang_a_spanning_tree_from_row_0():
         [F(6), F(2), F(8), F(1)],
     ]
     cells = [(2, 1), (0, 1), (2, 3), (1, 0), (1, 1), (0, 2)]
-    pot, parent, wall = tree_potentials(m, n, cells, rows, F(0))
+    pot, parent, wall, depth, adj, order = tree_potentials(m, n, cells, rows, F(0))
     assert [v for v in range(m + n) if parent[v] == -1] == [0]
     assert pot[0] == 0
     for i, j in cells:
         assert pot[i] + pot[m + j] == rows[i][j]
         assert parent[i] == m + j or parent[m + j] == i
     assert wall is None
+    assert_the_kept_tree(m, n, cells, parent, depth, adj, order)
 
 
 def test_tree_potentials_wall_part_counts_infinite_cells():
     m, n = 2, 2
     rows = [[3, INF], [4, 1]]
     cells = [(0, 0), (0, 1), (1, 1)]
-    pot, parent, wall = tree_potentials(m, n, cells, rows, 0)
+    pot, parent, wall, depth, adj, order = tree_potentials(m, n, cells, rows, 0)
     assert parent[0] == -1
     for i, j in cells:
         inf = rows[i][j] == INF
         assert wall[i] + wall[m + j] == (1 if inf else 0)
         assert pot[i] + pot[m + j] == (0 if inf else rows[i][j])
+    assert_the_kept_tree(m, n, cells, parent, depth, adj, order)
 
 
 def test_cost_scale_is_scanned_once_and_never_in_rational_mode():

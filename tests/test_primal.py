@@ -41,7 +41,6 @@ from otlab.core import (
     require_spanning_tree,
     scaled_data,
     tolerance,
-    tree_adjacency,
     tree_potentials,
 )
 from otlab import primal
@@ -332,7 +331,7 @@ def path_lengths(parent):
 def test_parent_link_cycle_matches_tree_search(case):
     m, n, tree, entering = case
     zeros = [[0] * n for _ in range(m)]
-    _, parent, _ = tree_potentials(m, n, tree, zeros, 0)
+    parent = tree_potentials(m, n, tree, zeros, 0)[1]
     cycle = _basis_cycle(m, parent, path_lengths(parent), entering)
     reference = _dfs_basis_cycle(m, n, tree, entering)
     assert (set(cycle[0::2]), set(cycle[1::2])) == (
@@ -369,14 +368,14 @@ def test_rehang_matches_a_fresh_walk_after_every_swap(case):
     m, n, tree, rows, z, swaps = case
     size = m + n
     basis = set(tree)
-    adj = tree_adjacency(m, n, basis)
+    adj = tree_potentials(m, n, basis, rows, z)[4]
     parent, pot, depth = [-1] * size, [z] * size, [None] * size
     walled = any(INF in row for row in rows)
     wall = [0] * size if walled else None
     hang_subtree(m, adj, rows, z, 0, -1, parent, pot, wall, depth)
 
     def assert_fresh():
-        fresh_pot, fresh_parent, fresh_wall = tree_potentials(m, n, basis, rows, z)
+        fresh_pot, fresh_parent, fresh_wall = tree_potentials(m, n, basis, rows, z)[:3]
         assert parent == fresh_parent
         assert depth == path_lengths(parent)
         assert [type(p) for p in pot] == [type(p) for p in fresh_pot]
@@ -522,10 +521,8 @@ def tree_masses_outcome(m, n, tree, mu, nu, mode):
     z = 0 if mode == RATIONAL else 0.0
     if mode != RATIONAL:
         mu, nu = [float(w) for w in mu], [float(w) for w in nu]
-    parent = [-1] * (m + n)
     zeros = [[z] * n for _ in range(m)]
-    order = hang_subtree(m, tree_adjacency(m, n, tree), zeros, z, 0, -1, parent,
-                         [z] * (m + n), None, [0] * (m + n))
+    _, parent, _, _, _, order = tree_potentials(m, n, tree, zeros, z)
     assert sorted(order) == list(range(m + n))
     assert all(order.index(parent[v]) < k for k, v in enumerate(order) if k)
     tol = tolerance(mode)
@@ -712,7 +709,7 @@ def reference_solve(instance, pivots, start=None):
     bland = False
     count = degenerate = 0
     while True:
-        pot, parent, wall = tree_potentials(m, n, basis, cost, z)
+        pot, parent, wall = tree_potentials(m, n, basis, cost, z)[:3]
         below, eligible = [], []  # cells whose wall part is below 0; every cell that may enter
         for i in range(m):
             for j in range(n):
@@ -799,6 +796,12 @@ def pivoted_outcomes(inst, start=None):
 
 @settings(max_examples=150, deadline=None)
 @given(inst=rational_instances(anywhere=True))
+# The start tree holds the wall (1, 2): the cell (0, 2), whose wall part is
+# below 0, enters first; Bland's first eligible cell on every pivot of a
+# walled instance (the rule before the wall part was folded in) enters (0, 0)
+# first.
+@example(inst=make_instance([["2", "1", "5"], ["9", "5", "inf"]],
+                            ["6/13", "7/13"], ["7/15", "7/15", "1/15"]))
 def test_solve_primal_matches_the_reference_loop(inst):
     # walls, ties, zero masses and huge denominators, in both modes
     for case in (inst, convert_instance(inst, "float")):
@@ -813,6 +816,19 @@ def test_solve_primal_matches_the_reference_loop(inst):
 WALLED = make_instance([["9", "inf", "inf", "5"], ["4", "7", "5", "1"], ["2", "8", "6", "6"]],
                        ["1/4", "1/2", "1/4"], ["1/8", "1/8", "1/4", "1/2"])
 
+# The least-cost start holds no wall, and the wall (1, 0) has the most negative
+# finite part; it must not enter, as no wall potential is set.
+UNWALLED_TREE = make_instance([["2", "5"], ["inf", "7"], ["2", "6"]],
+                              ["2/11", "3/11", "6/11"], ["4/13", "9/13"])
+
+
+def start_wall(inst):
+    """The wall potentials of the least-cost start's tree, None when it holds
+    no +inf cell."""
+    mu, nu, cost = scaled_data(inst)[:3]
+    start = _least_cost_basis(mu, nu, inst.cost)
+    return tree_potentials(*inst.shape, start, cost, 0)[2]
+
 
 def test_solve_primal_matches_the_reference_loop_on_fixtures():
     from otlab.fixtures import generate_fixture
@@ -820,12 +836,15 @@ def test_solve_primal_matches_the_reference_loop_on_fixtures():
     insts = [generate_fixture(family, size, seed=size)
              for family in ("indicator", "random-uniform", "separable", "discrete-metric-spike")
              for size in (3, 7, 12)]
-    for inst in insts + [WALLED]:
+    assert start_wall(WALLED) is not None and start_wall(UNWALLED_TREE) is None
+    for inst in insts + [WALLED, UNWALLED_TREE]:
         for case in (inst, convert_instance(inst, "float")):
             ours, reference = pivoted_outcomes(case)
             assert ours == reference
             if inst is WALLED:
                 assert len(ours[1]) == 3
+            if inst is UNWALLED_TREE:
+                assert ours[1] == [((0, 1), (0, 0))]
 
 
 def test_the_stats_count_the_pivots_of_the_reference_loop():
@@ -942,9 +961,7 @@ def assert_the_float_basis_checks_out(inst):
         return
     m, n = inst.shape
     mu, nu, cost, L, M = scaled_data(inst)
-    parent = [-1] * (m + n)
-    order = hang_subtree(m, tree_adjacency(m, n, float_basis), cost, 0, 0, -1,
-                         parent, [0] * (m + n), None, [0] * (m + n))
+    _, parent, _, _, _, order = tree_potentials(m, n, float_basis, cost, 0)
     try:
         start = primal._tree_masses(m, order, parent, mu, nu, 0, 0)
     except InfeasibleInput:

@@ -41,12 +41,12 @@ across threads. An :class:`Instance` checks that its parts agree in shape
 and mode, and takes its mode from the cost; :func:`make_instance` builds
 one from raw values. One setup, :func:`tree_potentials`, hangs every basis
 from row 0, for the simplex and for its one dual, :func:`basis_dual` (the
-dual extraction and the oracle dual): it refuses any cell set but a
-spanning tree, makes the one wall test and walks the tree by
-:func:`hang_subtree`, which a pivot reruns on the one subtree it moves;
-read in reverse, the walk order gives a warm-start basis its masses. One
-kernel, :func:`min_plus_arrays`, is the one three-index numpy pass, and it
-returns minima only. Through :func:`cost_transforms` (potentials against a
+dual extraction and the oracle dual): one pass over the cells refuses
+any cell set but a spanning tree, links the cells and makes the one wall
+test, and the tree is walked by :func:`hang_subtree`, which a pivot reruns
+on the one subtree it moves; read in reverse, the walk order gives a
+warm-start basis its masses. One kernel, :func:`min_plus_arrays`, is the
+one three-index numpy pass, and it returns minima only. Through :func:`cost_transforms` (potentials against a
 cost's cached ints) it gives the c-transforms, the dual feasibility test
 and the induced pseudometrics (a max-plus product); directly, the
 Lipschitz envelope, the triangle law (``d <= d (x) d``, a min-plus square)
@@ -404,53 +404,45 @@ def min_plus_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def tree_potentials(m: int, n: int, cells, rows, z):
     """The one setup of every basis, for the simplex and the basis dual: one
-    walk of the spanning tree the cells form, hung from row 0 at potential
-    ``z``; the nodes are the rows ``0..m-1``, then the columns ``m..m+n-1``.
-    Returns ``(pot, parent, wall, depth, adj, order)`` by node: the tight
-    potentials, ``pot[i] + pot[m + j] = rows[i][j]`` on every cell with
-    ``+inf`` counted as ``z`` (the alternating cost sum on the path to row
-    0); the parent link toward row 0 (-1 there); only when some cell is
-    ``+inf``, the potentials of the 0/1 ``+inf`` indicator (else None), so
-    that ``(wall, pot)`` are the lexicographic potentials of the cost; the
-    path length to row 0; the neighbour lists of the cells; and the walk
-    order, row 0 first and each node after its parent
-    (:func:`hang_subtree`). Cells that are not a spanning tree
-    (:func:`require_spanning_tree`) raise InfeasibleInput before the walk."""
-    require_spanning_tree(m, n, cells)
-    size = m + n
-    wall = [0] * size if any(rows[i][j] == INF for i, j in cells) else None
-    parent, pot, depth, adj = [-1] * size, [z] * size, [0] * size, [[] for _ in range(size)]
-    for i, j in cells:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-    order = hang_subtree(m, adj, rows, z, 0, -1, parent, pot, wall, depth)
-    return pot, parent, wall, depth, adj, order
-
-
-def require_spanning_tree(m: int, n: int, cells):
-    """Raise InfeasibleInput, naming the count or the cell, unless the cells
-    are m+n-1 cells of the m x n grid without a cycle, so that they join
-    every row and column in one spanning tree."""
+    pass over the cells, then one walk of the spanning tree they form, hung
+    from row 0 at potential ``z``; the nodes are the rows ``0..m-1``, then
+    the columns ``m..m+n-1``. Returns ``(pot, parent, wall, depth, adj,
+    order)`` by node: the tight potentials, ``pot[i] + pot[m + j] =
+    rows[i][j]`` on every cell with ``+inf`` counted as ``z`` (the
+    alternating cost sum on the path to row 0); the parent link toward row
+    0 (-1 there); only when some cell is ``+inf``, the potentials of the 0/1
+    ``+inf`` indicator (else None), so that ``(wall, pot)`` are the
+    lexicographic potentials of the cost; the path length to row 0; the
+    neighbour lists of the cells; and the walk order, row 0 first and each
+    node after its parent (:func:`hang_subtree`). A warm start or a basis to
+    certify comes from outside, so the pass raises InfeasibleInput, naming
+    the count or the first bad cell in the given order, unless the cells
+    are m+n-1 cells of the m x n grid without a cycle, which join every row
+    and column in one spanning tree."""
     size = m + n
     if len(cells) != size - 1:
         raise InfeasibleInput(
             f"{len(cells)} basis cells; a spanning tree of {m} x {n} has {size - 1}"
         )
-    root = list(range(size))  # union-find over the nodes the cells join
-
-    def find(v):
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
+    root, adj, walled = list(range(size)), [[] for _ in range(size)], False
     for i, j in cells:
         if not (0 <= i < m and 0 <= j < n):
             raise InfeasibleInput(f"basis cell ({i}, {j}) lies outside the {m} x {n} grid")
-        a, b = find(i), find(m + j)
+        a, b = i, m + j  # their union-find roots, found with path halving
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
         if a == b:
             raise InfeasibleInput(f"basis cell ({i}, {j}) closes a cycle")
         root[a] = b
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+        walled = walled or rows[i][j] == INF
+    wall = [0] * size if walled else None
+    parent, pot, depth = [-1] * size, [z] * size, [0] * size
+    order = hang_subtree(m, adj, rows, z, 0, -1, parent, pot, wall, depth)
+    return pot, parent, wall, depth, adj, order
 
 
 def basis_dual(cells, cost: "CostMatrix") -> Optional["DualPotentials"]:
@@ -638,7 +630,11 @@ class FiniteSpace:
         if self.mode is not None:
             k = len(self.labels)
             held = self.__dict__.get("metric")  # none yet when built from the view
-            shape = held.shape if held is not None else np.shape(self.scaled_view[0])
+            if held is not None:
+                shape = held.shape
+            else:  # the rows of a view are rectangular (read_part)
+                rows = self.scaled_view[0]
+                shape = (len(rows), len(rows[0]) if rows else 0)
             if shape != (k, k):
                 raise DimensionMismatch(f"metric shape {shape} does not match {k} labels")
             require_pseudometric(None, "metric", self.int_view)

@@ -182,23 +182,22 @@ def test_certify_passes_and_exits_zero(fixture_file, capsys):
     assert payload["verdict"] == "pass"
 
 
-def test_certify_exit_code_two_on_failure():
-    # the honest pipeline cannot fail, so the dispatch is checked directly
+def test_certify_exit_code_two_on_failure(fixture_file, capsys, monkeypatch):
+    # the honest pipeline cannot fail, so the command is handed a failing certificate
     from otlab.certify import DualityCertificate, MarginalReport
-    from otlab.serialize import certificate_to_dict
-    from fractions import Fraction as F
 
     failing = DualityCertificate(
-        gap=F(1, 2),
-        marginals=MarginalReport(F(0), F(0), F(0)),
+        gap=Fraction(1, 2),
+        marginals=MarginalReport(Fraction(0), Fraction(0), Fraction(0)),
         slackness=(),
         cyclic={2: None},
-        tol=F(0),
+        tol=Fraction(0),
     )
     assert not failing.verdict
-    assert certificate_to_dict(failing, "rational")["verdict"] == "fail"
-    # cmd_certify maps verdict -> exit status
-    assert (0 if failing.verdict else 2) == 2
+    monkeypatch.setattr("otlab.cli.certify_instance", lambda instance: failing)
+    code, out, err = run_cli(["certify", str(fixture_file)], capsys)
+    assert (code, err) == (2, "")
+    assert json.loads(out)["verdict"] == "fail"
 
 
 def test_certify_large_support_passes_every_k(tmp_path, capsys):

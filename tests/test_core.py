@@ -870,6 +870,71 @@ def test_tree_potentials_refuses_a_cell_set_that_is_not_a_spanning_tree(cells, m
         tree_potentials(2, 3, cells, rows, F(0))
 
 
+def spanning_tree_refusal(m, n, cells):
+    """The refusal text of a union-find over component sets: the count
+    first, then each cell in its given order, the grid before the cycle;
+    None for a spanning tree."""
+    if len(cells) != m + n - 1:
+        return f"{len(cells)} basis cells; a spanning tree of {m} x {n} has {m + n - 1}"
+    component = [{v} for v in range(m + n)]
+    for i, j in cells:
+        if not (0 <= i < m and 0 <= j < n):
+            return f"basis cell ({i}, {j}) lies outside the {m} x {n} grid"
+        a, b = component[i], component[m + j]
+        if a is b:
+            return f"basis cell ({i}, {j}) closes a cycle"
+        a |= b
+        for v in b:
+            component[v] = a
+    return None
+
+
+@st.composite
+def basis_cell_lists(draw):
+    """An m x n cost (m, n <= 4) with ``+inf`` cells and a list of m+n-2 to
+    m+n cells: a random spanning tree, some of its cells swapped for cells
+    up to one step off the grid or for repeats, then one dropped or one
+    added, so that forests, cycles, repeats and off-grid cells all occur."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.sampled_from([0, 1, 2, 5, INF]), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    # nodes join the tree one at a time, each by a cell to one already in it;
+    # the first column comes first, so a row always has a column to join
+    later = draw(st.permutations(range(1, m + n)))
+    later = sorted(later, key=lambda v: v != m)
+    cells, joined = [], [0]
+    for v in later:
+        u = draw(st.sampled_from([w for w in joined if (w < m) != (v < m)]))
+        cells.append((min(u, v), max(u, v) - m))
+        joined.append(v)
+    cells = draw(st.permutations(cells))
+    stray = st.tuples(st.integers(-1, m), st.integers(-1, n))
+    anything = st.one_of(stray, st.sampled_from(cells))
+    for _ in range(draw(st.integers(0, 2))):
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(anything)
+    size = draw(st.sampled_from([m + n - 2, m + n - 1, m + n - 1, m + n]))
+    if size < len(cells):
+        del cells[draw(st.integers(0, len(cells) - 1))]
+    elif size > len(cells):
+        cells.insert(draw(st.integers(0, len(cells))), draw(anything))
+    return m, n, cells, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=basis_cell_lists())
+def test_tree_potentials_refuses_exactly_as_the_union_find_reference(case):
+    m, n, cells, rows = case
+    refusal = spanning_tree_refusal(m, n, cells)
+    if refusal is not None:
+        with pytest.raises(InfeasibleInput) as err:
+            tree_potentials(m, n, cells, rows, 0)
+        assert str(err.value) == refusal
+        return
+    pot, parent, wall, depth, adj, order = tree_potentials(m, n, cells, rows, 0)
+    assert sorted(order) == list(range(m + n))
+    assert (wall is None) == all(rows[i][j] != INF for i, j in cells)
+
+
 def assert_the_kept_tree(m, n, cells, parent, depth, adj, order):
     """The depths, neighbour lists and walk order the simplex keeps: each
     depth is its node's path length to row 0, each node's neighbours are

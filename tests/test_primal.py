@@ -38,7 +38,6 @@ from otlab.core import (
     int_dtype,
     is_inf,
     plan_from_cells,
-    require_spanning_tree,
     scaled_data,
     tolerance,
     tree_potentials,
@@ -142,7 +141,7 @@ def test_the_least_cost_start_is_a_feasible_spanning_tree(inst):
         mu, nu, cost = scaled_data(case)[:3]
         start = _least_cost_basis(mu, nu, case.cost)
         assert list(start.items()) == list(naive_least_cost_basis(mu, nu, cost).items())
-        require_spanning_tree(m, n, start)
+        tree_potentials(m, n, start, cost, 0)  # raises unless a spanning tree
         assert all(x >= 0 for x in start.values())
         if case.mode == RATIONAL:
             assert [sum(x for (i, _), x in start.items() if i == r) for r in range(m)] == mu
